@@ -3,9 +3,8 @@ package dse
 import (
 	"testing"
 
+	"mpsockit/internal/mapping"
 	"mpsockit/internal/obs"
-	"mpsockit/internal/sim"
-	"mpsockit/internal/vp"
 )
 
 // BenchmarkSweepPoint measures one task-level design-point evaluation
@@ -34,8 +33,7 @@ func BenchmarkSweepPoint(b *testing.B) {
 }
 
 // vpBenchPoint is the vp-fidelity benchmark point: an 8-core platform
-// whose refinement runs 8 ISS cores, so the fresh path pays eight
-// 1 MiB local-store builds per evaluation.
+// whose refinement runs 8 ISS cores.
 func vpBenchPoint() Point {
 	return Point{
 		ID:   0,
@@ -51,41 +49,55 @@ func vpBenchPoint() Point {
 	}
 }
 
-// BenchmarkVPPointReuse measures the per-point virtual-platform
-// provisioning cost a vp-fidelity evaluation pays before it can
-// simulate: "fresh" is the pre-pool path — a new kernel, 8 ISS cores
-// and eight 1 MiB local stores built per point, then programs loaded —
-// and "pooled" is the pool's path — lookup, VP.Reset (dirty-watermark
-// memory clear, CPU state zero, kernel reset) and the same loads. CI
-// guards two properties of this output with awk: the pooled steady
-// state holds 0 allocs/op, and fresh/pooled ns/op stays ≥ 5×.
-func BenchmarkVPPointReuse(b *testing.B) {
-	const cores = 8
+// vpRefineBenchInput returns vpBenchPoint and the task-level execution
+// record its refinement starts from.
+func vpRefineBenchInput(tb testing.TB) (Point, mapping.ExecStats) {
+	tb.Helper()
+	p := vpBenchPoint()
 	c := NewEvalContext()
-	prog, err := c.loopProg(100_000)
+	k := reuseKernel(&c.k)
+	plat, _, err := buildPlatform(k, p.Plat)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Run("fresh", func(b *testing.B) {
-		cfg := vp.DefaultConfig(cores)
-		cfg.Quantum = 64
+	g, err := c.graph(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c.me.Bind(g, plat)
+	a, err := c.me.Map(mapping.Options{Heuristic: mapping.List, Seed: p.Seed})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	stats, err := mapping.Execute(a)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p, stats
+}
+
+// BenchmarkVPRefine measures the vp refinement step of vpBenchPoint
+// alone: "closed" is the closed form the sweep runs, "iss" the ISS run
+// it replaced, kept as the test oracle. CI guards two properties of
+// this output with awk: closed holds 0 allocs/op, and iss/closed
+// ns/op stays at least 100x.
+func BenchmarkVPRefine(b *testing.B) {
+	p, stats := vpRefineBenchInput(b)
+	c := NewEvalContext()
+	b.Run("closed", func(b *testing.B) {
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			v := vp.New(sim.NewKernel(), cfg)
-			for core := 0; core < cores; core++ {
-				v.LoadProgram(core, prog)
+			if _, _, _, err := c.vpRefine(p, stats); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("pooled", func(b *testing.B) {
-		c.pooledVP(cores, 64) // build the pool entry outside the loop
+	b.Run("iss", func(b *testing.B) {
+		withISS(b)
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			v := c.pooledVP(cores, 64)
-			for core := 0; core < cores; core++ {
-				v.LoadProgram(core, prog)
+			if _, _, _, err := c.vpRefine(p, stats); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})
@@ -93,10 +105,8 @@ func BenchmarkVPPointReuse(b *testing.B) {
 
 // BenchmarkVPPointEval is the full instruction-level design-point
 // evaluation — mapping search, task-level execution, vp refinement —
-// fresh context per point versus one reused context. The provisioning
-// win (BenchmarkVPPointReuse) is diluted here by the simulation
-// itself, which both paths run identically; this is the number the
-// sweep wall-clock actually moves by.
+// fresh context per point versus one reused context; this is the
+// number the sweep wall-clock actually moves by.
 func BenchmarkVPPointEval(b *testing.B) {
 	p := vpBenchPoint()
 	b.Run("fresh", func(b *testing.B) {
@@ -108,9 +118,9 @@ func BenchmarkVPPointEval(b *testing.B) {
 			}
 		}
 	})
-	b.Run("pooled", func(b *testing.B) {
+	b.Run("reused", func(b *testing.B) {
 		c := NewEvalContext()
-		c.Evaluate(p) // warm the pool and caches
+		c.Evaluate(p) // warm the caches
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

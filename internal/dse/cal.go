@@ -115,7 +115,7 @@ func (c *EvalContext) calibrate(p Point, plat *platform.Platform, stats mapping.
 
 // calFit returns the point's group calibration, computing and caching
 // it on first sight: each probe mapping is scheduled and executed at
-// task level, its bottleneck compute re-measured on the pooled vp,
+// task level, its bottleneck compute re-measured by vp refinement,
 // and per-class scale factors fitted to the (task-level busy,
 // vp-measured compute) pairs by least squares through the origin.
 func (c *EvalContext) calFit(p Point) (*calEntry, error) {

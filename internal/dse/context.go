@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"mpsockit/internal/isa"
 	"mpsockit/internal/mapping"
 	"mpsockit/internal/sim"
 	"mpsockit/internal/taskgraph"
-	"mpsockit/internal/vp"
 	"mpsockit/internal/workload"
 )
 
@@ -19,25 +17,20 @@ import (
 // (everything is derived from the point's own seeds), so reuse cannot
 // leak state between points: a reset kernel is observably identical
 // to a fresh one (sim.Kernel.Reset), graph prototypes are immutable
-// once built, and the mapping evaluator rebinds per point. The sweep
-// byte-identity tests hold exactly that — any worker count, fresh or
-// reused context, same bytes.
+// once built, and the mapping evaluator rebinds per point. The vp
+// refinement is closed-form arithmetic (runLoops), so no virtual
+// platform is built or kept. The sweep byte-identity tests hold
+// exactly that — any worker count, fresh or reused context, same
+// bytes.
 //
 // An EvalContext is not safe for concurrent use; Engine.Run gives
 // each worker its own.
 type EvalContext struct {
 	// k runs mapped executions and the RTOS scheduler. It is Reset
 	// between points and discarded when an evaluation leaves live
-	// processes behind (parked RTOS services, deadlocked executions).
+	// processes behind (deadlocked executions; the RTOS scheduler
+	// closes its own services).
 	k *sim.Kernel
-	// vps pools resettable virtual platforms for the instruction-level
-	// vp refinement, keyed by shape: core count and decoupling quantum.
-	// (The timing model and clock are fixed by vp.DefaultConfig, so
-	// they need no key component.) A pooled hit costs VP.Reset +
-	// LoadProgram instead of a kernel, CPU and MiB-store rebuild —
-	// VP.Reset's observably-fresh contract is what keeps pooled sweep
-	// bytes identical to fresh ones.
-	vps map[vpPoolKey]*vpEntry
 	// me is the reusable mapping scratch, rebound per point.
 	me mapping.Evaluator
 	// graphs caches built workload task graphs: every point of a
@@ -51,8 +44,6 @@ type EvalContext struct {
 	// so hand-built points that share a token but not app seeds can
 	// never alias.
 	multis map[string]*multiEntry
-	// progs caches assembled vp calibration loops by iteration count.
-	progs map[int64]*isa.Program
 	// cals caches per-group calibration fits (fid=cal) by calKey: the
 	// probe measurements and least-squares factors are computed once
 	// per (platform, workload, probes) group per worker; any worker
@@ -61,26 +52,9 @@ type EvalContext struct {
 
 	// obs is the optional instrumentation handle (SetObs); the zero
 	// value is inert. kBase anchors the mapping kernel's stat baseline
-	// so counter growth survives kernel replacement; each pooled VP
-	// carries its own baseline in its vpEntry.
+	// so counter growth survives kernel replacement.
 	obs   EvalObs
 	kBase kernelBase
-}
-
-// vpPoolKey identifies a reusable virtual-platform shape.
-type vpPoolKey struct {
-	cores   int
-	quantum int
-}
-
-// vpEntry is one pooled platform: the VP, its dedicated kernel, and
-// the kernel-stat baseline its observer deltas are computed against
-// (per entry, so alternating between pooled platforms never
-// re-baselines and double-counts).
-type vpEntry struct {
-	v    *vp.VP
-	k    *sim.Kernel
-	base kernelBase
 }
 
 type graphKey struct {
@@ -103,10 +77,8 @@ type multiEntry struct {
 // materialize on first use.
 func NewEvalContext() *EvalContext {
 	return &EvalContext{
-		vps:    map[vpPoolKey]*vpEntry{},
 		graphs: map[graphKey]*taskgraph.Graph{},
 		multis: map[string]*multiEntry{},
-		progs:  map[int64]*isa.Program{},
 		cals:   map[string]*calEntry{},
 	}
 }
@@ -128,27 +100,6 @@ func reuseKernel(kp **sim.Kernel) *sim.Kernel {
 		(*kp).Reset()
 	}
 	return *kp
-}
-
-// pooledVP returns a freshly-reset virtual platform of the requested
-// shape, building one (with its own kernel) on first sight. VP.Reset
-// reclaims platforms in any state — including a previous refinement
-// that timed out with cores still spinning — so a pooled platform is
-// always observably identical to vp.New on sim.NewKernel.
-func (c *EvalContext) pooledVP(cores, quantum int) *vp.VP {
-	key := vpPoolKey{cores: cores, quantum: quantum}
-	if e, ok := c.vps[key]; ok {
-		c.obs.VPHits.Inc()
-		e.v.Reset()
-		return e.v
-	}
-	c.obs.VPMisses.Inc()
-	cfg := vp.DefaultConfig(cores)
-	cfg.Quantum = quantum
-	k := sim.NewKernel()
-	e := &vpEntry{v: vp.New(k, cfg), k: k}
-	c.vps[key] = e
-	return e.v
 }
 
 // graph returns the point's workload task graph prototype, building
@@ -214,39 +165,4 @@ func (c *EvalContext) multiScenario(p Point) (*multiEntry, error) {
 	mu := &multiEntry{graph: union, spans: spans, worstLoad: worst}
 	c.multis[key] = mu
 	return mu, nil
-}
-
-// cyclesPerIter is the vp calibration loop body cost: addi(1) +
-// mul(3) + bne(2) = 6 cycles under TimingRISC.
-const cyclesPerIter = 6
-
-// assembleLoop assembles the vp calibration loop that busy-spins for
-// iters iterations.
-func assembleLoop(iters int64) (*isa.Program, error) {
-	return isa.Assemble(fmt.Sprintf(`
-	li r10, %d
-loop:
-	addi r8, r8, 1
-	mul  r9, r8, r8
-	bne  r8, r10, loop
-	halt
-`, iters))
-}
-
-// loopProg returns the assembled vp calibration loop for the given
-// iteration count, cached — the assembly source only varies in the
-// loop bound, and sweeps re-measure the same handful of bounds
-// constantly.
-func (c *EvalContext) loopProg(iters int64) (*isa.Program, error) {
-	if prog, ok := c.progs[iters]; ok {
-		c.obs.ProgHits.Inc()
-		return prog, nil
-	}
-	c.obs.ProgMisses.Inc()
-	prog, err := assembleLoop(iters)
-	if err != nil {
-		return nil, err
-	}
-	c.progs[iters] = prog
-	return prog, nil
 }

@@ -1,14 +1,17 @@
 package dse
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"runtime"
 	"testing"
 )
 
 // contextPoints covers every evaluation path through an EvalContext:
 // task-level one-shot, pipelined, instruction-level vp refinement,
-// and the RTOS jobs path (which leaves live scheduler processes
-// behind, forcing a kernel replacement on the next point).
+// and the RTOS jobs path (whose scheduler services are closed after
+// each point, so the kernel is reset rather than replaced).
 func contextPoints() []Point {
 	mk := func(id int, plat PlatSpec, wl string, n int, heur, fid string, iters, quantum int) Point {
 		return Point{
@@ -98,5 +101,52 @@ func TestEvalContextGraphCache(t *testing.T) {
 	}
 	if g1 == g3 {
 		t.Fatal("different workload seeds shared a prototype")
+	}
+}
+
+// rtosPoints is a stream of rtos job-bag points over varied platforms,
+// bag sizes and seeds.
+func rtosPoints(n int) []Point {
+	plats := []PlatSpec{
+		{Kind: "homog", Cores: 2, Fabric: "bus", DVFS: 0},
+		{Kind: "homog", Cores: 4, Fabric: "mesh", DVFS: 1},
+		{Kind: "wireless", Fabric: "mesh", DVFS: 1},
+		{Kind: "celllike", Cores: 6, Fabric: "mesh", DVFS: 2},
+		{Kind: "mpcore", Cores: 4, Fabric: "bus", DVFS: 1},
+	}
+	points := make([]Point, n)
+	for i := range points {
+		points[i] = Point{
+			ID: i, Seed: seedFor(31, "point", i),
+			Plat: plats[i%len(plats)], Workload: "jobs", N: 8 + 4*(i%7),
+			WorkloadSeed: seedFor(31, "wl/jobs", i),
+			Heuristic:    "-", Fidelity: "rtos",
+		}
+	}
+	return points
+}
+
+// TestRTOSPointsReleaseGoroutines: evaluating rtos points leaves no
+// scheduler goroutine parked behind (each point's time-shared
+// dispatchers are closed), and their result bytes are the ones the
+// sweep produced while the dispatchers still leaked.
+func TestRTOSPointsReleaseGoroutines(t *testing.T) {
+	points := rtosPoints(50)
+	c := NewEvalContext()
+	c.Evaluate(points[0]) // settle any one-time runtime goroutines
+	before := runtime.NumGoroutine()
+	h := sha256.New()
+	for _, p := range points {
+		h.Write([]byte(resultBytes(t, c.Evaluate(p))))
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines grew from %d to %d over %d rtos points", before, after, len(points))
+	}
+	if c.k.LiveProcs() != 0 {
+		t.Fatalf("kernel left with %d live processes", c.k.LiveProcs())
+	}
+	const want = "a42a98d75a64e518ec8833a9e58bf3f21bd2d795d89ec054fb3dfc9c7c6cf1f5"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("rtos result bytes changed: sha256 %s, want %s", got, want)
 	}
 }

@@ -2,7 +2,6 @@ package dse
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"mpsockit/internal/mapping"
@@ -12,6 +11,7 @@ import (
 	"mpsockit/internal/rtos"
 	"mpsockit/internal/sim"
 	"mpsockit/internal/taskgraph"
+	"mpsockit/internal/vp"
 	"mpsockit/internal/workload"
 	"mpsockit/internal/xrand"
 )
@@ -73,12 +73,6 @@ func (c *EvalContext) Evaluate(p Point) Result {
 	}
 	if c.obs.SimExecuted != nil {
 		c.obs.absorb(&c.kBase, c.k)
-		// Pooled-VP kernels carry per-entry baselines; absorbing an
-		// untouched entry adds zero to every counter, so sweeping the
-		// whole pool is order-independent and always correct.
-		for _, e := range c.vps {
-			c.obs.absorb(&e.base, e.k)
-		}
 	}
 	return r
 }
@@ -315,62 +309,167 @@ func metricsFrom(plat *platform.Platform, stats mapping.ExecStats, area float64,
 	return m
 }
 
+// The vp tier re-measures each busy PE's compute as a register-only
+// MR32 loop on an ISS core of vp.DefaultConfig (100 MHz, TimingRISC):
+//
+//	      li   r10, N        ; addi when N < 1<<15, lui+ori beyond
+//	loop: addi r8, r8, 1
+//	      mul  r9, r8, r8
+//	      bne  r8, r10, loop
+//	      halt
+//
+// The loop touches no memory and the cores never interact, so what
+// the platform measures is closed-form in (N, quantum): runLoops
+// computes it, and the ISS run survives only as the test oracle
+// (TestVPRefineOracle).
+const (
+	loopIterCycles = 6 // addi(1) + mul(3) + bne(2)
+	loopHaltCycles = 4 // halt is CostSys
+	// maxVPCores is the refinement platform's width: the busiest PEs
+	// run on up to 16 ISS cores, the tail PEs are below the
+	// bottleneck anyway.
+	maxVPCores = 16
+	// vpWindow is the step in which vp.VP.RunUntilHalted advances the
+	// kernel; it checks for halted cores only between windows.
+	vpWindow = 10 * sim.Microsecond
+)
+
+// vpCyclePeriod is the refinement cores' clock period.
+var vpCyclePeriod = sim.Time(int64(sim.Second) / vp.DefaultConfig(1).HzPer)
+
+// vpRun is what vp.VP.RunUntilHalted leaves behind after running the
+// refinement loops on a fresh platform: the kernel time it stopped
+// at, the kernel events executed, the instructions retired, and
+// whether every core halted before the deadline.
+type vpRun struct {
+	now    sim.Time
+	events uint64
+	instr  uint64
+	halted bool
+}
+
+// loopCycles returns the cycles the first k instructions of the loop
+// program take, for k short of its final halt; lead is the li
+// expansion's length.
+func loopCycles(lead, k int64) int64 {
+	if k <= lead {
+		return k
+	}
+	k -= lead
+	c := lead + loopIterCycles*(k/3)
+	switch k % 3 {
+	case 1:
+		c++ // addi
+	case 2:
+		c += 4 // addi + mul
+	}
+	return c
+}
+
+// runLoops returns the vp run of one refinement loop per core — core i
+// spins iters[i] iterations, for i < cores — at the given quantum,
+// exactly as RunUntilHalted(deadline) reports it. A core executes
+// its n instructions in ceil(n/quantum) bursts, one kernel event
+// each (the first is the process start at time 0); burst j starts
+// after the cycles of its first j·quantum instructions, and the core
+// halts in its last burst, whose wake-up event fires at the end of
+// the program. RunUntilHalted stops at the end of the first window
+// (at least one) by which every core has started its halting burst,
+// having executed every event up to that instant; it gives up before
+// a window that would start at or past the deadline. When it gives
+// up, only now and halted are set: the refinement fails the point.
+// A variable so the oracle tests can run the ISS instead.
+var runLoops = func(iters [maxVPCores]int64, cores, quantum int, deadline sim.Time) vpRun {
+	var r vpRun
+	var ends [maxVPCores]sim.Time
+	var lastStart sim.Time
+	q := int64(quantum)
+	for i := 0; i < cores; i++ {
+		lead := int64(1)
+		if iters[i] >= 1<<15 {
+			lead = 2
+		}
+		n := lead + 3*iters[i] + 1
+		bursts := (n + q - 1) / q
+		if s := sim.Time(loopCycles(lead, (bursts-1)*q)) * vpCyclePeriod; s > lastStart {
+			lastStart = s
+		}
+		ends[i] = sim.Time(lead+loopIterCycles*iters[i]+loopHaltCycles) * vpCyclePeriod
+		r.instr += uint64(n)
+		r.events += uint64(bursts)
+	}
+	windows := (lastStart + vpWindow - 1) / vpWindow
+	if windows < 1 {
+		windows = 1
+	}
+	if (windows-1)*vpWindow >= deadline {
+		r = vpRun{}
+		if deadline > 0 {
+			r.now = (deadline + vpWindow - 1) / vpWindow * vpWindow
+		}
+		return r
+	}
+	r.now, r.halted = windows*vpWindow, true
+	for _, end := range ends[:cores] {
+		if end <= r.now {
+			r.events++ // the halted core's final wake-up
+		}
+	}
+	return r
+}
+
 // vpRefine re-measures the point's compute at instruction granularity:
 // each busy PE's compute time becomes a calibrated MR32 loop on an ISS
 // core of a temporally-decoupled virtual platform (vp.Config.Quantum =
-// Point.Quantum). The refined makespan is the VP-measured compute of
-// the bottleneck core plus the task-level communication slack; the
-// returned event/instruction counts expose the fidelity-versus-cost
-// trade of experiment E13.
+// Point.Quantum), computed in closed form by runLoops. The refined
+// makespan is the VP-measured compute of the bottleneck core plus the
+// task-level communication slack; the returned event/instruction
+// counts expose the fidelity-versus-cost trade of experiment E13.
 func (c *EvalContext) vpRefine(p Point, stats mapping.ExecStats) (sim.Time, uint64, uint64, error) {
-	type peBusy struct {
-		pe   int
-		busy sim.Time
-	}
-	var busiest []peBusy
-	for pe, b := range stats.PEBusy {
-		if b > 0 {
-			busiest = append(busiest, peBusy{pe, b})
+	// busy keeps the maxVPCores largest busy times, descending. The
+	// run depends only on their values, so ties at the cut are
+	// interchangeable.
+	var busy [maxVPCores]sim.Time
+	n := 0
+	for _, b := range stats.PEBusy {
+		if b <= 0 || (n == maxVPCores && b <= busy[n-1]) {
+			continue
 		}
+		if n < maxVPCores {
+			n++
+		}
+		i := n - 1
+		for ; i > 0 && busy[i-1] < b; i-- {
+			busy[i] = busy[i-1]
+		}
+		busy[i] = b
 	}
-	if len(busiest) == 0 {
+	if n == 0 {
 		return stats.Makespan, 0, 0, nil
 	}
-	sort.Slice(busiest, func(i, j int) bool {
-		if busiest[i].busy != busiest[j].busy {
-			return busiest[i].busy > busiest[j].busy
+	maxBusy := busy[0]
+	var iters [maxVPCores]int64
+	for i, b := range busy[:n] {
+		it := int64(b) / int64(vpCyclePeriod) / loopIterCycles
+		if it < 1 {
+			it = 1
 		}
-		return busiest[i].pe < busiest[j].pe
-	})
-	// The VP models up to 16 ISS cores (1 MiB local store each); for
-	// wider platforms the tail PEs are below the bottleneck anyway.
-	if len(busiest) > 16 {
-		busiest = busiest[:16]
+		if it >= 1<<32 {
+			// The ISS loop counter is a 32-bit register.
+			return 0, 0, 0, fmt.Errorf("dse: vp refinement loop bound %d overflows 32 bits (point %d)", it, p.ID)
+		}
+		iters[i] = it
 	}
-	maxBusy := busiest[0].busy
 	quantum := p.Quantum
 	if quantum < 1 {
 		quantum = 1
 	}
-	v := c.pooledVP(len(busiest), quantum)
-	cyclePS := int64(v.CyclePeriod())
-	for i, e := range busiest {
-		iters := int64(e.busy) / cyclePS / cyclesPerIter
-		if iters < 1 {
-			iters = 1
-		}
-		prog, err := c.loopProg(iters)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		v.LoadProgram(i, prog)
-	}
-	v.Start()
-	if !v.RunUntilHalted(stats.Makespan + maxBusy + sim.Millisecond) {
+	run := runLoops(iters, n, quantum, stats.Makespan+maxBusy+sim.Millisecond)
+	if !run.halted {
 		return 0, 0, 0, fmt.Errorf("dse: vp refinement did not halt (point %d)", p.ID)
 	}
 	slack := stats.Makespan - maxBusy
-	return slack + v.K.Now(), v.K.Executed, v.Retired(), nil
+	return slack + run.now, run.events, run.instr, nil
 }
 
 // evalJobs scores a jobs design point: a deterministic bag of moldable
@@ -383,6 +482,10 @@ func evalJobs(p Point, k *sim.Kernel, plat *platform.Platform, area float64) (Me
 		c.SpaceShared = i != 0
 	}
 	s := rtos.NewHybrid(k, plat, rtos.DefaultConfig())
+	// The metrics below are read before the deferred Close drains the
+	// dispatchers, so the kernel is reset for the next point, not
+	// rebuilt, and no goroutine stays parked.
+	defer s.Close()
 	r := xrand.New(p.WorkloadSeed)
 	n := p.N
 	if n <= 0 {

@@ -22,7 +22,7 @@ type EvalObs struct {
 
 	// LatMVP, LatPipe, LatVP, LatCal and LatJobs record per-point
 	// evaluation wall-clock latency in microseconds, one histogram per
-	// fidelity.
+	// fidelity; LatJobs holds the rtos job-bag points (fid="rtos").
 	LatMVP  *obs.Histogram
 	LatPipe *obs.Histogram
 	LatVP   *obs.Histogram
@@ -31,21 +31,21 @@ type EvalObs struct {
 
 	// GraphHits/GraphMisses count workload-graph prototype cache
 	// lookups; MultiHits/MultiMisses the multi-app scenario cache;
-	// ProgHits/ProgMisses the vp calibration-loop program cache;
-	// VPHits/VPMisses the pooled virtual-platform cache (a hit is a
-	// VP.Reset reuse, a miss builds a platform and its kernel);
 	// CalHits/CalMisses the per-group calibration-fit cache (a miss
 	// measures the group's probes on the vp and fits the factors).
 	GraphHits   *obs.Counter
 	GraphMisses *obs.Counter
 	MultiHits   *obs.Counter
 	MultiMisses *obs.Counter
-	ProgHits    *obs.Counter
-	ProgMisses  *obs.Counter
-	VPHits      *obs.Counter
-	VPMisses    *obs.Counter
 	CalHits     *obs.Counter
 	CalMisses   *obs.Counter
+
+	// VPHits and VPMisses counted the virtual-platform pool, which
+	// closed-form vp refinement retired. NewEvalObs leaves them nil
+	// (a nil counter reads 0); they remain only because external
+	// readers of EvalObs still reference the fields.
+	VPHits   *obs.Counter
+	VPMisses *obs.Counter
 
 	// SimScheduled/SimExecuted/SimCancelled aggregate kernel event
 	// counts across every kernel the context used; PoolHits/PoolMisses
@@ -87,16 +87,12 @@ func NewEvalObs(r *obs.Registry) EvalObs {
 		LatPipe: latency("pipe"),
 		LatVP:   latency("vp"),
 		LatCal:  latency("cal"),
-		LatJobs: latency("jobs"),
+		LatJobs: latency("rtos"),
 
 		GraphHits:   cacheHit("graph"),
 		GraphMisses: cacheMiss("graph"),
 		MultiHits:   cacheHit("multi"),
 		MultiMisses: cacheMiss("multi"),
-		ProgHits:    cacheHit("prog"),
-		ProgMisses:  cacheMiss("prog"),
-		VPHits:      cacheHit("vp"),
-		VPMisses:    cacheMiss("vp"),
 		CalHits:     cacheHit("cal"),
 		CalMisses:   cacheMiss("cal"),
 
@@ -130,7 +126,7 @@ func (o *EvalObs) latency(fid string) *obs.Histogram {
 		return o.LatVP
 	case "cal":
 		return o.LatCal
-	case "jobs":
+	case "rtos":
 		return o.LatJobs
 	}
 	return nil

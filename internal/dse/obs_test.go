@@ -142,3 +142,31 @@ func TestInstrumentationAllocFree(t *testing.T) {
 		t.Fatalf("instrumentation changed allocations: plain %.0f, observed %.0f allocs/op", a, b)
 	}
 }
+
+// TestLatencyCoversEveryFidelity: every evaluated point lands in
+// exactly one latency histogram — rtos job-bag points included, under
+// fid="rtos" — so the histogram counts sum to dse_points_total.
+func TestLatencyCoversEveryFidelity(t *testing.T) {
+	const spec = "plat=homog4;wl=synth8,jobs12;heur=list;fid=mvp,pipe4,vp16,cal:1"
+	reg := obs.NewRegistry()
+	o := NewEvalObs(reg)
+	sweepResultBytes(t, spec, 2, o, nil)
+	hists := map[string]*obs.Histogram{"mvp": o.LatMVP, "pipe": o.LatPipe, "vp": o.LatVP, "cal": o.LatCal, "rtos": o.LatJobs}
+	var sum int64
+	for fid, h := range hists {
+		if h.Count() == 0 {
+			t.Errorf("fid=%s: no latency observations", fid)
+		}
+		sum += h.Count()
+	}
+	if points := o.Points.Value(); sum != points {
+		t.Fatalf("latency histograms hold %d observations, dse_points_total is %d", sum, points)
+	}
+	var text bytes.Buffer
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(text.Bytes(), []byte(`dse_eval_latency_us_count{fid="rtos"}`)) {
+		t.Fatal(`exposition has no dse_eval_latency_us{fid="rtos"} series`)
+	}
+}

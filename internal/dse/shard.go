@@ -39,12 +39,17 @@ func (s Shard) String() string {
 
 // EstCost estimates a point's relative evaluation cost for shard
 // load balancing. It is a planning heuristic, not a measurement: the
-// instruction-level vp fidelity dominates everything task-level, the
 // pipelined fidelity scales with its iteration count, the RTOS job
 // bag scales with job count, and the search heuristics multiply the
 // number of candidate schedules evaluated. Only the ratio between
 // point costs matters, and PlanShards is deterministic for any fixed
 // cost function.
+//
+// vp points carry no weight of their own: refinement is closed-form
+// (~130 ns, BenchmarkVPRefine/closed), so a vp point costs its
+// mapping and task-level execution like its mvp twin —
+// BenchmarkVPPointEval/reused measured 1.05x the same point at mvp
+// (~55 vs ~50 us on a 2-vCPU 2.1 GHz Xeon).
 func EstCost(p Point) float64 {
 	c := 1.0 + 0.25*float64(p.Plat.CoreCount())
 	switch p.Fidelity {
@@ -54,15 +59,15 @@ func EstCost(p Point) float64 {
 			it = 8
 		}
 		c *= 1 + float64(it)/4
-	case "vp":
-		c *= 30
 	case "cal":
 		// A cal point is task-level plus its share of the group's
-		// probe measurements (~30× each, paid once per group by
-		// whichever shard sees the group first); averaging the probe
-		// cost over members keeps shard boundaries near the truth
-		// without knowing the group size here.
-		c *= 1 + 15*float64(len(p.CalProbes))
+		// probes. Each probe maps and executes once more at task
+		// level (a group fit over K probes measured (1+K)x an mvp
+		// evaluation on the same host), paid once per group by
+		// whichever shard sees the group first; charging each member
+		// half a probe keeps shard boundaries near the truth for the
+		// usual two-member groups without knowing the group size here.
+		c *= 1 + 0.5*float64(len(p.CalProbes))
 	case "rtos":
 		n := p.N
 		if n <= 0 {

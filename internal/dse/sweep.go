@@ -453,6 +453,6 @@ func parseFidelity(tok string) (FidelitySpec, error) {
 }
 
 // calProbeQuantum is the temporal-decoupling quantum calibration
-// probes are measured at — the default sweep's vp quantum, so cal
-// probes reuse the same pooled platforms a fid=vp64 axis warms.
+// probes are measured at — the default sweep's vp quantum, so a cal
+// probe measures exactly what a fid=vp64 point of its mapping does.
 const calProbeQuantum = 64

@@ -176,17 +176,6 @@ func (c *CPU) Restore(s State) {
 // taken).
 func (c *CPU) RaiseInterrupt() { c.IntPending = true }
 
-// Reset zeroes the architectural state — registers, PC, halted flag,
-// cycle/instruction/interrupt counters, pending error — returning the
-// CPU to its just-constructed condition. The wiring (Bus, Timing,
-// LocalFetch, handlers) is untouched, and so is the decode cache: its
-// entries are validated against the fetched raw word on every hit, so
-// a warm cache is observably identical to a cold one.
-func (c *CPU) Reset() {
-	c.Restore(State{})
-	c.Err = nil
-}
-
 func (c *CPU) fail(err error) int64 {
 	c.Err = err
 	c.Halted = true

@@ -129,6 +129,7 @@ type HybridScheduler struct {
 	tsCores []*platform.Core
 	tsReady []*Job // EDF-ordered
 	tsWake  *sim.Signal
+	tsProcs []*sim.Proc // the per-core dispatchers, for Close
 
 	// space-shared side
 	ssFree []*platform.Core
@@ -214,7 +215,7 @@ func (s *HybridScheduler) enqueueTS(j *Job) {
 // runTimeShared is the per-core dispatcher loop: EDF with quantum
 // slicing, context-switch overhead charged on every dispatch.
 func (s *HybridScheduler) runTimeShared(c *platform.Core) {
-	s.K.Spawn(fmt.Sprintf("ts-%s", c.Name), func(p *sim.Proc) {
+	proc := s.K.Spawn(fmt.Sprintf("ts-%s", c.Name), func(p *sim.Proc) {
 		for {
 			for len(s.tsReady) == 0 {
 				s.tsWake.Wait(p)
@@ -241,6 +242,25 @@ func (s *HybridScheduler) runTimeShared(c *platform.Core) {
 			}
 		}
 	})
+	s.tsProcs = append(s.tsProcs, proc)
+}
+
+// Close stops the time-shared dispatchers, which otherwise stay
+// parked on the kernel forever waiting for work: each is killed and
+// the kernel stepped until they have unwound. Events pending at the
+// current instant may fire during the drain; nothing later does.
+// Afterwards the scheduler leaves no live process on the kernel, so
+// a kernel it was alone on can be Reset. Read the results first.
+func (s *HybridScheduler) Close() {
+	for _, p := range s.tsProcs {
+		p.Kill()
+	}
+	s.K.Resume() // a Stop would stall the drain
+	for _, p := range s.tsProcs {
+		for !p.Dead() && s.K.Step() {
+		}
+	}
+	s.tsProcs = nil
 }
 
 // dispatchParallel implements the reactive space-sharing policy:

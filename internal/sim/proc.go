@@ -170,16 +170,3 @@ func (s *Signal) Broadcast() {
 
 // Waiters returns the number of processes currently waiting.
 func (s *Signal) Waiters() int { return len(s.waiters) }
-
-// Reset returns the signal to its just-constructed state: no waiters,
-// zero fire count. The waiter slice's backing array is retained, so a
-// reset signal re-warms nothing and allocates nothing. Only call it
-// when every recorded waiter is dead or being discarded — dropping a
-// live waiter would strand its process forever.
-func (s *Signal) Reset() {
-	for i := range s.waiters {
-		s.waiters[i] = nil
-	}
-	s.waiters = s.waiters[:0]
-	s.Fires = 0
-}

@@ -82,7 +82,6 @@ type VP struct {
 	quantum     int
 	suspended   bool
 	resumeSig   *sim.Signal
-	procs       []*sim.Proc
 
 	// Console collects words written to RegConsole per core.
 	Console [][]uint32
@@ -94,18 +93,6 @@ type VP struct {
 	mbox [][]uint32
 	// semaphores
 	sems [SemCount]uint32
-
-	// coreNames are the per-core process names, precomputed so Start
-	// does not format strings on the pooled-reuse path.
-	coreNames []string
-	// localDirty[i] and sharedDirty are high-water marks of bytes ever
-	// written to local store i and to shared memory (by LoadProgram,
-	// guest stores or Restore). Reset clears only up to the mark —
-	// bytes beyond it are still in their initial all-zero state — so
-	// resetting a platform that ran a 4 KiB program costs a 4 KiB
-	// clear, not a multi-MiB one.
-	localDirty  []int
-	sharedDirty int
 
 	// OnMemAccess observes shared-memory accesses (debug watchpoints).
 	OnMemAccess func(core int, addr uint32, write bool, val uint32)
@@ -158,8 +145,6 @@ func New(k *sim.Kernel, cfg Config) *VP {
 		v.timerCount = append(v.timerCount, 0)
 		v.timerEvents = append(v.timerEvents, sim.Event{})
 		v.mbox = append(v.mbox, nil)
-		v.coreNames = append(v.coreNames, fmt.Sprintf("cpu%d", i))
-		v.localDirty = append(v.localDirty, 0)
 	}
 	return v
 }
@@ -167,19 +152,15 @@ func New(k *sim.Kernel, cfg Config) *VP {
 // LoadProgram installs a program image into core's local memory and
 // points its PC at the entry.
 func (v *VP) LoadProgram(core int, p *isa.Program) {
-	n := copy(v.Locals[core], p.Image)
-	if n > v.localDirty[core] {
-		v.localDirty[core] = n
-	}
+	copy(v.Locals[core], p.Image)
 	v.CPUs[core].PC = p.Entry
 }
 
-// Start spawns the per-core execution processes. Call once per run
-// (again after each Reset).
+// Start spawns the per-core execution processes. Call once.
 func (v *VP) Start() {
 	for i := range v.CPUs {
 		i := i
-		proc := v.K.Spawn(v.coreNames[i], func(p *sim.Proc) {
+		v.K.Spawn(fmt.Sprintf("cpu%d", i), func(p *sim.Proc) {
 			cpu := v.CPUs[i]
 			for !cpu.Halted {
 				for v.suspended {
@@ -234,7 +215,6 @@ func (v *VP) Start() {
 				p.Delay(sim.Time(cycles) * v.cyclePeriod)
 			}
 		})
-		v.procs = append(v.procs, proc)
 	}
 }
 
@@ -335,13 +315,9 @@ func (v *VP) Restore(s *Snapshot) {
 		v.CPUs[i].Restore(cs)
 	}
 	for i, l := range s.Locals {
-		if n := copy(v.Locals[i], l); n > v.localDirty[i] {
-			v.localDirty[i] = n
-		}
+		copy(v.Locals[i], l)
 	}
-	if n := copy(v.Shared, s.Shared); n > v.sharedDirty {
-		v.sharedDirty = n
-	}
+	copy(v.Shared, s.Shared)
 	copy(v.timerPeriod, s.TimerPeriod)
 	copy(v.timerCount, s.TimerCount)
 	for i, m := range s.Mbox {
@@ -351,69 +327,6 @@ func (v *VP) Restore(s *Snapshot) {
 	for i, c := range s.Console {
 		v.Console[i] = append([]uint32{}, c...)
 	}
-}
-
-// Reset returns the platform — and the kernel it runs on, which the
-// platform owns for the duration — to the observably-fresh state a
-// new vp.New on a new kernel produces: zeroed CPUs (registers, PC,
-// halted flags, counters), all-zero local and shared memory, drained
-// timers, mailboxes, semaphores, consoles and trace, no suspension,
-// nil debug hooks, and an empty event queue at time zero. Outstanding
-// sim.Event handles are invalidated by the kernel reset's generation
-// bump, so cancelling one afterwards is a no-op. Live per-core
-// processes (cores that never halted, or halted cores whose final
-// wake-up is still queued) are killed and unwound first; pending
-// events scheduled at the current instant may fire while they unwind,
-// everything later is discarded. After Reset, LoadProgram + Start
-// begin a new run whose event ordering is byte-identical to a fresh
-// platform's.
-//
-// Local and shared memory are cleared only up to their dirty
-// high-water marks, which LoadProgram, guest stores and Restore
-// maintain — a reset after a small program costs kilobytes, not the
-// platform's full multi-MiB store. Code writing the exported Locals
-// or Shared slices directly (nothing in-tree does) would bypass the
-// marks and must not rely on Reset re-zeroing those bytes.
-func (v *VP) Reset() {
-	// Stop the periodic timers first: their handlers re-arm themselves,
-	// so the process drain below could otherwise run forever.
-	for i := range v.timerEvents {
-		v.K.Cancel(v.timerEvents[i])
-		v.timerEvents[i] = sim.Event{}
-		v.timerPeriod[i] = 0
-		v.timerCount[i] = 0
-	}
-	live := false
-	for _, p := range v.procs {
-		if !p.Dead() {
-			p.Kill()
-			live = true
-		}
-	}
-	if live || v.K.LiveProcs() > 0 {
-		v.K.Resume() // a Stop would stall the drain
-		for v.K.LiveProcs() > 0 && v.K.Step() {
-		}
-	}
-	v.procs = v.procs[:0]
-	v.K.Reset()
-	v.suspended = false
-	v.resumeSig.Reset()
-	for i, c := range v.CPUs {
-		c.Reset()
-		clear(v.Locals[i][:v.localDirty[i]])
-		v.localDirty[i] = 0
-		v.Console[i] = v.Console[i][:0]
-		v.mbox[i] = v.mbox[i][:0]
-	}
-	clear(v.Shared[:v.sharedDirty])
-	v.sharedDirty = 0
-	v.sems = [SemCount]uint32{}
-	v.Trace.Clear()
-	v.Trace.Dropped = 0
-	v.Trace.Filter = nil
-	v.OnMemAccess, v.OnIRQ, v.OnStep = nil, nil, nil
-	v.InstrBudget, v.retired = 0, 0
 }
 
 // --- Bus and peripherals ---
@@ -453,9 +366,6 @@ func (b *coreBus) Store(core int, addr uint32, val uint32, size int) error {
 	case addr >= SharedBase && addr+uint32(size) <= SharedBase+SharedSize:
 		off := addr - SharedBase
 		storeLE(v.Shared[off:], val, size)
-		if end := int(off) + size; end > v.sharedDirty {
-			v.sharedDirty = end
-		}
 		v.Trace.Add(trace.Event{At: v.K.Now(), Core: b.core, Kind: trace.MemWr, Addr: addr, Value: val})
 		if v.OnMemAccess != nil {
 			v.OnMemAccess(b.core, addr, true, val)
@@ -463,9 +373,6 @@ func (b *coreBus) Store(core int, addr uint32, val uint32, size int) error {
 		return nil
 	case addr+uint32(size) <= LocalSize:
 		storeLE(v.Locals[b.core][addr:], val, size)
-		if end := int(addr) + size; end > v.localDirty[b.core] {
-			v.localDirty[b.core] = end
-		}
 		return nil
 	default:
 		return fmt.Errorf("vp: core %d store fault at 0x%08x", b.core, addr)
