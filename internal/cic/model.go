@@ -217,9 +217,9 @@ type ProcessorInfo struct {
 // channel-implementation style: "dma" (distributed local stores,
 // message passing) or "sharedmem" (SMP with lock-protected FIFOs).
 type InterconnectInfo struct {
-	Type        string `xml:"type,attr"`
-	BytesPerNS  int64  `xml:"bytesPerNS,attr"`
-	HopLatencyNS int64 `xml:"hopLatencyNS,attr"`
+	Type         string `xml:"type,attr"`
+	BytesPerNS   int64  `xml:"bytesPerNS,attr"`
+	HopLatencyNS int64  `xml:"hopLatencyNS,attr"`
 	// LockCycles is the lock acquire+release cost for sharedmem
 	// channels.
 	LockCycles int64 `xml:"lockCycles,attr"`

@@ -81,11 +81,11 @@ func (h fireHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h fireHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *fireHeap) Push(x any)        { *h = append(*h, x.(fireEvent)) }
-func (h *fireHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h fireHeap) peek() int64        { return h[0].time }
-func (h fireHeap) empty() bool        { return len(h) == 0 }
+func (h fireHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *fireHeap) Push(x any)   { *h = append(*h, x.(fireEvent)) }
+func (h *fireHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+func (h fireHeap) peek() int64   { return h[0].time }
+func (h fireHeap) empty() bool   { return len(h) == 0 }
 
 // Run executes the graph self-timed: every actor fires as soon as its
 // input tokens and output space allow (data-driven semantics). Tokens
@@ -144,8 +144,8 @@ func (g *Graph) Run(opt RunOptions) (*RunResult, error) {
 		inEdges[e.Dst.idx] = append(inEdges[e.Dst.idx], e)
 		outEdges[e.Src.idx] = append(outEdges[e.Src.idx], e)
 	}
-	phase := make([]int, n)   // next phase to fire
-	busy := make([]bool, n)   // firing in progress
+	phase := make([]int, n) // next phase to fire
+	busy := make([]bool, n) // firing in progress
 	res := &RunResult{Firings: make([]int, n)}
 	// Periodic source bookkeeping.
 	releases := 0 // source releases so far (periodic mode)

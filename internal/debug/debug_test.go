@@ -102,7 +102,7 @@ func TestWatchpointCoreFilter(t *testing.T) {
 	k, v, _ := platformWith(t, 2, src)
 	d := New(v)
 	w := d.WatchMem(0x40000200, 0x40000203, false, true, 1) // only core 1
-	w.Handler = func(d *Debugger, r StopReason) {} // count only
+	w.Handler = func(d *Debugger, r StopReason) {}          // count only
 	v.Start()
 	k.RunFor(20 * sim.Microsecond)
 	v.RunUntilHalted(sim.Second)

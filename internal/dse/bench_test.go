@@ -10,24 +10,35 @@ import (
 // BenchmarkSweepPoint measures one task-level design-point evaluation
 // end to end (platform build, mapping search, mapped execution) — the
 // unit of work the sweep engine repeats hundreds of times per run.
+// The pipe8 variants evaluate the same (platform, workload, heuristic)
+// at the pipelined fidelity with 8 iterations; their ratio to mvp is
+// the evidence behind EstCost's pipe term.
 func BenchmarkSweepPoint(b *testing.B) {
-	p := Point{
-		ID:   0,
-		Seed: 12345,
-		Plat: PlatSpec{Kind: "wireless", Fabric: "mesh", DVFS: 1},
+	for _, heur := range []string{"anneal", "list"} {
+		for _, fid := range []string{"mvp", "pipe8"} {
+			p := Point{
+				ID:   0,
+				Seed: 12345,
+				Plat: PlatSpec{Kind: "wireless", Fabric: "mesh", DVFS: 1},
 
-		Workload:     "synth",
-		N:            16,
-		WorkloadSeed: 99,
-		Heuristic:    "anneal",
-		Fidelity:     "mvp",
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := Evaluate(p)
-		if r.Err != "" {
-			b.Fatal(r.Err)
+				Workload:     "synth",
+				N:            16,
+				WorkloadSeed: 99,
+				Heuristic:    heur,
+				Fidelity:     "mvp",
+			}
+			if fid == "pipe8" {
+				p.Fidelity, p.Iterations = "pipe", 8
+			}
+			b.Run(heur+"/"+fid, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					r := Evaluate(p)
+					if r.Err != "" {
+						b.Fatal(r.Err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -28,8 +28,8 @@ import (
 type EvalContext struct {
 	// k runs mapped executions and the RTOS scheduler. It is Reset
 	// between points and discarded when an evaluation leaves live
-	// processes behind (deadlocked executions; the RTOS scheduler
-	// closes its own services).
+	// processes behind (mapped executions are kernel callbacks and
+	// never do; the RTOS scheduler closes its own services).
 	k *sim.Kernel
 	// me is the reusable mapping scratch, rebound per point.
 	me mapping.Evaluator

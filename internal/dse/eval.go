@@ -153,14 +153,9 @@ func (c *EvalContext) evaluate(p Point) (Metrics, error) {
 		}
 	}
 	if p.Fidelity == "vp" {
-		makespan, events, instr, err := c.vpRefine(p, stats)
-		if err != nil {
+		if err := c.refineVP(p, stats, units, &m); err != nil {
 			return Metrics{}, err
 		}
-		m.Makespan = makespan
-		m.ThroughputHz = float64(units) / makespan.Seconds()
-		m.SimEvents = events
-		m.VPInstr = instr
 	}
 	if p.Fidelity == "cal" {
 		if err := c.calibrate(p, plat, stats, &m, units); err != nil {
@@ -416,6 +411,24 @@ var runLoops = func(iters [maxVPCores]int64, cores, quantum int, deadline sim.Ti
 		}
 	}
 	return r
+}
+
+// refineVP replaces m's task-level makespan, throughput, event and
+// instruction counts with the vp refinement of stats. Like
+// metricsFrom it reports zero throughput for a zero makespan: +Inf
+// would make the JSON encoding of the whole record fail rather than
+// the one point.
+func (c *EvalContext) refineVP(p Point, stats mapping.ExecStats, units int, m *Metrics) error {
+	makespan, events, instr, err := c.vpRefine(p, stats)
+	if err != nil {
+		return err
+	}
+	m.Makespan, m.SimEvents, m.VPInstr = makespan, events, instr
+	m.ThroughputHz = 0
+	if makespan > 0 {
+		m.ThroughputHz = float64(units) / makespan.Seconds()
+	}
+	return nil
 }
 
 // vpRefine re-measures the point's compute at instruction granularity:

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"mpsockit/internal/isa"
+	"mpsockit/internal/mapping"
 	"mpsockit/internal/obs"
 	"mpsockit/internal/sim"
 	"mpsockit/internal/vp"
@@ -279,6 +280,31 @@ func TestVPRefineAllocFree(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Fatalf("vpRefine allocates %.0f times per call", a)
+	}
+}
+
+// TestRefineVPZeroMakespan: an execution with zero makespan and no
+// busy PE refines to zero throughput, as metricsFrom reports it, not
+// +Inf, and the record still encodes; a live execution keeps
+// units/makespan.
+func TestRefineVPZeroMakespan(t *testing.T) {
+	p, stats := vpRefineBenchInput(t)
+	c := NewEvalContext()
+	m := Metrics{ThroughputHz: 123}
+	if err := c.refineVP(p, mapping.ExecStats{PEBusy: make([]sim.Time, 4)}, 8, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Makespan != 0 || m.ThroughputHz != 0 || m.SimEvents != 0 {
+		t.Fatalf("zero-makespan refinement: makespan %v, throughput %v, events %d", m.Makespan, m.ThroughputHz, m.SimEvents)
+	}
+	if _, err := json.Marshal(m); err != nil {
+		t.Fatalf("zero-makespan record does not encode: %v", err)
+	}
+	if err := c.refineVP(p, stats, 8, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Makespan <= 0 || m.ThroughputHz != 8/m.Makespan.Seconds() {
+		t.Fatalf("refined makespan %v, throughput %v", m.Makespan, m.ThroughputHz)
 	}
 }
 

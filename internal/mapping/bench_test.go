@@ -5,6 +5,7 @@ import (
 
 	"mpsockit/internal/mem"
 	"mpsockit/internal/obs"
+	"mpsockit/internal/taskgraph"
 	"mpsockit/internal/workload"
 )
 
@@ -145,6 +146,25 @@ func BenchmarkExhaustive(b *testing.B) {
 	}
 }
 
+// The execution benchmarks time each executor against its goroutine
+// oracle (procexec_test.go) on the same assignment: /callback is the
+// code the sweeps run, /proc the one-sim.Proc-per-task executor it
+// replaced. The CI guard requires every /callback variant to stay ≥3×
+// faster than its /proc twin and within the allocs/op recorded in
+// docs/performance.md.
+
+// benchExec runs exec once per iteration, re-using one platform and
+// kernel as a dse worker re-uses its platform across points.
+func benchExec(b *testing.B, a *Assignment, exec func(*Assignment) error) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := exec(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkExecute(b *testing.B) {
 	g := workload.JPEGTaskGraph()
 	plat := wirelessPlat()
@@ -152,11 +172,45 @@ func BenchmarkExecute(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Execute(a); err != nil {
-			b.Fatal(err)
-		}
+	b.Run("callback", func(b *testing.B) {
+		benchExec(b, a, func(a *Assignment) error { _, err := Execute(a); return err })
+	})
+	b.Run("proc", func(b *testing.B) {
+		benchExec(b, a, func(a *Assignment) error { _, _, err := executeSpansProc(a, nil); return err })
+	})
+}
+
+// BenchmarkExecuteMulti runs the two-app jpeg+carradio union, the
+// shape of a wl=multi: sweep point.
+func BenchmarkExecuteMulti(b *testing.B) {
+	g, spans := taskgraph.Union("multi", workload.JPEGTaskGraph(), workload.CarRadioTaskGraph())
+	plat := wirelessPlat()
+	a, err := Map(g, plat, Options{Heuristic: List})
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.Run("callback", func(b *testing.B) {
+		benchExec(b, a, func(a *Assignment) error { _, _, err := ExecuteMulti(a, spans); return err })
+	})
+	b.Run("proc", func(b *testing.B) {
+		benchExec(b, a, func(a *Assignment) error { _, _, err := executeSpansProc(a, spans); return err })
+	})
+}
+
+// BenchmarkExecutePipelined runs JPEG through 8 pipelined iterations
+// under the throughput objective, the fid=pipe sweep point's shape.
+func BenchmarkExecutePipelined(b *testing.B) {
+	g := workload.JPEGTaskGraph()
+	plat := wirelessPlat()
+	a, err := Map(g, plat, Options{Objective: Throughput})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const iters = 8
+	b.Run("callback", func(b *testing.B) {
+		benchExec(b, a, func(a *Assignment) error { _, err := ExecutePipelined(a, iters); return err })
+	})
+	b.Run("proc", func(b *testing.B) {
+		benchExec(b, a, func(a *Assignment) error { _, err := executePipelinedProc(a, iters); return err })
+	})
 }

@@ -24,13 +24,17 @@
 // the move cost is an O(cores) incremental load update. The search
 // results are byte-identical to the naive implementations — the
 // regression tests in this package hold that equivalence.
+//
+// Execution is the other per-point cost. Execute, ExecuteMulti and
+// ExecutePipelined run tasks as kernel callbacks, not goroutine-backed
+// sim.Procs, dispatching exactly the events of the process executors
+// the tests keep as their oracle.
 package mapping
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 
 	"mpsockit/internal/mem"
@@ -779,37 +783,6 @@ func (s ExecStats) Utilization() []float64 {
 	return out
 }
 
-// Simulation resources are named per index ("pe3", "e17"); the names
-// only surface in diagnostics, so they come from a precomputed table
-// instead of a fmt.Sprintf per resource per run.
-var (
-	peNames   [64]string
-	edgeNames [256]string
-)
-
-func init() {
-	for i := range peNames {
-		peNames[i] = "pe" + strconv.Itoa(i)
-	}
-	for i := range edgeNames {
-		edgeNames[i] = "e" + strconv.Itoa(i)
-	}
-}
-
-func peName(i int) string {
-	if i < len(peNames) {
-		return peNames[i]
-	}
-	return "pe" + strconv.Itoa(i)
-}
-
-func edgeName(i int) string {
-	if i < len(edgeNames) {
-		return edgeNames[i]
-	}
-	return "e" + strconv.Itoa(i)
-}
-
 // transferContended moves one cross-PE payload: the fabric delivers
 // it, then — when the platform has a memory contention model — the
 // payload queues for memory service before done fires. With no model
@@ -831,6 +804,43 @@ func transferContended(plat *platform.Platform, src, dst, bytes int, done func()
 	})
 }
 
+// peArbiter is the callback executors' per-run PE arbitration: a
+// capacity-1 sim.Resource per core without the processes. A task that
+// finds its core held queues its resume callback; release schedules
+// every queued callback at delay 0 in queue order, as Resource.Release
+// wakes its waiters, and each woken task re-contends when dispatched.
+type peArbiter struct {
+	k    *sim.Kernel
+	held []bool
+	wait [][]func()
+}
+
+func newPEArbiter(k *sim.Kernel, cores int) *peArbiter {
+	return &peArbiter{k: k, held: make([]bool, cores), wait: make([][]func(), cores)}
+}
+
+// acquire takes core pe, or queues resume and reports false.
+func (p *peArbiter) acquire(pe int, resume func()) bool {
+	if p.held[pe] {
+		p.wait[pe] = append(p.wait[pe], resume)
+		return false
+	}
+	p.held[pe] = true
+	return true
+}
+
+func (p *peArbiter) release(pe int) {
+	p.held[pe] = false
+	for _, resume := range p.wait[pe] {
+		p.k.Schedule(0, resume)
+	}
+	p.wait[pe] = p.wait[pe][:0]
+}
+
+// runKernel drains the executors' kernel. It is a variable so tests
+// can substitute a stepping loop that records every dispatch time.
+var runKernel = (*sim.Kernel).Run
+
 // Execute runs the assignment on the event-driven platform model with
 // genuine fabric contention (transfers share links) — the high-level
 // "virtual platform" simulation of section IV. It uses the platform's
@@ -850,6 +860,13 @@ func Execute(a *Assignment) (ExecStats, error) {
 // MAPS-mapped multimedia codecs actually earn their speedup — stage
 // parallelism across consecutive frames — and the measurement behind
 // the section IV "promising speedup results".
+//
+// Every task is a kernel-callback state machine (pc, edge, iteration)
+// that returns to the kernel wherever a process would park — token
+// get, PE acquire, compute delay, transfer done, token put — and
+// resumes through one scheduled callback. A task woken on a FIFO or
+// its PE re-checks like sim.Queue and sim.Resource waiters do, and a
+// put blocked after a cross-PE transfer does not send again.
 func ExecutePipelined(a *Assignment, iterations int) (ExecStats, error) {
 	if iterations <= 0 {
 		return ExecStats{}, fmt.Errorf("mapping: iterations must be positive")
@@ -860,51 +877,108 @@ func ExecutePipelined(a *Assignment, iterations int) (ExecStats, error) {
 	}
 	g := a.Graph
 	v := g.View()
-	queues := make([]*sim.Queue, len(g.Edges)) // edge index -> token queue
-	for i := range g.Edges {
-		queues[i] = k.NewQueue(edgeName(i), 2)
+	// Edge FIFOs hold depth tokens. Token values are never read, so a
+	// FIFO is its occupancy plus the one task that can be parked on
+	// each end: its consumer while empty, its producer while full.
+	const depth = 2
+	tokens := make([]int, len(g.Edges))
+	getter := make([]func(), len(g.Edges))
+	putter := make([]func(), len(g.Edges))
+	wake := func(w *func()) {
+		if *w != nil {
+			k.Schedule(0, *w)
+			*w = nil
+		}
 	}
-	peRes := make([]*sim.Resource, len(a.Platform.Cores))
-	for i := range peRes {
-		peRes[i] = k.NewResource(peName(i), 1)
-	}
+	pes := newPEArbiter(k, len(a.Platform.Cores))
 	fabric0 := platform.FabricStatsOf(a.Platform.Fabric)
 	mem0 := platform.MemStatsOf(a.Platform.Mem)
 	busy := make([]sim.Time, len(a.Platform.Cores))
 	var makespan sim.Time
 	finished := 0
-	for id := range g.Tasks {
-		id := id
-		inEdges, outEdges := v.InEdges(id), v.OutEdges(id)
+	const (
+		pcGet     = iota // consuming input tokens from in[next]
+		pcAcquire        // waiting for the PE
+		pcCompute        // compute delay running
+		pcPut            // producing output tokens to out[next]
+	)
+	type pipeTask struct {
+		pc, next, it int
+		dur          sim.Time
+		sent         bool // out[next]'s cross-PE transfer has completed
+		step, signal func()
+	}
+	tasks := make([]pipeTask, len(g.Tasks))
+	for id := range tasks {
+		t := &tasks[id]
+		in, out := v.InEdges(id), v.OutEdges(id)
 		pe := a.TaskPE[id]
 		core := a.Platform.Core(pe)
 		cycles := g.Tasks[id].CyclesOn(core.Class)
-		k.Spawn(g.Tasks[id].Name, func(p *sim.Proc) {
-			for it := 0; it < iterations; it++ {
-				for _, ie := range inEdges {
-					queues[ie.Edge].Get(p)
-				}
-				peRes[pe].Acquire(p)
-				dur := core.Cycles(cycles)
-				p.Delay(dur)
-				peRes[pe].Release()
-				busy[pe] += dur
-				for _, oe := range outEdges {
-					if a.TaskPE[oe.Task] != pe {
-						done := k.NewSignal()
-						transferContended(a.Platform, pe, a.TaskPE[oe.Task], oe.Bytes, func() { done.Broadcast() })
-						done.Wait(p)
+		t.step = func() {
+			for {
+				switch t.pc {
+				case pcGet:
+					for ; t.next < len(in); t.next++ {
+						e := in[t.next].Edge
+						if tokens[e] == 0 {
+							getter[e] = t.step
+							return
+						}
+						tokens[e]--
+						wake(&putter[e])
 					}
-					queues[oe.Edge].Put(p, it)
-				}
-				if p.Now() > makespan {
-					makespan = p.Now()
+					t.pc = pcAcquire
+				case pcAcquire:
+					if !pes.acquire(pe, t.step) {
+						return
+					}
+					t.dur = core.Cycles(cycles)
+					t.pc = pcCompute
+					k.Schedule(t.dur, t.step)
+					return
+				case pcCompute:
+					pes.release(pe)
+					busy[pe] += t.dur
+					t.pc, t.next = pcPut, 0
+				case pcPut:
+					for ; t.next < len(out); t.next++ {
+						oe := out[t.next]
+						if dst := a.TaskPE[oe.Task]; dst != pe && !t.sent {
+							transferContended(a.Platform, pe, dst, oe.Bytes, t.signal)
+							return
+						}
+						if tokens[oe.Edge] >= depth {
+							putter[oe.Edge] = t.step
+							return
+						}
+						t.sent = false
+						tokens[oe.Edge]++
+						wake(&getter[oe.Edge])
+					}
+					if k.Now() > makespan {
+						makespan = k.Now()
+					}
+					t.it++
+					if t.it == iterations {
+						finished++
+						return
+					}
+					t.pc, t.next = pcGet, 0
 				}
 			}
-			finished++
-		})
+		}
+		// Transfer done wakes the task through one more zero-delay
+		// event, as a sim.Signal broadcast does.
+		t.signal = func() {
+			t.sent = true
+			k.Schedule(0, t.step)
+		}
 	}
-	k.Run()
+	for id := range tasks {
+		k.Schedule(0, tasks[id].step)
+	}
+	runKernel(k)
 	if finished != len(g.Tasks) {
 		return ExecStats{}, fmt.Errorf("mapping: pipeline stalled (%d/%d tasks finished)", finished, len(g.Tasks))
 	}

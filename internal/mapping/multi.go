@@ -50,6 +50,11 @@ func ExecuteMulti(a *Assignment, spans []taskgraph.Span) (ExecStats, []sim.Time,
 // contention, plus per-span makespan tracking when spans are given.
 // Span tracking adds no kernel events, so both entry points produce
 // identical event streams and stats for the same assignment.
+//
+// Every task is a kernel callback with one resume point, step,
+// scheduled when its last input arrives, on every PE wake-up and when
+// its compute delay ends: one event wherever the process executor
+// (procexec_test.go) schedules a wake-up, in the same order.
 func executeSpans(a *Assignment, spans []taskgraph.Span) (ExecStats, []sim.Time, error) {
 	k := a.Platform.Kernel
 	if k == nil {
@@ -71,60 +76,64 @@ func executeSpans(a *Assignment, spans []taskgraph.Span) (ExecStats, []sim.Time,
 	for id := range pending {
 		pending[id] = len(v.InEdges(id))
 	}
-	peRes := make([]*sim.Resource, len(a.Platform.Cores))
-	for i := range peRes {
-		peRes[i] = k.NewResource(peName(i), 1)
-	}
+	pes := newPEArbiter(k, len(a.Platform.Cores))
 	fabric0 := platform.FabricStatsOf(a.Platform.Fabric)
 	mem0 := platform.MemStatsOf(a.Platform.Mem)
 	busy := make([]sim.Time, len(a.Platform.Cores))
 	appMakespan := make([]sim.Time, len(spans))
 	var makespan sim.Time
 	done := 0
-	var runTask func(id int)
-	deliver := func(id int) {
-		pending[id]--
-		if pending[id] == 0 {
-			runTask(id)
-		}
+	dur := make([]sim.Time, n) // compute time, set once the task holds its PE
+	for id := range dur {
+		dur[id] = -1
 	}
-	runTask = func(id int) {
-		k.Spawn(g.Tasks[id].Name, func(p *sim.Proc) {
-			pe := a.TaskPE[id]
-			core := a.Platform.Core(pe)
-			peRes[pe].Acquire(p)
-			dur := core.Cycles(g.Tasks[id].CyclesOn(core.Class))
-			p.Delay(dur)
-			peRes[pe].Release()
-			busy[pe] += dur
-			if p.Now() > makespan {
-				makespan = p.Now()
+	step := make([]func(), n)    // the task's resume point
+	deliver := make([]func(), n) // one input of the task arrives
+	for id := range step {
+		id, pe := id, a.TaskPE[id]
+		core := a.Platform.Core(pe)
+		step[id] = func() {
+			if dur[id] < 0 {
+				if !pes.acquire(pe, step[id]) {
+					return
+				}
+				dur[id] = core.Cycles(g.Tasks[id].CyclesOn(core.Class))
+				k.Schedule(dur[id], step[id])
+				return
 			}
-			if ai := appOf[id]; ai >= 0 && p.Now() > appMakespan[ai] {
-				appMakespan[ai] = p.Now()
+			pes.release(pe)
+			busy[pe] += dur[id]
+			now := k.Now()
+			if now > makespan {
+				makespan = now
+			}
+			if ai := appOf[id]; ai >= 0 && now > appMakespan[ai] {
+				appMakespan[ai] = now
 			}
 			done++
 			for _, oe := range v.OutEdges(id) {
-				to := oe.Task
-				if a.TaskPE[to] == pe {
-					k.Schedule(0, func() { deliver(to) })
+				if to := oe.Task; a.TaskPE[to] == pe {
+					k.Schedule(0, deliver[to])
 				} else {
-					transferContended(a.Platform, pe, a.TaskPE[to], oe.Bytes, func() {
-						if k.Now() > makespan {
-							makespan = k.Now()
-						}
-						deliver(to)
-					})
+					transferContended(a.Platform, pe, a.TaskPE[to], oe.Bytes, deliver[to])
 				}
 			}
-		})
+		}
+		// An arrival cannot raise makespan: the receiving task
+		// completes after it, or the run fails.
+		deliver[id] = func() {
+			pending[id]--
+			if pending[id] == 0 {
+				k.Schedule(0, step[id])
+			}
+		}
 	}
 	for id := 0; id < n; id++ {
 		if pending[id] == 0 {
-			runTask(id)
+			k.Schedule(0, step[id])
 		}
 	}
-	k.Run()
+	runKernel(k)
 	if done != n {
 		return ExecStats{}, nil, fmt.Errorf("mapping: executed %d/%d tasks (deadlock?)", done, n)
 	}

@@ -97,8 +97,8 @@ type Metrics struct {
 	// overwrites) and Duplicates re-read stale data; Corruptions is
 	// their sum. Data-driven execution keeps these at zero by
 	// construction.
-	Gaps       int
-	Duplicates int
+	Gaps        int
+	Duplicates  int
 	Corruptions int
 	// Overruns counts firings whose actual time exceeded the WCET
 	// estimate (the hazard trigger, identical across executors).
