@@ -209,11 +209,7 @@ func main() {
 	}
 
 	expandStart := time.Now()
-	sw, err := dse.ParseSweep(*sweepSpec, *seed)
-	if err != nil {
-		fatal(err)
-	}
-	points, err := sw.Points()
+	points, header, err := dse.Expand(*sweepSpec, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -236,11 +232,11 @@ func main() {
 			fatal(err)
 		}
 		shard = &shards[k]
+		header.Shard = shard
 		if outPath != "-" {
 			outPath = dse.ShardPath(*out, k)
 		}
 	}
-	header := dse.NewHeader(*sweepSpec, *seed, points, shard)
 	slice := points
 	if shard != nil {
 		slice = points[shard.Lo:shard.Hi]
@@ -248,7 +244,16 @@ func main() {
 
 	var prefix []dse.Result
 	if *resume && outPath != "-" {
-		prefix, err = dse.LoadCheckpoint(outPath, header, slice)
+		// A torn final line is fine here: everything from it on is
+		// re-evaluated anyway.
+		lg, err := dse.ReadLog(outPath)
+		if err == nil && lg != nil {
+			if err = lg.Header.Check(header); err == nil {
+				prefix = dse.MatchPrefix(slice, lg.Results)
+			} else {
+				err = fmt.Errorf("%s is from a different sweep (%v); delete it or drop -resume", outPath, err)
+			}
+		}
 		if err != nil {
 			fatal(fmt.Errorf("resume: %w", err))
 		}
@@ -355,21 +360,21 @@ func merge(glob, out string, pareto, hypervolume bool, baseline []dse.Result) {
 	if len(paths) == 0 {
 		fatal(fmt.Errorf("merge: no files match %q", glob))
 	}
-	m, err := dse.MergeShards(paths)
+	acc, header, err := dse.MergeShards(paths)
 	if err != nil {
 		fatal(err)
 	}
 	sink, closeSink := openSink(out)
 	defer closeSink()
-	if _, err := m.WriteTo(sink); err != nil {
+	if _, err := acc.WriteTo(sink, header); err != nil {
 		fatal(err)
 	}
 	if err := sink.Flush(); err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "dse: merged %d files -> %d points (%d duplicate lines dropped)\n",
-		len(paths), len(m.Results), m.Duplicates)
-	report(m.Results, pareto, hypervolume, baseline, reportWriter(out))
+		len(paths), acc.Done(), acc.Duplicates())
+	report(acc.Results(), pareto, hypervolume, baseline, reportWriter(out))
 }
 
 // openSink opens the JSONL output stream: stdout for "-", otherwise
@@ -401,11 +406,14 @@ func loadBaseline(path string) []dse.Result {
 	if path == "" {
 		return nil
 	}
-	sf, err := dse.ReadShardFile(path)
-	if err != nil {
+	lg, err := dse.ReadLog(path)
+	switch {
+	case err != nil:
 		fatal(fmt.Errorf("hv-ref: %w", err))
+	case lg == nil || lg.Torn:
+		fatal(fmt.Errorf("hv-ref: %s is missing, empty or torn; the baseline must be a complete sweep file", path))
 	}
-	return sf.Results
+	return lg.Results
 }
 
 // report prints the optional front table, scatter and hypervolume

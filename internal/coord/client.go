@@ -211,18 +211,12 @@ func (w *Worker) resolveSweep(l Lease, h *dse.Header) (*workerSweep, error) {
 	if h == nil {
 		return nil, fmt.Errorf("coord: lease for unknown sweep %s carried no header", l.Sweep)
 	}
-	spec, err := dse.ParseSweep(h.Spec, h.Seed)
+	points, local, err := dse.Expand(h.Spec, h.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("coord: sweep %s spec: %w", l.Sweep, err)
 	}
-	points, err := spec.Points()
-	if err != nil {
-		return nil, err
-	}
-	local := dse.NewHeader(h.Spec, h.Seed, points, nil)
-	if local.SpecHash != h.SpecHash {
-		return nil, fmt.Errorf("coord: sweep %s spec hash mismatch (coordinator %s, local %s): engine drift, refusing sweep",
-			l.Sweep, h.SpecHash, local.SpecHash)
+	if err := h.Check(local); err != nil {
+		return nil, fmt.Errorf("coord: sweep %s does not match its local expansion (%v): engine drift, refusing sweep", l.Sweep, err)
 	}
 	sw := &workerSweep{header: *h, points: points}
 	w.sweeps[l.Sweep] = sw
@@ -468,8 +462,9 @@ func (w *Worker) callOnce(ctx context.Context, path string, in, out any) error {
 
 // checkpointLocal saves undelivered result lines as a shard file so a
 // later rejoin (this process or a fresh one pointed at the same
-// directory) can resubmit them without re-evaluating. The file name
-// carries the sweep ID so resubmission can route the lines to the
+// directory) can resubmit them without re-evaluating. The write is
+// atomic and fsynced, so the file holds every line or none. The file
+// name carries the sweep ID so resubmission can route the lines to the
 // right tenant.
 func (w *Worker) checkpointLocal(sw *workerSweep, l Lease, lines []byte) error {
 	if w.cfg.CheckpointDir == "" || len(lines) == 0 {
@@ -479,21 +474,16 @@ func (w *Worker) checkpointLocal(sw *workerSweep, l Lease, lines []byte) error {
 		return err
 	}
 	path := filepath.Join(w.cfg.CheckpointDir, fmt.Sprintf("%s-%s-lease%d.jsonl", w.cfg.ID, l.Sweep, l.ID))
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
 	h := sw.header
 	h.Shard = &dse.Shard{Index: 0, Count: 1, Lo: l.Lo, Hi: l.Hi}
-	if err := dse.WriteHeader(f, h); err != nil {
-		f.Close()
+	err := dse.AtomicWriteFile(path, func(f io.Writer) error {
+		if err := dse.WriteHeader(f, h); err != nil {
+			return err
+		}
+		_, err := f.Write(lines)
 		return err
-	}
-	if _, err := f.Write(lines); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	})
+	if err != nil {
 		return err
 	}
 	w.log.Printf("%s: checkpointed undelivered lease %s/%d to %s", w.cfg.ID, l.Sweep, l.ID, path)
@@ -501,9 +491,12 @@ func (w *Worker) checkpointLocal(sw *workerSweep, l Lease, lines []byte) error {
 }
 
 // resubmitCheckpoints replays any locally checkpointed lease files
-// from an earlier run whose delivery failed, deleting each once the
-// coordinator acks it — including a Cancelled ack, which means nobody
-// wants the lines any more.
+// from an earlier run whose delivery failed, sending the original line
+// bytes and deleting each file once the coordinator acks it —
+// including a Cancelled ack, which means nobody wants the lines any
+// more. A torn final line is dropped and the intact lines before it
+// are sent (the coordinator's Accumulator still validates each one;
+// the torn point is simply leased again).
 func (w *Worker) resubmitCheckpoints(ctx context.Context) error {
 	if w.cfg.CheckpointDir == "" {
 		return nil
@@ -513,19 +506,17 @@ func (w *Worker) resubmitCheckpoints(ctx context.Context) error {
 		return err
 	}
 	for _, path := range paths {
-		sf, err := dse.ReadShardFile(path)
+		lg, err := dse.ReadLog(path)
 		if err != nil {
 			w.log.Printf("%s: skipping bad checkpoint %s: %v", w.cfg.ID, path, err)
 			continue
 		}
-		sweepID := SweepID(sf.Header)
-		var lines bytes.Buffer
-		for _, r := range sf.Results {
-			if err := dse.WriteResult(&lines, r); err != nil {
-				return err
-			}
+		if lg == nil {
+			os.Remove(path) // empty: nothing to deliver
+			continue
 		}
-		ack, err := w.submit(ctx, sweepID, 0, lines.Bytes())
+		sweepID := SweepID(lg.Header)
+		ack, err := w.submit(ctx, sweepID, 0, bytes.Join(lg.Raw, []byte("\n")))
 		if err != nil {
 			return err
 		}
@@ -536,7 +527,7 @@ func (w *Worker) resubmitCheckpoints(ctx context.Context) error {
 			w.log.Printf("%s: dropped checkpoint %s: sweep %s cancelled", w.cfg.ID, path, sweepID)
 			continue
 		}
-		w.log.Printf("%s: resubmitted %d checkpointed result(s) from %s", w.cfg.ID, len(sf.Results), path)
+		w.log.Printf("%s: resubmitted %d checkpointed result(s) from %s (torn tail dropped: %t)", w.cfg.ID, len(lg.Results), path, lg.Torn)
 	}
 	return nil
 }

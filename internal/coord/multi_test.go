@@ -465,7 +465,7 @@ func TestDrainGraceful(t *testing.T) {
 		t.Fatalf("draining register: HTTP %d, want 503", code)
 	}
 	// The in-flight lease flushes its results; drain completes.
-	if code, _, body := postLines(t, h, "w", l.Lease.ID, lines[l.Lease.Lo:l.Lease.Hi]); code != http.StatusOK {
+	if code, _, body := postLines(t, h, "w", l.Lease, lines[l.Lease.Lo:l.Lease.Hi]); code != http.StatusOK {
 		t.Fatalf("flush during drain: HTTP %d (%s)", code, body)
 	}
 	select {
@@ -551,5 +551,23 @@ func TestTwoSweepsConcurrentWorkersByteIdentity(t *testing.T) {
 	st := srv.Status()
 	if st.Done != st.Total || len(st.Sweeps) != 2 {
 		t.Fatalf("final status %+v", st)
+	}
+}
+
+// TestDrainingRefusesBeforeExpansion: a draining coordinator refuses a
+// registration with 503 + Retry-After before it parses or expands the
+// spec — so it pays nothing for the request, and even a malformed spec
+// gets the refusal rather than a 400.
+func TestDrainingRefusesBeforeExpansion(t *testing.T) {
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	code, hdr := doJSON(t, srv.Handler(), http.MethodPost, "/sweeps", RegisterRequest{Spec: "plat=nope;wl=", Seed: 1}, nil)
+	if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
+		t.Fatalf("draining register of a malformed spec: HTTP %d, Retry-After %q; want 503 with Retry-After", code, hdr.Get("Retry-After"))
 	}
 }

@@ -40,7 +40,7 @@
 //	GET    /sweeps/{id}/result                 -> JSONL           (final bytes)
 //	POST   /hello              HelloRequest    -> HelloResponse   (worker join)
 //	POST   /lease              LeaseRequest    -> LeaseResponse   (work assignment)
-//	POST   /results            JSONL lines     -> ResultAck       (?worker=&sweep=&lease=)
+//	POST   /results            JSONL lines     -> ResultAck       (?worker=&sweep=&lease=, sweep required)
 //	POST   /heartbeat          HeartbeatRequest -> HeartbeatResponse
 //	GET    /status                             -> Status
 package coord
@@ -183,7 +183,8 @@ type ResultAck struct {
 type HeartbeatRequest struct {
 	// Worker is the heartbeating worker's identity.
 	Worker string `json:"worker"`
-	// Sweep is the registry ID of the lease's sweep.
+	// Sweep is the registry ID of the lease's sweep; required (a
+	// heartbeat without it is a 400).
 	Sweep string `json:"sweep"`
 	// Lease is the lease being kept alive.
 	Lease int64 `json:"lease"`

@@ -93,8 +93,7 @@ type Server struct {
 	workers  map[string]*workerState
 	draining bool
 	// bootID is the Config.Spec sweep's registry ID ("" in service
-	// mode); it selects single-shot semantics and resolves legacy
-	// requests that do not name a sweep.
+	// mode); it selects single-shot semantics.
 	bootID    string
 	done      chan struct{}
 	closeOnce sync.Once
@@ -144,7 +143,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	if cfg.Spec != "" {
-		points, header, err := expandSpec(cfg.Spec, cfg.Seed)
+		points, header, err := dse.Expand(cfg.Spec, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -157,7 +156,13 @@ func New(cfg Config) (*Server, error) {
 				ckptPath = filepath.Join(cfg.CheckpointDir, id+".jsonl")
 				managed = true
 			}
-			if _, err := s.adoptSweepLocked(header, points, ckptPath, managed, cfg.Resume); err != nil {
+			var prior *dse.Log
+			if cfg.Resume {
+				if prior, err = readSweepLog(ckptPath, header); err != nil {
+					return nil, err
+				}
+			}
+			if _, err := s.adoptSweepLocked(header, points, ckptPath, managed, prior); err != nil {
 				return nil, err
 			}
 		}
@@ -166,26 +171,14 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// expandSpec parses and expands a sweep spec into its point list and
-// provenance header.
-func expandSpec(spec string, seed uint64) ([]dse.Point, dse.Header, error) {
-	sw, err := dse.ParseSweep(spec, seed)
-	if err != nil {
-		return nil, dse.Header{}, err
-	}
-	points, err := sw.Points()
-	if err != nil {
-		return nil, dse.Header{}, err
-	}
-	return points, dse.NewHeader(spec, seed, points, nil), nil
-}
-
 // rescanDir adopts every sweep log found in the checkpoint directory —
 // the whole-farm crash recovery path: a coordinator killed with N
 // sweeps active restarts, finds N logs, and resumes each one exactly
-// where its accepted lines end. Stale atomic-write temp files are
-// swept out first; files whose header does not reproduce its own spec
-// hash locally are skipped (foreign engine), never adopted.
+// where its accepted lines end. Each log is read once: its header
+// names the sweep, its lines resume it. Stale atomic-write temp files
+// are swept out first; files whose header does not reproduce its own
+// spec hash locally are skipped (foreign engine), never adopted, and a
+// log damaged anywhere but its final line is an error.
 func (s *Server) rescanDir() error {
 	if err := os.MkdirAll(s.cfg.CheckpointDir, 0o755); err != nil {
 		return err
@@ -201,20 +194,25 @@ func (s *Server) rescanDir() error {
 	}
 	sort.Strings(paths)
 	for _, path := range paths {
-		h, err := dse.PeekHeader(path)
+		lg, err := dse.ReadLog(path)
 		if err != nil {
-			s.cfg.Log.Printf("skipping unreadable checkpoint %s: %v", path, err)
+			return fmt.Errorf("coord: resume %s: %w", path, err)
+		}
+		if lg == nil {
 			continue
 		}
-		points, header, err := expandSpec(h.Spec, h.Seed)
-		if err != nil || header.SpecHash != h.SpecHash {
-			s.cfg.Log.Printf("skipping checkpoint %s: spec does not reproduce hash %s locally", path, h.SpecHash)
+		points, header, err := dse.Expand(lg.Header.Spec, lg.Header.Seed)
+		if err == nil {
+			err = lg.Header.Check(header)
+		}
+		if err != nil {
+			s.cfg.Log.Printf("skipping checkpoint %s: its header does not match the local expansion of its spec (%v)", path, err)
 			continue
 		}
 		if _, ok := s.sweeps[SweepID(header)]; ok {
 			continue
 		}
-		sw, err := s.adoptSweepLocked(header, points, path, true, true)
+		sw, err := s.adoptSweepLocked(header, points, path, true, lg)
 		if err != nil {
 			return err
 		}
@@ -223,18 +221,22 @@ func (s *Server) rescanDir() error {
 	return nil
 }
 
-// adoptSweepLocked builds, resumes and registers a sweep record. The
-// caller holds s.mu (or is the single-threaded constructor) and has
-// already checked admission and that the ID is free.
-func (s *Server) adoptSweepLocked(header dse.Header, points []dse.Point, ckptPath string, managed, resume bool) (*sweep, error) {
+// adoptSweepLocked builds, resumes and registers a sweep record,
+// re-accepting prior's lines when the sweep resumes a checkpoint log
+// (prior is nil for a fresh sweep). The caller holds s.mu (or is the
+// single-threaded constructor) and has already checked admission, that
+// the ID is free and that prior's header is this sweep's.
+func (s *Server) adoptSweepLocked(header dse.Header, points []dse.Point, ckptPath string, managed bool, prior *dse.Log) (*sweep, error) {
 	sw := newSweep(header, points, s.cfg.Now())
 	sw.ckptPath = ckptPath
 	sw.managed = managed
 	sw.table = newLeaseTable(sw.costs, sw.totalCost/float64(s.cfg.Chunks), s.cfg.LeaseTimeout, sw.acc.Has)
 	sw.table.obs = s.leaseObs
-	if resume && ckptPath != "" {
-		if err := sw.resumeLog(); err != nil {
-			return nil, err
+	if prior != nil {
+		for i, r := range prior.Results {
+			if _, err := sw.acc.AddResult(r, prior.Raw[i]); err != nil {
+				return nil, fmt.Errorf("coord: resume %s: %w", ckptPath, err)
+			}
 		}
 		if sw.acc.Done() > 0 {
 			s.cfg.Log.Printf("resumed %d/%d points of sweep %s from %s", sw.acc.Done(), len(points), sw.id, ckptPath)
@@ -607,6 +609,17 @@ func (s *Server) retryAfterLocked() string {
 	return strconv.Itoa(secs)
 }
 
+// refuseDrainingLocked answers 503 + Retry-After and reports true when
+// the coordinator is draining and so admits no sweeps.
+func (s *Server) refuseDrainingLocked(w http.ResponseWriter) bool {
+	if !s.draining {
+		return false
+	}
+	w.Header().Set("Retry-After", s.retryAfterLocked())
+	http.Error(w, "coord: draining, not admitting sweeps", http.StatusServiceUnavailable)
+	return true
+}
+
 // handleRegister (POST /sweeps) admits a tenant sweep. Registration is
 // idempotent on (spec, seed); admission control refuses new tenants
 // with 429 when MaxSweeps are already active and 507 when the
@@ -617,7 +630,15 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	points, header, err := expandSpec(req.Spec, req.Seed)
+	// A draining coordinator refuses before paying for the expansion;
+	// the check repeats under the lock in case a drain began meanwhile.
+	s.mu.Lock()
+	refused := s.refuseDrainingLocked(w)
+	s.mu.Unlock()
+	if refused {
+		return
+	}
+	points, header, err := dse.Expand(req.Spec, req.Seed)
 	if err != nil {
 		http.Error(w, "coord: bad sweep spec: "+err.Error(), http.StatusBadRequest)
 		return
@@ -625,9 +646,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	id := SweepID(header)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining {
-		w.Header().Set("Retry-After", s.retryAfterLocked())
-		http.Error(w, "coord: draining, not admitting sweeps", http.StatusServiceUnavailable)
+	if s.refuseDrainingLocked(w) {
 		return
 	}
 	if existing, ok := s.sweeps[id]; ok && existing.state != SweepCancelled {
@@ -660,7 +679,11 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.CheckpointDir != "" {
 		ckptPath = filepath.Join(s.cfg.CheckpointDir, id+".jsonl")
 	}
-	sw, err := s.adoptSweepLocked(header, points, ckptPath, ckptPath != "", true)
+	var sw *sweep
+	prior, err := readSweepLog(ckptPath, header)
+	if err == nil {
+		sw, err = s.adoptSweepLocked(header, points, ckptPath, ckptPath != "", prior)
+	}
 	if err != nil {
 		http.Error(w, "coord: registering sweep: "+err.Error(), http.StatusInternalServerError)
 		return
@@ -885,25 +908,19 @@ func (s *Server) retryResponseLocked() LeaseResponse {
 	return LeaseResponse{RetryMS: retry.Milliseconds()}
 }
 
-// resolveSweepParam maps a request's sweep query parameter to its
-// record; "" falls back to the boot sweep (the single-sweep wire
-// format predates tenancy).
-func (s *Server) resolveSweepParamLocked(id string) *sweep {
-	if id == "" {
-		return s.bootLocked()
-	}
-	return s.sweeps[id]
-}
-
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
 	if !readJSON(w, r, &req) {
 		return
 	}
+	if req.Sweep == "" {
+		http.Error(w, "coord: heartbeat is missing the sweep parameter", http.StatusBadRequest)
+		return
+	}
 	now := s.cfg.Now()
 	s.mu.Lock()
 	s.touchWorkerLocked(req.Worker, now)
-	sw := s.resolveSweepParamLocked(req.Sweep)
+	sw := s.sweeps[req.Sweep]
 	resp := HeartbeatResponse{}
 	if sw == nil || sw.state == SweepCancelled {
 		resp.Cancelled = true
@@ -919,19 +936,27 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 // disagreeing with an accepted result for the same point) rejects the
 // whole request with 409 — that is never a retry artifact, it means an
 // engine drifted. A batch for a cancelled or unknown sweep is
-// discarded with a Cancelled ack so the worker abandons the lease.
+// discarded with a Cancelled ack so the worker abandons the lease. A
+// batch that names no sweep is a 400: acking it Cancelled would make
+// a worker drop every lease and ask again forever.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	sweepID := q.Get("sweep")
+	if sweepID == "" {
+		http.Error(w, "coord: results are missing the sweep parameter", http.StatusBadRequest)
+		return
+	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
 		http.Error(w, "coord: reading results: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	worker := r.URL.Query().Get("worker")
-	leaseID, _ := strconv.ParseInt(r.URL.Query().Get("lease"), 10, 64)
+	worker := q.Get("worker")
+	leaseID, _ := strconv.ParseInt(q.Get("lease"), 10, 64)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ws := s.touchWorkerLocked(worker, s.cfg.Now())
-	sw := s.resolveSweepParamLocked(r.URL.Query().Get("sweep"))
+	sw := s.sweeps[sweepID]
 	if sw == nil || sw.state == SweepCancelled {
 		writeJSON(w, ResultAck{Cancelled: true})
 		return

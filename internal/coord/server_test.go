@@ -96,22 +96,11 @@ func postJSON(t *testing.T, h http.Handler, path string, in, out any) int {
 	return rec.Code
 }
 
-// postLines submits JSONL result lines, returning the status code,
-// ack and error body.
-func postLines(t *testing.T, h http.Handler, worker string, lease int64, lines [][]byte) (int, ResultAck, string) {
+// postLines submits JSONL result lines against a lease, naming its
+// sweep, and returns the status code, ack and error body.
+func postLines(t *testing.T, h http.Handler, worker string, l *Lease, lines [][]byte) (int, ResultAck, string) {
 	t.Helper()
-	body := bytes.Join(lines, []byte("\n"))
-	path := fmt.Sprintf("/results?worker=%s&lease=%d", worker, lease)
-	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	var ack ResultAck
-	if rec.Code == http.StatusOK {
-		if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return rec.Code, ack, rec.Body.String()
+	return postLinesSweep(t, h, worker, l.Sweep, l.ID, lines)
 }
 
 // lease requests one lease for the worker.
@@ -160,20 +149,20 @@ func TestLeaseExpiryReclaimThenLateAck(t *testing.T) {
 
 	// A's heartbeat for the reclaimed lease is politely refused.
 	var hb HeartbeatResponse
-	postJSON(t, h, "/heartbeat", HeartbeatRequest{Worker: "A", Lease: la.Lease.ID}, &hb)
+	postJSON(t, h, "/heartbeat", HeartbeatRequest{Worker: "A", Sweep: la.Lease.Sweep, Lease: la.Lease.ID}, &hb)
 	if hb.Valid {
 		t.Fatal("heartbeat on a reclaimed lease reported valid")
 	}
 
 	// B delivers its (shrunken) range.
-	code, ack, body := postLines(t, h, "B", lb.Lease.ID, lines[lb.Lease.Lo:lb.Lease.Hi])
+	code, ack, body := postLines(t, h, "B", lb.Lease, lines[lb.Lease.Lo:lb.Lease.Hi])
 	if code != http.StatusOK || ack.Accepted != lb.Lease.Len() {
 		t.Fatalf("B submit: HTTP %d ack %+v (%s)", code, ack, body)
 	}
 
 	// A wakes up and submits its whole original range: the part B beat
 	// it to dedupes, the rest is accepted.
-	code, ack, body = postLines(t, h, "A", la.Lease.ID, lines[la.Lease.Lo:la.Lease.Hi])
+	code, ack, body = postLines(t, h, "A", la.Lease, lines[la.Lease.Lo:la.Lease.Hi])
 	if code != http.StatusOK {
 		t.Fatalf("late ack: HTTP %d (%s)", code, body)
 	}
@@ -193,7 +182,7 @@ func TestLeaseExpiryReclaimThenLateAck(t *testing.T) {
 		if lr.Lease == nil {
 			t.Fatalf("sweep stalled: %+v, status %+v", lr, srv.Status())
 		}
-		if code, _, body := postLines(t, h, "B", lr.Lease.ID, lines[lr.Lease.Lo:lr.Lease.Hi]); code != http.StatusOK {
+		if code, _, body := postLines(t, h, "B", lr.Lease, lines[lr.Lease.Lo:lr.Lease.Hi]); code != http.StatusOK {
 			t.Fatalf("drain submit: HTTP %d (%s)", code, body)
 		}
 	}
@@ -211,6 +200,29 @@ func TestLeaseExpiryReclaimThenLateAck(t *testing.T) {
 	}
 }
 
+// TestSweeplessRequestsRejected: /results and /heartbeat must name
+// their sweep. A request that does not is a 400 naming the missing
+// parameter — not a Cancelled ack, which would make an old worker drop
+// every lease and ask again forever.
+func TestSweeplessRequestsRejected(t *testing.T) {
+	srv, err := New(Config{Spec: "smoke", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	l := requestLease(t, h, "w")
+	for path, body := range map[string]string{
+		fmt.Sprintf("/results?worker=w&lease=%d", l.Lease.ID): "",
+		"/heartbeat": fmt.Sprintf(`{"worker":"w","lease":%d}`, l.Lease.ID),
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "missing the sweep parameter") {
+			t.Fatalf("sweepless %s: HTTP %d (%s), want 400 naming the sweep parameter", path, rec.Code, rec.Body.String())
+		}
+	}
+}
+
 // TestConflictingBytesRejected checks that a result whose bytes
 // disagree with an accepted line — or whose point disagrees with the
 // spec expansion — is refused with 409, because that is engine drift,
@@ -224,13 +236,13 @@ func TestConflictingBytesRejected(t *testing.T) {
 	}
 	h := srv.Handler()
 	l := requestLease(t, h, "w")
-	if code, _, _ := postLines(t, h, "w", l.Lease.ID, lines[l.Lease.Lo:l.Lease.Hi]); code != http.StatusOK {
+	if code, _, _ := postLines(t, h, "w", l.Lease, lines[l.Lease.Lo:l.Lease.Hi]); code != http.StatusOK {
 		t.Fatalf("seed submit: HTTP %d", code)
 	}
 
 	// Same point, different metrics bytes: conflict.
 	tampered := bytes.Replace(lines[l.Lease.Lo], []byte(`"makespan_ps":`), []byte(`"makespan_ps":9`), 1)
-	code, _, body := postLines(t, h, "w", l.Lease.ID, [][]byte{tampered})
+	code, _, body := postLines(t, h, "w", l.Lease, [][]byte{tampered})
 	if code != http.StatusConflict || !strings.Contains(body, "conflicting") {
 		t.Fatalf("tampered metrics: HTTP %d (%s), want 409/conflicting", code, body)
 	}
@@ -245,7 +257,7 @@ func TestConflictingBytesRejected(t *testing.T) {
 	if err := dse.WriteResult(&buf, r); err != nil {
 		t.Fatal(err)
 	}
-	code, _, body = postLines(t, h, "w", l.Lease.ID, [][]byte{bytes.TrimSuffix(buf.Bytes(), []byte("\n"))})
+	code, _, body = postLines(t, h, "w", l.Lease, [][]byte{bytes.TrimSuffix(buf.Bytes(), []byte("\n"))})
 	if code != http.StatusConflict || !strings.Contains(body, "does not match") {
 		t.Fatalf("drifted point: HTTP %d (%s), want 409/does not match", code, body)
 	}
@@ -265,7 +277,7 @@ func TestCheckpointResume(t *testing.T) {
 	}
 	h := srv.Handler()
 	l := requestLease(t, h, "w")
-	if code, _, _ := postLines(t, h, "w", l.Lease.ID, lines[l.Lease.Lo:l.Lease.Hi]); code != http.StatusOK {
+	if code, _, _ := postLines(t, h, "w", l.Lease, lines[l.Lease.Lo:l.Lease.Hi]); code != http.StatusOK {
 		t.Fatal("submit failed")
 	}
 	accepted := l.Lease.Len()
@@ -299,7 +311,7 @@ func TestCheckpointResume(t *testing.T) {
 		if lr.Lease == nil {
 			t.Fatalf("stalled: %+v", srv2.Status())
 		}
-		if code, _, body := postLines(t, h2, "w", lr.Lease.ID, lines[lr.Lease.Lo:lr.Lease.Hi]); code != http.StatusOK {
+		if code, _, body := postLines(t, h2, "w", lr.Lease, lines[lr.Lease.Lo:lr.Lease.Hi]); code != http.StatusOK {
 			t.Fatalf("submit: HTTP %d (%s)", code, body)
 		}
 	}
@@ -375,12 +387,12 @@ func TestStealDuplicatesStragglerTail(t *testing.T) {
 	// The straggler heartbeats (stays live) but completes only the
 	// first quarter. Past half the timeout its tail is stealable.
 	quarter := len(points) / 4
-	if code, _, _ := postLines(t, h, "slow", la.Lease.ID, lines[:quarter]); code != http.StatusOK {
+	if code, _, _ := postLines(t, h, "slow", la.Lease, lines[:quarter]); code != http.StatusOK {
 		t.Fatal("straggler submit failed")
 	}
 	clock.Advance(6 * time.Second)
 	var hb HeartbeatResponse
-	postJSON(t, h, "/heartbeat", HeartbeatRequest{Worker: "slow", Lease: la.Lease.ID}, &hb)
+	postJSON(t, h, "/heartbeat", HeartbeatRequest{Worker: "slow", Sweep: la.Lease.Sweep, Lease: la.Lease.ID}, &hb)
 	if !hb.Valid {
 		t.Fatal("straggler heartbeat refused")
 	}
@@ -392,10 +404,10 @@ func TestStealDuplicatesStragglerTail(t *testing.T) {
 		t.Fatalf("stolen range [%d,%d), want the tail half of the %d missing", lb.Lease.Lo, lb.Lease.Hi, len(points)-quarter)
 	}
 	// Both finish; the overlap dedupes; the file is clean.
-	if code, _, _ := postLines(t, h, "idle", lb.Lease.ID, lines[lb.Lease.Lo:lb.Lease.Hi]); code != http.StatusOK {
+	if code, _, _ := postLines(t, h, "idle", lb.Lease, lines[lb.Lease.Lo:lb.Lease.Hi]); code != http.StatusOK {
 		t.Fatal("thief submit failed")
 	}
-	code, ack, _ := postLines(t, h, "slow", la.Lease.ID, lines[quarter:])
+	code, ack, _ := postLines(t, h, "slow", la.Lease, lines[quarter:])
 	if code != http.StatusOK || ack.Duplicates != lb.Lease.Len() {
 		t.Fatalf("straggler finish: HTTP %d ack %+v, want %d duplicates", code, ack, lb.Lease.Len())
 	}

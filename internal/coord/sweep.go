@@ -79,20 +79,21 @@ func newSweep(header dse.Header, points []dse.Point, now time.Time) *sweep {
 	return sw
 }
 
-// resumeLog re-accepts the sweep's checkpoint log from disk. Torn
-// tails are salvaged by the reader; a header that disagrees with the
-// sweep's identity is an error.
-func (sw *sweep) resumeLog() error {
-	results, raw, err := dse.ReadResultLog(sw.ckptPath, sw.header)
+// readSweepLog reads a sweep's checkpoint log for resume. A torn tail
+// is salvaged (its point is simply leased again); a header for another
+// sweep, or damage before the final line, is an error. A missing or
+// empty log — "" names none — is nil: nothing to resume.
+func readSweepLog(path string, want dse.Header) (*dse.Log, error) {
+	lg, err := dse.ReadLog(path)
 	if err != nil {
-		return fmt.Errorf("coord: resume %s: %w", sw.ckptPath, err)
+		return nil, fmt.Errorf("coord: resume %s: %w", path, err)
 	}
-	for i := range results {
-		if _, err := sw.acc.AddResult(results[i], raw[i]); err != nil {
-			return fmt.Errorf("coord: resume %s: %w", sw.ckptPath, err)
+	if lg != nil {
+		if err := lg.Header.Check(want); err != nil {
+			return nil, fmt.Errorf("coord: checkpoint %s is from a different sweep (%v); refusing to resume", path, err)
 		}
 	}
-	return nil
+	return lg, nil
 }
 
 // openCheckpoint (re)writes the sweep's log cleanly — header plus the

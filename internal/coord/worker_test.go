@@ -5,13 +5,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"mpsockit/internal/dse"
 )
 
 // quickWorker returns a WorkerConfig tuned for tests: tiny backoff,
@@ -145,6 +149,72 @@ func TestWorkerVanishCheckpointAndRejoin(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), referenceBytes(t, spec, seed)) {
 		t.Fatal("output differs after vanish + rejoin")
+	}
+}
+
+// TestWorkerResubmitsTornLeaseCheckpoint: a lease checkpoint whose
+// final line was torn (a crash mid-write) still delivers its intact
+// lines on rejoin, byte for byte, and is removed afterwards instead of
+// being skipped on every rejoin forever. The worker never re-evaluates
+// the delivered points, and the output matches the standalone bytes.
+func TestWorkerResubmitsTornLeaseCheckpoint(t *testing.T) {
+	const spec, seed = "smoke", uint64(1)
+	_, lines := sweepLines(t, spec, seed)
+	srv, err := New(Config{Spec: spec, Seed: seed, Chunks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	const intact = 5
+	h := srv.Header()
+	h.Shard = &dse.Shard{Index: 0, Count: 1, Lo: 0, Hi: intact + 1}
+	var file bytes.Buffer
+	if err := dse.WriteHeader(&file, h); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range lines[:intact] {
+		file.Write(line)
+		file.WriteByte('\n')
+	}
+	file.Write(lines[intact][:len(lines[intact])/2])
+	dir := t.TempDir()
+	path := filepath.Join(dir, fmt.Sprintf("w0-%s-lease1.jsonl", SweepID(h)))
+	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	evaluated := map[int]bool{}
+	cfg := quickWorker(hs.URL, "w0")
+	cfg.CheckpointDir = dir
+	cfg.OnResult = func(r dse.Result) {
+		mu.Lock()
+		evaluated[r.Point.ID] = true
+		mu.Unlock()
+	}
+	w := NewWorker(cfg)
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("torn lease checkpoint not removed after resubmission (%v)", err)
+	}
+	for id := 0; id < intact; id++ {
+		if evaluated[id] {
+			t.Fatalf("point %d re-evaluated: its intact checkpoint line was not accepted", id)
+		}
+	}
+	if st := srv.Status(); !st.Complete || st.Duplicates != 0 || w.Submitted != len(lines) {
+		t.Fatalf("status %+v, %d submitted; want complete, no duplicates, %d submitted", st, w.Submitted, len(lines))
+	}
+	var got bytes.Buffer
+	if err := srv.WriteFinal(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), referenceBytes(t, spec, seed)) {
+		t.Fatal("output differs after resubmitting a torn lease checkpoint")
 	}
 }
 

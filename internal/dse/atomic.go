@@ -61,17 +61,3 @@ func syncDir(dir string) error {
 	}
 	return nil
 }
-
-// PeekHeader reads just the provenance header of a JSONL sweep file —
-// enough for a multi-sweep coordinator restart to discover which sweep
-// each checkpoint log in its directory belongs to before re-accepting
-// it with ReadResultLog.
-func PeekHeader(path string) (Header, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Header{}, err
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	return readHeader(br, path, "checkpoint")
-}

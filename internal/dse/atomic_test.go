@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -57,9 +58,10 @@ func TestAtomicWriteFile(t *testing.T) {
 	}
 }
 
-// TestPeekHeader checks header-only inspection of a checkpoint log,
-// the primitive the coordinator's directory rescan is built on.
-func TestPeekHeader(t *testing.T) {
+// TestReadLogHeaderOnly checks that a header-only checkpoint log reads
+// as its header with no results — what the coordinator's directory
+// rescan sees for a sweep registered just before a crash.
+func TestReadLogHeaderOnly(t *testing.T) {
 	sw, err := ParseSweep("smoke", 7)
 	if err != nil {
 		t.Fatal(err)
@@ -75,14 +77,20 @@ func TestPeekHeader(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := PeekHeader(path)
+	lg, err := ReadLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.SpecHash != h.SpecHash || got.Seed != h.Seed || got.Spec != h.Spec {
-		t.Fatalf("peeked %+v, want %+v", got, h)
+	if err := lg.Header.Check(h); err != nil || len(lg.Results) != 0 || lg.Torn {
+		t.Fatalf("read %+v (%v), want header %+v only", lg, err, h)
 	}
-	if _, err := PeekHeader(filepath.Join(t.TempDir(), "missing.jsonl")); err == nil {
-		t.Fatal("PeekHeader on a missing file succeeded")
+	// The same sweep over another shard range is not this log's sweep.
+	shard := h
+	shard.Shard = &Shard{Index: 0, Count: 2, Lo: 0, Hi: 1}
+	if err := lg.Header.Check(shard); err == nil || !strings.Contains(err.Error(), "shard range") {
+		t.Fatalf("shard-range mismatch not reported: %v", err)
+	}
+	if lg, err := ReadLog(filepath.Join(t.TempDir(), "missing.jsonl")); lg != nil || err != nil {
+		t.Fatalf("missing file read as %+v, %v; want no log", lg, err)
 	}
 }

@@ -28,12 +28,16 @@
 //
 // Every sweep file starts with a Header line pinning the schema
 // version, spec, seed, expanded-point hash and (for shards) the
-// covered ID range. LoadCheckpoint validates it before resuming —
-// a mismatched header is a loud error, not a silent restart — and
-// MergeShards validates it before combining: shard headers must agree,
-// the spec must re-expand to the recorded hash, duplicate point IDs
-// must carry identical bytes, and the union must cover the full
-// sweep. A merged file is byte-identical to an unsharded run.
+// covered ID range. ReadLog is the one reader of that format, with one
+// damage policy: a torn final line is dropped and reported, damage
+// with data after it is an error. Header.Check is the one identity
+// check: resume checks a file's header against the sweep it continues
+// — a mismatch is a loud error, not a silent restart — and MergeShards
+// checks every shard's header against its own local Expand of the
+// spec, refuses torn shards, and feeds the lines into one Accumulator:
+// duplicate point IDs must carry identical bytes, and the union must
+// cover the full sweep. A merged file is byte-identical to an
+// unsharded run.
 //
 // Front quality is quantified per workload: GroupedFront extracts
 // per-workload Pareto fronts over latency, energy proxy and area

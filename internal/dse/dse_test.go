@@ -135,7 +135,7 @@ func TestResumeCheckpoint(t *testing.T) {
 	if err := os.WriteFile(path, torn.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	prefix, err := LoadCheckpoint(path, header, points)
+	prefix, err := loadCheckpoint(path, header, points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestResumeCheckpoint(t *testing.T) {
 	other, _ := ParseSweep("smoke", 12)
 	otherPoints, _ := other.Points()
 	otherHeader := NewHeader("smoke", 12, otherPoints, nil)
-	if _, err := LoadCheckpoint(path, otherHeader, otherPoints); err == nil {
+	if _, err := loadCheckpoint(path, otherHeader, otherPoints); err == nil {
 		t.Fatal("foreign checkpoint accepted without error")
 	}
 	// A pre-schema file (no header line) is also an explicit error.
@@ -171,7 +171,7 @@ func TestResumeCheckpoint(t *testing.T) {
 	if err := os.WriteFile(legacy, bytes.Join(lines[:half], nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCheckpoint(legacy, header, points); err == nil {
+	if _, err := loadCheckpoint(legacy, header, points); err == nil {
 		t.Fatal("headerless checkpoint accepted without error")
 	}
 }

@@ -1,7 +1,12 @@
 package dse
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mpsockit/internal/mem"
@@ -223,6 +228,78 @@ func FuzzWorkloadToken(f *testing.F) {
 		for _, a := range w.Apps {
 			if a.Kind == "jobs" || a.Kind == "multi" {
 				t.Fatalf("token %q admitted %q into a multi scenario", tok, a.Kind)
+			}
+		}
+	})
+}
+
+// FuzzReadLog holds ReadLog's one damage policy over a valid header
+// followed by arbitrary bytes: no panic; Torn only when the damage is
+// on the last line; an error, never a truncated result list, when a
+// damaged line has data after it; every Raw line decodes to its
+// Result; and no line is kept past MaxLineBytes. The oracle is a plain
+// newline-split model of the policy. The seeds are the torn-tail and
+// mid-file shapes of TestCheckpointTornTailSalvage and
+// TestCheckpointMidFileCorruptionIsLoud.
+func FuzzReadLog(f *testing.F) {
+	const valid = `{"point":{"id":0},"metrics":{}}` + "\n"
+	for _, body := range []string{
+		"",
+		valid,
+		valid + `{"point":{"id`,
+		valid + "{\"err\":\"\xe2\x82",
+		valid + "not json at all\n",
+		valid + strings.Repeat("\xff", 4096),
+		valid + "{\"point\":{\"id\n" + valid,
+		valid + strings.Repeat("\xfe", 64) + "\n" + valid,
+		valid + "\n" + valid,
+	} {
+		f.Add([]byte(body))
+	}
+	_, h, err := Expand(onePointSpec, 9)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var header bytes.Buffer
+	if err := WriteHeader(&header, h); err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(f.TempDir(), "log.jsonl")
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if err := os.WriteFile(path, append(bytes.Clone(header.Bytes()), body...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		lg, err := ReadLog(path)
+
+		var want []Result
+		torn, corrupt := false, false
+		for rest := body; len(rest) > 0; {
+			line, after, found := bytes.Cut(rest, []byte("\n"))
+			var r Result
+			if !found || len(line) >= MaxLineBytes || json.Unmarshal(line, &r) != nil {
+				torn, corrupt = len(after) == 0, len(after) > 0
+				break
+			}
+			want = append(want, r)
+			rest = after
+		}
+
+		if corrupt {
+			if err == nil || lg != nil {
+				t.Fatalf("damage before the last line read as %+v, %v; want an error and no results", lg, err)
+			}
+			return
+		}
+		if err != nil || lg == nil {
+			t.Fatalf("ReadLog = %+v, %v; want a log", lg, err)
+		}
+		if lg.Torn != torn || !reflect.DeepEqual(lg.Results, want) || len(lg.Raw) != len(want) {
+			t.Fatalf("read %d results (torn %v), want %d (torn %v)", len(lg.Results), lg.Torn, len(want), torn)
+		}
+		for i, raw := range lg.Raw {
+			var r Result
+			if len(raw) >= MaxLineBytes || json.Unmarshal(raw, &r) != nil || !reflect.DeepEqual(r, lg.Results[i]) {
+				t.Fatalf("Raw[%d] does not decode to Results[%d]", i, i)
 			}
 		}
 	})

@@ -83,22 +83,52 @@ func NewHeader(spec string, seed uint64, points []Point, shard *Shard) Header {
 	}
 }
 
-// sameSweep reports whether two headers describe the same sweep
-// (ignoring the shard range), with a descriptive error when not.
-func (h Header) sameSweep(other Header) error {
+// Check reports whether h describes the same sweep as want — schema,
+// spec, seed, spec hash, point count — and covers the same shard
+// range, with a descriptive error naming the first mismatch. Resume
+// paths check a file's header against the sweep they are about to
+// continue; merge and workers check a header against their own local
+// Expand of its spec, which is what catches engine drift.
+func (h Header) Check(want Header) error {
 	switch {
-	case h.Schema != other.Schema:
-		return fmt.Errorf("schema %d vs %d", h.Schema, other.Schema)
-	case h.Spec != other.Spec:
-		return fmt.Errorf("spec %q vs %q", h.Spec, other.Spec)
-	case h.Seed != other.Seed:
-		return fmt.Errorf("seed %d vs %d", h.Seed, other.Seed)
-	case h.SpecHash != other.SpecHash:
-		return fmt.Errorf("spec hash %s vs %s", h.SpecHash, other.SpecHash)
-	case h.Points != other.Points:
-		return fmt.Errorf("point count %d vs %d", h.Points, other.Points)
+	case h.Schema != want.Schema:
+		return fmt.Errorf("schema mismatch (%d vs %d)", h.Schema, want.Schema)
+	case h.Spec != want.Spec:
+		return fmt.Errorf("spec mismatch (%q vs %q)", h.Spec, want.Spec)
+	case h.Seed != want.Seed:
+		return fmt.Errorf("seed mismatch (%d vs %d)", h.Seed, want.Seed)
+	case h.SpecHash != want.SpecHash:
+		return fmt.Errorf("spec hash mismatch (%s vs %s)", h.SpecHash, want.SpecHash)
+	case h.Points != want.Points:
+		return fmt.Errorf("point count mismatch (%d vs %d)", h.Points, want.Points)
+	case !reflect.DeepEqual(h.Shard, want.Shard):
+		return fmt.Errorf("shard range mismatch (%s vs %s)", shardLabel(h.Shard), shardLabel(want.Shard))
 	}
 	return nil
+}
+
+// shardLabel names a header's coverage for error messages.
+func shardLabel(s *Shard) string {
+	if s == nil {
+		return "the full sweep"
+	}
+	return s.String()
+}
+
+// Expand parses and expands a sweep spec into its point list and its
+// unsharded header. It is the one place a spec becomes points: the
+// CLI, the coordinator and its workers, and shard merge all go
+// through it, then compare headers with Check.
+func Expand(spec string, seed uint64) ([]Point, Header, error) {
+	sw, err := ParseSweep(spec, seed)
+	if err != nil {
+		return nil, Header{}, err
+	}
+	points, err := sw.Points()
+	if err != nil {
+		return nil, Header{}, err
+	}
+	return points, NewHeader(spec, seed, points, nil), nil
 }
 
 // WriteHeader writes the header as the file's first JSONL line.
@@ -110,16 +140,6 @@ func WriteHeader(w io.Writer, h Header) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
-}
-
-// parseHeader decodes a JSONL line as a header line; ok is false for
-// anything else (including result lines and torn fragments).
-func parseHeader(line []byte) (Header, bool) {
-	var hl headerLine
-	if err := json.Unmarshal(line, &hl); err != nil || hl.Header == nil {
-		return Header{}, false
-	}
-	return *hl.Header, true
 }
 
 // WriteResult appends one result as a JSONL line. Encoding a Result
@@ -192,278 +212,141 @@ func atEOF(br *bufio.Reader) bool {
 	return err == io.EOF
 }
 
-// scanResults reads the result lines following a header with
-// defensive corruption handling. A line that is oversized or fails to
-// decode is salvageable only when it is the file's last line (a crash
-// mid-append tears exactly the tail); the same damage mid-file means
-// the file did not come from an append-only writer crashing — it is
-// corrupt — and strict callers (shard merge) treat even a torn tail
-// as damage, because a shard offered for merging claims completeness.
-func scanResults(br *bufio.Reader, strict bool, path string) (results []Result, raw [][]byte, err error) {
-	lineNo := 1 // the header was line 1
-	for {
-		lineNo++
-		line, tooLong, noNewline, err := readCappedLine(br)
-		if err != nil {
-			return nil, nil, err
-		}
-		if noNewline && len(line) == 0 && !tooLong {
-			return results, raw, nil // clean EOF
-		}
-		var res Result
-		reason := ""
-		if tooLong {
-			reason = fmt.Sprintf("exceeds the %d MiB line cap", MaxLineBytes>>20)
-		} else if jsonErr := json.Unmarshal(line, &res); jsonErr != nil {
-			reason = jsonErr.Error()
-		}
-		if reason != "" {
-			trailing := noNewline || atEOF(br)
-			if strict {
-				return nil, nil, fmt.Errorf("dse: %s line %d is malformed (torn write?): %s", path, lineNo, reason)
-			}
-			if !trailing {
-				return nil, nil, fmt.Errorf("dse: %s line %d is corrupt mid-file (%s); a crash only tears the final line — refusing to salvage, inspect or delete the file", path, lineNo, reason)
-			}
-			return results, raw, nil // torn tail: salvage the prefix
-		}
-		results = append(results, res)
-		raw = append(raw, append([]byte(nil), line...))
-	}
-}
-
-// readHeader reads and validates a file's first line as a Header.
-func readHeader(br *bufio.Reader, path, kind string) (Header, error) {
-	line, tooLong, noNewline, err := readCappedLine(br)
-	if err != nil {
-		return Header{}, err
-	}
-	if noNewline && len(line) == 0 && !tooLong {
-		return Header{}, errEmptyFile
-	}
-	h, ok := parseHeader(line)
-	if tooLong || !ok {
-		return Header{}, fmt.Errorf("dse: %s %s has no header line (pre-schema file or torn header)", kind, path)
-	}
-	return h, nil
-}
-
-// errEmptyFile marks a zero-byte results file; callers decide whether
-// that is an empty checkpoint (fine) or an unverifiable shard (error).
-var errEmptyFile = fmt.Errorf("dse: empty file")
-
-// LoadCheckpoint reads a JSONL results file and returns the prefix
-// that is valid for the sweep described by want (for a shard run,
-// points is the shard's slice and want carries the shard range). A
-// missing or empty file is an empty checkpoint, not an error. A file
-// whose header is absent, unreadable or from a different sweep —
-// spec, seed, schema version or shard range — is an error: resuming
-// it would silently throw the file away (or worse, mix sweeps), and
-// the caller should either fix the flags or delete the file.
-// A torn final line (crash mid-write) is salvaged — everything from
-// there on is re-evaluated anyway — but a malformed or oversized line
-// with valid data after it is corruption no crash produces, and fails
-// loudly instead of silently truncating the checkpoint there.
-func LoadCheckpoint(path string, want Header, points []Point) ([]Result, error) {
-	results, _, err := readResultFile(path, want, "checkpoint")
-	if err != nil || results == nil {
-		return nil, err
-	}
-	return MatchPrefix(points, results), nil
-}
-
-// ReadResultLog reads an append-order JSONL results file — a
-// coordinator checkpoint, where accepted results land in arrival
-// order rather than point order — validating its header against want
-// exactly like LoadCheckpoint and salvaging a torn tail the same way.
-// It returns the decoded results alongside their original line bytes
-// (the coordinator re-emits those bytes, keeping merged output
-// byte-identical). A missing or empty file is an empty log.
-func ReadResultLog(path string, want Header) ([]Result, [][]byte, error) {
-	return readResultFile(path, want, "checkpoint")
-}
-
-// readResultFile is the shared loader behind LoadCheckpoint and
-// ReadResultLog: header-validated, torn-tail-salvaging, loud on
-// mid-file corruption.
-func readResultFile(path string, want Header, kind string) ([]Result, [][]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil, nil
-		}
-		return nil, nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	h, err := readHeader(br, path, kind)
-	if err == errEmptyFile {
-		return nil, nil, nil // empty file: empty checkpoint
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w; delete it or drop -resume", err)
-	}
-	if err := want.sameSweep(h); err != nil {
-		return nil, nil, fmt.Errorf("dse: %s %s is from a different sweep (%v); refusing to resume", kind, path, err)
-	}
-	if !reflect.DeepEqual(h.Shard, want.Shard) {
-		return nil, nil, fmt.Errorf("dse: %s %s covers %v, not %v; refusing to resume", kind, path, shardLabel(h.Shard), shardLabel(want.Shard))
-	}
-	return scanResults(br, false, path)
-}
-
-// shardLabel names a header's coverage for error messages.
-func shardLabel(s *Shard) string {
-	if s == nil {
-		return "the full sweep"
-	}
-	return s.String()
-}
-
-// ShardFile is one parsed shard result file: its header, decoded
-// results, and the raw result lines (merging re-emits the original
-// bytes, so a merged file is byte-identical to an unsharded run even
-// if a future encoder would format a float differently).
-type ShardFile struct {
-	// Path is where the file was read from.
-	Path string
-	// Header is the file's validated provenance line.
+// Log is one parsed sweep JSONL file: its header, the result lines
+// that decoded, and their original bytes (merge and the coordinator
+// re-emit those, so combined output stays byte-identical even if a
+// future encoder would format a float differently).
+type Log struct {
+	// Header is the file's provenance line.
 	Header Header
 	// Results holds the decoded result lines in file order.
 	Results []Result
-	raw     [][]byte
+	// Raw holds each result line's bytes, without the newline.
+	Raw [][]byte
+	// Torn is set when a damaged final line was dropped. Resume paths
+	// accept that (a crash mid-append tears exactly the tail); a file
+	// that claims to be complete — a shard offered for merging — does
+	// not.
+	Torn bool
 }
 
-// ReadShardFile reads one shard JSONL file strictly: the header line
-// is mandatory and every subsequent line must decode as a Result.
-// Unlike checkpoint loading, a torn line is an error — a shard
-// offered for merging claims to be complete, and salvaging a prefix
-// here would silently drop points. A header-only file is a valid
-// empty shard (a worker whose whole lease was reclaimed and finished
-// elsewhere checkpoints one).
-func ReadShardFile(path string) (*ShardFile, error) {
+// ReadLog reads a sweep JSONL file: a mandatory header line, then one
+// result per line. It has one damage policy. A final line that lacks
+// its newline, does not decode, or exceeds MaxLineBytes is dropped and
+// Torn is set; the same damage with data after it is corruption no
+// crash produces, and is an error rather than a silent truncation. A
+// missing or zero-byte file reads as a nil Log and no error — an empty
+// checkpoint for resume, an error for callers that need a file.
+// Memory stays bounded by MaxLineBytes per line however large the
+// damage.
+func ReadLog(path string) (*Log, error) {
 	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 1<<16)
-	h, err := readHeader(br, path, "shard")
-	if err == errEmptyFile {
-		return nil, fmt.Errorf("dse: shard %s is empty (no header line)", path)
-	}
+	line, tooLong, noNewline, err := readCappedLine(br)
 	if err != nil {
 		return nil, err
 	}
-	sf := &ShardFile{Path: path, Header: h}
-	sf.Results, sf.raw, err = scanResults(br, true, "shard "+path)
-	if err != nil {
-		return nil, err
+	if noNewline && len(line) == 0 && !tooLong {
+		return nil, nil
 	}
-	return sf, nil
-}
-
-// Merged is the outcome of merging shard files back into one sweep:
-// an unsharded-form header plus the union of results in point-ID
-// order. Duplicates records how many identical duplicate lines were
-// dropped (shards with overlapping ranges are legal as long as they
-// agree).
-type Merged struct {
-	// Header is the merged file's header: the shards' common sweep
-	// description with the shard range cleared.
-	Header Header
-	// Results holds every point's result, sorted by point ID.
-	Results []Result
-	// Duplicates counts identical result lines dropped during
-	// de-duplication on point ID.
-	Duplicates int
-	raw        [][]byte
-}
-
-// MergeShards validates and merges shard result files into one sweep.
-// Every file's header must describe the same sweep (schema, spec,
-// seed, spec hash, point count); the spec is re-expanded and
-// re-hashed locally, so a merge run with a drifted engine fails
-// rather than producing a file nothing else can reproduce. Results
-// are de-duplicated on point ID — byte-identical duplicates are
-// dropped, conflicting ones are an error — checked against the local
-// expansion point-for-point, and must cover the full sweep: a missing
-// shard is reported by its missing ID range, not papered over.
-func MergeShards(paths []string) (*Merged, error) {
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("dse: no shard files to merge")
+	var hl headerLine
+	if tooLong || json.Unmarshal(line, &hl) != nil || hl.Header == nil {
+		return nil, fmt.Errorf("dse: %s has no header line (pre-schema file or torn header)", path)
 	}
-	sorted := append([]string(nil), paths...)
-	sort.Strings(sorted)
-	var files []*ShardFile
-	for _, p := range sorted {
-		sf, err := ReadShardFile(p)
+	lg := &Log{Header: *hl.Header}
+	for lineNo := 2; ; lineNo++ {
+		line, tooLong, noNewline, err := readCappedLine(br)
 		if err != nil {
 			return nil, err
 		}
-		files = append(files, sf)
-	}
-	h := files[0].Header
-	for _, sf := range files[1:] {
-		if err := h.sameSweep(sf.Header); err != nil {
-			return nil, fmt.Errorf("dse: shard %s is from a different sweep than %s (%v)", sf.Path, files[0].Path, err)
+		if noNewline && len(line) == 0 && !tooLong {
+			return lg, nil
 		}
-	}
-	if h.Schema != SchemaVersion {
-		return nil, fmt.Errorf("dse: shards use schema %d, this engine writes %d", h.Schema, SchemaVersion)
-	}
-	sw, err := ParseSweep(h.Spec, h.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("dse: shard header spec does not parse: %w", err)
-	}
-	points, err := sw.Points()
-	if err != nil {
-		return nil, err
-	}
-	if len(points) != h.Points || HashPoints(points) != h.SpecHash {
-		return nil, fmt.Errorf("dse: spec %q re-expands to %d points hash %s, but shards were run with %d points hash %s (engine drift?)",
-			h.Spec, len(points), HashPoints(points), h.Points, h.SpecHash)
-	}
-	m := &Merged{Header: h}
-	m.Header.Shard = nil
-	acc := NewAccumulator(points)
-	for _, sf := range files {
-		for i, r := range sf.Results {
-			if s := sf.Header.Shard; s != nil && (r.Point.ID < s.Lo || r.Point.ID >= s.Hi) {
-				return nil, fmt.Errorf("dse: shard %s carries point ID %d outside its declared range %v", sf.Path, r.Point.ID, *s)
+		var r Result
+		reason := ""
+		if tooLong {
+			reason = fmt.Sprintf("exceeds the %d MiB line cap", MaxLineBytes>>20)
+		} else if noNewline {
+			reason = "no trailing newline"
+		} else if jsonErr := json.Unmarshal(line, &r); jsonErr != nil {
+			reason = jsonErr.Error()
+		}
+		if reason != "" {
+			if noNewline || atEOF(br) {
+				lg.Torn = true
+				return lg, nil
 			}
-			if _, err := acc.AddResult(r, sf.raw[i]); err != nil {
-				return nil, fmt.Errorf("shard %s: %w (conflicting shards?)", sf.Path, err)
+			return nil, fmt.Errorf("dse: %s line %d is corrupt mid-file (%s); a crash only tears the final line — refusing to salvage, inspect or delete the file", path, lineNo, reason)
+		}
+		lg.Results = append(lg.Results, r)
+		lg.Raw = append(lg.Raw, line) // readCappedLine returns a fresh slice
+	}
+}
+
+// MergeShards validates and merges shard result files into one sweep.
+// Every file must be complete (no torn final line) and its header
+// must Check against the local Expand of the first file's spec and
+// seed, shard range aside — so shards from another sweep, and shards
+// run with a drifted engine, both fail rather than producing a file
+// nothing else can reproduce. Results go into one Accumulator, which
+// drops byte-identical duplicates, refuses conflicting ones and checks
+// every line against the expansion; the union must cover the full
+// sweep, and a missing shard is reported by its missing ID range. The
+// returned header is the unsharded one, so Accumulator.WriteTo writes
+// a file byte-identical to an unsharded run.
+func MergeShards(paths []string) (*Accumulator, Header, error) {
+	if len(paths) == 0 {
+		return nil, Header{}, fmt.Errorf("dse: no shard files to merge")
+	}
+	sorted := append([]string(nil), paths...)
+	sort.Strings(sorted)
+	logs := make([]*Log, len(sorted))
+	for i, p := range sorted {
+		lg, err := ReadLog(p)
+		switch {
+		case err != nil:
+			return nil, Header{}, err
+		case lg == nil:
+			return nil, Header{}, fmt.Errorf("dse: shard %s is missing or empty (no header line)", p)
+		case lg.Torn:
+			return nil, Header{}, fmt.Errorf("dse: shard %s has a malformed final line (torn write?); a shard offered for merging must be complete", p)
+		}
+		logs[i] = lg
+	}
+	first := logs[0].Header
+	points, h, err := Expand(first.Spec, first.Seed)
+	if err != nil {
+		return nil, Header{}, fmt.Errorf("dse: shard header spec does not parse: %w", err)
+	}
+	acc := NewAccumulator(points)
+	for i, lg := range logs {
+		s := lg.Header.Shard
+		unsharded := lg.Header
+		unsharded.Shard = nil
+		if err := unsharded.Check(h); err != nil {
+			return nil, Header{}, fmt.Errorf("dse: shard %s does not match the local expansion of %q seed %d (%v): a different sweep, or engine drift", sorted[i], h.Spec, h.Seed, err)
+		}
+		for j, r := range lg.Results {
+			if s != nil && (r.Point.ID < s.Lo || r.Point.ID >= s.Hi) {
+				return nil, Header{}, fmt.Errorf("dse: shard %s carries point ID %d outside its declared range %v", sorted[i], r.Point.ID, *s)
+			}
+			if _, err := acc.AddResult(r, lg.Raw[j]); err != nil {
+				return nil, Header{}, fmt.Errorf("shard %s: %w (conflicting shards?)", sorted[i], err)
 			}
 		}
 	}
 	if missing, firstMissing := acc.Missing(); missing > 0 {
-		return nil, fmt.Errorf("dse: merge is missing %d of %d points (first missing ID %d) — is a shard file absent from the glob?",
+		return nil, Header{}, fmt.Errorf("dse: merge is missing %d of %d points (first missing ID %d) — is a shard file absent from the glob?",
 			missing, len(points), firstMissing)
 	}
-	m.Duplicates = acc.Duplicates()
-	m.Results = acc.Results()
-	m.raw = acc.raw
-	return m, nil
-}
-
-// WriteTo streams the merged sweep — header plus every result line in
-// point-ID order, using the shards' original bytes — to w. The output
-// is byte-identical to an unsharded run of the same spec and seed.
-func (m *Merged) WriteTo(w io.Writer) (int64, error) {
-	cw := &countWriter{w: w}
-	if err := WriteHeader(cw, m.Header); err != nil {
-		return cw.n, err
-	}
-	for _, line := range m.raw {
-		if _, err := cw.Write(line); err != nil {
-			return cw.n, err
-		}
-		if _, err := cw.Write([]byte{'\n'}); err != nil {
-			return cw.n, err
-		}
-	}
-	return cw.n, nil
+	return acc, h, nil
 }
 
 // countWriter counts bytes written through it (io.WriterTo contract).

@@ -44,29 +44,30 @@ func TestMergeEmptyAndHeaderOnlyShards(t *testing.T) {
 	if n := bytes.Count(data, []byte("\n")); n != 1 {
 		t.Fatalf("empty shard %s has %d lines, want header only", paths[1], n)
 	}
-	sf, err := ReadShardFile(paths[1])
+	lg, err := ReadLog(paths[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sf.Results) != 0 {
-		t.Fatalf("header-only shard decoded %d results", len(sf.Results))
+	if lg == nil || lg.Torn || len(lg.Results) != 0 {
+		t.Fatalf("header-only shard read as %+v, want a complete empty log", lg)
 	}
-	m, err := MergeShards(paths)
+	acc, _, err := MergeShards(paths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Results) != 1 || m.Duplicates != 0 {
-		t.Fatalf("merged %d results (%d dups), want 1 (0)", len(m.Results), m.Duplicates)
+	if acc.Done() != 1 || acc.Duplicates() != 0 {
+		t.Fatalf("merged %d results (%d dups), want 1 (0)", acc.Done(), acc.Duplicates())
 	}
-	// A zero-byte file must be rejected, both alone and in a merge.
+	// A zero-byte file reads as no log at all (an empty checkpoint to
+	// resume), which a merge must reject.
 	empty := filepath.Join(dir, "empty.jsonl")
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadShardFile(empty); err == nil {
-		t.Fatal("zero-byte shard file accepted")
+	if lg, err := ReadLog(empty); lg != nil || err != nil {
+		t.Fatalf("zero-byte file read as %+v, %v; want no log", lg, err)
 	}
-	if _, err := MergeShards(append(paths, empty)); err == nil {
+	if _, _, err := MergeShards(append(paths, empty)); err == nil {
 		t.Fatal("merge accepted a zero-byte shard file")
 	}
 }
@@ -90,19 +91,19 @@ func TestMergeDuplicatePointIDs(t *testing.T) {
 	runShardFile(t, full, spec, seed, nil, 4)
 	// The unsharded file overlaps both shards completely: every one
 	// of its lines is a duplicate of a shard line.
-	m, err := MergeShards([]string{s0, s1, full})
+	acc, h, err := MergeShards([]string{s0, s1, full})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Duplicates != len(points) {
-		t.Fatalf("dropped %d duplicates, want %d", m.Duplicates, len(points))
+	if acc.Duplicates() != len(points) {
+		t.Fatalf("dropped %d duplicates, want %d", acc.Duplicates(), len(points))
 	}
 	want, err := os.ReadFile(full)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
+	if _, err := acc.WriteTo(&buf, h); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
@@ -122,7 +123,7 @@ func TestMergeDuplicatePointIDs(t *testing.T) {
 	if err := os.WriteFile(bad, tampered, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MergeShards([]string{s0, s1, bad}); err == nil || !strings.Contains(err.Error(), "conflicting") {
+	if _, _, err := MergeShards([]string{s0, s1, bad}); err == nil || !strings.Contains(err.Error(), "conflicting") {
 		t.Fatalf("conflicting duplicate not rejected: %v", err)
 	}
 }
@@ -139,7 +140,7 @@ func TestMergeMissingShard(t *testing.T) {
 	}
 	s0 := ShardPath(filepath.Join(dir, "m.jsonl"), 0)
 	runShardFile(t, s0, spec, seed, &shards[0], 1)
-	_, err = MergeShards([]string{s0})
+	_, _, err = MergeShards([]string{s0})
 	if err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Fatalf("partial merge not rejected: %v", err)
 	}
@@ -165,7 +166,7 @@ func TestMergeForeignShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	runShardFile(t, foreign, spec, 4, &otherShards[1], 1)
-	if _, err := MergeShards([]string{s0, foreign}); err == nil || !strings.Contains(err.Error(), "different sweep") {
+	if _, _, err := MergeShards([]string{s0, foreign}); err == nil || !strings.Contains(err.Error(), "different sweep") {
 		t.Fatalf("foreign-seed shard not rejected: %v", err)
 	}
 	// A corrupted spec hash must trip the local re-expansion check.
@@ -179,7 +180,7 @@ func TestMergeForeignShards(t *testing.T) {
 	if err := os.WriteFile(bad, drifted, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MergeShards([]string{bad}); err == nil {
+	if _, _, err := MergeShards([]string{bad}); err == nil {
 		t.Fatal("drifted spec hash not rejected")
 	}
 	// Headerless (pre-schema) files are rejected outright.
@@ -188,10 +189,10 @@ func TestMergeForeignShards(t *testing.T) {
 	if err := os.WriteFile(headerless, rest, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MergeShards([]string{headerless}); err == nil {
+	if _, _, err := MergeShards([]string{headerless}); err == nil {
 		t.Fatal("headerless shard not rejected")
 	}
-	if _, err := MergeShards(nil); err == nil {
+	if _, _, err := MergeShards(nil); err == nil {
 		t.Fatal("empty merge set accepted")
 	}
 }
@@ -242,10 +243,26 @@ func buildCheckpoint(t *testing.T, dir, spec string, seed uint64) (string, Heade
 	return path, header, points, lines
 }
 
+// loadCheckpoint is the resume path of cmd/dse: read the log, check
+// its header against the sweep being resumed, keep the prefix that
+// matches the expansion point for point. A missing or empty file is
+// an empty checkpoint.
+func loadCheckpoint(path string, want Header, points []Point) ([]Result, error) {
+	lg, err := ReadLog(path)
+	if err != nil || lg == nil {
+		return nil, err
+	}
+	if err := lg.Header.Check(want); err != nil {
+		return nil, err
+	}
+	return MatchPrefix(points, lg.Results), nil
+}
+
 // TestCheckpointTornTailSalvage: trailing damage of every shape — a
 // torn JSON fragment, truncated UTF-8 mid-rune, and a multi-megabyte
 // junk tail far beyond the line cap — salvages the valid prefix
-// instead of erroring or buffering the garbage.
+// instead of erroring or buffering the garbage, and marks the log
+// torn so a merge refuses it.
 func TestCheckpointTornTailSalvage(t *testing.T) {
 	dir := t.TempDir()
 	path, header, points, lines := buildCheckpoint(t, dir, "plat=homog2,homog4;wl=carradio,jpeg", 5)
@@ -262,12 +279,18 @@ func TestCheckpointTornTailSalvage(t *testing.T) {
 			if err := os.WriteFile(path, append(append([]byte(nil), prefix...), tail...), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			got, err := LoadCheckpoint(path, header, points)
+			got, err := loadCheckpoint(path, header, points)
 			if err != nil {
 				t.Fatalf("salvage failed: %v", err)
 			}
 			if len(got) != keep-1 {
 				t.Fatalf("salvaged %d results, want %d", len(got), keep-1)
+			}
+			if lg, _ := ReadLog(path); lg == nil || !lg.Torn {
+				t.Fatal("salvaged log not marked torn")
+			}
+			if _, _, err := MergeShards([]string{path}); err == nil || !strings.Contains(err.Error(), "torn") {
+				t.Fatalf("merge accepted a torn file: %v", err)
 			}
 		})
 	}
@@ -295,7 +318,7 @@ func TestCheckpointMidFileCorruptionIsLoud(t *testing.T) {
 			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, err := LoadCheckpoint(path, header, points)
+			_, err := loadCheckpoint(path, header, points)
 			if err == nil || !strings.Contains(err.Error(), "mid-file") {
 				t.Fatalf("mid-file corruption not rejected: %v", err)
 			}
@@ -303,10 +326,10 @@ func TestCheckpointMidFileCorruptionIsLoud(t *testing.T) {
 	}
 }
 
-// TestReadResultLog: the coordinator-checkpoint loader accepts
-// results in any order, validates the header like LoadCheckpoint,
-// salvages torn tails, and hands back the original line bytes.
-func TestReadResultLog(t *testing.T) {
+// TestReadLogArrivalOrder: the coordinator-checkpoint read accepts
+// results in any order, salvages torn tails, hands back the original
+// line bytes, and Check refuses a foreign header.
+func TestReadLogArrivalOrder(t *testing.T) {
 	dir := t.TempDir()
 	path, header, _, lines := buildCheckpoint(t, dir, "plat=homog2,homog4;wl=carradio,jpeg", 5)
 	// Rewrite with the result lines reversed (arrival order != point
@@ -320,9 +343,16 @@ func TestReadResultLog(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	results, raw, err := ReadResultLog(path, header)
+	lg, err := ReadLog(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := lg.Header.Check(header); err != nil {
+		t.Fatal(err)
+	}
+	results, raw := lg.Results, lg.Raw
+	if !lg.Torn {
+		t.Fatal("torn tail not reported")
 	}
 	if len(results) != len(lines)-1 || len(raw) != len(results) {
 		t.Fatalf("loaded %d results (%d raw), want %d", len(results), len(raw), len(lines)-1)
@@ -337,17 +367,17 @@ func TestReadResultLog(t *testing.T) {
 	}
 	// Foreign header still refuses.
 	other := NewHeader("smoke", 1, expandSweep(t, "smoke", 1), nil)
-	if _, _, err := ReadResultLog(path, other); err == nil {
+	if err := lg.Header.Check(other); err == nil {
 		t.Fatal("foreign result log accepted")
 	}
 	// Missing file: empty log.
-	if res, _, err := ReadResultLog(filepath.Join(dir, "nope.jsonl"), header); err != nil || res != nil {
+	if res, err := ReadLog(filepath.Join(dir, "nope.jsonl")); err != nil || res != nil {
 		t.Fatalf("missing log: %v, %v", res, err)
 	}
 }
 
-// TestAccumulator: incremental acceptance enforces the same contract
-// as MergeShards — validation against the expansion, byte-identical
+// TestAccumulator: incremental acceptance enforces the contract
+// MergeShards relies on — validation against the expansion, byte-identical
 // dedupe, conflict refusal — and a complete accumulator writes output
 // byte-identical to the producing run.
 func TestAccumulator(t *testing.T) {

@@ -110,9 +110,9 @@ func TestMemShardMergeByteIdentity(t *testing.T) {
 		runShardFile(t, path, memSpec, seed, &shards[k], k+1)
 		paths = append(paths, path)
 	}
-	m := mustMerge(t, paths)
+	acc, h := mustMerge(t, paths)
 	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
+	if _, err := acc.WriteTo(&buf, h); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {

@@ -196,7 +196,8 @@ func TestShardMergeByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	points := expandSweep(t, spec, seed)
-	wantHV := HVTable(Hypervolumes(mustMerge(t, []string{full}).Results), false)
+	fullAcc, _ := mustMerge(t, []string{full})
+	wantHV := HVTable(Hypervolumes(fullAcc.Results()), false)
 	for _, n := range []int{2, 5} {
 		shards, err := PlanShards(points, n)
 		if err != nil {
@@ -208,25 +209,25 @@ func TestShardMergeByteIdentity(t *testing.T) {
 			runShardFile(t, path, spec, seed, &shards[k], k+1)
 			paths = append(paths, path)
 		}
-		m := mustMerge(t, paths)
+		acc, h := mustMerge(t, paths)
 		var buf bytes.Buffer
-		if _, err := m.WriteTo(&buf); err != nil {
+		if _, err := acc.WriteTo(&buf, h); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf.Bytes(), want) {
 			t.Fatalf("%d-shard merge diverged from unsharded run (%d vs %d bytes)", n, buf.Len(), len(want))
 		}
-		if gotHV := HVTable(Hypervolumes(m.Results), false); gotHV != wantHV {
+		if gotHV := HVTable(Hypervolumes(acc.Results()), false); gotHV != wantHV {
 			t.Fatalf("%d-shard hypervolumes diverged:\n%s\nvs\n%s", n, gotHV, wantHV)
 		}
 	}
 }
 
-func mustMerge(t *testing.T, paths []string) *Merged {
+func mustMerge(t *testing.T, paths []string) (*Accumulator, Header) {
 	t.Helper()
-	m, err := MergeShards(paths)
+	acc, h, err := MergeShards(paths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return acc, h
 }
