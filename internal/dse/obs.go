@@ -104,11 +104,12 @@ func NewEvalObs(r *obs.Registry) EvalObs {
 		HeapMax:      r.Gauge("sim_heap_depth_max", "Deepest pending-event heap observed."),
 
 		Search: mapping.SearchObs{
-			Schedules:     r.Counter("map_schedules_total", "List-schedule evaluations."),
-			CostEvals:     r.Counter("map_cost_evals_total", "Objective-cost evaluations."),
-			AnnealMoves:   r.Counter("map_anneal_moves_total", "Proposed annealing moves."),
-			AnnealAccepts: r.Counter("map_anneal_accepts_total", "Accepted annealing moves."),
-			AnnealRejects: r.Counter("map_anneal_rejects_total", "Rejected (reverted) annealing moves."),
+			Schedules:      r.Counter("map_schedules_total", "Static-schedule constructions, full or suffix."),
+			TasksScheduled: r.Counter("map_tasks_scheduled_total", "Tasks placed by static-schedule constructions."),
+			CostEvals:      r.Counter("map_cost_evals_total", "Objective-cost evaluations."),
+			AnnealMoves:    r.Counter("map_anneal_moves_total", "Proposed annealing moves."),
+			AnnealAccepts:  r.Counter("map_anneal_accepts_total", "Accepted annealing moves."),
+			AnnealRejects:  r.Counter("map_anneal_rejects_total", "Rejected (reverted) annealing moves."),
 		},
 	}
 }

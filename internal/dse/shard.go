@@ -50,6 +50,14 @@ func (s Shard) String() string {
 // mapping and task-level execution like its mvp twin —
 // BenchmarkVPPointEval/reused measured 1.05x the same point at mvp
 // (~55 vs ~50 us on a 2-vCPU 2.1 GHz Xeon).
+//
+// The two annealers are charged separately, at their measured cost
+// over list scheduling on BenchmarkSweepPoint (synth16 on wireless,
+// median of 6 runs on the same host): the makespan annealer, which
+// reschedules a suffix of the static schedule per move, at 13x
+// (anneal/mvp ~459 us vs list/mvp ~35 us), and the throughput
+// annealer of the pipelined fidelity, an O(cores) load update per
+// move, at 2.3x (anneal/pipe8 ~161 us vs list/pipe8 ~71 us).
 func EstCost(p Point) float64 {
 	c := 1.0 + 0.25*float64(p.Plat.CoreCount())
 	switch p.Fidelity {
@@ -77,7 +85,11 @@ func EstCost(p Point) float64 {
 	}
 	switch p.Heuristic {
 	case "anneal":
-		c *= 3
+		if p.Fidelity == "pipe" {
+			c *= 2.3
+		} else {
+			c *= 13
+		}
 	case "exhaustive":
 		c *= 10
 	}
@@ -124,8 +136,12 @@ func PlanShards(points []Point, n int) ([]Shard, error) {
 		if k == n-1 {
 			hi = len(points)
 		} else {
+			// Stop short of the points the later shards need, one
+			// each: a cheap tail after a costly point must not all
+			// land here and leave a later shard empty.
 			target := total * float64(k+1) / float64(n)
-			for hi < len(points) && (hi == lo || cum+EstCost(points[hi]) <= target) {
+			last := len(points) - (n - 1 - k)
+			for hi < last && (hi == lo || cum+EstCost(points[hi]) <= target) {
 				cum += EstCost(points[hi])
 				hi++
 			}

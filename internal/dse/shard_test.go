@@ -82,6 +82,27 @@ func TestPlanShardsProperties(t *testing.T) {
 	}
 }
 
+// TestPlanShardsCostlyTail: cheap points ahead of a costly one must
+// not all fill the first shard and leave the last one empty — the
+// greedy fill stops short of one point per later shard.
+func TestPlanShardsCostlyTail(t *testing.T) {
+	cheap := Point{Plat: PlatSpec{Kind: "homog", Cores: 2, Fabric: "mesh"}, Heuristic: "list", Fidelity: "mvp"}
+	costly := cheap
+	costly.Heuristic = "anneal"
+	points := []Point{cheap, cheap, cheap, costly}
+	for n := 1; n <= len(points); n++ {
+		shards, err := PlanShards(points, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, s := range shards {
+			if s.Len() == 0 {
+				t.Fatalf("n=%d: shard %d is empty: %v", n, k, shards)
+			}
+		}
+	}
+}
+
 // TestPlanShardsErrors: asking for more shards than points, or a
 // non-positive count, is an actionable error naming the valid range —
 // not a plan with silently empty shards. Property-checked over a

@@ -14,18 +14,19 @@ import (
 // check + atomic add) rather than the inert one.
 func liveSearchObs(r *obs.Registry) SearchObs {
 	return SearchObs{
-		Schedules:     r.Counter("map_schedules_total", "List-schedule evaluations."),
-		CostEvals:     r.Counter("map_cost_evals_total", "Objective-cost evaluations."),
-		AnnealMoves:   r.Counter("map_anneal_moves_total", "Proposed annealing moves."),
-		AnnealAccepts: r.Counter("map_anneal_accepts_total", "Accepted annealing moves."),
-		AnnealRejects: r.Counter("map_anneal_rejects_total", "Rejected annealing moves."),
+		Schedules:      r.Counter("map_schedules_total", "Static-schedule constructions."),
+		TasksScheduled: r.Counter("map_tasks_scheduled_total", "Tasks placed by static schedules."),
+		CostEvals:      r.Counter("map_cost_evals_total", "Objective-cost evaluations."),
+		AnnealMoves:    r.Counter("map_anneal_moves_total", "Proposed annealing moves."),
+		AnnealAccepts:  r.Counter("map_anneal_accepts_total", "Accepted annealing moves."),
+		AnnealRejects:  r.Counter("map_anneal_rejects_total", "Rejected annealing moves."),
 	}
 }
 
 // Benchmarks of the candidate-evaluation hot path. These are the
-// numbers docs/performance.md tracks PR-to-PR: evaluate and
-// objectiveCost must stay at 0 allocs/op (CI guards this), and
-// BenchmarkAnneal is the headline mapping-search figure.
+// numbers docs/performance.md tracks PR-to-PR: evaluate, objectiveCost
+// and the incremental anneal move must stay at 0 allocs/op (CI guards
+// this), and BenchmarkAnneal is the headline mapping-search figure.
 
 func BenchmarkEvaluate(b *testing.B) {
 	g := workload.SyntheticTaskGraph(16, 42)
@@ -119,6 +120,45 @@ func BenchmarkEvaluateMem(b *testing.B) {
 		if _, _, err := ev.schedule(a.TaskPE, false); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAnnealMove is one makespan anneal move and its revert on a
+// bound evaluator — the incremental scoring path: reschedule from the
+// moved task's topological position, then restore the committed
+// finish times. Iterations cycle through the tasks, each moved to its
+// next capable core. The CI guard requires 0 allocs/op.
+func BenchmarkAnnealMove(b *testing.B) {
+	g := workload.SyntheticTaskGraph(16, 42)
+	plat := memPlat()
+	a, err := Map(g, plat, Options{Heuristic: List})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev := NewEvaluator(g, plat)
+	cur := a.TaskPE
+	ev.objectiveCost(Makespan, cur)
+	pos := ev.topoPositions()
+	next := make([]int, len(cur))
+	for id, pe := range cur {
+		cands := ev.Capable(id)
+		for j, c := range cands {
+			if c == pe {
+				next[id] = cands[(j+1)%len(cands)]
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := i % len(cur)
+		old := cur[id]
+		cur[id] = next[id]
+		if _, _, err := ev.scheduleFrom(cur, pos[id], false); err != nil {
+			b.Fatal(err)
+		}
+		cur[id] = old
+		ev.restoreFrom(pos[id])
 	}
 }
 

@@ -59,6 +59,9 @@ func evaluateRef(g *taskgraph.Graph, plat *platform.Platform, taskPE []int) (sim
 			arr := finish[p]
 			if taskPE[p] != pe {
 				arr += plat.Fabric.EstLatency(taskPE[p], pe, g.InBytes(p, id))
+				if plat.Mem != nil {
+					arr += plat.Mem.EstLatency(taskPE[p], pe, g.InBytes(p, id))
+				}
 			}
 			if arr > ready {
 				ready = arr

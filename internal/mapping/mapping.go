@@ -20,10 +20,12 @@
 // capable-core sets and per-(task, core) execution times from the
 // graph's cached taskgraph.View, and scores assignments into reused
 // scratch. The annealer mutates one task per move and reverts on
-// reject instead of copying assignments; for the throughput objective
-// the move cost is an O(cores) incremental load update. The search
-// results are byte-identical to the naive implementations — the
-// regression tests in this package hold that equivalence.
+// reject instead of copying assignments, and scores each move
+// incrementally: for the throughput objective an O(cores) load
+// update, for the makespan objective a reschedule of the topological
+// suffix from the moved task on. The search results are byte-identical
+// to the naive implementations — the regression tests in this package
+// hold that equivalence.
 //
 // Execution is the other per-point cost. Execute, ExecuteMulti and
 // ExecutePipelined run tasks as kernel callbacks, not goroutine-backed
@@ -116,10 +118,12 @@ type Assignment struct {
 
 // Evaluator is a reusable candidate-scoring context for one (graph,
 // platform) pair. It precomputes what every cost evaluation needs —
-// the graph's cached adjacency view, per-task capable-core sets, and
-// per-(task, core) execution times at the cores' current DVFS levels
-// — and keeps scratch arrays alive across evaluations, so scoring an
-// assignment allocates nothing. Rebind (or construct) after changing
+// the graph's cached adjacency view, per-task capable-core sets,
+// per-(task, core) execution times at the cores' current DVFS levels,
+// and the contention-free latency of every cross-PE edge as a
+// core-pair plus a per-edge payload table — and keeps scratch arrays
+// alive across evaluations, so scoring an assignment allocates
+// nothing. Rebind (or construct) after changing
 // the graph, the platform, or a core's DVFS level; an Evaluator is
 // not safe for concurrent use.
 type Evaluator struct {
@@ -141,9 +145,23 @@ type Evaluator struct {
 	// bit-identical to the pre-Evaluator implementation.
 	infCost []sim.Time
 
+	// pairLat[src*nPE+dst] and edgeLat[j] split the contention-free
+	// cost of a cross-PE edge — fabric plus memory estimate — into the
+	// core-pair term and the payload term of aggregated Preds record j
+	// (View.PredBase numbering). Their sum is exactly the sum of the
+	// EstLatency calls it stands for.
+	pairLat []sim.Time
+	edgeLat []sim.Time
+
 	peAvail []sim.Time
-	finish  []sim.Time
-	load    []sim.Time
+	// finish[id] is the task's finish time in the last schedule built;
+	// prevFinish[q] the finish scheduleFrom overwrote at topological
+	// position q, so a rejected anneal move can restore it.
+	finish     []sim.Time
+	prevFinish []sim.Time
+	// pos[id] is the task's topological position (filled by annealMap).
+	pos  []int
+	load []sim.Time
 
 	// Obs is the optional search-instrumentation handle. The zero
 	// value is inert; attaching counters never changes which
@@ -163,8 +181,8 @@ func NewEvaluator(g *taskgraph.Graph, plat *platform.Platform) *Evaluator {
 
 // Bind repoints the evaluator at (g, plat), reusing its scratch
 // storage. Call it again after structural graph changes or core DVFS
-// level changes; the per-(task, core) time table is frozen at bind
-// time.
+// level changes; the per-(task, core) time table and the edge-latency
+// tables are frozen at bind time.
 func (e *Evaluator) Bind(g *taskgraph.Graph, plat *platform.Platform) {
 	e.g, e.plat = g, plat
 	e.mem = plat.Mem
@@ -188,6 +206,11 @@ func (e *Evaluator) Bind(g *taskgraph.Graph, plat *platform.Platform) {
 	e.infCost = growTime(e.infCost, nPE)
 	e.peAvail = growTime(e.peAvail, nPE)
 	e.finish = growTime(e.finish, n)
+	e.prevFinish = growTime(e.prevFinish, n)
+	if cap(e.pos) < n {
+		e.pos = make([]int, n)
+	}
+	e.pos = e.pos[:n]
 	e.load = growTime(e.load, nPE)
 
 	for pe, c := range plat.Cores {
@@ -217,6 +240,28 @@ func (e *Evaluator) Bind(g *taskgraph.Graph, plat *platform.Platform) {
 		}
 		e.capab[id] = e.capBuf[start:len(e.capBuf):len(e.capBuf)]
 	}
+
+	e.pairLat = growTime(e.pairLat, nPE*nPE)
+	for src := 0; src < nPE; src++ {
+		for dst := 0; dst < nPE; dst++ {
+			l := plat.Fabric.EstPairLatency(src, dst)
+			if e.mem != nil {
+				l += e.mem.EstPairLatency(src, dst)
+			}
+			e.pairLat[src*nPE+dst] = l
+		}
+	}
+	e.edgeLat = growTime(e.edgeLat, v.PredBase(n))
+	for id := 0; id < n; id++ {
+		base := v.PredBase(id)
+		for k, pr := range v.Preds(id) {
+			l := plat.Fabric.EstPayloadLatency(pr.Bytes)
+			if e.mem != nil {
+				l += e.mem.EstPayloadLatency(pr.Bytes)
+			}
+			e.edgeLat[base+k] = l
+		}
+	}
 }
 
 // growTime returns s resized to n, reusing its backing array.
@@ -234,11 +279,25 @@ func (e *Evaluator) Capable(id int) []int { return e.capab[id] }
 
 // schedule computes the static schedule for a fixed assignment:
 // topological order, communication charged at contention-free fabric
-// estimates, one task at a time per PE. With wantSlots false it runs
-// entirely in reused scratch — zero allocations — and returns only
-// the makespan; with wantSlots true it allocates a fresh slot list
-// for the caller to keep.
+// and memory estimates, one task at a time per PE. With wantSlots
+// false it runs entirely in reused scratch — zero allocations — and
+// returns only the makespan; with wantSlots true it allocates a fresh
+// slot list for the caller to keep.
 func (e *Evaluator) schedule(taskPE []int, wantSlots bool) (sim.Time, []Slot, error) {
+	return e.scheduleFrom(taskPE, 0, wantSlots)
+}
+
+// scheduleFrom is schedule resumed at topological position from. A
+// task's schedule depends only on the tasks before it in topological
+// order, so when e.finish holds a schedule whose assignment agrees
+// with taskPE on every task before from — the annealer's committed
+// state after moving the task at from — those finish times are still
+// exact: one scan of them rebuilds each PE's availability (the finish
+// of its last task so far) and the running makespan, and the loop
+// reschedules only positions from on. It saves each finish time it
+// overwrites in e.prevFinish for restoreFrom. Slots, when wanted,
+// cover the rescheduled positions.
+func (e *Evaluator) scheduleFrom(taskPE []int, from int, wantSlots bool) (sim.Time, []Slot, error) {
 	e.Obs.Schedules.Inc()
 	v := e.view
 	order, err := v.TopoOrder()
@@ -250,27 +309,35 @@ func (e *Evaluator) schedule(taskPE []int, wantSlots bool) (sim.Time, []Slot, er
 	for i := range peAvail {
 		peAvail[i] = 0
 	}
-	finish := e.finish
+	finish, prev := e.finish, e.prevFinish
+	durs, pairLat, edgeLat := e.durs, e.pairLat, e.edgeLat
+	var makespan sim.Time
+	for _, id := range order[:from] {
+		end := finish[id]
+		peAvail[taskPE[id]] = end
+		if end > makespan {
+			makespan = end
+		}
+	}
 	var slots []Slot
 	if wantSlots {
-		slots = make([]Slot, 0, len(order))
+		slots = make([]Slot, 0, len(order)-from)
 	}
-	var makespan sim.Time
-	for _, id := range order {
+	for q := from; q < len(order); q++ {
+		id := order[q]
 		pe := taskPE[id]
-		dur := e.durs[id*nPE+pe]
+		dur := durs[id*nPE+pe]
 		if dur < 0 {
+			e.Obs.TasksScheduled.Add(int64(q - from))
 			t := e.g.Tasks[id]
 			return 0, nil, fmt.Errorf("mapping: task %q cannot run on core %d (%v)", t.Name, pe, e.plat.Core(pe).Class)
 		}
 		ready := sim.Time(0)
-		for _, pr := range v.Preds(id) {
+		base := v.PredBase(id)
+		for k, pr := range v.Preds(id) {
 			arr := finish[pr.Task]
-			if taskPE[pr.Task] != pe {
-				arr += e.plat.Fabric.EstLatency(taskPE[pr.Task], pe, pr.Bytes)
-				if e.mem != nil {
-					arr += e.mem.EstLatency(taskPE[pr.Task], pe, pr.Bytes)
-				}
+			if src := taskPE[pr.Task]; src != pe {
+				arr += pairLat[src*nPE+pe] + edgeLat[base+k]
 			}
 			if arr > ready {
 				ready = arr
@@ -282,6 +349,7 @@ func (e *Evaluator) schedule(taskPE []int, wantSlots bool) (sim.Time, []Slot, er
 		}
 		end := start + dur
 		peAvail[pe] = end
+		prev[q] = finish[id]
 		finish[id] = end
 		if wantSlots {
 			slots = append(slots, Slot{Task: id, PE: pe, Start: start, Finish: end})
@@ -290,7 +358,28 @@ func (e *Evaluator) schedule(taskPE []int, wantSlots bool) (sim.Time, []Slot, er
 			makespan = end
 		}
 	}
+	e.Obs.TasksScheduled.Add(int64(len(order) - from))
 	return makespan, slots, nil
+}
+
+// topoPositions fills and returns e.pos: each task's position in the
+// view's topological order.
+func (e *Evaluator) topoPositions() []int {
+	order, _ := e.view.TopoOrder()
+	for q, id := range order {
+		e.pos[id] = q
+	}
+	return e.pos
+}
+
+// restoreFrom puts back the finish times the last successful
+// scheduleFrom(…, from, …) overwrote, returning e.finish to the
+// schedule it resumed from.
+func (e *Evaluator) restoreFrom(from int) {
+	order, _ := e.view.TopoOrder()
+	for q := from; q < len(order); q++ {
+		e.finish[order[q]] = e.prevFinish[q]
+	}
 }
 
 // evaluate is the legacy entry point kept for the equivalence tests:
@@ -444,18 +533,17 @@ func (e *Evaluator) listMap() ([]int, error) {
 	finish := e.finish
 	for _, id := range ids {
 		bestPE, bestEFT := -1, sim.Forever
+		base := v.PredBase(id)
 		for _, pe := range e.capab[id] {
 			ready := sim.Time(0)
-			for _, pr := range v.Preds(id) {
-				if taskPE[pr.Task] < 0 {
+			for k, pr := range v.Preds(id) {
+				src := taskPE[pr.Task]
+				if src < 0 {
 					continue // predecessor not placed yet (rank order anomaly)
 				}
 				arr := finish[pr.Task]
-				if taskPE[pr.Task] != pe {
-					arr += plat.Fabric.EstLatency(taskPE[pr.Task], pe, pr.Bytes)
-					if e.mem != nil {
-						arr += e.mem.EstLatency(taskPE[pr.Task], pe, pr.Bytes)
-					}
+				if src != pe {
+					arr += e.pairLat[src*nPE+pe] + e.edgeLat[base+k]
 				}
 				if arr > ready {
 					ready = arr
@@ -530,12 +618,16 @@ func (e *Evaluator) throughputMap() ([]int, error) {
 // annealMap refines the list (or, for throughput, LPT) mapping with
 // simulated annealing over single-task moves, optimizing the selected
 // objective; deterministic under Options.Seed. Moves mutate the
-// current assignment in place and revert on reject; the throughput
-// objective's move cost is an incremental per-core load update, the
-// makespan objective recomputes the static schedule in scratch. Both
-// produce the exact cost values of a full recomputation, so the
-// accept/reject trajectory — and therefore the returned assignment —
-// is byte-identical to the copying implementation.
+// current assignment in place and revert on reject. Every move cost is
+// computed incrementally: a move that picks the task's current core
+// keeps the current cost (and, at dE = 0, is accepted without drawing
+// from the RNG); the throughput objective updates two per-core loads;
+// the makespan objective reschedules only from the moved task's
+// topological position on (scheduleFrom), restoring the committed
+// finish times on reject. All produce the exact cost values of a full
+// recomputation, so the accept/reject trajectory — and therefore the
+// returned assignment — is byte-identical to the copying
+// implementation.
 func (e *Evaluator) annealMap(opt Options) ([]int, error) {
 	g := e.g
 	nPE := len(e.plat.Cores)
@@ -567,27 +659,34 @@ func (e *Evaluator) annealMap(opt Options) ([]int, error) {
 		}
 		return e.infCost[pe]
 	}
+	// Makespan: e.finish now holds cur's schedule (objectiveCost
+	// above); moves reschedule from the moved task's position.
+	pos := e.topoPositions()
 	for i := 0; i < iters; i++ {
 		tIdx := rng.Intn(len(g.Tasks))
 		cands := e.capab[tIdx]
 		oldPE := cur[tIdx]
 		newPE := cands[rng.Intn(len(cands))]
-		cur[tIdx] = newPE
-		var nc sim.Time
-		if opt.Objective == Throughput {
-			load[oldPE] -= dur(tIdx, oldPE)
-			load[newPE] += dur(tIdx, newPE)
-			for _, l := range load {
-				if l > nc {
-					nc = l
+		// A move onto the task's current core keeps curCost.
+		nc := curCost
+		if newPE != oldPE {
+			cur[tIdx] = newPE
+			if opt.Objective == Throughput {
+				load[oldPE] -= dur(tIdx, oldPE)
+				load[newPE] += dur(tIdx, newPE)
+				nc = 0
+				for _, l := range load {
+					if l > nc {
+						nc = l
+					}
 				}
+			} else {
+				mk, _, err := e.scheduleFrom(cur, pos[tIdx], false)
+				if err != nil {
+					mk = sim.Forever
+				}
+				nc = mk
 			}
-		} else {
-			mk, _, err := e.schedule(cur, false)
-			if err != nil {
-				mk = sim.Forever
-			}
-			nc = mk
 		}
 		e.Obs.AnnealMoves.Inc()
 		dE := float64(nc - curCost)
@@ -604,6 +703,8 @@ func (e *Evaluator) annealMap(opt Options) ([]int, error) {
 			if opt.Objective == Throughput {
 				load[newPE] -= dur(tIdx, newPE)
 				load[oldPE] += dur(tIdx, oldPE)
+			} else {
+				e.restoreFrom(pos[tIdx])
 			}
 		}
 		temp *= 0.995

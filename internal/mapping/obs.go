@@ -10,8 +10,13 @@ import "mpsockit/internal/obs"
 // holds schedule and objectiveCost at 0 allocs/op with these
 // increments compiled in).
 type SearchObs struct {
-	// Schedules counts list-schedule evaluations (calls to schedule).
+	// Schedules counts static-schedule constructions, full or suffix
+	// (calls to scheduleFrom).
 	Schedules *obs.Counter
+	// TasksScheduled counts tasks placed by those constructions — the
+	// deterministic work count of the scoring path, which a suffix
+	// schedule shrinks and a full one does not.
+	TasksScheduled *obs.Counter
 	// CostEvals counts objective-cost evaluations of a candidate
 	// assignment.
 	CostEvals *obs.Counter

@@ -31,6 +31,12 @@ type Model interface {
 	// mapping cost models add on top of platform.Fabric.EstLatency for
 	// cross-PE edges. It must allocate nothing.
 	EstLatency(src, dst, bytes int) sim.Time
+	// EstPairLatency and EstPayloadLatency split EstLatency for
+	// src != dst into a core-pair term and a payload term, exactly as
+	// platform.Fabric does: EstLatency(src, dst, b) ==
+	// EstPairLatency(src, dst) + EstPayloadLatency(b).
+	EstPairLatency(src, dst int) sim.Time
+	EstPayloadLatency(bytes int) sim.Time
 	// Service books one memory access starting at virtual time now and
 	// returns the delay until it completes (queue wait included,
 	// always positive). The caller schedules delivery that far in the
@@ -184,6 +190,15 @@ func (m *BankModel) Name() string {
 
 // EstLatency implements Model: the zero-conflict service time.
 func (m *BankModel) EstLatency(src, dst, bytes int) sim.Time {
+	return m.EstPairLatency(src, dst) + m.EstPayloadLatency(bytes)
+}
+
+// EstPairLatency implements Model: the zero-conflict service time
+// does not depend on which cores talk.
+func (m *BankModel) EstPairLatency(src, dst int) sim.Time { return 0 }
+
+// EstPayloadLatency implements Model: the zero-conflict service time.
+func (m *BankModel) EstPayloadLatency(bytes int) sim.Time {
 	return serviceTime(m.AccessTime, m.BytesPerNS, bytes)
 }
 
@@ -252,6 +267,15 @@ func (m *BWModel) Name() string { return fmt.Sprintf("bw%d", m.BytesPerNS) }
 
 // EstLatency implements Model.
 func (m *BWModel) EstLatency(src, dst, bytes int) sim.Time {
+	return m.EstPairLatency(src, dst) + m.EstPayloadLatency(bytes)
+}
+
+// EstPairLatency implements Model: the zero-conflict service time
+// does not depend on which cores talk.
+func (m *BWModel) EstPairLatency(src, dst int) sim.Time { return 0 }
+
+// EstPayloadLatency implements Model: the zero-conflict service time.
+func (m *BWModel) EstPayloadLatency(bytes int) sim.Time {
 	return serviceTime(m.AccessTime, m.BytesPerNS, bytes)
 }
 

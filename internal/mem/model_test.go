@@ -135,3 +135,46 @@ func TestBWModelSerializes(t *testing.T) {
 		t.Fatalf("post-Reset access delayed %v, want %v", d, svc)
 	}
 }
+
+// TestEstLatencySplit: over the spec bounds (every bank:BxC geometry
+// and every bw:G budget), the pair and payload terms the mapping
+// evaluator tabulates sum to EstLatency for every src != dst, and
+// EstLatency equals access latency plus serialization with payloads
+// ≤ 0 clamped to one byte.
+func TestEstLatencySplit(t *testing.T) {
+	const access = 10 * sim.Nanosecond
+	type model struct {
+		m    Model
+		bpns int64
+	}
+	var models []model
+	for b := 1; b <= MaxBanks; b++ {
+		for c := 1; c <= MaxChannels; c++ {
+			models = append(models, model{Spec{Kind: "bank", Banks: b, Channels: c}.Build(access, 8), 8})
+		}
+	}
+	for g := int64(1); g <= MaxGBps; g++ {
+		models = append(models, model{Spec{Kind: "bw", GBps: g}.Build(access, 8), g})
+	}
+	for _, mm := range models {
+		m, bpns := mm.m, mm.bpns
+		for _, b := range []int{-1, 0, 1, int(bpns) - 1, int(bpns), int(bpns) + 1, 1 << 20} {
+			clamped := b
+			if clamped <= 0 {
+				clamped = 1
+			}
+			want := access + sim.Time((int64(clamped)+bpns-1)/bpns)*sim.Nanosecond
+			for src := 0; src < 8; src++ {
+				for dst := 0; dst < 8; dst++ {
+					if src == dst {
+						continue
+					}
+					got := m.EstPairLatency(src, dst) + m.EstPayloadLatency(b)
+					if est := m.EstLatency(src, dst, b); got != want || est != want {
+						t.Fatalf("%s %d->%d %dB: pair+payload %v, EstLatency %v, want %v", m.Name(), src, dst, b, got, est, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -175,8 +175,18 @@ func (m *Mesh) EstLatency(src, dst, bytes int) sim.Time {
 	if src == dst {
 		return m.HopLatency
 	}
-	return sim.Time(m.Hops(src, dst))*m.HopLatency + m.serialization(bytes)
+	return m.EstPairLatency(src, dst) + m.EstPayloadLatency(bytes)
 }
+
+// EstPairLatency implements platform.Fabric: the head's hop latency
+// along the XY route.
+func (m *Mesh) EstPairLatency(src, dst int) sim.Time {
+	return sim.Time(m.Hops(src, dst)) * m.HopLatency
+}
+
+// EstPayloadLatency implements platform.Fabric: the payload's
+// serialization on one link.
+func (m *Mesh) EstPayloadLatency(bytes int) sim.Time { return m.serialization(bytes) }
 
 // Stats implements platform.Fabric.
 func (m *Mesh) Stats() (uint64, sim.Time) {
@@ -240,6 +250,16 @@ func (b *Bus) Transfer(src, dst, bytes int, done func()) {
 
 // EstLatency implements platform.Fabric.
 func (b *Bus) EstLatency(src, dst, bytes int) sim.Time {
+	return b.EstPairLatency(src, dst) + b.EstPayloadLatency(bytes)
+}
+
+// EstPairLatency implements platform.Fabric: every pair shares the
+// one bus, so placement costs nothing.
+func (b *Bus) EstPairLatency(src, dst int) sim.Time { return 0 }
+
+// EstPayloadLatency implements platform.Fabric: arbitration plus
+// serialization.
+func (b *Bus) EstPayloadLatency(bytes int) sim.Time {
 	return b.ArbLatency + b.serialization(bytes)
 }
 

@@ -158,3 +158,46 @@ func TestMeshRouteProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEstLatencySplit: for every src != dst on meshes of 2–16 cores
+// and on the bus, the pair and payload terms the mapping evaluator
+// tabulates sum to EstLatency, and EstLatency equals the zero-load
+// formula written out here (hops × hop latency plus serialization on
+// the mesh, arbitration plus serialization on the bus, payloads ≤ 0
+// clamped to one byte).
+func TestEstLatencySplit(t *testing.T) {
+	ser := func(bytes int, bpns int64) sim.Time {
+		if bytes <= 0 {
+			bytes = 1
+		}
+		return sim.Time((int64(bytes)+bpns-1)/bpns) * sim.Nanosecond
+	}
+	for _, bpns := range []int64{1, 3, 8} {
+		payloads := []int{-1, 0, 1, int(bpns) - 1, int(bpns), int(bpns) + 1, 1 << 20}
+		k := sim.NewKernel()
+		bus := NewBus(k, 2*sim.Nanosecond, bpns)
+		for n := 2; n <= 16; n++ {
+			shape := MeshFor(k, n)
+			m := NewMesh(k, shape.W, shape.H, 3*sim.Nanosecond, bpns)
+			for src := 0; src < n; src++ {
+				for dst := 0; dst < n; dst++ {
+					if src == dst {
+						continue
+					}
+					for _, b := range payloads {
+						want := sim.Time(m.Hops(src, dst))*m.HopLatency + ser(b, bpns)
+						if got := m.EstPairLatency(src, dst) + m.EstPayloadLatency(b); got != want || m.EstLatency(src, dst, b) != want {
+							t.Fatalf("%s %d->%d %dB @%dB/ns: pair+payload %v, EstLatency %v, want %v",
+								m.Name(), src, dst, b, bpns, got, m.EstLatency(src, dst, b), want)
+						}
+						want = bus.ArbLatency + ser(b, bpns)
+						if got := bus.EstPairLatency(src, dst) + bus.EstPayloadLatency(b); got != want || bus.EstLatency(src, dst, b) != want {
+							t.Fatalf("bus %d->%d %dB @%dB/ns: pair+payload %v, EstLatency %v, want %v",
+								src, dst, b, bpns, got, bus.EstLatency(src, dst, b), want)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -215,6 +215,13 @@ type Fabric interface {
 	// EstLatency returns the contention-free latency estimate used by
 	// mapping cost models.
 	EstLatency(src, dst, bytes int) sim.Time
+	// EstPairLatency and EstPayloadLatency split EstLatency for
+	// src != dst into a term of the core pair and a term of the
+	// payload: EstLatency(src, dst, b) == EstPairLatency(src, dst) +
+	// EstPayloadLatency(b), exactly. Mapping cost models tabulate both
+	// once per bound (graph, platform) pair.
+	EstPairLatency(src, dst int) sim.Time
+	EstPayloadLatency(bytes int) sim.Time
 	// Stats returns the cumulative completed-transfer count and
 	// contention wait (plain values so implementations need not
 	// depend on this package).

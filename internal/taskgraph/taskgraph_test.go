@@ -143,3 +143,23 @@ func TestInBytesAggregates(t *testing.T) {
 		t.Fatalf("InBytes = %d", got)
 	}
 }
+
+// TestPredBaseNumbersRecords: PredBase numbers the aggregated Preds
+// records densely in task order — each task's list starts where the
+// previous one ended, and PredBase(n) is the record count (parallel
+// edges merged into one record).
+func TestPredBaseNumbersRecords(t *testing.T) {
+	g := diamond()
+	g.Connect(g.Tasks[1], g.Tasks[3], 8, "parallel")
+	v := g.View()
+	next := 0
+	for id := range g.Tasks {
+		if got := v.PredBase(id); got != next {
+			t.Fatalf("PredBase(%d) = %d, want %d", id, got, next)
+		}
+		next += len(v.Preds(id))
+	}
+	if got := v.PredBase(len(g.Tasks)); got != next || next != 4 {
+		t.Fatalf("PredBase(n) = %d, want %d records (4)", got, next)
+	}
+}

@@ -227,6 +227,12 @@ func (v *View) Preds(id int) []Adj {
 	return v.predAdj[v.predStart[id]:v.predStart[id+1]]
 }
 
+// PredBase returns the index of task id's first aggregated
+// predecessor record in a dense numbering of all tasks' Preds lists:
+// Preds(id)[k] is record PredBase(id)+k, and PredBase(n) for n tasks
+// is the record count. Callers key per-record tables by it.
+func (v *View) PredBase(id int) int { return v.predStart[id] }
+
 // Succs returns task id's distinct successors in first-edge order,
 // with parallel-edge bytes summed. Read-only.
 func (v *View) Succs(id int) []Adj {
