@@ -12,6 +12,10 @@ type coordObs struct {
 	accepted   *obs.Counter
 	duplicates *obs.Counter
 	conflicts  *obs.Counter
+	// decodeUS and lockedUS split a /results post's server time: JSON
+	// decode outside s.mu, and the time s.mu is held to apply it.
+	decodeUS *obs.Histogram
+	lockedUS *obs.Histogram
 }
 
 // leaseObs bundles the lease-table counters; every sweep's table
@@ -46,7 +50,9 @@ func (s *Server) initObs() {
 	s.obs = coordObs{
 		accepted:   r.Counter("coord_results_accepted_total", "Result lines accepted as new."),
 		duplicates: r.Counter("coord_result_duplicates_total", "Byte-identical duplicate result lines absorbed."),
-		conflicts:  r.Counter("coord_result_conflicts_total", "Result batches rejected with 409 (conflicting bytes for an accepted point)."),
+		conflicts:  r.Counter("coord_result_conflicts_total", "Result batches rejected with 409 (a malformed line, or conflicting bytes for an accepted point)."),
+		decodeUS:   r.Histogram("coord_results_decode_us", "Per-post /results line decode time in microseconds, outside the coordinator lock."),
+		lockedUS:   r.Histogram("coord_results_locked_us", "Per-post time /results holds the coordinator lock, in microseconds."),
 	}
 	s.leaseObs = leaseObs{
 		grants:   r.Counter("coord_lease_grants_total", "Leases granted (fresh, reissued and stolen)."),

@@ -69,6 +69,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, name := range []string{
 		"coord_lease_grants_total",
 		"coord_results_accepted_total",
+		"coord_results_decode_us_count",
+		"coord_results_locked_us_count",
 		"coord_points_done",
 		`coord_worker_heartbeat_age_seconds{worker="w-obs"}`,
 		`coord_worker_accepted_total{worker="w-obs"}`,

@@ -82,8 +82,8 @@ type Config struct {
 // Server is the multi-tenant sweep coordinator: it owns the sweep
 // registry, schedules lease grants fairly across tenants, and serves
 // the worker protocol plus the registry API over HTTP. All state
-// shares one mutex — the work units are whole simulation runs on the
-// workers, so coordination is never the bottleneck.
+// shares one mutex; handlers parse request bodies before taking it,
+// so the critical sections stay short.
 type Server struct {
 	cfg Config
 
@@ -932,13 +932,18 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleResults accepts a JSONL batch of result lines for one sweep.
-// Acceptance is idempotent line-by-line; a conflicting line (bytes
-// disagreeing with an accepted result for the same point) rejects the
-// whole request with 409 — that is never a retry artifact, it means an
-// engine drifted. A batch for a cancelled or unknown sweep is
-// discarded with a Cancelled ack so the worker abandons the lease. A
-// batch that names no sweep is a 400: acking it Cancelled would make
-// a worker drop every lease and ask again forever.
+// Every line is decoded exactly once, before s.mu is taken, so the
+// JSON cost of one worker's post never queues the other workers'
+// posts or leases; under the lock the decoded results are only
+// validated, merged and checkpointed. Acceptance is idempotent
+// line-by-line and in order. A malformed line, or a conflicting one
+// (bytes disagreeing with an accepted result for the same point),
+// fails the request with 409 — that is never a retry artifact, it
+// means an engine drifted — but the lines before it stay accepted and
+// checkpointed. A batch for a cancelled or unknown sweep is discarded
+// with a Cancelled ack so the worker abandons the lease. A batch that
+// names no sweep is a 400: acking it Cancelled would make a worker
+// drop every lease and ask again forever.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	sweepID := q.Get("sweep")
@@ -951,84 +956,142 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "coord: reading results: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	worker := q.Get("worker")
-	leaseID, _ := strconv.ParseInt(q.Get("lease"), 10, 64)
+	decodeStart := time.Now()
+	batch := decodeResults(body)
+	s.obs.decodeUS.Observe(time.Since(decodeStart).Microseconds())
+	s.logProgress(s.ingestResults(w, q.Get("worker"), sweepID, q.Get("lease"), batch))
+}
+
+// resultBatch is a /results body decoded outside the coordinator
+// lock: the non-blank lines up to the first malformed one, each with
+// its decoded result, and that line's decode error (nil when every
+// line decoded).
+type resultBatch struct {
+	lines   [][]byte
+	results []dse.Result
+	err     error
+}
+
+// decodeResults splits a /results body into lines and decodes each
+// once, stopping at the first malformed line.
+func decodeResults(body []byte) resultBatch {
+	lines := bytes.Split(body, []byte("\n"))
+	// Kept lines are compacted into Split's own array: the write index
+	// never passes the read index.
+	b := resultBatch{lines: lines[:0], results: make([]dse.Result, 0, len(lines))}
+	for _, line := range lines {
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		r, err := dse.DecodeResult(line)
+		if err != nil {
+			b.err = err
+			break
+		}
+		b.lines = append(b.lines, line)
+		b.results = append(b.results, r)
+	}
+	return b
+}
+
+// ingestResults applies a decoded batch under s.mu and answers the
+// post. A batch that stops at a malformed or conflicting line still
+// lands its prefix, flushed to the checkpoint and counted, before the
+// 409. It returns the live-front snapshot, if one is due, for the
+// caller to log once the lock is released.
+func (s *Server) ingestResults(w http.ResponseWriter, worker, sweepID, lease string, b resultBatch) *progressSnapshot {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	lockedAt := time.Now()
+	defer func() {
+		s.obs.lockedUS.Observe(time.Since(lockedAt).Microseconds())
+		s.mu.Unlock()
+	}()
 	ws := s.touchWorkerLocked(worker, s.cfg.Now())
 	sw := s.sweeps[sweepID]
 	if sw == nil || sw.state == SweepCancelled {
 		writeJSON(w, ResultAck{Cancelled: true})
-		return
+		return nil
 	}
 	ack := ResultAck{}
-	for _, line := range bytes.Split(body, []byte("\n")) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		added, err := sw.acc.Add(line)
+	conflict := b.err
+	for i, r := range b.results {
+		added, err := sw.acc.AddResult(r, b.lines[i])
 		if err != nil {
-			s.obs.conflicts.Inc()
-			s.cfg.Log.Printf("conflict from %s (sweep %s lease %d): %v", worker, sw.id, leaseID, err)
-			http.Error(w, "coord: "+err.Error(), http.StatusConflict)
-			return
+			conflict = err
+			break
 		}
 		if !added {
 			ack.Duplicates++
 			continue
 		}
 		ack.Accepted++
-		if err := sw.appendCheckpoint(lastPointID(line)); err != nil {
+		if err := sw.appendCheckpoint(r.Point.ID); err != nil {
 			http.Error(w, "coord: checkpoint: "+err.Error(), http.StatusInternalServerError)
-			return
+			return nil
 		}
 	}
 	if err := sw.flushCheckpoint(); err != nil {
 		http.Error(w, "coord: checkpoint: "+err.Error(), http.StatusInternalServerError)
-		return
+		return nil
 	}
 	ws.accepted += int64(ack.Accepted)
 	s.obs.accepted.Add(int64(ack.Accepted))
 	s.obs.duplicates.Add(int64(ack.Duplicates))
 	sw.table.closeCovered()
-	s.logProgressLocked(sw)
+	progress := s.progressDueLocked(sw)
 	if sw.acc.Complete() {
 		s.completeSweepLocked(sw)
 	}
+	if conflict != nil {
+		s.obs.conflicts.Inc()
+		s.cfg.Log.Printf("conflict from %s (sweep %s lease %s): %v", worker, sw.id, lease, conflict)
+		http.Error(w, "coord: "+conflict.Error(), http.StatusConflict)
+		return progress
+	}
 	ack.Done = s.bootID != "" && s.allTerminalLocked()
 	writeJSON(w, ack)
-}
-
-// lastPointID extracts the point ID from an accepted line. The line
-// already passed Accumulator validation, so decoding cannot fail.
-func lastPointID(line []byte) int {
-	var r dse.Result
-	_ = json.Unmarshal(line, &r)
-	return r.Point.ID
+	return progress
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.Status())
 }
 
-// logProgressLocked emits a sweep's live per-workload front snapshot
-// every ProgressEvery accepted points: merge is incremental, so the
-// Pareto fronts and hypervolumes of the completed subset are available
-// the whole time the sweep runs.
-func (s *Server) logProgressLocked(sw *sweep) {
+// progressSnapshot is what one live-front log line is computed from,
+// copied under s.mu so the front and hypervolume work, quadratic in
+// the completed points, runs after the lock is released.
+type progressSnapshot struct {
+	sweep     string
+	total     int
+	completed []dse.Result
+}
+
+// progressDueLocked returns the sweep's snapshot every ProgressEvery
+// accepted points, and nil in between. Caller holds s.mu.
+func (s *Server) progressDueLocked(sw *sweep) *progressSnapshot {
 	if s.cfg.ProgressEvery <= 0 || sw.acc.Done() < sw.frontAt+s.cfg.ProgressEvery {
-		return
+		return nil
 	}
 	sw.frontAt = sw.acc.Done()
-	completed := sw.acc.Completed()
-	front := dse.GroupedFront(completed)
+	return &progressSnapshot{sweep: sw.id, total: sw.acc.Total(), completed: sw.acc.Completed()}
+}
+
+// logProgress emits a sweep's live per-workload front snapshot (a nil
+// snapshot logs nothing): merge is incremental, so the Pareto fronts
+// and hypervolumes of the completed subset are available the whole
+// time the sweep runs.
+func (s *Server) logProgress(p *progressSnapshot) {
+	if p == nil {
+		return
+	}
+	front := dse.GroupedFront(p.completed)
 	var hv bytes.Buffer
-	for i, f := range dse.Hypervolumes(completed) {
+	for i, f := range dse.Hypervolumes(p.completed) {
 		if i > 0 {
 			hv.WriteString(" ")
 		}
 		fmt.Fprintf(&hv, "%s=%.3f", f.Workload, f.Norm)
 	}
 	s.cfg.Log.Printf("sweep %s live %d/%d points, front %d, hv-norm %s",
-		sw.id, sw.acc.Done(), sw.acc.Total(), len(front), hv.String())
+		p.sweep, len(p.completed), p.total, len(front), hv.String())
 }

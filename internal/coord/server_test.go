@@ -40,7 +40,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 // sweepLines evaluates the sweep once and returns the expanded points
 // plus each point's JSONL line (without trailing newline), indexed by
 // point ID — the ground truth any worker anywhere would produce.
-func sweepLines(t *testing.T, spec string, seed uint64) ([]dse.Point, [][]byte) {
+func sweepLines(t testing.TB, spec string, seed uint64) ([]dse.Point, [][]byte) {
 	t.Helper()
 	sw, err := dse.ParseSweep(spec, seed)
 	if err != nil {
@@ -64,7 +64,7 @@ func sweepLines(t *testing.T, spec string, seed uint64) ([]dse.Point, [][]byte) 
 
 // referenceBytes renders the full fault-free single-worker output
 // file for the sweep.
-func referenceBytes(t *testing.T, spec string, seed uint64) []byte {
+func referenceBytes(t testing.TB, spec string, seed uint64) []byte {
 	t.Helper()
 	points, lines := sweepLines(t, spec, seed)
 	var buf bytes.Buffer

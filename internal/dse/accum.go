@@ -47,11 +47,22 @@ func NewAccumulator(points []Point) *Accumulator {
 // on a malformed line, an out-of-range or spec-mismatched point, or a
 // conflict with previously accepted bytes for the same ID.
 func (a *Accumulator) Add(line []byte) (added bool, err error) {
-	var r Result
-	if err := json.Unmarshal(line, &r); err != nil {
-		return false, fmt.Errorf("dse: malformed result line: %w", err)
+	r, err := DecodeResult(line)
+	if err != nil {
+		return false, err
 	}
 	return a.AddResult(r, line)
+}
+
+// DecodeResult parses one JSONL result line. It is Add's decode step
+// on its own, so a caller that must not decode while holding a lock
+// (the coordinator) can decode first and AddResult later.
+func DecodeResult(line []byte) (Result, error) {
+	var r Result
+	if err := json.Unmarshal(line, &r); err != nil {
+		return Result{}, fmt.Errorf("dse: malformed result line: %w", err)
+	}
+	return r, nil
 }
 
 // AddResult accepts one already-decoded result together with its

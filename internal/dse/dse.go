@@ -71,7 +71,8 @@
 //	app      = "jpeg" | "h264" | "carradio" | "synth" int ;
 //
 //	heur     = "list" | "anneal" | "exhaustive" ;
-//	fid      = "mvp" | "pipe" int | "vp" int | "cal" ":" int ;
+//	fid      = "mvp" | "pipe" int (* 1..1024 *) | "vp" int
+//	         | "cal" ":" int (* 1..32 *) ;
 //	mem      = "ideal" | "bank" ":" int "x" int | "bw" ":" int ;
 //
 // A mix platform token ("2xrisc+4xdsp@3200") builds the listed core

@@ -139,6 +139,7 @@ func FuzzFidelityToken(f *testing.F) {
 		"mvp", "pipe8", "pipe1", "vp64", "vp1",
 		"cal:1", "cal:4", "cal:32", "cal:0", "cal:33", "cal:-1",
 		"cal:", "cal", "vp", "pipe", "vp064", "cal:04", "cal:+1",
+		"pipe1024", "pipe1025", "pipe0",
 	} {
 		f.Add(seed)
 	}
@@ -154,6 +155,9 @@ func FuzzFidelityToken(f *testing.F) {
 		}
 		if fs.Kind == "cal" && (fs.Probes < 1 || fs.Probes > 32) {
 			t.Fatalf("token %q parsed to %d probes (want 1..32)", tok, fs.Probes)
+		}
+		if fs.Kind == "pipe" && (fs.Iterations < 1 || fs.Iterations > maxPipeIterations) {
+			t.Fatalf("token %q parsed to %d frames (want 1..%d)", tok, fs.Iterations, maxPipeIterations)
 		}
 		fs2, err := parseFidelity(fs.String())
 		if err != nil {

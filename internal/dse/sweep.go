@@ -420,16 +420,22 @@ func (s *Sweep) Spec() string {
 	return strings.Join(dims, ";")
 }
 
+// maxPipeIterations caps the pipeN frame count. Pipelined execution
+// work grows linearly with N, so the cap bounds what one fidelity
+// token can demand of a worker, the way cal:K bounds probe fan-out.
+const maxPipeIterations = 1024
+
 // parseFidelity parses a fidelity token: mvp, pipeN (N pipelined
-// iterations) or vpN (N-instruction temporal-decoupling quantum).
+// iterations, 1 <= N <= maxPipeIterations), vpN (N-instruction
+// temporal-decoupling quantum) or cal:K.
 func parseFidelity(tok string) (FidelitySpec, error) {
 	if tok == "mvp" {
 		return FidelitySpec{Kind: "mvp"}, nil
 	}
 	if rest, ok := strings.CutPrefix(tok, "pipe"); ok {
 		n, err := strconv.Atoi(rest)
-		if err != nil || n < 1 {
-			return FidelitySpec{}, fmt.Errorf("dse: bad fidelity token %q (want e.g. pipe8)", tok)
+		if err != nil || n < 1 || n > maxPipeIterations {
+			return FidelitySpec{}, fmt.Errorf("dse: bad fidelity token %q (want pipeN, 1 <= N <= %d)", tok, maxPipeIterations)
 		}
 		return FidelitySpec{Kind: "pipe", Iterations: n}, nil
 	}

@@ -113,6 +113,7 @@ func TestSweepSpecCanonical(t *testing.T) {
 		"smoke", "default", "", mixedSpec, memSpec,
 		"plat=8xrisc@600;wl=multi:synth2+synth2;fab=bus;dvfs=0,2;heur=exhaustive;fid=pipe4",
 		"plat=homog4;wl=jpeg;mem=ideal,bank:4x2,bw:8",
+		"plat=homog2;wl=jpeg;fid=pipe1,pipe1024",
 	} {
 		sw, err := ParseSweep(spec, 5)
 		if err != nil {
@@ -151,6 +152,7 @@ func TestParseSweepNewTokenErrors(t *testing.T) {
 		"wl=multi:jpeg+jpeg+jpeg+jpeg+jpeg+jpeg+jpeg+jpeg+jpeg",
 		"mem=dram", "mem=bank:0x2", "mem=bank:65x1", "mem=bank:4x9",
 		"mem=bank:4", "mem=bw:0", "mem=bw:1025", "mem=bw:",
+		"fid=pipe0", "fid=pipe1025", "fid=pipe1000000000", "fid=pipe-1",
 	} {
 		if _, err := ParseSweep(bad, 1); err == nil {
 			t.Errorf("ParseSweep(%q) accepted", bad)
