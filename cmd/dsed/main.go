@@ -17,8 +17,9 @@
 // Two modes:
 //
 //   - Single-shot (boot) mode, the default: -sweep names one sweep,
-//     dsed serves it to workers, writes -out on completion and exits —
-//     the PR-6 coordinator behavior, unchanged.
+//     which dsed registers at startup exactly as POST /sweeps would.
+//     Once that sweep is terminal, dsed writes -out and exits; other
+//     sweeps in the registry do not hold it up.
 //
 //   - Service mode, -sweep "": dsed starts with an empty registry and
 //     serves until signalled. Tenants register sweeps over HTTP
@@ -72,7 +73,7 @@ func main() {
 	sweepSpec := flag.String("sweep", "default", "boot sweep preset (smoke, default) or dimension list; empty for multi-tenant service mode")
 	seed := flag.Uint64("seed", 1, "boot sweep seed; same seed + same sweep = identical output")
 	out := flag.String("out", "dse.jsonl", "final merged JSONL results file, written on boot-sweep completion")
-	checkpoint := flag.String("checkpoint", "", "append the boot sweep's accepted result lines to this JSONL log (crash protection)")
+	checkpoint := flag.String("checkpoint", "", "append the boot sweep's accepted result lines to this JSONL log (crash protection); rewritten as the final file on completion")
 	checkpointDir := flag.String("checkpoint-dir", "", "per-sweep checkpoint logs live here as <sweep-id>.jsonl; rescanned and resumed on restart")
 	resume := flag.Bool("resume", false, "re-accept the -checkpoint log before serving (header must match)")
 	maxSweeps := flag.Int("max-sweeps", 16, "admission limit on concurrently active sweeps (further POST /sweeps get 429)")
@@ -205,18 +206,11 @@ func main() {
 		os.Exit(0)
 	}
 
-	// Boot sweep complete. Linger briefly before closing the listener:
-	// workers that were idle-polling (rather than submitting the final
-	// batch) learn the sweep is done from their next /lease instead of
-	// a dead socket.
-	linger := *leaseTimeout / 4
-	if linger > 5*time.Second {
-		linger = 5 * time.Second
-	}
-	if linger < time.Second {
-		linger = time.Second
-	}
-	time.Sleep(linger)
+	// Boot sweep complete. Idle workers parked on /lease have already
+	// been told. Linger briefly before closing the listener, so workers
+	// still evaluating a stolen tail get their Done ack instead of a
+	// dead socket.
+	time.Sleep(min(max(*leaseTimeout/4, time.Second), 5*time.Second))
 	httpSrv.Close()
 	if err := dse.AtomicWriteFile(*out, func(w io.Writer) error { return srv.WriteFinal(w) }); err != nil {
 		fatal(err)

@@ -60,15 +60,8 @@ func (s *Server) initObs() {
 		steals:   r.Counter("coord_lease_steals_total", "Leases granted by stealing a straggler's unfinished tail."),
 		reclaims: r.Counter("coord_lease_reclaims_total", "Expired or cancelled leases reclaimed."),
 	}
-	locked := func(f func() float64) func() float64 {
-		return func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return f()
-		}
-	}
 	r.GaugeFunc("coord_points_done", "Points with an accepted result, all sweeps.",
-		locked(func() float64 {
+		s.locked(func() float64 {
 			n := 0
 			for _, sw := range s.sweeps {
 				n += sw.acc.Done()
@@ -76,7 +69,7 @@ func (s *Server) initObs() {
 			return float64(n)
 		}))
 	r.GaugeFunc("coord_points_total", "Points across all registered sweeps.",
-		locked(func() float64 {
+		s.locked(func() float64 {
 			n := 0
 			for _, sw := range s.sweeps {
 				n += sw.acc.Total()
@@ -84,7 +77,7 @@ func (s *Server) initObs() {
 			return float64(n)
 		}))
 	r.GaugeFunc("coord_active_leases", "Currently outstanding leases, all sweeps.",
-		locked(func() float64 {
+		s.locked(func() float64 {
 			n := 0
 			for _, sw := range s.sweeps {
 				n += len(sw.table.active)
@@ -92,7 +85,7 @@ func (s *Server) initObs() {
 			return float64(n)
 		}))
 	r.GaugeFunc("coord_pending_points", "Points neither done nor covered by an active lease.",
-		locked(func() float64 {
+		s.locked(func() float64 {
 			n := 0
 			for _, sw := range s.sweeps {
 				if sw.state == SweepActive {
@@ -102,9 +95,9 @@ func (s *Server) initObs() {
 			return float64(n)
 		}))
 	r.GaugeFunc("coord_workers", "Distinct worker identities currently tracked.",
-		locked(func() float64 { return float64(len(s.workers)) }))
+		s.locked(func() float64 { return float64(len(s.workers)) }))
 	r.GaugeFunc("coord_sweeps_active", "Registered sweeps still running.",
-		locked(func() float64 {
+		s.locked(func() float64 {
 			n := 0
 			for _, sw := range s.sweeps {
 				if sw.state == SweepActive {
@@ -114,13 +107,23 @@ func (s *Server) initObs() {
 			return float64(n)
 		}))
 	r.GaugeFunc("coord_checkpoint_bytes", "Total on-disk checkpoint bytes, all sweeps.",
-		locked(func() float64 {
+		s.locked(func() float64 {
 			var n int64
 			for _, sw := range s.sweeps {
 				n += sw.ckptBytes
 			}
 			return float64(n)
 		}))
+}
+
+// locked wraps a metric function so it reads server state under s.mu
+// at exposition time.
+func (s *Server) locked(f func() float64) func() float64 {
+	return func() float64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return f()
+	}
 }
 
 // sweepSeries are the per-sweep metric families, registered and
@@ -139,23 +142,16 @@ var sweepSeries = []string{
 // unregistered in the same critical section that drops the record, so
 // an unregistered closure is never rendered again).
 func (s *Server) registerSweepObsLocked(sw *sweep) {
-	locked := func(f func() float64) func() float64 {
-		return func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return f()
-		}
-	}
 	s.reg.GaugeFunc("coord_sweep_points_done", "Points of this sweep with an accepted result.",
-		locked(func() float64 { return float64(sw.acc.Done()) }), "sweep", sw.id)
+		s.locked(func() float64 { return float64(sw.acc.Done()) }), "sweep", sw.id)
 	s.reg.GaugeFunc("coord_sweep_points_total", "Points in this sweep.",
 		func() float64 { return float64(len(sw.points)) }, "sweep", sw.id)
 	s.reg.GaugeFunc("coord_sweep_active_leases", "Outstanding leases of this sweep.",
-		locked(func() float64 { return float64(len(sw.table.active)) }), "sweep", sw.id)
+		s.locked(func() float64 { return float64(len(sw.table.active)) }), "sweep", sw.id)
 	s.reg.GaugeFunc("coord_sweep_debt", "Fair-scheduling deficit of this sweep (EstCost units).",
-		locked(func() float64 { return sw.debt }), "sweep", sw.id)
+		s.locked(func() float64 { return sw.debt }), "sweep", sw.id)
 	s.reg.GaugeFunc("coord_sweep_checkpoint_bytes", "On-disk checkpoint bytes of this sweep.",
-		locked(func() float64 { return float64(sw.ckptBytes) }), "sweep", sw.id)
+		s.locked(func() float64 { return float64(sw.ckptBytes) }), "sweep", sw.id)
 }
 
 // unregisterSweepObsLocked drops a removed sweep's labeled series.
@@ -184,18 +180,10 @@ func (s *Server) touchWorkerLocked(worker string, now time.Time) *workerState {
 		s.workers[worker] = ws
 		s.reg.GaugeFunc("coord_worker_heartbeat_age_seconds",
 			"Seconds since the worker was last heard from.",
-			func() float64 {
-				s.mu.Lock()
-				defer s.mu.Unlock()
-				return s.cfg.Now().Sub(ws.lastSeen).Seconds()
-			}, "worker", worker)
+			s.locked(func() float64 { return s.cfg.Now().Sub(ws.lastSeen).Seconds() }), "worker", worker)
 		s.reg.CounterFunc("coord_worker_accepted_total",
 			"Result lines from this worker accepted as new.",
-			func() float64 {
-				s.mu.Lock()
-				defer s.mu.Unlock()
-				return float64(ws.accepted)
-			}, "worker", worker)
+			s.locked(func() float64 { return float64(ws.accepted) }), "worker", worker)
 	}
 	ws.lastSeen = now
 	return ws

@@ -126,7 +126,10 @@ func TestStatusWorkersAndRate(t *testing.T) {
 
 	w := NewWorker(quickWorker(hs.URL, "w-status"))
 	// Advance the fake clock in the background so elapsed time is
-	// non-zero by completion; evaluation runs on the real clock.
+	// non-zero by completion; evaluation runs on the real clock. The
+	// first tick happens up front: the sweep can finish before the
+	// goroutine's first millisecond is up.
+	clk.Advance(10 * time.Millisecond)
 	stop := make(chan struct{})
 	go func() {
 		for {

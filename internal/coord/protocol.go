@@ -143,6 +143,9 @@ func (l Lease) Len() int { return l.Hi - l.Lo }
 // LeaseResponse carries a lease, a farm-complete signal, or a back-off
 // hint when no work can be granted right now (all remaining ranges
 // leased out, no sweeps registered, or the coordinator is draining).
+// Except while draining, the coordinator holds an idle request for up
+// to RetryMS first and answers early when a sweep is registered,
+// completes or is cancelled.
 type LeaseResponse struct {
 	// Lease is the granted assignment; nil when Done or RetryMS is
 	// set instead.
@@ -153,9 +156,10 @@ type LeaseResponse struct {
 	// engine-drifted worker refuses the sweep instead of poisoning it
 	// with conflicting bytes.
 	Header *dse.Header `json:"header,omitempty"`
-	// Done reports that every registered sweep has finished and the
-	// coordinator is a single-shot (boot-sweep) run; the worker should
-	// exit. A long-running service never sets it — workers poll.
+	// Done reports that the coordinator is a single-shot (boot-mode)
+	// run whose boot sweep is terminal (done or cancelled); the worker
+	// should exit. Other registered sweeps do not hold it back. A
+	// service-mode coordinator never sets it — workers poll.
 	Done bool `json:"done,omitempty"`
 	// RetryMS asks the worker to poll again after this many
 	// milliseconds.
@@ -170,8 +174,8 @@ type ResultAck struct {
 	// had — the normal aftermath of a reissued lease or a replayed
 	// request, not an error.
 	Duplicates int `json:"duplicates"`
-	// Done reports that every registered sweep is finished on a
-	// single-shot coordinator (see LeaseResponse.Done).
+	// Done reports that a single-shot coordinator's boot sweep is
+	// terminal (see LeaseResponse.Done).
 	Done bool `json:"done,omitempty"`
 	// Cancelled reports that the submission's sweep was cancelled (or
 	// never registered): the lines were discarded and the worker

@@ -132,7 +132,7 @@ func TestResultsConcurrentPosts(t *testing.T) {
 		posters.Add(1)
 		go func(w int) {
 			defer posters.Done()
-			path := fmt.Sprintf("/results?worker=w%d&sweep=%s&lease=1", w, srv.bootID)
+			path := fmt.Sprintf("/results?worker=w%d&sweep=%s&lease=1", w, srv.boot.id)
 			for lo := w * batch; lo < len(lines); lo += 2 * batch {
 				hi := min(lo+batch, len(lines))
 				code, body := serve(http.MethodPost, path, bytes.Join(lines[lo:hi], []byte("\n")))
@@ -198,7 +198,7 @@ func TestResultsProgressLog(t *testing.T) {
 	if len(live) != 2 {
 		t.Fatalf("got %d live-front lines, want 2:\n%s", len(live), logBuf.String())
 	}
-	prefix := fmt.Sprintf("sweep %s live %d/%d points, front %d, hv-norm ", srv.bootID, 2*every, len(lines), len(dse.GroupedFront(want)))
+	prefix := fmt.Sprintf("sweep %s live %d/%d points, front %d, hv-norm ", srv.boot.id, 2*every, len(lines), len(dse.GroupedFront(want)))
 	if !strings.HasPrefix(live[1], prefix) {
 		t.Fatalf("live line %q, want prefix %q", live[1], prefix)
 	}
@@ -230,7 +230,7 @@ func BenchmarkHandleResults(b *testing.B) {
 			b.Fatal(err)
 		}
 		h = srv.Handler()
-		path = "/results?worker=w&sweep=" + srv.bootID + "&lease=1"
+		path = "/results?worker=w&sweep=" + srv.boot.id + "&lease=1"
 	}
 	post := func(body []byte) {
 		rec := httptest.NewRecorder()

@@ -21,10 +21,11 @@ import (
 
 // Config parameterizes a coordinator.
 type Config struct {
-	// Spec, when non-empty, boots the coordinator with one sweep
-	// already registered and puts it in single-shot mode: Done() closes
-	// (and workers are told to exit) once every registered sweep is
-	// terminal. Empty Spec is the multi-tenant service mode — sweeps
+	// Spec, when non-empty, registers one sweep at startup, exactly as
+	// POST /sweeps would, and makes the coordinator single-shot: Done()
+	// closes, and workers are told to exit, once that boot sweep is
+	// terminal. Other sweeps (rescanned or registered later) do not
+	// delay it. Empty Spec is the multi-tenant service mode — sweeps
 	// arrive via POST /sweeps and the coordinator serves until stopped.
 	Spec string
 	// Seed is the boot sweep's seed; the whole determinism contract
@@ -37,12 +38,15 @@ type Config struct {
 	// into (grant size = sweep estimated cost / Chunks; reissues
 	// shrink from there). Default 32.
 	Chunks int
-	// CheckpointPath, when non-empty, is the boot sweep's append-only
-	// JSONL log of accepted result lines: header first, then lines in
-	// acceptance order. A coordinator restarted with Resume re-accepts
-	// it and continues; only unacked work is lost to a crash.
+	// CheckpointPath, when non-empty, is the boot sweep's log in place
+	// of <sweep-id>.jsonl under CheckpointDir, with every sweep's
+	// lifecycle: append-only JSONL (header, then accepted lines in
+	// acceptance order) while active, rewritten as the canonical final
+	// file on completion, removed on cancellation. A coordinator
+	// restarted with Resume re-accepts it; only unacked work is lost.
 	CheckpointPath string
-	// Resume loads CheckpointPath instead of starting fresh.
+	// Resume loads CheckpointPath instead of starting fresh. A boot
+	// sweep log under CheckpointDir is always resumed.
 	Resume bool
 	// CheckpointDir, when non-empty, is the service's storage root:
 	// every registry sweep keeps its crash-resumable log there as
@@ -92,11 +96,13 @@ type Server struct {
 	order    []string // registration order; scheduling tie-break
 	workers  map[string]*workerState
 	draining bool
-	// bootID is the Config.Spec sweep's registry ID ("" in service
-	// mode); it selects single-shot semantics.
-	bootID    string
-	done      chan struct{}
-	closeOnce sync.Once
+	// boot is the Config.Spec sweep, nil in service mode. A boot-mode
+	// coordinator is single-shot: it is finished once boot is terminal.
+	boot *sweep
+	// wake is closed and replaced whenever a sweep is registered,
+	// completes or is cancelled, and when a drain starts; idle /lease
+	// requests wait on it to decide again.
+	wake chan struct{}
 
 	// reg and obs are the coordinator's telemetry; leaseObs is shared
 	// by every sweep's table so the lease counters stay farm-global.
@@ -107,8 +113,8 @@ type Server struct {
 }
 
 // New builds a coordinator: it rescans CheckpointDir and resumes every
-// sweep log found there, then registers the boot sweep (if any),
-// optionally resuming its checkpoint.
+// sweep log found there, then registers the boot sweep (if any)
+// through the same path as POST /sweeps.
 func New(cfg Config) (*Server, error) {
 	if cfg.LeaseTimeout <= 0 {
 		cfg.LeaseTimeout = 30 * time.Second
@@ -132,7 +138,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		sweeps:  make(map[string]*sweep),
 		workers: make(map[string]*workerState),
-		done:    make(chan struct{}),
+		wake:    make(chan struct{}),
 		reg:     obs.NewRegistry(),
 	}
 	s.started = cfg.Now()
@@ -147,28 +153,50 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		id := SweepID(header)
-		s.bootID = id
-		if _, ok := s.sweeps[id]; !ok {
-			ckptPath := cfg.CheckpointPath
-			managed := false
-			if ckptPath == "" && cfg.CheckpointDir != "" {
-				ckptPath = filepath.Join(cfg.CheckpointDir, id+".jsonl")
-				managed = true
-			}
-			var prior *dse.Log
-			if cfg.Resume {
-				if prior, err = readSweepLog(ckptPath, header); err != nil {
-					return nil, err
-				}
-			}
-			if _, err := s.adoptSweepLocked(header, points, ckptPath, managed, prior); err != nil {
-				return nil, err
-			}
+		// -checkpoint FILE resumes only with Resume; a log under
+		// CheckpointDir always does, as for POST /sweeps.
+		ckptPath, resume := cfg.CheckpointPath, cfg.Resume
+		if ckptPath == "" {
+			ckptPath, resume = s.dirLogPath(SweepID(header)), true
+		}
+		if s.boot, _, err = s.registerLocked(header, points, ckptPath, resume); err != nil {
+			return nil, err
 		}
 	}
-	s.maybeFinishLocked()
 	return s, nil
+}
+
+// dirLogPath names a sweep's log under CheckpointDir ("" without one).
+func (s *Server) dirLogPath(id string) string {
+	if s.cfg.CheckpointDir == "" {
+		return ""
+	}
+	return filepath.Join(s.cfg.CheckpointDir, id+".jsonl")
+}
+
+// registerLocked admits a sweep: it returns the live sweep with the
+// same ID if there is one (created false), replaces a cancelled
+// tombstone, and otherwise builds the sweep, re-accepting the log at
+// ckptPath when resume is set. POST /sweeps and the boot sweep both
+// come through here; admission control is the HTTP handler's.
+func (s *Server) registerLocked(header dse.Header, points []dse.Point, ckptPath string, resume bool) (sw *sweep, created bool, err error) {
+	if sw := s.sweeps[SweepID(header)]; sw != nil {
+		if sw.state != SweepCancelled {
+			return sw, false, nil
+		}
+		s.removeSweepLocked(sw) // re-registration revives fresh
+	}
+	var prior *dse.Log
+	if resume {
+		if prior, err = readSweepLog(ckptPath, header); err != nil {
+			return nil, false, err
+		}
+	}
+	if sw, err = s.adoptSweepLocked(header, points, ckptPath, prior); err != nil {
+		return nil, false, err
+	}
+	s.cfg.Log.Printf("registered sweep %s: spec %q seed %d (%d points)", sw.id, header.Spec, header.Seed, len(points))
+	return sw, true, nil
 }
 
 // rescanDir adopts every sweep log found in the checkpoint directory —
@@ -212,7 +240,7 @@ func (s *Server) rescanDir() error {
 		if _, ok := s.sweeps[SweepID(header)]; ok {
 			continue
 		}
-		sw, err := s.adoptSweepLocked(header, points, path, true, lg)
+		sw, err := s.adoptSweepLocked(header, points, path, lg)
 		if err != nil {
 			return err
 		}
@@ -224,12 +252,11 @@ func (s *Server) rescanDir() error {
 // adoptSweepLocked builds, resumes and registers a sweep record,
 // re-accepting prior's lines when the sweep resumes a checkpoint log
 // (prior is nil for a fresh sweep). The caller holds s.mu (or is the
-// single-threaded constructor) and has already checked admission, that
-// the ID is free and that prior's header is this sweep's.
-func (s *Server) adoptSweepLocked(header dse.Header, points []dse.Point, ckptPath string, managed bool, prior *dse.Log) (*sweep, error) {
+// single-threaded constructor) and has already checked that the ID is
+// free and that prior's header is this sweep's.
+func (s *Server) adoptSweepLocked(header dse.Header, points []dse.Point, ckptPath string, prior *dse.Log) (*sweep, error) {
 	sw := newSweep(header, points, s.cfg.Now())
 	sw.ckptPath = ckptPath
-	sw.managed = managed
 	sw.table = newLeaseTable(sw.costs, sw.totalCost/float64(s.cfg.Chunks), s.cfg.LeaseTimeout, sw.acc.Has)
 	sw.table.obs = s.leaseObs
 	if prior != nil {
@@ -255,16 +282,26 @@ func (s *Server) adoptSweepLocked(header dse.Header, points []dse.Point, ckptPat
 	s.sweeps[sw.id] = sw
 	s.order = append(s.order, sw.id)
 	s.registerSweepObsLocked(sw)
+	s.wakeLocked()
 	if sw.acc.Complete() {
 		s.completeSweepLocked(sw)
 	}
 	return sw, nil
 }
 
+// wakeLocked releases every idle /lease request parked on s.wake so it
+// decides again. Caller holds s.mu.
+func (s *Server) wakeLocked() {
+	close(s.wake)
+	s.wake = make(chan struct{})
+}
+
 // completeSweepLocked retires a sweep whose every point has an
-// accepted result: the append log is atomically replaced with the
-// canonical point-ordered final bytes (for managed sweeps) and the
-// sweep's Done channel closes.
+// accepted result: the sweep's Done channel closes, idle /lease
+// requests wake, and the append log is atomically replaced with the
+// canonical point-ordered final bytes. The rewrite still runs under
+// s.mu, so whatever reads the sweep through the server afterwards
+// finds the final file in place.
 func (s *Server) completeSweepLocked(sw *sweep) {
 	if sw.state != SweepActive {
 		return
@@ -272,16 +309,16 @@ func (s *Server) completeSweepLocked(sw *sweep) {
 	sw.state = SweepDone
 	sw.finished = s.cfg.Now()
 	sw.debt = 0
+	close(sw.done)
+	s.wakeLocked()
 	if err := sw.closeCheckpoint(); err != nil {
 		s.cfg.Log.Printf("sweep %s: closing checkpoint: %v", sw.id, err)
 	}
 	if err := sw.finalizeFile(); err != nil {
 		s.cfg.Log.Printf("sweep %s: finalizing %s: %v", sw.id, sw.ckptPath, err)
 	}
-	close(sw.done)
 	s.cfg.Log.Printf("sweep %s complete: %d points (%d duplicate lines absorbed)",
 		sw.id, sw.acc.Total(), sw.acc.Duplicates())
-	s.maybeFinishLocked()
 }
 
 // cancelSweepLocked is the tenant-isolation teardown: reclaim every
@@ -301,16 +338,12 @@ func (s *Server) cancelSweepLocked(sw *sweep) {
 	if err := sw.closeCheckpoint(); err != nil {
 		s.cfg.Log.Printf("sweep %s: closing checkpoint: %v", sw.id, err)
 	}
-	if sw.managed {
-		sw.removeFile()
-	} else {
-		sw.ckptBytes = 0
-	}
+	sw.removeFile()
 	if wasActive {
 		close(sw.done)
 	}
+	s.wakeLocked()
 	s.cfg.Log.Printf("sweep %s cancelled: reclaimed %d lease(s)", sw.id, n)
-	s.maybeFinishLocked()
 }
 
 // removeSweepLocked drops a sweep record and its metric series
@@ -324,30 +357,6 @@ func (s *Server) removeSweepLocked(sw *sweep) {
 		}
 	}
 	s.unregisterSweepObsLocked(sw.id)
-}
-
-// maybeFinishLocked closes the coordinator's Done channel when a
-// single-shot (boot-sweep) run has no active sweeps left. A
-// multi-tenant service never finishes — it serves until stopped.
-func (s *Server) maybeFinishLocked() {
-	if s.bootID == "" || !s.allTerminalLocked() {
-		return
-	}
-	s.closeOnce.Do(func() { close(s.done) })
-}
-
-// allTerminalLocked reports whether at least one sweep is registered
-// and none is still active.
-func (s *Server) allTerminalLocked() bool {
-	if len(s.order) == 0 {
-		return false
-	}
-	for _, id := range s.order {
-		if s.sweeps[id].state == SweepActive {
-			return false
-		}
-	}
-	return true
 }
 
 // reclaimAndGCLocked expires overdue leases on every active sweep,
@@ -383,49 +392,42 @@ func (s *Server) reclaimAndGCLocked(now time.Time) {
 	}
 }
 
-// Done is closed when a single-shot coordinator's sweeps are all
-// terminal; a multi-tenant service leaves it open forever.
-func (s *Server) Done() <-chan struct{} { return s.done }
-
-// bootLocked returns the boot sweep record, nil in service mode.
-func (s *Server) bootLocked() *sweep {
-	if s.bootID == "" {
+// Done is closed when the boot sweep reaches a terminal state. In
+// service mode it is nil: a multi-tenant service never finishes.
+func (s *Server) Done() <-chan struct{} {
+	if s.boot == nil {
 		return nil
 	}
-	return s.sweeps[s.bootID]
+	return s.boot.done
 }
 
 // Header returns the boot sweep's provenance header (zero in service
 // mode).
 func (s *Server) Header() dse.Header {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sw := s.bootLocked(); sw != nil {
-		return sw.header
+	if s.boot == nil {
+		return dse.Header{}
 	}
-	return dse.Header{}
+	return s.boot.header
 }
 
 // Points returns the boot sweep's expanded point list.
 func (s *Server) Points() []dse.Point {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sw := s.bootLocked(); sw != nil {
-		return sw.points
+	if s.boot == nil {
+		return nil
 	}
-	return nil
+	return s.boot.points
 }
 
 // Results returns the boot sweep's accepted results in point-ID order
 // (all of them once Done is closed) — the input for front and
 // hypervolume reports.
 func (s *Server) Results() []dse.Result {
+	if s.boot == nil {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if sw := s.bootLocked(); sw != nil {
-		return sw.acc.Completed()
-	}
-	return nil
+	return s.boot.acc.Completed()
 }
 
 // Close flushes and closes every sweep's checkpoint log.
@@ -451,6 +453,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	already := s.draining
 	s.draining = true
+	s.wakeLocked()
 	s.mu.Unlock()
 	if !already {
 		s.cfg.Log.Printf("draining: no new leases, waiting for in-flight leases to flush")
@@ -459,16 +462,10 @@ func (s *Server) Drain(ctx context.Context) error {
 	defer t.Stop()
 	for {
 		s.mu.Lock()
-		now := s.cfg.Now()
+		s.reclaimAndGCLocked(s.cfg.Now())
 		inflight := 0
-		for _, id := range s.order {
-			sw := s.sweeps[id]
-			if sw.state != SweepActive {
-				continue
-			}
-			sw.table.reclaim(now)
-			sw.table.closeCovered()
-			inflight += len(sw.table.active)
+		for _, sw := range s.sweeps {
+			inflight += len(sw.table.active) // only active sweeps hold leases
 		}
 		s.mu.Unlock()
 		if inflight == 0 {
@@ -487,18 +484,12 @@ func (s *Server) Drain(ctx context.Context) error {
 // to a fault-free single-worker run — to w. It fails if points are
 // still missing or there is no boot sweep.
 func (s *Server) WriteFinal(w io.Writer) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sw := s.bootLocked()
-	if sw == nil {
+	if s.boot == nil {
 		return fmt.Errorf("coord: no boot sweep (service mode); use GET /sweeps/{id}/result")
 	}
-	if !sw.acc.Complete() {
-		missing, first := sw.acc.Missing()
-		return fmt.Errorf("coord: sweep incomplete: %d of %d points missing (first ID %d)", missing, len(sw.points), first)
-	}
-	_, err := sw.acc.WriteTo(w, sw.header)
-	return err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.boot.writeFinal(w)
 }
 
 // Status returns a progress snapshot: aggregate counters, the
@@ -513,12 +504,15 @@ func (s *Server) Status() Status {
 	st := Status{
 		Workers:  len(s.workers),
 		Draining: s.draining,
-		Complete: s.allTerminalLocked(),
+		Complete: len(s.order) > 0,
 	}
 	ratePts, rateBasePts := 0, 0
 	var doneCost, baseCost, remCost float64
 	for _, id := range s.order {
 		sw := s.sweeps[id]
+		if sw.state == SweepActive {
+			st.Complete = false
+		}
 		row := sw.status()
 		st.Sweeps = append(st.Sweeps, row)
 		st.Done += row.Done
@@ -532,16 +526,12 @@ func (s *Server) Status() Status {
 		ratePts += row.Done
 		rateBasePts += sw.baseDone
 		baseCost += sw.baseCost
-		for i := range sw.points {
-			if sw.acc.Has(i) {
-				doneCost += sw.costs[i]
-			} else {
-				remCost += sw.costs[i]
-			}
-		}
+		rem := sw.remainingCost()
+		remCost += rem
+		doneCost += sw.totalCost - rem
 	}
-	if sw := s.bootLocked(); sw != nil {
-		st.Spec, st.Seed = sw.header.Spec, sw.header.Seed
+	if s.boot != nil {
+		st.Spec, st.Seed = s.boot.header.Spec, s.boot.header.Seed
 	}
 	if elapsed := now.Sub(s.started).Seconds(); elapsed > 0 {
 		st.PointsPerSec = float64(ratePts-rateBasePts) / elapsed
@@ -649,49 +639,41 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if s.refuseDrainingLocked(w) {
 		return
 	}
-	if existing, ok := s.sweeps[id]; ok && existing.state != SweepCancelled {
-		writeJSON(w, RegisterResponse{Sweep: existing.status(), Header: existing.header})
-		return
-	}
-	active := 0
-	var diskUsed int64
-	for _, sid := range s.order {
-		sw := s.sweeps[sid]
-		if sw.state == SweepActive {
-			active++
+	// Only a new tenant is subject to admission control: re-registering
+	// a live sweep is answered with its row whatever the load.
+	if live := s.sweeps[id]; live == nil || live.state == SweepCancelled {
+		active := 0
+		var diskUsed int64
+		for _, sid := range s.order {
+			sw := s.sweeps[sid]
+			if sw.state == SweepActive {
+				active++
+			}
+			diskUsed += sw.ckptBytes
 		}
-		diskUsed += sw.ckptBytes
+		if active >= s.cfg.MaxSweeps {
+			w.Header().Set("Retry-After", s.retryAfterLocked())
+			http.Error(w, fmt.Sprintf("coord: %d sweeps already active (limit %d)", active, s.cfg.MaxSweeps), http.StatusTooManyRequests)
+			return
+		}
+		if s.cfg.DiskBudgetBytes > 0 && diskUsed >= s.cfg.DiskBudgetBytes {
+			w.Header().Set("Retry-After", s.retryAfterLocked())
+			http.Error(w, fmt.Sprintf("coord: checkpoint storage over budget (%d of %d bytes)", diskUsed, s.cfg.DiskBudgetBytes), http.StatusInsufficientStorage)
+			return
+		}
 	}
-	if active >= s.cfg.MaxSweeps {
-		w.Header().Set("Retry-After", s.retryAfterLocked())
-		http.Error(w, fmt.Sprintf("coord: %d sweeps already active (limit %d)", active, s.cfg.MaxSweeps), http.StatusTooManyRequests)
-		return
-	}
-	if s.cfg.DiskBudgetBytes > 0 && diskUsed >= s.cfg.DiskBudgetBytes {
-		w.Header().Set("Retry-After", s.retryAfterLocked())
-		http.Error(w, fmt.Sprintf("coord: checkpoint storage over budget (%d of %d bytes)", diskUsed, s.cfg.DiskBudgetBytes), http.StatusInsufficientStorage)
-		return
-	}
-	if tomb, ok := s.sweeps[id]; ok {
-		s.removeSweepLocked(tomb) // cancelled tombstone: re-registration revives fresh
-	}
-	ckptPath := ""
-	if s.cfg.CheckpointDir != "" {
-		ckptPath = filepath.Join(s.cfg.CheckpointDir, id+".jsonl")
-	}
-	var sw *sweep
-	prior, err := readSweepLog(ckptPath, header)
-	if err == nil {
-		sw, err = s.adoptSweepLocked(header, points, ckptPath, ckptPath != "", prior)
-	}
+	sw, created, err := s.registerLocked(header, points, s.dirLogPath(id), true)
 	if err != nil {
 		http.Error(w, "coord: registering sweep: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.cfg.Log.Printf("registered sweep %s: spec %q seed %d (%d points)", sw.id, req.Spec, req.Seed, len(points))
+	code := http.StatusOK
+	if created {
+		code = http.StatusCreated
+	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	json.NewEncoder(w).Encode(RegisterResponse{Sweep: sw.status(), Header: sw.header, Created: true})
+	w.WriteHeader(code)
+	json.NewEncoder(w).Encode(RegisterResponse{Sweep: sw.status(), Header: sw.header, Created: created})
 }
 
 func (s *Server) handleListSweeps(w http.ResponseWriter, r *http.Request) {
@@ -777,17 +759,12 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		return
 	}
-	if !sw.acc.Complete() {
-		missing, first := sw.acc.Missing()
-		s.mu.Unlock()
-		http.Error(w, fmt.Sprintf("coord: sweep incomplete: %d points missing (first ID %d)", missing, first), http.StatusConflict)
-		return
-	}
+	// Rendered into memory, the only failure is an incomplete sweep.
 	var buf bytes.Buffer
-	_, err := sw.acc.WriteTo(&buf, sw.header)
+	err := sw.writeFinal(&buf)
 	s.mu.Unlock()
 	if err != nil {
-		http.Error(w, "coord: rendering result: "+err.Error(), http.StatusInternalServerError)
+		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
 	w.Header().Set("Content-Type", "application/jsonl")
@@ -812,24 +789,45 @@ func (s *Server) handleHello(w http.ResponseWriter, r *http.Request) {
 
 // handleLease grants the requesting worker its next assignment,
 // picking the sweep by cost-weighted fairness with worker affinity
-// (see sched.go).
+// (see sched.go). A request with nothing to grant waits, for at most
+// the RetryMS it would answer, until a sweep is registered, completes
+// or is cancelled, or a drain starts, and then decides once more: an
+// idle worker learns at once that the boot sweep is over or that a new
+// sweep has work.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if !readJSON(w, r, &req) {
 		return
 	}
+	resp, wake := s.decideLease(req.Worker)
+	if wake != nil {
+		t := time.NewTimer(time.Duration(resp.RetryMS) * time.Millisecond)
+		defer t.Stop()
+		select {
+		case <-wake:
+		case <-t.C:
+		case <-r.Context().Done():
+			return // the worker is gone: grant it nothing
+		}
+		resp, _ = s.decideLease(req.Worker)
+	}
+	writeJSON(w, resp)
+}
+
+// decideLease answers one /lease: Done, a grant, or a RetryMS hint.
+// An idle answer (nothing to grant, not draining) also returns the
+// wake channel that was current when it was decided.
+func (s *Server) decideLease(worker string) (LeaseResponse, <-chan struct{}) {
 	now := s.cfg.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ws := s.touchWorkerLocked(req.Worker, now)
+	ws := s.touchWorkerLocked(worker, now)
 	s.reclaimAndGCLocked(now)
-	if s.bootID != "" && s.allTerminalLocked() {
-		writeJSON(w, LeaseResponse{Done: true})
-		return
+	if s.boot != nil && s.boot.state != SweepActive {
+		return LeaseResponse{Done: true}, nil
 	}
 	if s.draining {
-		writeJSON(w, s.retryResponseLocked())
-		return
+		return s.retryResponseLocked(), nil
 	}
 	// The runnable set: active sweeps with grantable work right now.
 	// An active sweep with nothing to hand out holds no claim on
@@ -848,8 +846,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(elig) == 0 {
-		writeJSON(w, s.retryResponseLocked())
-		return
+		return s.retryResponseLocked(), s.wake
 	}
 	debts := make([]float64, len(elig))
 	affinity, maxChunk := -1, 0.0
@@ -867,10 +864,9 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		threshold = 2 * maxChunk
 	}
 	sw := elig[pickFair(debts, affinity, threshold)]
-	l := sw.table.grant(req.Worker, now)
+	l := sw.table.grant(worker, now)
 	if l == nil {
-		writeJSON(w, s.retryResponseLocked())
-		return
+		return s.retryResponseLocked(), s.wake
 	}
 	cost := 0.0
 	for p := l.lo; p < l.hi; p++ {
@@ -886,8 +882,8 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		e.debt = debts[i]
 	}
 	ws.affinity = sw.id
-	s.cfg.Log.Printf("lease %s/%d [%d,%d) -> %s (reissue %d)", sw.id, l.id, l.lo, l.hi, req.Worker, l.issues)
-	writeJSON(w, LeaseResponse{
+	s.cfg.Log.Printf("lease %s/%d [%d,%d) -> %s (reissue %d)", sw.id, l.id, l.lo, l.hi, worker, l.issues)
+	return LeaseResponse{
 		Lease: &Lease{
 			Sweep:      sw.id,
 			ID:         l.id,
@@ -896,16 +892,12 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 			DeadlineMS: s.cfg.LeaseTimeout.Milliseconds(),
 		},
 		Header: &sw.header,
-	})
+	}, nil
 }
 
 // retryResponseLocked is the "nothing to grant right now" answer.
 func (s *Server) retryResponseLocked() LeaseResponse {
-	retry := s.cfg.LeaseTimeout / 8
-	if retry < 50*time.Millisecond {
-		retry = 50 * time.Millisecond
-	}
-	return LeaseResponse{RetryMS: retry.Milliseconds()}
+	return LeaseResponse{RetryMS: max(s.cfg.LeaseTimeout/8, 50*time.Millisecond).Milliseconds()}
 }
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -1048,7 +1040,7 @@ func (s *Server) ingestResults(w http.ResponseWriter, worker, sweepID, lease str
 		http.Error(w, "coord: "+conflict.Error(), http.StatusConflict)
 		return progress
 	}
-	ack.Done = s.bootID != "" && s.allTerminalLocked()
+	ack.Done = s.boot != nil && s.boot.state != SweepActive
 	writeJSON(w, ack)
 	return progress
 }

@@ -62,10 +62,18 @@ func sweepLines(t testing.TB, spec string, seed uint64) ([]dse.Point, [][]byte) 
 	return points, lines
 }
 
+// references memoizes referenceBytes by spec and seed: the chaos
+// tests compare two runs of the default preset against one file.
+var references sync.Map
+
 // referenceBytes renders the full fault-free single-worker output
-// file for the sweep.
+// file for the sweep. Callers must not modify the returned bytes.
 func referenceBytes(t testing.TB, spec string, seed uint64) []byte {
 	t.Helper()
+	key := fmt.Sprintf("%s/%d", spec, seed)
+	if ref, ok := references.Load(key); ok {
+		return ref.([]byte)
+	}
 	points, lines := sweepLines(t, spec, seed)
 	var buf bytes.Buffer
 	if err := dse.WriteHeader(&buf, dse.NewHeader(spec, seed, points, nil)); err != nil {
@@ -75,6 +83,7 @@ func referenceBytes(t testing.TB, spec string, seed uint64) []byte {
 		buf.Write(line)
 		buf.WriteByte('\n')
 	}
+	references.Store(key, buf.Bytes())
 	return buf.Bytes()
 }
 

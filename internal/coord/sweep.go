@@ -31,18 +31,13 @@ type sweep struct {
 
 	// ckptPath is the sweep's on-disk JSONL log ("" disables
 	// persistence). While active it is an append-only log of accepted
-	// lines in acceptance order; when managed, completion atomically
-	// rewrites it into the canonical point-ordered final bytes and
-	// cancellation removes it.
+	// lines in acceptance order; completion atomically rewrites it into
+	// the canonical point-ordered final bytes and cancellation removes
+	// it.
 	ckptPath  string
 	ckptFile  *os.File
 	ckpt      *bufio.Writer
 	ckptBytes int64
-	// managed marks sweeps whose file lifecycle the service owns
-	// (registry sweeps living in the checkpoint directory), as opposed
-	// to a legacy boot sweep whose caller-named checkpoint is left
-	// exactly as the single-sweep coordinator always left it.
-	managed bool
 
 	// debt is the fair-scheduling deficit in EstCost units (sched.go).
 	debt float64
@@ -177,20 +172,28 @@ func (sw *sweep) closeCheckpoint() error {
 	return cerr
 }
 
-// finalizeFile atomically replaces a managed sweep's append-order log
-// with the canonical final bytes: header plus every accepted line in
-// point-ID order — byte-identical to a fault-free standalone run, and
-// exactly what GET /sweeps/{id}/result serves. Because the bytes are
+// writeFinal writes the sweep's canonical final bytes: header plus
+// every accepted line in point-ID order — byte-identical to a
+// fault-free standalone run. It fails while points are missing.
+func (sw *sweep) writeFinal(w io.Writer) error {
+	if !sw.acc.Complete() {
+		missing, first := sw.acc.Missing()
+		return fmt.Errorf("coord: sweep incomplete: %d of %d points missing (first ID %d)", missing, len(sw.points), first)
+	}
+	_, err := sw.acc.WriteTo(w, sw.header)
+	return err
+}
+
+// finalizeFile atomically replaces a completed sweep's append-order
+// log with its writeFinal bytes — exactly what GET /sweeps/{id}/result
+// serves and what dsed writes to -out. Because the bytes are
 // deterministic, re-finalizing after a crash-and-restart is a no-op
 // rewrite of identical content.
 func (sw *sweep) finalizeFile() error {
-	if !sw.managed || sw.ckptPath == "" {
+	if sw.ckptPath == "" {
 		return nil
 	}
-	if err := dse.AtomicWriteFile(sw.ckptPath, func(w io.Writer) error {
-		_, err := sw.acc.WriteTo(w, sw.header)
-		return err
-	}); err != nil {
+	if err := dse.AtomicWriteFile(sw.ckptPath, sw.writeFinal); err != nil {
 		return err
 	}
 	if st, err := os.Stat(sw.ckptPath); err == nil {
