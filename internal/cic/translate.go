@@ -352,7 +352,7 @@ func (tp *TargetProgram) Run() (*RunStats, error) {
 			engine.Acquire(p)
 			p.Delay(sim.Time(tp.Arch.Interconnect.DMASetupNS) * sim.Nanosecond)
 			done := k.NewSignal()
-			plat.Fabric.Transfer(procIdx[srcProc], procIdx[dstProc], bytes, func() { done.Broadcast() })
+			plat.Fabric.Transfer(procIdx[srcProc], procIdx[dstProc], bytes, sim.Func(done.Broadcast), 0)
 			done.Wait(p)
 			engine.Release()
 		} else {
@@ -361,7 +361,7 @@ func (tp *TargetProgram) Run() (*RunStats, error) {
 			lock.Acquire(p)
 			p.Delay(core.Cycles(tp.Arch.Interconnect.LockCycles))
 			done := k.NewSignal()
-			plat.Fabric.Transfer(procIdx[srcProc], procIdx[dstProc], bytes, func() { done.Broadcast() })
+			plat.Fabric.Transfer(procIdx[srcProc], procIdx[dstProc], bytes, sim.Func(done.Broadcast), 0)
 			done.Wait(p)
 			lock.Release()
 		}

@@ -156,9 +156,9 @@ func (c *EvalContext) calFit(p Point) (*calEntry, error) {
 		}
 		var stats mapping.ExecStats
 		if spans != nil {
-			stats, _, err = mapping.ExecuteMulti(a, spans)
+			stats, _, err = c.ex.ExecuteMulti(a, spans)
 		} else {
-			stats, err = mapping.Execute(a)
+			stats, err = c.ex.Execute(a)
 		}
 		if err != nil {
 			return nil, err

@@ -17,7 +17,7 @@ import (
 // (everything is derived from the point's own seeds), so reuse cannot
 // leak state between points: a reset kernel is observably identical
 // to a fresh one (sim.Kernel.Reset), graph prototypes are immutable
-// once built, and the mapping evaluator rebinds per point. The vp
+// once built, and the mapping evaluator and executor rebind per point. The vp
 // refinement is closed-form arithmetic (runLoops), so no virtual
 // platform is built or kept. The sweep byte-identity tests hold
 // exactly that — any worker count, fresh or reused context, same
@@ -31,8 +31,10 @@ type EvalContext struct {
 	// processes behind (mapped executions are kernel callbacks and
 	// never do; the RTOS scheduler closes its own services).
 	k *sim.Kernel
-	// me is the reusable mapping scratch, rebound per point.
+	// me is the reusable mapping scratch, rebound per point; ex the
+	// reusable execution scratch of the mapped run.
 	me mapping.Evaluator
+	ex mapping.Executor
 	// graphs caches built workload task graphs: every point of a
 	// sweep that shares (workload, N, seed) maps the identical
 	// prototype, so the graph and its adjacency view are built once

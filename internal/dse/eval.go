@@ -127,12 +127,12 @@ func (c *EvalContext) evaluate(p Point) (Metrics, error) {
 	switch p.Fidelity {
 	case "mvp", "vp", "cal":
 		if spans != nil {
-			stats, appMk, err = mapping.ExecuteMulti(a, spans)
+			stats, appMk, err = c.ex.ExecuteMulti(a, spans)
 		} else {
-			stats, err = mapping.Execute(a)
+			stats, err = c.ex.Execute(a)
 		}
 	case "pipe":
-		stats, err = mapping.ExecutePipelined(a, units)
+		stats, err = c.ex.ExecutePipelined(a, units)
 	default:
 		return Metrics{}, fmt.Errorf("dse: unknown fidelity %q", p.Fidelity)
 	}

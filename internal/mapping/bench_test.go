@@ -188,7 +188,8 @@ func BenchmarkExhaustive(b *testing.B) {
 
 // The execution benchmarks time each executor against its goroutine
 // oracle (procexec_test.go) on the same assignment: /callback is the
-// code the sweeps run, /proc the one-sim.Proc-per-task executor it
+// code the sweeps run — one warm Executor, as a dse worker keeps one
+// across points — and /proc the one-sim.Proc-per-task executor it
 // replaced. The CI guard requires every /callback variant to stay ≥3×
 // faster than its /proc twin and within the allocs/op recorded in
 // docs/performance.md.
@@ -213,7 +214,8 @@ func BenchmarkExecute(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("callback", func(b *testing.B) {
-		benchExec(b, a, func(a *Assignment) error { _, err := Execute(a); return err })
+		var ex Executor
+		benchExec(b, a, func(a *Assignment) error { _, err := ex.Execute(a); return err })
 	})
 	b.Run("proc", func(b *testing.B) {
 		benchExec(b, a, func(a *Assignment) error { _, _, err := executeSpansProc(a, nil); return err })
@@ -230,7 +232,8 @@ func BenchmarkExecuteMulti(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("callback", func(b *testing.B) {
-		benchExec(b, a, func(a *Assignment) error { _, _, err := ExecuteMulti(a, spans); return err })
+		var ex Executor
+		benchExec(b, a, func(a *Assignment) error { _, _, err := ex.ExecuteMulti(a, spans); return err })
 	})
 	b.Run("proc", func(b *testing.B) {
 		benchExec(b, a, func(a *Assignment) error { _, _, err := executeSpansProc(a, spans); return err })
@@ -248,7 +251,8 @@ func BenchmarkExecutePipelined(b *testing.B) {
 	}
 	const iters = 8
 	b.Run("callback", func(b *testing.B) {
-		benchExec(b, a, func(a *Assignment) error { _, err := ExecutePipelined(a, iters); return err })
+		var ex Executor
+		benchExec(b, a, func(a *Assignment) error { _, err := ex.ExecutePipelined(a, iters); return err })
 	})
 	b.Run("proc", func(b *testing.B) {
 		benchExec(b, a, func(a *Assignment) error { _, err := executePipelinedProc(a, iters); return err })

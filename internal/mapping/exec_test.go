@@ -3,6 +3,7 @@ package mapping
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mpsockit/internal/mem"
@@ -244,6 +245,138 @@ func TestCallbackExecutorsMatchProcOracleOnMappedWorkloads(t *testing.T) {
 			if want.err != "" || !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s on %v: Execute %+v, oracle %+v", g.Name, ps, got.stats, want.stats)
 			}
+		}
+	}
+}
+
+// TestExecutorReuseMatchesFresh drives one Executor through a run of
+// assignments whose task, edge and core counts grow and shrink, on
+// every fabric and memory shape, and checks each run against a fresh
+// Executor on a twin platform: stats, per-app makespans,
+// Kernel.Executed, Kernel.Now and the full dispatch stream. A
+// deadlocked one-shot run and a stalled pipeline, each followed by a
+// clean run, check that a failed run leaves nothing behind in the
+// reused scratch.
+func TestExecutorReuseMatchesFresh(t *testing.T) {
+	var plats []execPlatform
+	for _, name := range []string{"homog4", "mpcore2", "wireless", "celllike3", "2xrisc+1xdsp"} {
+		for _, fabric := range []string{"mesh", "bus"} {
+			for _, m := range []string{"ideal", "bank:4x2", "bw:8"} {
+				plats = append(plats, execPlatform{name, fabric, len(plats) % 3, m})
+			}
+		}
+	}
+	rounds := 3
+	if testing.Short() {
+		rounds = 1
+	}
+	var reused Executor
+	// kept holds every reused-executor result next to a copy taken when
+	// it was returned: later runs must not write through to it.
+	var kept [][2]execRun
+	r := xrand.New(20261017)
+	check := func(where string, ac, af *Assignment, run func(*Executor, *Assignment) (ExecStats, []sim.Time, error)) execRun {
+		t.Helper()
+		got := recordRun(ac, func(a *Assignment) (ExecStats, []sim.Time, error) { return run(&reused, a) })
+		want := recordRun(af, func(a *Assignment) (ExecStats, []sim.Time, error) { return run(new(Executor), a) })
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: reused executor differs from a fresh one\nreused: %+v (err %q)\nfresh:  %+v (err %q)",
+				where, got.stats, got.err, want.stats, want.err)
+		}
+		snap := got
+		snap.stats.PEBusy, snap.apps = slices.Clone(got.stats.PEBusy), slices.Clone(got.apps)
+		kept = append(kept, [2]execRun{got, snap})
+		return got
+	}
+	execute := func(ex *Executor, a *Assignment) (ExecStats, []sim.Time, error) {
+		s, err := ex.Execute(a)
+		return s, nil, err
+	}
+	pipelined := func(iters int) func(*Executor, *Assignment) (ExecStats, []sim.Time, error) {
+		return func(ex *Executor, a *Assignment) (ExecStats, []sim.Time, error) {
+			s, err := ex.ExecutePipelined(a, iters)
+			return s, nil, err
+		}
+	}
+	for round := 0; round < rounds; round++ {
+		for pi, ps := range plats {
+			apps := make([]*taskgraph.Graph, 1+r.Intn(3))
+			for i := range apps {
+				apps[i] = execDAG(r)
+			}
+			g, spans := taskgraph.Union("reuse", apps...)
+			pc, pf := ps.build(), ps.build()
+			taskPE := make([]int, len(g.Tasks))
+			for id := range taskPE {
+				taskPE[id] = r.Intn(len(pc.Cores))
+			}
+			ac := &Assignment{Graph: g, Platform: pc, TaskPE: taskPE}
+			af := &Assignment{Graph: g, Platform: pf, TaskPE: taskPE}
+			where := fmt.Sprintf("round %d %v (%d tasks, %d edges, %d apps)", round, ps, len(g.Tasks), len(g.Edges), len(spans))
+			if pi%5 == 0 {
+				// t0 feeds t1 and t2, which feed each other: t0 runs,
+				// the cycle never becomes ready (one-shot) or drains
+				// t0's FIFO until it blocks (pipelined).
+				cyc := chainGraph(3, 50_000, 4096)
+				cyc.Connect(cyc.Tasks[0], cyc.Tasks[2], 512, "")
+				cyc.Connect(cyc.Tasks[2], cyc.Tasks[1], 512, "")
+				pe := []int{0, 1 % len(pc.Cores), 0}
+				for _, run := range []func(*Executor, *Assignment) (ExecStats, []sim.Time, error){execute, pipelined(4)} {
+					if got := check(where+" cycle", &Assignment{Graph: cyc, Platform: pc, TaskPE: pe},
+						&Assignment{Graph: cyc, Platform: pf, TaskPE: pe}, run); got.err == "" {
+						t.Fatalf("%s: cyclic graph ran to completion", where)
+					}
+				}
+			}
+			iters := 1 + r.Intn(16)
+			check(where+" Execute", ac, af, execute)
+			check(where+" ExecuteMulti", ac, af, func(ex *Executor, a *Assignment) (ExecStats, []sim.Time, error) {
+				return ex.ExecuteMulti(a, spans)
+			})
+			check(fmt.Sprintf("%s ExecutePipelined(%d)", where, iters), ac, af, pipelined(iters))
+		}
+	}
+	for i, k := range kept {
+		if !reflect.DeepEqual(k[0], k[1]) {
+			t.Fatalf("result %d changed after later runs of its executor: %+v, was %+v", i, k[0].stats, k[1].stats)
+		}
+	}
+}
+
+// TestExecutorAllocsPerRun pins the allocation-free steady state: a
+// warm Executor on a platform with a bank memory model allocates the
+// same small constant per run — the caller's copy of PEBusy, plus the
+// app makespans for ExecuteMulti — whatever the number of cross-PE
+// transfers, which each go through the fabric and the memory model.
+func TestExecutorAllocsPerRun(t *testing.T) {
+	var ex Executor
+	for _, n := range []int{2, 8, 32} {
+		g := chainGraph(n, 40_000, 256)
+		plat := memPlat()
+		taskPE := make([]int, n)
+		for id := range taskPE {
+			taskPE[id] = id % 2 // every edge crosses cores
+		}
+		a := &Assignment{Graph: g, Platform: plat, TaskPE: taskPE}
+		spans := []taskgraph.Span{{Lo: 0, Hi: n}}
+		for _, c := range []struct {
+			name string
+			want float64
+			run  func() error
+		}{
+			{"Execute", 1, func() error { _, err := ex.Execute(a); return err }},
+			{"ExecuteMulti", 2, func() error { _, _, err := ex.ExecuteMulti(a, spans); return err }},
+			{"ExecutePipelined", 1, func() error { _, err := ex.ExecutePipelined(a, 8); return err }},
+		} {
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := testing.AllocsPerRun(20, func() { c.run() }); got != c.want {
+				t.Errorf("%s on a %d-task cross-core chain: %v allocs/run, want %v", c.name, n, got, c.want)
+			}
+		}
+		if st, err := ex.Execute(a); err != nil || st.Fabric.Transfers != uint64(n-1) || st.Mem.Transfers != uint64(n-1) {
+			t.Fatalf("%d-task chain: %d fabric, %d memory transfers (err %v), want %d each", n, st.Fabric.Transfers, st.Mem.Transfers, err, n-1)
 		}
 	}
 }

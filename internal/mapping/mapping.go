@@ -28,14 +28,19 @@
 // hold that equivalence.
 //
 // Execution is the other per-point cost. Execute, ExecuteMulti and
-// ExecutePipelined run tasks as kernel callbacks, not goroutine-backed
-// sim.Procs, dispatching exactly the events of the process executors
-// the tests keep as their oracle.
+// ExecutePipelined run tasks as state machines on the platform kernel,
+// not goroutine-backed sim.Procs, dispatching exactly the events of
+// the process executors the tests keep as their oracle. An Executor
+// holds their scratch across runs and is itself the sim.Handler of
+// every event, so a warm executor schedules no closures and allocates
+// only the stats it hands back.
 package mapping
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -190,28 +195,19 @@ func (e *Evaluator) Bind(g *taskgraph.Graph, plat *platform.Platform) {
 	n := len(g.Tasks)
 	nPE := len(plat.Cores)
 
-	if cap(e.capab) < n {
-		e.capab = make([][]int, n)
-	}
-	e.capab = e.capab[:n]
+	e.capab = grow(e.capab, n)
 	need := n * nPE
 	if cap(e.capBuf) < need {
 		e.capBuf = make([]int, 0, need)
 	}
 	e.capBuf = e.capBuf[:0]
-	if cap(e.durs) < need {
-		e.durs = make([]sim.Time, need)
-	}
-	e.durs = e.durs[:need]
-	e.infCost = growTime(e.infCost, nPE)
-	e.peAvail = growTime(e.peAvail, nPE)
-	e.finish = growTime(e.finish, n)
-	e.prevFinish = growTime(e.prevFinish, n)
-	if cap(e.pos) < n {
-		e.pos = make([]int, n)
-	}
-	e.pos = e.pos[:n]
-	e.load = growTime(e.load, nPE)
+	e.durs = grow(e.durs, need)
+	e.infCost = grow(e.infCost, nPE)
+	e.peAvail = grow(e.peAvail, nPE)
+	e.finish = grow(e.finish, n)
+	e.prevFinish = grow(e.prevFinish, n)
+	e.pos = grow(e.pos, n)
+	e.load = grow(e.load, nPE)
 
 	for pe, c := range plat.Cores {
 		e.infCost[pe] = c.Cycles(1 << 50)
@@ -241,7 +237,7 @@ func (e *Evaluator) Bind(g *taskgraph.Graph, plat *platform.Platform) {
 		e.capab[id] = e.capBuf[start:len(e.capBuf):len(e.capBuf)]
 	}
 
-	e.pairLat = growTime(e.pairLat, nPE*nPE)
+	e.pairLat = grow(e.pairLat, nPE*nPE)
 	for src := 0; src < nPE; src++ {
 		for dst := 0; dst < nPE; dst++ {
 			l := plat.Fabric.EstPairLatency(src, dst)
@@ -251,7 +247,7 @@ func (e *Evaluator) Bind(g *taskgraph.Graph, plat *platform.Platform) {
 			e.pairLat[src*nPE+dst] = l
 		}
 	}
-	e.edgeLat = growTime(e.edgeLat, v.PredBase(n))
+	e.edgeLat = grow(e.edgeLat, v.PredBase(n))
 	for id := 0; id < n; id++ {
 		base := v.PredBase(id)
 		for k, pr := range v.Preds(id) {
@@ -264,10 +260,11 @@ func (e *Evaluator) Bind(g *taskgraph.Graph, plat *platform.Platform) {
 	}
 }
 
-// growTime returns s resized to n, reusing its backing array.
-func growTime(s []sim.Time, n int) []sim.Time {
+// grow returns s resized to n, reusing its backing array. The
+// contents are unspecified; callers overwrite or clear them.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]sim.Time, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -514,11 +511,11 @@ func (e *Evaluator) listMap() ([]int, error) {
 	for i := range ids {
 		ids[i] = i
 	}
-	sort.SliceStable(ids, func(a, b int) bool {
-		if rank[ids[a]] != rank[ids[b]] {
-			return rank[ids[a]] > rank[ids[b]]
+	slices.SortStableFunc(ids, func(a, b int) int {
+		if c := cmp.Compare(rank[b], rank[a]); c != 0 {
+			return c
 		}
-		return ids[a] < ids[b]
+		return cmp.Compare(a, b)
 	})
 
 	taskPE := make([]int, n)
@@ -593,7 +590,7 @@ func (e *Evaluator) throughputMap() ([]int, error) {
 		}
 		weights[i] = w
 	}
-	sort.SliceStable(ids, func(a, b int) bool { return weights[ids[a]] > weights[ids[b]] })
+	slices.SortStableFunc(ids, func(a, b int) int { return cmp.Compare(weights[b], weights[a]) })
 	load := e.load
 	for i := range load {
 		load[i] = 0
@@ -882,211 +879,4 @@ func (s ExecStats) Utilization() []float64 {
 		out[i] = float64(b) / float64(s.Makespan)
 	}
 	return out
-}
-
-// transferContended moves one cross-PE payload: the fabric delivers
-// it, then — when the platform has a memory contention model — the
-// payload queues for memory service before done fires. With no model
-// (nil Mem) the call is exactly Fabric.Transfer: same arguments, same
-// event stream, byte-identical timing to the pre-model simulator.
-func transferContended(plat *platform.Platform, src, dst, bytes int, done func()) {
-	m := plat.Mem
-	if m == nil {
-		plat.Fabric.Transfer(src, dst, bytes, done)
-		return
-	}
-	k := plat.Kernel
-	plat.Fabric.Transfer(src, dst, bytes, func() {
-		if d := m.Service(k.Now(), src, dst, bytes); d > 0 {
-			k.Schedule(d, done)
-		} else {
-			done()
-		}
-	})
-}
-
-// peArbiter is the callback executors' per-run PE arbitration: a
-// capacity-1 sim.Resource per core without the processes. A task that
-// finds its core held queues its resume callback; release schedules
-// every queued callback at delay 0 in queue order, as Resource.Release
-// wakes its waiters, and each woken task re-contends when dispatched.
-type peArbiter struct {
-	k    *sim.Kernel
-	held []bool
-	wait [][]func()
-}
-
-func newPEArbiter(k *sim.Kernel, cores int) *peArbiter {
-	return &peArbiter{k: k, held: make([]bool, cores), wait: make([][]func(), cores)}
-}
-
-// acquire takes core pe, or queues resume and reports false.
-func (p *peArbiter) acquire(pe int, resume func()) bool {
-	if p.held[pe] {
-		p.wait[pe] = append(p.wait[pe], resume)
-		return false
-	}
-	p.held[pe] = true
-	return true
-}
-
-func (p *peArbiter) release(pe int) {
-	p.held[pe] = false
-	for _, resume := range p.wait[pe] {
-		p.k.Schedule(0, resume)
-	}
-	p.wait[pe] = p.wait[pe][:0]
-}
-
-// runKernel drains the executors' kernel. It is a variable so tests
-// can substitute a stepping loop that records every dispatch time.
-var runKernel = (*sim.Kernel).Run
-
-// Execute runs the assignment on the event-driven platform model with
-// genuine fabric contention (transfers share links) — the high-level
-// "virtual platform" simulation of section IV. It uses the platform's
-// kernel, which must be otherwise idle, and returns the measured
-// makespan plus per-PE busy time and the fabric traffic of the run.
-// It shares its implementation with ExecuteMulti (executeSpans), so
-// the two can never diverge.
-func Execute(a *Assignment) (ExecStats, error) {
-	stats, _, err := executeSpans(a, nil)
-	return stats, err
-}
-
-// ExecutePipelined runs the mapped graph as a pipeline over
-// `iterations` successive data sets (frames, blocks): every task
-// fires once per iteration, consuming its predecessors' tokens for
-// the same iteration through depth-bounded FIFO channels. This is how
-// MAPS-mapped multimedia codecs actually earn their speedup — stage
-// parallelism across consecutive frames — and the measurement behind
-// the section IV "promising speedup results".
-//
-// Every task is a kernel-callback state machine (pc, edge, iteration)
-// that returns to the kernel wherever a process would park — token
-// get, PE acquire, compute delay, transfer done, token put — and
-// resumes through one scheduled callback. A task woken on a FIFO or
-// its PE re-checks like sim.Queue and sim.Resource waiters do, and a
-// put blocked after a cross-PE transfer does not send again.
-func ExecutePipelined(a *Assignment, iterations int) (ExecStats, error) {
-	if iterations <= 0 {
-		return ExecStats{}, fmt.Errorf("mapping: iterations must be positive")
-	}
-	k := a.Platform.Kernel
-	if k == nil {
-		return ExecStats{}, fmt.Errorf("mapping: platform has no kernel")
-	}
-	g := a.Graph
-	v := g.View()
-	// Edge FIFOs hold depth tokens. Token values are never read, so a
-	// FIFO is its occupancy plus the one task that can be parked on
-	// each end: its consumer while empty, its producer while full.
-	const depth = 2
-	tokens := make([]int, len(g.Edges))
-	getter := make([]func(), len(g.Edges))
-	putter := make([]func(), len(g.Edges))
-	wake := func(w *func()) {
-		if *w != nil {
-			k.Schedule(0, *w)
-			*w = nil
-		}
-	}
-	pes := newPEArbiter(k, len(a.Platform.Cores))
-	fabric0 := platform.FabricStatsOf(a.Platform.Fabric)
-	mem0 := platform.MemStatsOf(a.Platform.Mem)
-	busy := make([]sim.Time, len(a.Platform.Cores))
-	var makespan sim.Time
-	finished := 0
-	const (
-		pcGet     = iota // consuming input tokens from in[next]
-		pcAcquire        // waiting for the PE
-		pcCompute        // compute delay running
-		pcPut            // producing output tokens to out[next]
-	)
-	type pipeTask struct {
-		pc, next, it int
-		dur          sim.Time
-		sent         bool // out[next]'s cross-PE transfer has completed
-		step, signal func()
-	}
-	tasks := make([]pipeTask, len(g.Tasks))
-	for id := range tasks {
-		t := &tasks[id]
-		in, out := v.InEdges(id), v.OutEdges(id)
-		pe := a.TaskPE[id]
-		core := a.Platform.Core(pe)
-		cycles := g.Tasks[id].CyclesOn(core.Class)
-		t.step = func() {
-			for {
-				switch t.pc {
-				case pcGet:
-					for ; t.next < len(in); t.next++ {
-						e := in[t.next].Edge
-						if tokens[e] == 0 {
-							getter[e] = t.step
-							return
-						}
-						tokens[e]--
-						wake(&putter[e])
-					}
-					t.pc = pcAcquire
-				case pcAcquire:
-					if !pes.acquire(pe, t.step) {
-						return
-					}
-					t.dur = core.Cycles(cycles)
-					t.pc = pcCompute
-					k.Schedule(t.dur, t.step)
-					return
-				case pcCompute:
-					pes.release(pe)
-					busy[pe] += t.dur
-					t.pc, t.next = pcPut, 0
-				case pcPut:
-					for ; t.next < len(out); t.next++ {
-						oe := out[t.next]
-						if dst := a.TaskPE[oe.Task]; dst != pe && !t.sent {
-							transferContended(a.Platform, pe, dst, oe.Bytes, t.signal)
-							return
-						}
-						if tokens[oe.Edge] >= depth {
-							putter[oe.Edge] = t.step
-							return
-						}
-						t.sent = false
-						tokens[oe.Edge]++
-						wake(&getter[oe.Edge])
-					}
-					if k.Now() > makespan {
-						makespan = k.Now()
-					}
-					t.it++
-					if t.it == iterations {
-						finished++
-						return
-					}
-					t.pc, t.next = pcGet, 0
-				}
-			}
-		}
-		// Transfer done wakes the task through one more zero-delay
-		// event, as a sim.Signal broadcast does.
-		t.signal = func() {
-			t.sent = true
-			k.Schedule(0, t.step)
-		}
-	}
-	for id := range tasks {
-		k.Schedule(0, tasks[id].step)
-	}
-	runKernel(k)
-	if finished != len(g.Tasks) {
-		return ExecStats{}, fmt.Errorf("mapping: pipeline stalled (%d/%d tasks finished)", finished, len(g.Tasks))
-	}
-	return ExecStats{
-		Makespan: makespan,
-		PEBusy:   busy,
-		Fabric:   platform.FabricStatsOf(a.Platform.Fabric).Sub(fabric0),
-		Mem:      platform.MemStatsOf(a.Platform.Mem).Sub(mem0),
-	}, nil
 }

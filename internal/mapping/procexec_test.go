@@ -19,6 +19,26 @@ import (
 func peName(i int) string   { return "pe" + strconv.Itoa(i) }
 func edgeName(i int) string { return "e" + strconv.Itoa(i) }
 
+// transferContended moves one cross-PE payload: the fabric delivers
+// it, then — when the platform has a memory contention model — the
+// payload queues for memory service before done fires. With no model
+// (nil Mem) the call is exactly Fabric.Transfer.
+func transferContended(plat *platform.Platform, src, dst, bytes int, done func()) {
+	m := plat.Mem
+	if m == nil {
+		plat.Fabric.Transfer(src, dst, bytes, sim.Func(done), 0)
+		return
+	}
+	k := plat.Kernel
+	plat.Fabric.Transfer(src, dst, bytes, sim.Func(func() {
+		if d := m.Service(k.Now(), src, dst, bytes); d > 0 {
+			k.Schedule(d, done)
+		} else {
+			done()
+		}
+	}), 0)
+}
+
 // executeSpansProc is the shared execution core behind Execute and
 // ExecuteMulti: event-driven one-shot execution with genuine fabric
 // contention, plus per-span makespan tracking when spans are given.

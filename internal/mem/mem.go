@@ -214,7 +214,7 @@ type DMA struct {
 	ID     int
 	k      *sim.Kernel
 	fabric interface {
-		Transfer(src, dst, bytes int, done func())
+		Transfer(src, dst, bytes int, h sim.Handler, arg int)
 	}
 	// SetupCycles models programming the DMA descriptor.
 	SetupTime sim.Time
@@ -228,7 +228,7 @@ type DMA struct {
 
 // NewDMA returns a DMA engine using the given fabric.
 func NewDMA(k *sim.Kernel, id int, fabric interface {
-	Transfer(src, dst, bytes int, done func())
+	Transfer(src, dst, bytes int, h sim.Handler, arg int)
 }, setup sim.Time) *DMA {
 	return &DMA{
 		ID: id, k: k, fabric: fabric, SetupTime: setup,
@@ -253,9 +253,7 @@ func (d *DMA) Copy(p *sim.Proc, src *LocalStore, srcAddr uint32,
 		d.Watch(src.Owner, dst.Owner, size)
 	}
 	doneSig := d.k.NewSignal()
-	d.fabric.Transfer(src.Owner, dst.Owner, size, func() {
-		doneSig.Broadcast()
-	})
+	d.fabric.Transfer(src.Owner, dst.Owner, size, sim.Func(doneSig.Broadcast), 0)
 	doneSig.Wait(p)
 	d.Transfers++
 	return dst.WriteAt(dst.Owner, dstAddr, data)

@@ -152,9 +152,9 @@ type countingFabric struct {
 	calls int
 }
 
-func (f *countingFabric) Transfer(src, dst, bytes int, done func()) {
+func (f *countingFabric) Transfer(src, dst, bytes int, h sim.Handler, arg int) {
 	f.calls++
-	f.k.Schedule(f.lat, done)
+	f.k.ScheduleH(f.lat, h, arg)
 }
 
 func TestCacheBehavior(t *testing.T) {

@@ -145,11 +145,11 @@ func (m *Mesh) serialization(bytes int) sim.Time {
 // Transfer implements platform.Fabric. The payload claims each link on
 // the XY route in order; each claim starts when both the payload head
 // has arrived and the link is free (wormhole-style approximation).
-func (m *Mesh) Transfer(src, dst, bytes int, done func()) {
+func (m *Mesh) Transfer(src, dst, bytes int, h sim.Handler, arg int) {
 	now := m.k.Now()
 	if src == dst {
 		// Local: one local-store hop.
-		m.k.Schedule(m.HopLatency, done)
+		m.k.ScheduleH(m.HopLatency, h, arg)
 		return
 	}
 	ser := m.serialization(bytes)
@@ -167,7 +167,7 @@ func (m *Mesh) Transfer(src, dst, bytes int, done func()) {
 	finish := head + ser // tail drains after the head arrives
 	m.Transfers++
 	m.TotalWait += wait
-	m.k.At(finish, done)
+	m.k.AtH(finish, h, arg)
 }
 
 // EstLatency implements platform.Fabric: zero-load latency.
@@ -235,7 +235,7 @@ func (b *Bus) serialization(bytes int) sim.Time {
 
 // Transfer implements platform.Fabric: transfers queue on the single
 // bus resource.
-func (b *Bus) Transfer(src, dst, bytes int, done func()) {
+func (b *Bus) Transfer(src, dst, bytes int, h sim.Handler, arg int) {
 	now := b.k.Now()
 	start := now
 	if b.busyUntil > start {
@@ -245,7 +245,7 @@ func (b *Bus) Transfer(src, dst, bytes int, done func()) {
 	dur := b.ArbLatency + b.serialization(bytes)
 	b.busyUntil = start + dur
 	b.Transfers++
-	b.k.At(start+dur, done)
+	b.k.AtH(start+dur, h, arg)
 }
 
 // EstLatency implements platform.Fabric.

@@ -27,7 +27,7 @@ func TestMeshTransferLatency(t *testing.T) {
 	k := sim.NewKernel()
 	m := NewMesh(k, 4, 1, 2*sim.Nanosecond, 8)
 	var doneAt sim.Time = -1
-	m.Transfer(0, 2, 64, func() { doneAt = k.Now() })
+	m.Transfer(0, 2, 64, sim.Func(func() { doneAt = k.Now() }), 0)
 	k.Run()
 	// 2 hops * 2ns header + 64B/8Bns = 8ns serialization = 12ns.
 	want := 2*2*sim.Nanosecond + 8*sim.Nanosecond
@@ -43,7 +43,7 @@ func TestMeshLocalTransfer(t *testing.T) {
 	k := sim.NewKernel()
 	m := NewMesh(k, 2, 2, 3*sim.Nanosecond, 8)
 	var doneAt sim.Time = -1
-	m.Transfer(1, 1, 1024, func() { doneAt = k.Now() })
+	m.Transfer(1, 1, 1024, sim.Func(func() { doneAt = k.Now() }), 0)
 	k.Run()
 	if doneAt != 3*sim.Nanosecond {
 		t.Fatalf("local transfer at %v, want hop latency", doneAt)
@@ -55,8 +55,8 @@ func TestMeshContention(t *testing.T) {
 	m := NewMesh(k, 4, 1, 0, 8) // zero hop latency isolates serialization
 	var t1, t2 sim.Time
 	// Two transfers sharing the 0->1 link, issued simultaneously.
-	m.Transfer(0, 3, 80, func() { t1 = k.Now() })
-	m.Transfer(0, 2, 80, func() { t2 = k.Now() })
+	m.Transfer(0, 3, 80, sim.Func(func() { t1 = k.Now() }), 0)
+	m.Transfer(0, 2, 80, sim.Func(func() { t2 = k.Now() }), 0)
 	k.Run()
 	if t2 <= t1 {
 		t.Fatalf("second transfer (%v) should finish after first (%v)", t2, t1)
@@ -70,8 +70,8 @@ func TestDisjointPathsNoContention(t *testing.T) {
 	k := sim.NewKernel()
 	m := NewMesh(k, 4, 2, 0, 8)
 	var t1, t2 sim.Time
-	m.Transfer(0, 1, 80, func() { t1 = k.Now() })
-	m.Transfer(6, 7, 80, func() { t2 = k.Now() })
+	m.Transfer(0, 1, 80, sim.Func(func() { t1 = k.Now() }), 0)
+	m.Transfer(6, 7, 80, sim.Func(func() { t2 = k.Now() }), 0)
 	k.Run()
 	if t1 != t2 {
 		t.Fatalf("disjoint transfers should complete together: %v vs %v", t1, t2)
@@ -86,7 +86,7 @@ func TestBusSerializesEverything(t *testing.T) {
 	b := NewBus(k, 2*sim.Nanosecond, 8)
 	var finishes []sim.Time
 	for i := 0; i < 4; i++ {
-		b.Transfer(i, i+1, 64, func() { finishes = append(finishes, k.Now()) })
+		b.Transfer(i, i+1, 64, sim.Func(func() { finishes = append(finishes, k.Now()) }), 0)
 	}
 	k.Run()
 	per := 2*sim.Nanosecond + 8*sim.Nanosecond
@@ -106,15 +106,15 @@ func TestBusVsMeshScaling(t *testing.T) {
 	// aggregate bandwidth beats the serialized bus.
 	const n = 16
 	flow := func(f interface {
-		Transfer(src, dst, bytes int, done func())
+		Transfer(src, dst, bytes int, h sim.Handler, arg int)
 	}, k *sim.Kernel) sim.Time {
 		var last sim.Time
 		for i := 0; i < n; i += 2 {
-			f.Transfer(i, i+1, 256, func() {
+			f.Transfer(i, i+1, 256, sim.Func(func() {
 				if k.Now() > last {
 					last = k.Now()
 				}
-			})
+			}), 0)
 		}
 		k.Run()
 		return last
@@ -150,7 +150,7 @@ func TestMeshRouteProperty(t *testing.T) {
 			return false
 		}
 		count := 0
-		m.Transfer(src, dst, 32, func() { count++ })
+		m.Transfer(src, dst, 32, sim.Func(func() { count++ }), 0)
 		k.Run()
 		return count == 1
 	}

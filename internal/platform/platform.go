@@ -205,13 +205,14 @@ func MemStatsOf(m mem.Model) MemStats {
 
 // Fabric is the on-chip interconnect abstraction. Implementations live
 // in internal/noc (mesh network-on-chip, shared bus). Transfer models
-// moving a payload between two cores' local memories and invokes done
-// on the kernel when the payload has been delivered.
+// moving a payload between two cores' local memories and fires h on
+// the kernel when the payload has been delivered.
 type Fabric interface {
 	Name() string
 	// Transfer starts moving bytes from core src to core dst at the
-	// current virtual time. done runs when delivery completes.
-	Transfer(src, dst, bytes int, done func())
+	// current virtual time. h.Fire(arg) runs when delivery completes;
+	// a closure caller passes sim.Func(fn), 0.
+	Transfer(src, dst, bytes int, h sim.Handler, arg int)
 	// EstLatency returns the contention-free latency estimate used by
 	// mapping cost models.
 	EstLatency(src, dst, bytes int) sim.Time

@@ -11,7 +11,7 @@
 // sequence), and simulated "concurrency" is cooperative — exactly one
 // event handler or process body runs at a time.
 //
-// # Hot-path design: event pooling and closure-free wake-ups
+// # Hot-path design: event pooling and one closure-free payload
 //
 // The kernel is the system-wide bottleneck, so its hot path is
 // allocation-free in steady state:
@@ -26,10 +26,13 @@
 //     (time, priority, sequence) dispatch order, so event ordering is
 //     byte-identical to an unpooled kernel.
 //
-//   - Process wake-ups are closure-free. ScheduleProc queues a typed
-//     wake payload (the *Proc itself) instead of a func() closure, so
-//     Proc.Delay, Signal.Broadcast, Queue and Resource wake paths do
-//     not allocate a closure per suspension.
+//   - Every event carries one payload: a Handler and an int argument,
+//     dispatched as h.Fire(arg). Schedule, ScheduleP and At wrap their
+//     closure in Func, a pointer-shaped conversion that allocates
+//     nothing; ScheduleProc queues the *Proc itself; and models that
+//     would otherwise build a closure per event (mapping's executors,
+//     the noc fabrics' completions) pass a long-lived Handler and
+//     encode what to do in arg through ScheduleH and AtH.
 package sim
 
 import "fmt"
@@ -73,15 +76,33 @@ func (t Time) String() string {
 // Seconds converts t to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// event is the pooled scheduling record. Exactly one of fn and proc is
-// set: fn for callback events, proc for closure-free process wake-ups.
+// Handler is an event payload: the kernel calls Fire with the arg the
+// event was scheduled with. One long-lived Handler can stand for many
+// kinds of event by encoding the kind in arg, so scheduling through it
+// allocates nothing.
+type Handler interface{ Fire(arg int) }
+
+// Func adapts a closure to Handler. A func value is pointer-shaped, so
+// the conversion to Handler does not allocate.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire(int) { f() }
+
+// procWake is the payload of a process wake-up. It is a distinct
+// pointer type so that Proc itself gains no exported Fire.
+type procWake Proc
+
+func (w *procWake) Fire(int) { (*Proc)(w).run() }
+
+// event is the pooled scheduling record.
 type event struct {
 	at    Time
 	prio  int
 	seq   uint64
 	gen   uint64
-	fn    func()
-	proc  *Proc
+	h     Handler
+	arg   int
 	index int // heap index, -1 when not queued
 }
 
@@ -120,7 +141,7 @@ func (ev Event) Time() Time {
 // with Kernel.Stats.
 type KernelStats struct {
 	// Scheduled counts events queued (Schedule/ScheduleP/
-	// ScheduleProc/At) since construction.
+	// ScheduleProc/ScheduleH/At/AtH) since construction.
 	Scheduled uint64
 	// Executed counts events dispatched since construction (the
 	// monotonic twin of Kernel.Executed, which Reset zeroes).
@@ -177,31 +198,45 @@ func (k *Kernel) ScheduleP(delay Time, prio int, fn func()) Event {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", delay))
 	}
-	return k.at(k.now+delay, prio, fn, nil)
+	return k.at(k.now+delay, prio, Func(fn), 0)
+}
+
+// ScheduleH queues h.Fire(arg) to run after delay, with priority 0.
+// It is Schedule for models that keep one Handler and tell their
+// events apart by arg: nothing is allocated per event.
+func (k *Kernel) ScheduleH(delay Time, h Handler, arg int) Event {
+	if delay < 0 {
+		panic(fmt.Sprintf("sim: negative delay %d", delay))
+	}
+	return k.at(k.now+delay, 0, h, arg)
 }
 
 // ScheduleProc queues a wake-up of process p after delay. This is the
-// closure-free fast path used by Delay, Signal, Queue and Resource:
-// the payload is the typed *Proc, so nothing is allocated in steady
-// state. Dispatching the event resumes p exactly like a
-// Schedule(delay, func() { p.run() }) would, in the same (time,
-// priority, insertion) order.
+// path used by Delay, Signal, Queue and Resource: the payload is p
+// itself, so nothing is allocated in steady state. Dispatching the
+// event resumes p exactly like a Schedule(delay, func() { p.run() })
+// would, in the same (time, priority, insertion) order.
 func (k *Kernel) ScheduleProc(delay Time, prio int, p *Proc) Event {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", delay))
 	}
-	return k.at(k.now+delay, prio, nil, p)
+	return k.at(k.now+delay, prio, (*procWake)(p), 0)
 }
 
 // At queues fn to run at absolute time t (>= Now).
 func (k *Kernel) At(t Time, fn func()) Event {
+	return k.AtH(t, Func(fn), 0)
+}
+
+// AtH queues h.Fire(arg) to run at absolute time t (>= Now).
+func (k *Kernel) AtH(t Time, h Handler, arg int) Event {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: At(%v) is in the past (now %v)", t, k.now))
 	}
-	return k.at(t, 0, fn, nil)
+	return k.at(t, 0, h, arg)
 }
 
-func (k *Kernel) at(t Time, prio int, fn func(), p *Proc) Event {
+func (k *Kernel) at(t Time, prio int, h Handler, arg int) Event {
 	var e *event
 	if n := len(k.free); n > 0 {
 		e = k.free[n-1]
@@ -213,7 +248,7 @@ func (k *Kernel) at(t Time, prio int, fn func(), p *Proc) Event {
 		k.stats.PoolMisses++
 	}
 	k.stats.Scheduled++
-	e.at, e.prio, e.seq, e.fn, e.proc = t, prio, k.seq, fn, p
+	e.at, e.prio, e.seq, e.h, e.arg = t, prio, k.seq, h, arg
 	k.seq++
 	k.heapPush(e)
 	return Event{e: e, gen: e.gen}
@@ -223,8 +258,7 @@ func (k *Kernel) at(t Time, prio int, fn func(), p *Proc) Event {
 // handles) and returns it to the free list.
 func (k *Kernel) recycle(e *event) {
 	e.gen++
-	e.fn = nil
-	e.proc = nil
+	e.h = nil
 	e.index = -1
 	k.free = append(k.free, e)
 }
@@ -260,15 +294,11 @@ func (k *Kernel) Step() bool {
 	k.now = e.at
 	k.Executed++
 	k.stats.Executed++
-	fn, proc := e.fn, e.proc
+	h, arg := e.h, e.arg
 	// Recycle before dispatch: the handler may schedule new events and
-	// reuse this record immediately; fn/proc were copied out above.
+	// reuse this record immediately; h/arg were copied out above.
 	k.recycle(e)
-	if proc != nil {
-		proc.run()
-	} else {
-		fn()
-	}
+	h.Fire(arg)
 	return true
 }
 

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // The event pool recycles fired and cancelled records; these tests pin
 // the generation-counter semantics that make stale handles harmless.
@@ -97,5 +100,63 @@ func TestFreeListBounded(t *testing.T) {
 	}
 	if n := len(k.free); n > 2 {
 		t.Fatalf("free list grew to %d records, want <= 2 (peak pending)", n)
+	}
+}
+
+// recordHandler appends each arg it fires with to its log.
+type recordHandler struct{ log *[]int }
+
+func (h recordHandler) Fire(arg int) { *h.log = append(*h.log, arg) }
+
+// TestHandlerPayloadsShareOneOrder checks that closure, handler and
+// process events scheduled for one instant dispatch in insertion order,
+// whichever entry point queued them.
+func TestHandlerPayloadsShareOneOrder(t *testing.T) {
+	k := NewKernel()
+	var log []int
+	h := recordHandler{&log}
+	k.Spawn("p", func(p *Proc) {
+		log = append(log, 1)
+		k.Schedule(0, func() { log = append(log, 4) })
+		k.AtH(k.Now(), h, 5)
+		p.Delay(0)
+		log = append(log, 6)
+	})
+	k.ScheduleH(0, h, 2)
+	k.At(0, func() { log = append(log, 3) })
+	k.Run()
+	if want := []int{1, 2, 3, 4, 5, 6}; !slices.Equal(log, want) {
+		t.Fatalf("dispatch order %v, want %v", log, want)
+	}
+}
+
+// countHandler counts its firings by arg.
+type countHandler struct{ fired [3]int }
+
+func (h *countHandler) Fire(arg int) { h.fired[arg]++ }
+
+// TestScheduleHandlerZeroAlloc pins the closure-free payload: on a warm
+// kernel, scheduling an existing closure (wrapped in Func) and
+// scheduling a Handler with an arg allocate nothing.
+func TestScheduleHandlerZeroAlloc(t *testing.T) {
+	k := NewKernel()
+	n := 0
+	fn := func() { n++ }
+	h := &countHandler{}
+	if a := testing.AllocsPerRun(100, func() {
+		k.Schedule(Nanosecond, fn)
+		k.Step()
+	}); a != 0 {
+		t.Fatalf("Schedule of an existing closure: %v allocs/op, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		k.ScheduleH(Nanosecond, h, 1)
+		k.AtH(k.Now()+2*Nanosecond, h, 2)
+		k.Run()
+	}); a != 0 {
+		t.Fatalf("ScheduleH/AtH: %v allocs/op, want 0", a)
+	}
+	if n != 101 || h.fired != [3]int{0, 101, 101} {
+		t.Fatalf("fired closure %d times and handler %v, want 101 and [0 101 101]", n, h.fired)
 	}
 }

@@ -157,10 +157,8 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("taskgraph: self edge on task %d", e.From)
 		}
 	}
-	if _, err := g.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
+	_, err := g.View().TopoOrder()
+	return err
 }
 
 // TopoOrder returns a deterministic topological order (Kahn with
