@@ -6,7 +6,7 @@
 // Usage:
 //
 //	dse [-sweep SPEC] [-workers N] [-seed S] [-out FILE] [-resume]
-//	    [-shard K/N] [-merge GLOB] [-pareto] [-hypervolume]
+//	    [-merge GLOB] [-pareto] [-hypervolume]
 //	    [-metrics-out FILE] [-trace FILE]
 //	dse -connect URL [-worker-id ID] [-worker-dir DIR] [-workers N]
 //	    [-metrics-out FILE] [-trace FILE]
@@ -59,16 +59,14 @@
 // spec comes from the coordinator (and is verified against the local
 // engine's expansion), leased point ranges are evaluated on the local
 // pool, and result lines stream back with retry and deterministic
-// backoff. See docs/dsed.md.
+// backoff. This is the one way to spread a sweep over processes and
+// hosts; see docs/dsed.md.
 //
-// A sweep distributes across processes or hosts with -shard K/N:
-// every invocation deterministically plans the same N contiguous,
-// cost-balanced point ranges and evaluates only range K, writing
-// FILE.shard-K.jsonl. Because per-point seeds derive from the sweep
-// seed alone, shards evaluated anywhere merge back losslessly:
-// -merge 'FILE.shard-*.jsonl' validates the shard headers,
-// de-duplicates on point ID, and writes a merged file byte-identical
-// to an unsharded run of the same spec and seed.
+// -merge GLOB combines a complete set of sweep files offline: a
+// finished sweep file, or a coordinator log plus the lease
+// checkpoints workers left under -worker-dir. It validates the
+// headers, de-duplicates on point ID, and writes a file
+// byte-identical to a standalone run of the same spec and seed.
 //
 // -pareto prints the per-workload latency/energy/area Pareto front
 // and an ASCII scatter; -hypervolume prints the hypervolume indicator
@@ -107,8 +105,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "sweep seed; same seed + same sweep = identical output")
 	out := flag.String("out", "dse.jsonl", "JSONL results file ('-' = stdout)")
 	resume := flag.Bool("resume", false, "reuse the valid prefix of an existing -out checkpoint (header must match)")
-	shardArg := flag.String("shard", "", "evaluate shard K/N of the sweep (e.g. 0/4); writes <out>.shard-K.jsonl")
-	mergeGlob := flag.String("merge", "", "merge shard JSONL files matching this glob into -out instead of sweeping")
+	mergeGlob := flag.String("merge", "", "merge sweep JSONL files matching this glob into -out instead of sweeping")
 	pareto := flag.Bool("pareto", false, "print the Pareto front and ASCII scatter")
 	hypervolume := flag.Bool("hypervolume", false, "print the per-workload front hypervolume indicator")
 	hvRef := flag.String("hv-ref", "", "JSONL sweep file whose results co-define the hypervolume reference box (for cross-sweep comparison)")
@@ -201,9 +198,6 @@ func main() {
 
 	baseline := loadBaseline(*hvRef)
 	if *mergeGlob != "" {
-		if *shardArg != "" {
-			fatal(fmt.Errorf("-merge and -shard are mutually exclusive"))
-		}
 		merge(*mergeGlob, *out, *pareto, *hypervolume, baseline)
 		return
 	}
@@ -218,40 +212,16 @@ func main() {
 			obs.Arg{Key: "points", Val: int64(len(points))})
 	}
 
-	// Shard mode: plan the same contiguous ranges every invocation
-	// would and keep only ours.
-	outPath := *out
-	var shard *dse.Shard
-	if *shardArg != "" {
-		k, n, err := dse.ParseShardArg(*shardArg)
-		if err != nil {
-			fatal(err)
-		}
-		shards, err := dse.PlanShards(points, n)
-		if err != nil {
-			fatal(err)
-		}
-		shard = &shards[k]
-		header.Shard = shard
-		if outPath != "-" {
-			outPath = dse.ShardPath(*out, k)
-		}
-	}
-	slice := points
-	if shard != nil {
-		slice = points[shard.Lo:shard.Hi]
-	}
-
 	var prefix []dse.Result
-	if *resume && outPath != "-" {
+	if *resume && *out != "-" {
 		// A torn final line is fine here: everything from it on is
 		// re-evaluated anyway.
-		lg, err := dse.ReadLog(outPath)
+		lg, err := dse.ReadLog(*out)
 		if err == nil && lg != nil {
 			if err = lg.Header.Check(header); err == nil {
-				prefix = dse.MatchPrefix(slice, lg.Results)
+				prefix = dse.MatchPrefix(points, lg.Results)
 			} else {
-				err = fmt.Errorf("%s is from a different sweep (%v); delete it or drop -resume", outPath, err)
+				err = fmt.Errorf("%s is from a different sweep (%v); delete it or drop -resume", *out, err)
 			}
 		}
 		if err != nil {
@@ -259,7 +229,7 @@ func main() {
 		}
 	}
 
-	sink, closeSink := openSink(outPath)
+	sink, closeSink := openSink(*out)
 	defer closeSink()
 	if err := dse.WriteHeader(sink, header); err != nil {
 		fatal(err)
@@ -270,14 +240,9 @@ func main() {
 		}
 	}
 
-	remaining := slice[len(prefix):]
-	if shard != nil {
-		fmt.Fprintf(os.Stderr, "dse: %s of %d design points (%d from checkpoint), %d-worker pool\n",
-			shard, len(points), len(prefix), *workers)
-	} else {
-		fmt.Fprintf(os.Stderr, "dse: %d design points (%d from checkpoint), %d-worker pool\n",
-			len(points), len(prefix), *workers)
-	}
+	remaining := points[len(prefix):]
+	fmt.Fprintf(os.Stderr, "dse: %d design points (%d from checkpoint), %d-worker pool\n",
+		len(points), len(prefix), *workers)
 	start := time.Now()
 	emitted := len(prefix)
 	eng := &dse.Engine{Workers: *workers, Obs: evObs, Tracer: tracer, OnResult: func(r dse.Result) {
@@ -287,7 +252,7 @@ func main() {
 		emitted++
 		if emitted%100 == 0 {
 			fmt.Fprintf(os.Stderr, "dse: %d/%d evaluated (%.1fs)\n",
-				emitted, len(slice), time.Since(start).Seconds())
+				emitted, len(points), time.Since(start).Seconds())
 		}
 	}}
 	results := append(prefix, eng.RunContext(ctx, remaining)...)
@@ -296,7 +261,7 @@ func main() {
 	}
 	if ctx.Err() != nil {
 		fmt.Fprintf(os.Stderr, "dse: interrupted; %d/%d points flushed to %s as a valid checkpoint (resume with -resume)\n",
-			len(results), len(slice), outPath)
+			len(results), len(points), *out)
 		closeSink()
 		stopCPUProfile()
 		flushTelemetry()
@@ -316,10 +281,7 @@ func main() {
 	if *benchJSON != "" {
 		writeBenchJSON(*benchJSON, *sweepSpec, *seed, len(remaining), time.Since(start), *workers)
 	}
-	if shard != nil && (*pareto || *hypervolume) {
-		fmt.Fprintf(os.Stderr, "dse: note: fronts below cover only %s; merge all shards for the full sweep\n", shard)
-	}
-	report(results, *pareto, *hypervolume, baseline, reportWriter(outPath))
+	report(results, *pareto, *hypervolume, baseline, reportWriter(*out))
 }
 
 // runWorker joins a dsed coordinator and evaluates leased point
@@ -350,7 +312,7 @@ func runWorker(ctx context.Context, url, id, dir string, workers int, evObs dse.
 	}
 }
 
-// merge combines shard files matching glob into out and optionally
+// merge combines the sweep files matching glob into out and optionally
 // reports fronts and hypervolumes over the union.
 func merge(glob, out string, pareto, hypervolume bool, baseline []dse.Result) {
 	paths, err := filepath.Glob(glob)

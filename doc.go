@@ -47,20 +47,21 @@
 // Pareto fronts over latency, energy proxy and area proxy. cmd/dse is
 // the CLI.
 //
-// Sweeps also distribute: shard planning is a deterministic,
-// cost-balanced split of the expanded point list into contiguous ID
-// ranges, so N processes or hosts each run "dse -shard k/N" with no
-// coordinator and produce shard files whose provenance headers
-// (schema, spec, seed, expanded-point hash, ID range) make them
-// safely mergeable — "dse -merge" validates headers, de-duplicates
-// on point ID, refuses incomplete or conflicting shard sets, and
-// writes a file byte-identical to an unsharded run. Resume uses the
-// same header and fails loudly on mismatch instead of silently
-// discarding a foreign checkpoint. Front quality is reported as the
-// per-workload hypervolume indicator, computed exactly in three
-// dimensions against a deterministic reference point, so restricted
-// and full sweeps compare quantitatively. docs/dse.md is the
-// workflow guide; docs/architecture.md maps the layers.
+// Sweeps also distribute, through one path: cmd/dsed leases
+// contiguous point ranges to any number of "dse -connect" workers and
+// writes a final file byte-identical to a standalone run, whatever
+// the fleet did. Every sweep file carries a provenance header
+// (schema, spec, seed, expanded-point hash, and for a worker's lease
+// checkpoint its ID range); "dse -merge" validates headers,
+// de-duplicates on point ID, refuses incomplete or conflicting file
+// sets, and writes a file byte-identical to a standalone run. Resume
+// uses the same header and fails loudly on mismatch instead of
+// silently discarding a foreign checkpoint. Front quality is reported
+// as the per-workload hypervolume indicator, computed exactly in
+// three dimensions against a deterministic reference point, so
+// restricted and full sweeps compare quantitatively. docs/dse.md is
+// the workflow guide; docs/dsed.md the farm's; docs/architecture.md
+// maps the layers.
 //
 // bench_test.go in this directory regenerates every experiment
 // (E1–E13).

@@ -91,7 +91,6 @@ type Worker struct {
 	log     *log.Logger
 	backoff *Backoff
 	sweeps  map[string]*workerSweep
-	hbEvery time.Duration
 	// done is set when a result ack reports farm completion, so the
 	// worker exits without needing one more /lease round trip (the
 	// coordinator may already be shutting down by then).
@@ -142,9 +141,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 // an error when the coordinator is unreachable past the retry budget
 // or rejects this worker's results as conflicting.
 func (w *Worker) Run(ctx context.Context) error {
-	if err := w.hello(ctx); err != nil {
-		return err
-	}
 	if err := w.resubmitCheckpoints(ctx); err != nil {
 		return err
 	}
@@ -182,20 +178,6 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 		}
 	}
-}
-
-// hello announces the worker and picks up the farm's heartbeat cadence.
-func (w *Worker) hello(ctx context.Context) error {
-	var hr HelloResponse
-	if err := w.call(ctx, "/hello", HelloRequest{Worker: w.cfg.ID}, &hr); err != nil {
-		return err
-	}
-	w.hbEvery = time.Duration(hr.HeartbeatMS) * time.Millisecond
-	if w.hbEvery <= 0 {
-		w.hbEvery = time.Second
-	}
-	w.log.Printf("%s: joined farm (%d registered sweep(s))", w.cfg.ID, len(hr.Sweeps))
-	return nil
 }
 
 // resolveSweep returns the worker's verified expansion of the leased
@@ -324,12 +306,17 @@ func (w *Worker) workLease(ctx context.Context, sw *workerSweep, l Lease) error 
 	return nil
 }
 
-// heartbeatLoop keeps the lease alive while evaluation runs. Transport
-// failures are ignored — a missed heartbeat at worst gets the range
-// reissued, and duplicated evaluation is harmless by construction —
-// but a Cancelled verdict aborts the lease via abandon.
+// heartbeatLoop keeps the lease alive while evaluation runs, four
+// times per lease deadline (once a second if the lease names none).
+// Transport failures are ignored — a missed heartbeat at worst gets
+// the range reissued, and duplicated evaluation is harmless by
+// construction — but a Cancelled verdict aborts the lease via abandon.
 func (w *Worker) heartbeatLoop(ctx context.Context, l Lease, abandon func()) {
-	t := time.NewTicker(w.hbEvery)
+	every := time.Duration(l.DeadlineMS) * time.Millisecond / 4
+	if every <= 0 {
+		every = time.Second
+	}
+	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
 		select {
@@ -349,7 +336,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context, l Lease, abandon func()) {
 // failures with backoff. A 409 (conflict) maps to ErrConflict and is
 // not retried; a Cancelled ack is returned for the caller to act on.
 func (w *Worker) submit(ctx context.Context, sweepID string, leaseID int64, lines []byte) (ResultAck, error) {
-	url := fmt.Sprintf("%s/results?worker=%s&sweep=%s&lease=%d", w.cfg.URL, w.cfg.ID, sweepID, leaseID)
+	path := fmt.Sprintf("/results?worker=%s&sweep=%s&lease=%d", w.cfg.ID, sweepID, leaseID)
 	if w.cfg.Tracer != nil {
 		flushStart := time.Now()
 		defer func() {
@@ -358,58 +345,18 @@ func (w *Worker) submit(ctx context.Context, sweepID string, leaseID int64, line
 				obs.Arg{Key: "bytes", Val: int64(len(lines))})
 		}()
 	}
-	var lastErr error
-	w.backoff.Reset()
-	for attempt := 0; attempt < w.cfg.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return ResultAck{}, err
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(lines))
-		if err != nil {
-			return ResultAck{}, err
-		}
-		req.Header.Set("Content-Type", "application/jsonl")
-		resp, err := w.client.Do(req)
-		if err == nil {
-			ack, aerr := decodeAck(resp)
-			if aerr == nil {
-				w.Submitted += ack.Accepted
-				w.Duplicate += ack.Duplicates
-				if ack.Done {
-					w.done = true
-				}
-				return ack, nil
-			}
-			if errors.Is(aerr, ErrConflict) {
-				return ResultAck{}, aerr
-			}
-			err = aerr
-		}
-		lastErr = err
-		if serr := sleepCtx(ctx, w.backoff.Next()); serr != nil {
-			return ResultAck{}, serr
-		}
-	}
-	return ResultAck{}, fmt.Errorf("coord: submitting results after %d attempts: %w", w.cfg.MaxAttempts, lastErr)
-}
-
-// decodeAck reads a /results response, mapping HTTP status to error
-// class.
-func decodeAck(resp *http.Response) (ResultAck, error) {
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	var ack ResultAck
+	err := w.retry(ctx, "submitting results", func() error {
+		ack = ResultAck{}
+		return w.post(ctx, path, "application/jsonl", lines, &ack)
+	})
 	if err != nil {
 		return ResultAck{}, err
 	}
-	switch {
-	case resp.StatusCode == http.StatusConflict:
-		return ResultAck{}, fmt.Errorf("%w: %s", ErrConflict, bytes.TrimSpace(body))
-	case resp.StatusCode != http.StatusOK:
-		return ResultAck{}, fmt.Errorf("coord: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body))
-	}
-	var ack ResultAck
-	if err := json.Unmarshal(body, &ack); err != nil {
-		return ResultAck{}, fmt.Errorf("coord: decoding ack: %w", err)
+	w.Submitted += ack.Accepted
+	w.Duplicate += ack.Duplicates
+	if ack.Done {
+		w.done = true
 	}
 	return ack, nil
 }
@@ -417,21 +364,29 @@ func decodeAck(resp *http.Response) (ResultAck, error) {
 // call posts a JSON request and decodes a JSON response, retrying
 // transient failures with the worker's backoff schedule.
 func (w *Worker) call(ctx context.Context, path string, in, out any) error {
+	return w.retry(ctx, path, func() error { return w.callOnce(ctx, path, in, out) })
+}
+
+// retry runs attempt until it succeeds, ctx ends, the coordinator
+// answers ErrConflict (never transient), or MaxAttempts consecutive
+// attempts have failed, sleeping the backoff schedule between
+// attempts. what names the request in the give-up error.
+func (w *Worker) retry(ctx context.Context, what string, attempt func() error) error {
 	var lastErr error
 	w.backoff.Reset()
-	for attempt := 0; attempt < w.cfg.MaxAttempts; attempt++ {
+	for i := 0; i < w.cfg.MaxAttempts; i++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		lastErr = w.callOnce(ctx, path, in, out)
-		if lastErr == nil {
-			return nil
+		lastErr = attempt()
+		if lastErr == nil || errors.Is(lastErr, ErrConflict) {
+			return lastErr
 		}
-		if serr := sleepCtx(ctx, w.backoff.Next()); serr != nil {
-			return serr
+		if err := sleepCtx(ctx, w.backoff.Next()); err != nil {
+			return err
 		}
 	}
-	return fmt.Errorf("coord: %s after %d attempts: %w", path, w.cfg.MaxAttempts, lastErr)
+	return fmt.Errorf("coord: %s after %d attempts: %w", what, w.cfg.MaxAttempts, lastErr)
 }
 
 // callOnce is a single JSON request/response round trip.
@@ -440,11 +395,18 @@ func (w *Worker) callOnce(ctx context.Context, path string, in, out any) error {
 	if err != nil {
 		return err
 	}
+	return w.post(ctx, path, "application/json", body, out)
+}
+
+// post sends body to path once and decodes the JSON reply into out,
+// mapping HTTP status to error class: 409 is ErrConflict, any other
+// non-200 a transient error.
+func (w *Worker) post(ctx context.Context, path, contentType string, body []byte, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.cfg.URL+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
 	resp, err := w.client.Do(req)
 	if err != nil {
 		return err
@@ -454,18 +416,22 @@ func (w *Worker) callOnce(ctx context.Context, path string, in, out any) error {
 	if err != nil {
 		return err
 	}
-	if resp.StatusCode != http.StatusOK {
+	switch {
+	case resp.StatusCode == http.StatusConflict:
+		return fmt.Errorf("%w: %s", ErrConflict, bytes.TrimSpace(raw))
+	case resp.StatusCode != http.StatusOK:
 		return fmt.Errorf("coord: %s: HTTP %d: %s", path, resp.StatusCode, bytes.TrimSpace(raw))
 	}
 	return json.Unmarshal(raw, out)
 }
 
-// checkpointLocal saves undelivered result lines as a shard file so a
-// later rejoin (this process or a fresh one pointed at the same
-// directory) can resubmit them without re-evaluating. The write is
-// atomic and fsynced, so the file holds every line or none. The file
-// name carries the sweep ID so resubmission can route the lines to the
-// right tenant.
+// checkpointLocal saves undelivered result lines as a shard file (a
+// sweep file whose header names the lease's range, which dse -merge
+// also accepts) so a later rejoin (this process or a fresh one
+// pointed at the same directory) can resubmit them without
+// re-evaluating. The write is atomic and fsynced, so the file holds
+// every line or none. The file name carries the sweep ID so
+// resubmission can route the lines to the right tenant.
 func (w *Worker) checkpointLocal(sw *workerSweep, l Lease, lines []byte) error {
 	if w.cfg.CheckpointDir == "" || len(lines) == 0 {
 		return nil

@@ -399,10 +399,11 @@ func TestWorkerGCAndTombstoneExpiry(t *testing.T) {
 		h.ServeHTTP(rec, req)
 		return rec.Body.String()
 	}
-	var hr HelloResponse
-	postJSON(t, h, "/hello", HelloRequest{Worker: "old"}, &hr)
+	// A heartbeat touches its worker whatever sweep it names.
+	var hr HeartbeatResponse
+	postJSON(t, h, "/heartbeat", HeartbeatRequest{Worker: "old", Sweep: "sw-none"}, &hr)
 	clock.Advance(30 * time.Second)
-	postJSON(t, h, "/hello", HelloRequest{Worker: "young"}, &hr)
+	postJSON(t, h, "/heartbeat", HeartbeatRequest{Worker: "young", Sweep: "sw-none"}, &hr)
 	if !strings.Contains(metrics(), `worker="old"`) {
 		t.Fatal("old worker's series missing before expiry")
 	}

@@ -29,7 +29,7 @@ type leaseObs struct {
 }
 
 // workerState is the coordinator's per-worker record: when the worker
-// was last heard from (hello, lease, heartbeat or results), how many
+// was last heard from (lease, heartbeat or results), how many
 // result lines of its submissions were accepted as new, and which
 // sweep it was last granted work from (the scheduler's affinity).
 type workerState struct {

@@ -38,7 +38,6 @@
 //	DELETE /sweeps/{id}                        -> SweepStatus     (graceful cancel)
 //	GET    /sweeps/{id}/front                  -> FrontSnapshot   (live Pareto/HV)
 //	GET    /sweeps/{id}/result                 -> JSONL           (final bytes)
-//	POST   /hello              HelloRequest    -> HelloResponse   (worker join)
 //	POST   /lease              LeaseRequest    -> LeaseResponse   (work assignment)
 //	POST   /results            JSONL lines     -> ResultAck       (?worker=&sweep=&lease=, sweep required)
 //	POST   /heartbeat          HeartbeatRequest -> HeartbeatResponse
@@ -89,27 +88,6 @@ type RegisterResponse struct {
 	Created bool `json:"created"`
 }
 
-// HelloRequest announces a worker to the coordinator.
-type HelloRequest struct {
-	// Worker is the worker's self-chosen identity, used for lease
-	// accounting and logs.
-	Worker string `json:"worker"`
-}
-
-// HelloResponse hands the worker the farm's protocol parameters.
-// Sweep identity travels per lease (LeaseResponse.Header), because a
-// multi-tenant worker may serve any number of sweeps over its
-// lifetime; the worker re-expands and hash-verifies each sweep the
-// first time it is leased work from it.
-type HelloResponse struct {
-	// HeartbeatMS is how often the coordinator expects a heartbeat
-	// while a lease is held (a fraction of the lease timeout).
-	HeartbeatMS int64 `json:"heartbeat_ms"`
-	// Sweeps lists the currently registered sweeps, for logs and
-	// dashboards; it is informational, not a work assignment.
-	Sweeps []SweepStatus `json:"sweeps,omitempty"`
-}
-
 // LeaseRequest asks for a work assignment from any registered sweep.
 type LeaseRequest struct {
 	// Worker is the requesting worker's identity.
@@ -132,8 +110,9 @@ type Lease struct {
 	// Hi is one past the last point ID (exclusive).
 	Hi int `json:"hi"`
 	// DeadlineMS is the lease duration in milliseconds: the worker
-	// must submit results or heartbeat within it, or the range is
-	// reclaimed and reissued.
+	// must heartbeat within it (a result post does not count), or the
+	// range is reclaimed and reissued. Workers heartbeat every
+	// DeadlineMS/4.
 	DeadlineMS int64 `json:"deadline_ms"`
 }
 
@@ -313,7 +292,7 @@ type WorkerStatus struct {
 	// Accepted counts this worker's result lines accepted as new.
 	Accepted int64 `json:"accepted"`
 	// LastSeenAgo is seconds since the worker was last heard from
-	// (hello, lease, heartbeat or results).
+	// (lease, heartbeat or results).
 	LastSeenAgo float64 `json:"last_seen_ago_s"`
 	// Affinity is the sweep the worker was last granted work from;
 	// the scheduler keeps the worker there (warm caches) until another

@@ -31,8 +31,9 @@ type Config struct {
 	// Seed is the boot sweep's seed; the whole determinism contract
 	// hangs off it.
 	Seed uint64
-	// LeaseTimeout bounds how long a lease can go without results or
-	// a heartbeat before its range is reclaimed. Default 30s.
+	// LeaseTimeout bounds how long a lease can go without a heartbeat
+	// before its range is reclaimed; result posts do not extend it.
+	// Default 30s.
 	LeaseTimeout time.Duration
 	// Chunks is the target number of fresh leases each sweep is cut
 	// into (grant size = sweep estimated cost / Chunks; reissues
@@ -559,7 +560,6 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // plus the sweep registry API and /status.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /hello", s.handleHello)
 	mux.HandleFunc("POST /lease", s.handleLease)
 	mux.HandleFunc("POST /results", s.handleResults)
 	mux.HandleFunc("POST /heartbeat", s.handleHeartbeat)
@@ -769,22 +769,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/jsonl")
 	w.Write(buf.Bytes())
-}
-
-func (s *Server) handleHello(w http.ResponseWriter, r *http.Request) {
-	var req HelloRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	s.mu.Lock()
-	s.touchWorkerLocked(req.Worker, s.cfg.Now())
-	resp := HelloResponse{HeartbeatMS: (s.cfg.LeaseTimeout / 4).Milliseconds()}
-	for _, id := range s.order {
-		resp.Sweeps = append(resp.Sweeps, s.sweeps[id].status())
-	}
-	s.mu.Unlock()
-	s.cfg.Log.Printf("hello from %s", req.Worker)
-	writeJSON(w, resp)
 }
 
 // handleLease grants the requesting worker its next assignment,

@@ -209,6 +209,52 @@ func TestLeaseExpiryReclaimThenLateAck(t *testing.T) {
 	}
 }
 
+// TestResultsDoNotExtendLease pins the lease-deadline rule: only
+// /heartbeat extends a lease. A worker that keeps posting partial
+// results but never heartbeats loses the rest of its range at the
+// deadline set when the lease was granted — which is what reclaims a
+// worker whose heartbeats stall while its evaluation carries on.
+func TestResultsDoNotExtendLease(t *testing.T) {
+	const spec, seed = "smoke", uint64(1)
+	points, lines := sweepLines(t, spec, seed)
+	clock := newFakeClock()
+	srv, err := New(Config{Spec: spec, Seed: seed, LeaseTimeout: 10 * time.Second, Chunks: 1, Now: clock.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	la := requestLease(t, h, "A")
+	if la.Lease == nil || la.Lease.Len() != len(points) {
+		t.Fatalf("expected a whole-sweep lease, got %+v", la)
+	}
+	// Three partial posts, 3 s apart: had a post counted as a
+	// heartbeat, the last would have moved the deadline to 19 s.
+	quarter := len(points) / 4
+	for i := 0; i < 3; i++ {
+		clock.Advance(3 * time.Second)
+		if code, ack, body := postLines(t, h, "A", la.Lease, lines[i*quarter:(i+1)*quarter]); code != http.StatusOK || ack.Accepted != quarter {
+			t.Fatalf("partial post %d: HTTP %d ack %+v (%s)", i, code, ack, body)
+		}
+	}
+	clock.Advance(time.Second) // 10 s: at the deadline, still held
+	if st := srv.Status(); st.ActiveLeases != 1 || st.PendingPoints != 0 {
+		t.Fatalf("lease reclaimed before its deadline: %+v", st)
+	}
+	clock.Advance(time.Millisecond)
+	done := 3 * quarter
+	if st := srv.Status(); st.ActiveLeases != 0 || st.Done != done || st.PendingPoints != len(points)-done {
+		t.Fatalf("lease not reclaimed at its deadline despite partial posts: %+v", st)
+	}
+	var hb HeartbeatResponse
+	postJSON(t, h, "/heartbeat", HeartbeatRequest{Worker: "A", Sweep: la.Lease.Sweep, Lease: la.Lease.ID}, &hb)
+	if hb.Valid {
+		t.Fatal("heartbeat on a reclaimed lease reported valid")
+	}
+	if lb := requestLease(t, h, "B"); lb.Lease == nil || lb.Lease.Lo != done {
+		t.Fatalf("reissued lease %+v, want one starting at the first unposted point %d", lb.Lease, done)
+	}
+}
+
 // TestSweeplessRequestsRejected: /results and /heartbeat must name
 // their sweep. A request that does not is a 400 naming the missing
 // parameter — not a Cancelled ack, which would make an old worker drop

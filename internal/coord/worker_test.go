@@ -32,31 +32,54 @@ func quickWorker(url, id string) WorkerConfig {
 	}
 }
 
-// TestWorkerEndToEnd runs one worker against a live coordinator with
-// no faults: the sweep completes and the output is byte-identical to
-// a standalone run.
+// TestWorkerEndToEnd runs workers against a live coordinator with no
+// faults: the sweep completes and the output is byte-identical to a
+// standalone run. The second case spans the mixed axes — a custom
+// core mix, a multi-app scenario and contended memory models, under
+// list and anneal — on two workers.
 func TestWorkerEndToEnd(t *testing.T) {
-	const spec, seed = "smoke", uint64(1)
-	srv, err := New(Config{Spec: spec, Seed: seed, Chunks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
+	for _, tc := range []struct {
+		name, spec string
+		seed       uint64
+		workers    int
+	}{
+		{"smoke", "smoke", 1, 1},
+		{"mixed-mem", "plat=2xrisc+2xdsp,homog4;wl=multi:jpeg+carradio,jpeg;heur=list,anneal;mem=bank:4x2,bw:8", 5, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := New(Config{Spec: tc.spec, Seed: tc.seed, Chunks: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs := httptest.NewServer(srv.Handler())
+			defer hs.Close()
 
-	w := NewWorker(quickWorker(hs.URL, "w0"))
-	if err := w.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if w.Submitted != len(srv.Points()) {
-		t.Fatalf("worker submitted %d, want %d", w.Submitted, len(srv.Points()))
-	}
-	var got bytes.Buffer
-	if err := srv.WriteFinal(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), referenceBytes(t, spec, seed)) {
-		t.Fatal("coordinated output differs from the standalone run")
+			ws := make([]*Worker, tc.workers)
+			errs := make(chan error, len(ws))
+			for i := range ws {
+				ws[i] = NewWorker(quickWorker(hs.URL, fmt.Sprintf("w%d", i)))
+				go func(w *Worker) { errs <- w.Run(context.Background()) }(ws[i])
+			}
+			for range ws {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+			submitted := 0
+			for _, w := range ws {
+				submitted += w.Submitted
+			}
+			if submitted != len(srv.Points()) {
+				t.Fatalf("workers submitted %d, want %d", submitted, len(srv.Points()))
+			}
+			var got bytes.Buffer
+			if err := srv.WriteFinal(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), referenceBytes(t, tc.spec, tc.seed)) {
+				t.Fatal("coordinated output differs from the standalone run")
+			}
+		})
 	}
 }
 
@@ -152,6 +175,66 @@ func TestWorkerVanishCheckpointAndRejoin(t *testing.T) {
 	}
 }
 
+// TestMergeCoordinatorLogAndLeaseCheckpoints is the offline fallback
+// `dse -merge` serves for a farm: a coordinator's checkpoint log holds
+// the leases it received, the lease a worker could not deliver sits in
+// its -worker-dir checkpoint, and merging the files yields the
+// standalone bytes.
+func TestMergeCoordinatorLogAndLeaseCheckpoints(t *testing.T) {
+	const spec, seed = "smoke", uint64(1)
+	_, lines := sweepLines(t, spec, seed)
+	log := filepath.Join(t.TempDir(), "coord.jsonl")
+	srv, err := New(Config{Spec: spec, Seed: seed, Chunks: 4, CheckpointPath: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	delivered := requestLease(t, h, "w0")
+	if delivered.Lease == nil {
+		t.Fatal("no first lease")
+	}
+	l := delivered.Lease
+	if code, _, body := postLines(t, h, "w0", l, lines[l.Lo:l.Hi]); code != http.StatusOK {
+		t.Fatalf("submit: HTTP %d (%s)", code, body)
+	}
+
+	// The remaining leases go to workers that cannot deliver: each
+	// checkpoints its lease under the shared -worker-dir and exits.
+	tr := &failPath{base: http.DefaultTransport, path: "/results"}
+	tr.set(true)
+	hs := httptest.NewServer(h)
+	defer hs.Close()
+	dir := t.TempDir()
+	for i := 1; srv.Status().PendingPoints > 0; i++ {
+		cfg := quickWorker(hs.URL, fmt.Sprintf("w%d", i))
+		cfg.Client = &http.Client{Transport: tr}
+		cfg.CheckpointDir = dir
+		cfg.MaxAttempts = 1
+		if err := NewWorker(cfg).Run(context.Background()); err == nil {
+			t.Fatal("worker reported success with an unreachable coordinator")
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ckpts, err := filepath.Glob(filepath.Join(dir, "*-sw-*-lease*.jsonl"))
+	if err != nil || len(ckpts) == 0 {
+		t.Fatalf("no lease checkpoints written (%v, %v)", ckpts, err)
+	}
+
+	acc, header, err := dse.MergeShards(append([]string{log}, ckpts...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if _, err := acc.WriteTo(&got, header); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), referenceBytes(t, spec, seed)) {
+		t.Fatal("merged coordinator log + lease checkpoints differ from the standalone run")
+	}
+}
+
 // TestWorkerResubmitsTornLeaseCheckpoint: a lease checkpoint whose
 // final line was torn (a crash mid-write) still delivers its intact
 // lines on rejoin, byte for byte, and is removed afterwards instead of
@@ -227,9 +310,6 @@ func TestWorkerRefusesSpecHashMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /hello", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(HelloResponse{HeartbeatMS: 1000})
-	})
 	mux.HandleFunc("POST /lease", func(w http.ResponseWriter, r *http.Request) {
 		h := srv.Header()
 		h.SpecHash = "0000000000000000"
@@ -259,9 +339,6 @@ func TestWorkerConflictNotRetried(t *testing.T) {
 	var submits int
 	var mu sync.Mutex
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /hello", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(HelloResponse{HeartbeatMS: 1000})
-	})
 	mux.HandleFunc("POST /lease", func(w http.ResponseWriter, r *http.Request) {
 		h := srv.Header()
 		json.NewEncoder(w).Encode(LeaseResponse{

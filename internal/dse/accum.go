@@ -9,7 +9,7 @@ import (
 )
 
 // Accumulator collects a sweep's results incrementally, in any order
-// and from any number of sources — shard files, coordinator workers,
+// and from any number of sources — sweep files, coordinator workers,
 // checkpoint replays — while enforcing the determinism contract that
 // makes retry and duplication safe: every line is validated against
 // the expanded point list (a result for a foreign or drifted point is

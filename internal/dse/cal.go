@@ -18,8 +18,8 @@ import (
 // the origin, and every group member's bottleneck compute is rescaled
 // by its class's factor. Probes are stamped into each point at sweep
 // expansion (Point.CalProbes), so the fit is a pure function of the
-// point itself — any worker or shard recomputes the identical factors,
-// which is what keeps sharded cal sweeps byte-identical.
+// point itself — any worker or lease recomputes the identical factors,
+// which is what keeps distributed cal sweeps byte-identical.
 
 // calEntry is one group's fitted calibration: per-class scale
 // factors, the pooled fallback factor, the fit residual, and each

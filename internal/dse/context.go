@@ -49,7 +49,7 @@ type EvalContext struct {
 	// cals caches per-group calibration fits (fid=cal) by calKey: the
 	// probe measurements and least-squares factors are computed once
 	// per (platform, workload, probes) group per worker; any worker
-	// recomputes identical values, so sharding never changes bytes.
+	// recomputes identical values, so distribution never changes bytes.
 	cals map[string]*calEntry
 
 	// obs is the optional instrumentation handle (SetObs); the zero

@@ -18,32 +18,31 @@
 //
 // # Distribution
 //
-// Sweeps distribute across processes and hosts without a coordinator.
-// PlanShards splits the expanded point list into contiguous ID ranges
-// balanced on EstCost; because planning is a pure function of the
-// spec and every per-point seed derives from the sweep seed alone,
-// each worker independently computes the same plan, evaluates its own
-// range, and writes a shard file whose result lines are a literal
-// substring of the unsharded output.
+// A sweep spreads over processes and hosts through the internal/coord
+// farm: a coordinator leases contiguous point ranges, sized on
+// EstCost, to workers that evaluate them on a local Engine. Every
+// per-point seed derives from the sweep seed alone, so a range
+// evaluated on any host yields result lines that are a literal
+// substring of the standalone output.
 //
 // Every sweep file starts with a Header line pinning the schema
-// version, spec, seed, expanded-point hash and (for shards) the
-// covered ID range. ReadLog is the one reader of that format, with one
-// damage policy: a torn final line is dropped and reported, damage
-// with data after it is an error. Header.Check is the one identity
-// check: resume checks a file's header against the sweep it continues
-// — a mismatch is a loud error, not a silent restart — and MergeShards
-// checks every shard's header against its own local Expand of the
-// spec, refuses torn shards, and feeds the lines into one Accumulator:
-// duplicate point IDs must carry identical bytes, and the union must
-// cover the full sweep. A merged file is byte-identical to an
-// unsharded run.
+// version, spec, seed, expanded-point hash and (for a worker's lease
+// checkpoint) the covered ID range. ReadLog is the one reader of that
+// format, with one damage policy: a torn final line is dropped and
+// reported, damage with data after it is an error. Header.Check is
+// the one identity check: resume checks a file's header against the
+// sweep it continues — a mismatch is a loud error, not a silent
+// restart — and MergeShards checks every file's header against its
+// own local Expand of the spec, refuses torn files, and feeds the
+// lines into one Accumulator: duplicate point IDs must carry
+// identical bytes, and the union must cover the full sweep. A merged
+// file is byte-identical to a standalone run.
 //
 // Front quality is quantified per workload: GroupedFront extracts
 // per-workload Pareto fronts over latency, energy proxy and area
 // proxy, and Hypervolumes reports each front's exact hypervolume
 // indicator against a deterministic per-group reference point, so
-// sweeps (full versus heuristic-restricted, merged versus unsharded)
+// sweeps (full versus heuristic-restricted, merged versus standalone)
 // compare by a number rather than by front membership counts.
 //
 // # Sweep grammar
@@ -228,7 +227,7 @@ type Point struct {
 	// CalProbes lists the probe mappings whose vp measurements
 	// calibrate this point's makespan (cal fidelity only), in group
 	// heuristic order. Stamped at expansion, so a point carries its
-	// group's full probe identity and any shard computes the identical
+	// group's full probe identity and any lease computes the identical
 	// fit without seeing the rest of the sweep.
 	CalProbes []CalProbe `json:"cal_probes,omitempty"`
 }

@@ -15,7 +15,7 @@ import (
 // the hypervolume — and the ideal-to-reference box — for fronts that
 // are degenerate on one axis but perfectly meaningful on the others.
 // It is a pure function of the results, so sweeps that evaluate the
-// same points — whatever the worker or shard count — report identical
+// same points — whatever the worker count or fleet — report identical
 // hypervolumes. Failed points are skipped; a set with no evaluable
 // points returns the zero reference.
 func RefPoint(results []Result) [3]float64 {
@@ -145,7 +145,7 @@ type FrontHV struct {
 // sorted by workload label, with each group's reference box derived
 // from its own results. Volumes are therefore comparable only
 // between sweeps that evaluated the same point set per group (e.g. a
-// merged sharded run versus an unsharded run); to compare sweeps
+// farm run versus a standalone run); to compare sweeps
 // over *different* point sets — a heuristic-restricted sweep against
 // a full one — use HypervolumesShared, which pins one reference box
 // for both.

@@ -20,13 +20,13 @@ const SchemaVersion = 1
 
 // Header is the provenance record written as the first line of every
 // sweep JSONL file, wrapped as {"header":{...}} so it can never be
-// confused with a result line. It pins everything that must match
-// for two files to be combinable: the schema version, the sweep spec
-// and seed, the hash of the expanded point list (which changes if the
-// expansion logic itself changes), the total point count, and — for
-// shard files — which contiguous ID range the file covers. Resume
-// and merge both validate it and fail loudly on mismatch instead of
-// silently discarding or mixing foreign results.
+// confused with a result line. It pins everything that must match for
+// two files to be combinable: the schema version, the sweep spec and
+// seed, the hash of the expanded point list (which changes if the
+// expansion logic itself changes), the total point count, and — for a
+// worker's lease checkpoint — which contiguous ID range the file
+// covers. Resume and merge both validate it and fail loudly on
+// mismatch instead of silently discarding or mixing foreign results.
 type Header struct {
 	// Schema is the file's SchemaVersion.
 	Schema int `json:"schema"`
@@ -290,13 +290,15 @@ func ReadLog(path string) (*Log, error) {
 	}
 }
 
-// MergeShards validates and merges shard result files into one sweep.
-// Every file must be complete (no torn final line) and its header
-// must Check against the local Expand of the first file's spec and
-// seed, shard range aside — so shards from another sweep, and shards
-// run with a drifted engine, both fail rather than producing a file
-// nothing else can reproduce. Results go into one Accumulator, which
-// drops byte-identical duplicates, refuses conflicting ones and checks
+// MergeShards validates and merges a complete set of sweep files into
+// one sweep: a finished file, or a coordinator log plus the lease
+// checkpoints its workers wrote (each a shard file). Every file must
+// be complete (no torn final line) and its header must Check against
+// the local Expand of the first file's spec and seed, shard range
+// aside — so shards from another sweep, and shards run with a drifted
+// engine, both fail rather than producing a file nothing else can
+// reproduce. Results go into one Accumulator, which drops
+// byte-identical duplicates, refuses conflicting ones and checks
 // every line against the expansion; the union must cover the full
 // sweep, and a missing shard is reported by its missing ID range. The
 // returned header is the unsharded one, so Accumulator.WriteTo writes

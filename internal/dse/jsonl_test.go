@@ -25,8 +25,8 @@ func TestMergeEmptyAndHeaderOnlyShards(t *testing.T) {
 	full := Shard{Index: 0, Count: 2, Lo: 0, Hi: 1}
 	emptyShard := Shard{Index: 1, Count: 2, Lo: 1, Hi: 1}
 	paths := []string{
-		ShardPath(filepath.Join(dir, "s.jsonl"), 0),
-		ShardPath(filepath.Join(dir, "s.jsonl"), 1),
+		shardFile(dir, "s", 0),
+		shardFile(dir, "s", 1),
 	}
 	runShardFile(t, paths[0], onePointSpec, 9, &full, 1)
 	var hdr bytes.Buffer
@@ -79,12 +79,9 @@ func TestMergeDuplicatePointIDs(t *testing.T) {
 	dir := t.TempDir()
 	const spec, seed = "plat=homog2,homog4;wl=carradio,jpeg", 3
 	points := expandSweep(t, spec, seed)
-	shards, err := PlanShards(points, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s0 := ShardPath(filepath.Join(dir, "d.jsonl"), 0)
-	s1 := ShardPath(filepath.Join(dir, "d.jsonl"), 1)
+	shards := splitShards(points, 2)
+	s0 := shardFile(dir, "d", 0)
+	s1 := shardFile(dir, "d", 1)
 	full := filepath.Join(dir, "full.jsonl")
 	runShardFile(t, s0, spec, seed, &shards[0], 1)
 	runShardFile(t, s1, spec, seed, &shards[1], 2)
@@ -134,13 +131,10 @@ func TestMergeMissingShard(t *testing.T) {
 	dir := t.TempDir()
 	const spec, seed = "plat=homog2,homog4;wl=carradio,jpeg", 3
 	points := expandSweep(t, spec, seed)
-	shards, err := PlanShards(points, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s0 := ShardPath(filepath.Join(dir, "m.jsonl"), 0)
+	shards := splitShards(points, 2)
+	s0 := shardFile(dir, "m", 0)
 	runShardFile(t, s0, spec, seed, &shards[0], 1)
-	_, _, err = MergeShards([]string{s0})
+	_, _, err := MergeShards([]string{s0})
 	if err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Fatalf("partial merge not rejected: %v", err)
 	}
@@ -152,19 +146,13 @@ func TestMergeForeignShards(t *testing.T) {
 	dir := t.TempDir()
 	const spec = "plat=homog2,homog4;wl=carradio,jpeg"
 	points := expandSweep(t, spec, 3)
-	shards, err := PlanShards(points, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s0 := ShardPath(filepath.Join(dir, "f.jsonl"), 0)
+	shards := splitShards(points, 2)
+	s0 := shardFile(dir, "f", 0)
 	runShardFile(t, s0, spec, 3, &shards[0], 1)
 	// Same spec, different seed on the other shard.
-	foreign := ShardPath(filepath.Join(dir, "f.jsonl"), 1)
+	foreign := shardFile(dir, "f", 1)
 	otherPoints := expandSweep(t, spec, 4)
-	otherShards, err := PlanShards(otherPoints, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	otherShards := splitShards(otherPoints, 2)
 	runShardFile(t, foreign, spec, 4, &otherShards[1], 1)
 	if _, _, err := MergeShards([]string{s0, foreign}); err == nil || !strings.Contains(err.Error(), "different sweep") {
 		t.Fatalf("foreign-seed shard not rejected: %v", err)

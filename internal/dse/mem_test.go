@@ -88,8 +88,8 @@ func TestMemSweepDeterminism(t *testing.T) {
 }
 
 // TestMemShardMergeByteIdentity: sharding a mem= sweep in two and
-// merging reproduces the unsharded bytes — EstCost, headers,
-// spec_hash and merge validation all understand the new token.
+// merging reproduces the unsharded bytes — headers, spec_hash and
+// merge validation all understand the new token.
 func TestMemShardMergeByteIdentity(t *testing.T) {
 	const seed = 13
 	dir := t.TempDir()
@@ -100,13 +100,10 @@ func TestMemShardMergeByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	points := expandSweep(t, memSpec, seed)
-	shards, err := PlanShards(points, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	shards := splitShards(points, 2)
 	var paths []string
 	for k := range shards {
-		path := ShardPath(filepath.Join(dir, "s.jsonl"), k)
+		path := shardFile(dir, "s", k)
 		runShardFile(t, path, memSpec, seed, &shards[k], k+1)
 		paths = append(paths, path)
 	}

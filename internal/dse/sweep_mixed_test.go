@@ -30,7 +30,7 @@ func TestMixedAxesSweepDeterminism(t *testing.T) {
 }
 
 // TestMixedAxesShardMergeByteIdentity: sharding a sweep over the new
-// axes and merging reproduces the unsharded bytes — EstCost, headers,
+// axes and merging reproduces the unsharded bytes — headers,
 // spec_hash and the merge validation all understand the new tokens.
 func TestMixedAxesShardMergeByteIdentity(t *testing.T) {
 	const seed = 17
@@ -42,13 +42,10 @@ func TestMixedAxesShardMergeByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	points := expandSweep(t, mixedSpec, seed)
-	shards, err := PlanShards(points, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	shards := splitShards(points, 3)
 	var paths []string
 	for k := range shards {
-		path := ShardPath(filepath.Join(dir, "s.jsonl"), k)
+		path := shardFile(dir, "s", k)
 		runShardFile(t, path, mixedSpec, seed, &shards[k], k+1)
 		paths = append(paths, path)
 	}

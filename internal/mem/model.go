@@ -50,7 +50,7 @@ type Model interface {
 	Reset()
 }
 
-// Spec bounds: hostile shard headers re-expand specs on every merge
+// Spec bounds: hostile sweep-file headers re-expand specs on every merge
 // host, so token parameters are capped like cal:K probes are.
 const (
 	// MaxBanks bounds bank:BxC bank counts.
