@@ -81,7 +81,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -111,13 +110,15 @@ func main() {
 	hvRef := flag.String("hv-ref", "", "JSONL sweep file whose results co-define the hypervolume reference box (for cross-sweep comparison)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on clean exit")
-	benchJSON := flag.String("bench-json", "", "after the sweep, write a machine-readable timing record (points/sec, wall time, GOMAXPROCS) to this file")
 	metricsOut := flag.String("metrics-out", "", "write a JSON metrics summary (eval latency histograms, cache and kernel counters) to this file on exit")
 	traceOut := flag.String("trace", "", "write per-point trace spans (Chrome trace-event JSON, loadable in ui.perfetto.dev) to this file")
 	connect := flag.String("connect", "", "join a dsed coordinator at this base URL as a worker instead of sweeping locally")
 	workerID := flag.String("worker-id", "", "worker identity in -connect mode (default host-pid)")
 	workerDir := flag.String("worker-dir", "", "directory for locally checkpointing leases the coordinator could not be told about (-connect mode)")
 	flag.Parse()
+	if *workers <= 0 {
+		*workers = runtime.GOMAXPROCS(0)
+	}
 
 	// SIGINT/SIGTERM cancel the context: in-flight evaluations finish,
 	// the ordered prefix is flushed as a valid checkpoint, and the
@@ -278,9 +279,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "dse: evaluated %d points (%d failed) in %.2fs\n",
 		len(remaining), failed, time.Since(start).Seconds())
-	if *benchJSON != "" {
-		writeBenchJSON(*benchJSON, *sweepSpec, *seed, len(remaining), time.Since(start), *workers)
-	}
 	report(results, *pareto, *hypervolume, baseline, reportWriter(*out))
 }
 
@@ -409,46 +407,6 @@ func writeMemProfile(path string) {
 	if err := pprof.WriteHeapProfile(f); err != nil {
 		fatal(err)
 	}
-}
-
-// benchRecord is the -bench-json output: one line of sweep-throughput
-// ground truth so successive PRs have a perf trajectory to compare
-// (see docs/performance.md and BENCH_dse.json).
-type benchRecord struct {
-	Sweep        string  `json:"sweep"`
-	Seed         uint64  `json:"seed"`
-	Points       int     `json:"points"`
-	WallS        float64 `json:"wall_s"`
-	PointsPerSec float64 `json:"points_per_sec"`
-	Workers      int     `json:"workers"`
-	GOMAXPROCS   int     `json:"gomaxprocs"`
-}
-
-func writeBenchJSON(path, sweep string, seed uint64, points int, wall time.Duration, workers int) {
-	rec := benchRecord{
-		Sweep:  sweep,
-		Seed:   seed,
-		Points: points,
-		WallS:  wall.Seconds(),
-		Workers: func() int {
-			if workers > 0 {
-				return workers
-			}
-			return runtime.GOMAXPROCS(0)
-		}(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-	if wall > 0 {
-		rec.PointsPerSec = float64(points) / wall.Seconds()
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "dse: bench record -> %s (%.1f points/sec)\n", path, rec.PointsPerSec)
 }
 
 // stopCPUProfile flushes an in-progress CPU profile; fatal calls it

@@ -150,3 +150,74 @@ func TestExportedComments(t *testing.T) {
 		}
 	}
 }
+
+// flagDef matches a flag definition in a command's main.go.
+var flagDef = regexp.MustCompile(`flag\.(?:String|Bool|Int|Int64|Uint64|Float64|Duration)\("([^"]+)"`)
+
+// rowFlag matches a flag named in the first cell of a README table row.
+var rowFlag = regexp.MustCompile("`-([a-z][a-z0-9-]*)")
+
+// TestReadmeFlagTables: every flag cmd/dse and cmd/dsed define has a
+// row in its README table, and every flag a row names is defined, so
+// a flag added or deleted in main.go fails here until README follows.
+func TestReadmeFlagTables(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ main, heading string }{
+		{"cmd/dse/main.go", "### `cmd/dse` flags"},
+		{"cmd/dsed/main.go", "| `cmd/dsed` flag |"},
+	} {
+		src, err := os.ReadFile(c.main)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defined := map[string]bool{}
+		for _, m := range flagDef.FindAllStringSubmatch(string(src), -1) {
+			defined[m[1]] = true
+		}
+		documented := map[string]bool{}
+		for _, row := range tableRows(string(readme), c.heading) {
+			first := strings.Split(row, "|")[1]
+			for _, m := range rowFlag.FindAllStringSubmatch(first, -1) {
+				documented[m[1]] = true
+			}
+		}
+		if len(defined) == 0 || len(documented) == 0 {
+			t.Fatalf("%s: found %d defined and %d documented flags — extraction broken?",
+				c.main, len(defined), len(documented))
+		}
+		for name := range defined {
+			if !documented[name] {
+				t.Errorf("%s defines -%s, but its README table has no row for it", c.main, name)
+			}
+		}
+		for name := range documented {
+			if !defined[name] {
+				t.Errorf("README documents -%s for %s, which does not define it", name, c.main)
+			}
+		}
+	}
+}
+
+// tableRows returns the lines of the first markdown table at or after
+// the line that starts with heading.
+func tableRows(doc, heading string) []string {
+	var rows []string
+	found := false
+	for _, line := range strings.Split(doc, "\n") {
+		switch {
+		case !found:
+			found = strings.HasPrefix(line, heading)
+			if found && strings.HasPrefix(line, "|") {
+				rows = append(rows, line)
+			}
+		case strings.HasPrefix(line, "|"):
+			rows = append(rows, line)
+		case len(rows) > 0:
+			return rows
+		}
+	}
+	return rows
+}

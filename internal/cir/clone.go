@@ -2,20 +2,6 @@ package cir
 
 import "fmt"
 
-// CloneProgram deep-copies a program so transformations can operate
-// on an AST without aliasing the original (the Source Recoder keeps
-// before/after versions for its behaviour-preservation oracle).
-func CloneProgram(p *Program) *Program {
-	out := &Program{}
-	for _, g := range p.Globals {
-		out.Globals = append(out.Globals, CloneVarDecl(g))
-	}
-	for _, f := range p.Funcs {
-		out.Funcs = append(out.Funcs, CloneFunc(f))
-	}
-	return out
-}
-
 // CloneVarDecl deep-copies a declaration.
 func CloneVarDecl(d *VarDecl) *VarDecl {
 	c := *d
@@ -23,23 +9,6 @@ func CloneVarDecl(d *VarDecl) *VarDecl {
 		c.Init = CloneExpr(d.Init)
 	}
 	return &c
-}
-
-// CloneFunc deep-copies a function.
-func CloneFunc(f *FuncDecl) *FuncDecl {
-	c := &FuncDecl{Line: f.Line, Name: f.Name, Ret: f.Ret}
-	for _, p := range f.Params {
-		c.Params = append(c.Params, CloneVarDecl(p))
-	}
-	for _, pr := range f.Pragmas {
-		cp := &Pragma{Line: pr.Line, Keys: map[string]string{}, Order: append([]string{}, pr.Order...)}
-		for k, v := range pr.Keys {
-			cp.Keys[k] = v
-		}
-		c.Pragmas = append(c.Pragmas, cp)
-	}
-	c.Body = CloneBlock(f.Body)
-	return c
 }
 
 // CloneBlock deep-copies a block.

@@ -1,9 +1,6 @@
 package cir
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Value is a runtime value: an integer or a pointer into an array
 // backing store.
@@ -76,16 +73,6 @@ func NewInterp(prog *Program) (*Interp, error) {
 	return in, nil
 }
 
-// SetGlobal sets a scalar global.
-func (in *Interp) SetGlobal(name string, v int64) error {
-	c, ok := in.globals[name]
-	if !ok || c.isArr {
-		return fmt.Errorf("cir: no scalar global %q", name)
-	}
-	c.data[0] = v
-	return nil
-}
-
 // Global reads a scalar global.
 func (in *Interp) Global(name string) (int64, error) {
 	c, ok := in.globals[name]
@@ -117,16 +104,6 @@ func (in *Interp) GlobalArray(name string) ([]int64, error) {
 	out := make([]int64, len(c.data))
 	copy(out, c.data)
 	return out, nil
-}
-
-// ChannelIDs returns the IDs of channels that carry data, sorted.
-func (in *Interp) ChannelIDs() []int64 {
-	ids := make([]int64, 0, len(in.Chans))
-	for id := range in.Chans {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	return ids
 }
 
 // frame is one function activation.

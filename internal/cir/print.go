@@ -27,19 +27,6 @@ func Print(p *Program) string {
 	return b.String()
 }
 
-// CountLines returns the number of non-blank source lines Print
-// produces — the code-size metric used by the recoder's productivity
-// accounting and the CIC translator's reports.
-func CountLines(p *Program) int {
-	n := 0
-	for _, ln := range strings.Split(Print(p), "\n") {
-		if strings.TrimSpace(ln) != "" {
-			n++
-		}
-	}
-	return n
-}
-
 func printVarDecl(d *VarDecl) string {
 	var b strings.Builder
 	b.WriteString("int ")

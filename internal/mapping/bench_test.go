@@ -23,10 +23,11 @@ func liveSearchObs(r *obs.Registry) SearchObs {
 	}
 }
 
-// Benchmarks of the candidate-evaluation hot path. These are the
-// numbers docs/performance.md tracks PR-to-PR: evaluate, objectiveCost
-// and the incremental anneal move must stay at 0 allocs/op (CI guards
-// this), and BenchmarkAnneal is the headline mapping-search figure.
+// Benchmarks of the candidate-evaluation hot path: evaluate,
+// objectiveCost and the incremental anneal move must stay at 0
+// allocs/op (CI guards this; limits and current figures are in
+// docs/performance.md), and BenchmarkAnneal is the headline
+// mapping-search figure.
 
 func BenchmarkEvaluate(b *testing.B) {
 	g := workload.SyntheticTaskGraph(16, 42)
@@ -191,8 +192,8 @@ func BenchmarkExhaustive(b *testing.B) {
 // code the sweeps run — one warm Executor, as a dse worker keeps one
 // across points — and /proc the one-sim.Proc-per-task executor it
 // replaced. The CI guard requires every /callback variant to stay ≥3×
-// faster than its /proc twin and within the allocs/op recorded in
-// docs/performance.md.
+// faster than its /proc twin and within the allocs/op limits listed in
+// docs/performance.md ("Limits CI enforces").
 
 // benchExec runs exec once per iteration, re-using one platform and
 // kernel as a dse worker re-uses its platform across points.

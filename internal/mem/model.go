@@ -1,18 +1,20 @@
+// Package mem models memory-subsystem contention for design-space
+// exploration, the mem= dimension of a sweep. Three models exist:
+// ideal (a nil Model: infinite banks and bandwidth, zero service
+// time), bank:BxC (B bank queues behind C shared DMA channels) and
+// bw:G (one DMA engine with a G byte/ns budget). A design point
+// attaches its model to the platform, and every cross-PE payload then
+// queues for memory service after it crosses the interconnect.
+//
+// The models follow the noc contention idiom: a deterministic
+// busy-until reservation per resource, a contention-free EstLatency
+// for the mapping cost models, and cumulative transfer/wait counters
+// that the sweep reads as a delta per run. A Model is reset per
+// design point like the kernel. Its estimator and its service path
+// both clamp non-positive payloads to one byte, matching the fabrics'
+// serialization, so a zero-byte edge costs the same on the scoring
+// and the simulation path.
 package mem
-
-// Memory-subsystem contention models for design-space exploration.
-// The fabric (internal/noc) is no longer the only contended shared
-// resource: a design point can attach a Model to its platform and
-// every cross-PE payload then queues for memory service — bank/channel
-// conflicts or a shared DMA bandwidth budget — after it crosses the
-// interconnect. Models follow the noc contention idiom exactly: a
-// deterministic busy-until reservation per resource, a contention-free
-// EstLatency for the mapping cost models, and cumulative
-// transfer/wait counters the sweep reads as a delta per run. A Model
-// is resettable per design point like the kernel, and both its
-// estimator and its service path clamp non-positive payloads to one
-// byte, matching the fabrics' serialization — so a zero-byte edge
-// costs the same on the scoring and the simulation path.
 
 import (
 	"fmt"
