@@ -10,8 +10,8 @@
 //
 //	dsed [-addr :9090] [-sweep SPEC] [-seed S] [-out FILE]
 //	     [-checkpoint FILE] [-checkpoint-dir DIR] [-resume]
-//	     [-max-sweeps N] [-disk-budget BYTES] [-affinity-debt C]
-//	     [-lease-timeout D] [-chunks N] [-drain-timeout D]
+//	     [-max-sweeps N] [-disk-budget BYTES] [-lease-timeout D]
+//	     [-chunks N] [-drain-timeout D]
 //	     [-pareto] [-hypervolume] [-status-interval D] [-pprof]
 //
 // Two modes:
@@ -78,7 +78,6 @@ func main() {
 	resume := flag.Bool("resume", false, "re-accept the -checkpoint log before serving (header must match)")
 	maxSweeps := flag.Int("max-sweeps", 16, "admission limit on concurrently active sweeps (further POST /sweeps get 429)")
 	diskBudget := flag.Int64("disk-budget", 0, "refuse new sweeps with 507 once checkpoint logs exceed this many bytes; 0 = unlimited")
-	affinityDebt := flag.Float64("affinity-debt", 0, "fairness debt (EstCost units) another sweep must accumulate before a worker is rebalanced off its cached sweep; 0 = auto")
 	leaseTimeout := flag.Duration("lease-timeout", 30*time.Second, "deadline before an unacked lease is reclaimed and reissued")
 	chunks := flag.Int("chunks", 32, "target number of fresh leases each sweep is cut into")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "on SIGTERM, wait at most this long for in-flight leases before exiting")
@@ -106,7 +105,6 @@ func main() {
 		CheckpointDir:   *checkpointDir,
 		MaxSweeps:       *maxSweeps,
 		DiskBudgetBytes: *diskBudget,
-		AffinityDebt:    *affinityDebt,
 		Log:             logger,
 		ProgressEvery:   50,
 	})

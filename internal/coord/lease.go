@@ -228,6 +228,21 @@ func (t *leaseTable) issue(worker string, lo, hi, issues int, now time.Time) *le
 	return l
 }
 
+// untilEvent caps d at the time until a lease expires (reclaim fires a
+// nanosecond past its deadline) or turns stealable (granted+timeout/2,
+// if not robbed). Past instants do not count: a park cannot spin.
+func (t *leaseTable) untilEvent(now time.Time, d time.Duration) time.Duration {
+	for _, l := range t.active {
+		if at := l.deadline.Add(time.Nanosecond).Sub(now); at > 0 {
+			d = min(d, at)
+		}
+		if at := l.granted.Add(t.timeout / 2).Sub(now); at > 0 && !l.stolen {
+			d = min(d, at)
+		}
+	}
+	return d
+}
+
 // hasWork reports whether grant would hand out a lease right now:
 // an uncovered pending point exists, or a straggler is eligible for
 // stealing. The fair scheduler uses it to decide which sweeps are

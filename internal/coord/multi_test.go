@@ -388,7 +388,7 @@ func TestFairSchedulerDebtBound(t *testing.T) {
 // traffic) also ages out along with its series.
 func TestWorkerGCAndTombstoneExpiry(t *testing.T) {
 	clock := newFakeClock()
-	srv, err := New(Config{LeaseTimeout: 10 * time.Second, Now: clock.Now})
+	srv, err := New(Config{LeaseTimeout: 10 * time.Second, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,7 +180,7 @@ func (s *Server) touchWorkerLocked(worker string, now time.Time) *workerState {
 		s.workers[worker] = ws
 		s.reg.GaugeFunc("coord_worker_heartbeat_age_seconds",
 			"Seconds since the worker was last heard from.",
-			s.locked(func() float64 { return s.cfg.Now().Sub(ws.lastSeen).Seconds() }), "worker", worker)
+			s.locked(func() float64 { return s.cfg.Clock.Now().Sub(ws.lastSeen).Seconds() }), "worker", worker)
 		s.reg.CounterFunc("coord_worker_accepted_total",
 			"Result lines from this worker accepted as new.",
 			s.locked(func() float64 { return float64(ws.accepted) }), "worker", worker)

@@ -117,7 +117,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // clock.
 func TestStatusWorkersAndRate(t *testing.T) {
 	clk := newFakeClock()
-	srv, err := New(Config{Spec: "smoke", Seed: 1, Chunks: 2, Now: clk.Now})
+	srv, err := New(Config{Spec: "smoke", Seed: 1, Chunks: 2, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}

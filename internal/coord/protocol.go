@@ -124,7 +124,7 @@ func (l Lease) Len() int { return l.Hi - l.Lo }
 // leased out, no sweeps registered, or the coordinator is draining).
 // Except while draining, the coordinator holds an idle request for up
 // to RetryMS first and answers early when a sweep is registered,
-// completes or is cancelled.
+// completes or is cancelled, or a lease expires or turns stealable.
 type LeaseResponse struct {
 	// Lease is the granted assignment; nil when Done or RetryMS is
 	// set instead.

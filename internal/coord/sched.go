@@ -18,9 +18,10 @@ package coord
 // Worker affinity is layered on top as a bounded distortion: a worker
 // keeps draining the sweep whose expanded points and caches it already
 // holds, unless some other sweep's debt exceeds the affine sweep's by
-// more than a threshold — then fairness wins and the worker is
-// rebalanced. The threshold is therefore also the fairness price of
-// affinity: debts stay within the DRR bound plus the threshold.
+// more than a threshold (twice the largest runnable fresh-lease cost)
+// — then fairness wins and the worker is rebalanced. The threshold is
+// therefore also the fairness price of affinity: debts stay within the
+// DRR bound plus the threshold.
 //
 // The functions here are pure (slices in, index out) so the debt-bound
 // property test can hammer them without a server.

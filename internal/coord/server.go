@@ -62,26 +62,34 @@ type Config struct {
 	// CheckpointDir; registration past the budget is refused with 507 +
 	// Retry-After. 0 means unlimited.
 	DiskBudgetBytes int64
-	// AffinityDebt is the fairness price of worker affinity: a worker
-	// keeps draining its cached sweep as long as no other sweep's
-	// scheduling debt exceeds that sweep's by more than this many
-	// EstCost units. <= 0 means auto (twice the largest fresh-lease
-	// cost among runnable sweeps).
-	AffinityDebt float64
-	// WorkerExpiry is how long a silent worker stays in the /status
-	// table and metric label set before being garbage-collected, and
-	// how long a cancelled sweep's tombstone absorbs late submissions.
-	// Default 4 x LeaseTimeout.
-	WorkerExpiry time.Duration
-	// Now supplies the clock; nil means time.Now. Tests inject a fake
-	// clock to drive lease expiry deterministically.
-	Now func() time.Time
+	// Clock is the one source of time for every protocol read and wait;
+	// nil means the real clock. Tests inject a fake one.
+	Clock Clock
 	// Log receives progress lines; nil discards them.
 	Log *log.Logger
 	// ProgressEvery, when > 0, logs a live per-workload Pareto-front
 	// and hypervolume snapshot each time that many further points of a
 	// sweep complete.
 	ProgressEvery int
+}
+
+// Clock reads and waits on time. NewTimer returns a channel that
+// receives once d has passed, and a function that stops the timer.
+type Clock interface {
+	Now() time.Time
+	NewTimer(d time.Duration) (<-chan time.Time, func() bool)
+}
+
+// realClock is the wall clock.
+type realClock struct{}
+
+// Now reads the wall clock.
+func (realClock) Now() time.Time { return time.Now() }
+
+// NewTimer starts a wall-clock timer.
+func (realClock) NewTimer(d time.Duration) (<-chan time.Time, func() bool) {
+	t := time.NewTimer(d)
+	return t.C, t.Stop
 }
 
 // Server is the multi-tenant sweep coordinator: it owns the sweep
@@ -126,11 +134,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxSweeps <= 0 {
 		cfg.MaxSweeps = 16
 	}
-	if cfg.WorkerExpiry <= 0 {
-		cfg.WorkerExpiry = 4 * cfg.LeaseTimeout
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
+	if cfg.Clock == nil {
+		cfg.Clock = realClock{}
 	}
 	if cfg.Log == nil {
 		cfg.Log = log.New(io.Discard, "", 0)
@@ -142,7 +147,7 @@ func New(cfg Config) (*Server, error) {
 		wake:    make(chan struct{}),
 		reg:     obs.NewRegistry(),
 	}
-	s.started = cfg.Now()
+	s.started = cfg.Clock.Now()
 	s.initObs()
 	if cfg.CheckpointDir != "" {
 		if err := s.rescanDir(); err != nil {
@@ -256,7 +261,7 @@ func (s *Server) rescanDir() error {
 // single-threaded constructor) and has already checked that the ID is
 // free and that prior's header is this sweep's.
 func (s *Server) adoptSweepLocked(header dse.Header, points []dse.Point, ckptPath string, prior *dse.Log) (*sweep, error) {
-	sw := newSweep(header, points, s.cfg.Now())
+	sw := newSweep(header, points, s.cfg.Clock.Now())
 	sw.ckptPath = ckptPath
 	sw.table = newLeaseTable(sw.costs, sw.totalCost/float64(s.cfg.Chunks), s.cfg.LeaseTimeout, sw.acc.Has)
 	sw.table.obs = s.leaseObs
@@ -308,7 +313,7 @@ func (s *Server) completeSweepLocked(sw *sweep) {
 		return
 	}
 	sw.state = SweepDone
-	sw.finished = s.cfg.Now()
+	sw.finished = s.cfg.Clock.Now()
 	sw.debt = 0
 	close(sw.done)
 	s.wakeLocked()
@@ -334,7 +339,7 @@ func (s *Server) cancelSweepLocked(sw *sweep) {
 	wasActive := sw.state == SweepActive
 	n := sw.table.clear()
 	sw.state = SweepCancelled
-	sw.finished = s.cfg.Now()
+	sw.finished = s.cfg.Clock.Now()
 	sw.debt = 0
 	if err := sw.closeCheckpoint(); err != nil {
 		s.cfg.Log.Printf("sweep %s: closing checkpoint: %v", sw.id, err)
@@ -362,9 +367,9 @@ func (s *Server) removeSweepLocked(sw *sweep) {
 
 // reclaimAndGCLocked expires overdue leases on every active sweep,
 // retires leases whose ranges completed, garbage-collects workers not
-// heard from within WorkerExpiry (dropping their metric series so a
-// long-lived daemon's label set stays bounded), and expires cancelled
-// sweeps' tombstones.
+// heard from within 4 x LeaseTimeout (dropping their metric series so
+// a long-lived daemon's label set stays bounded), and expires
+// cancelled sweeps' tombstones after as long.
 func (s *Server) reclaimAndGCLocked(now time.Time) {
 	for _, id := range s.order {
 		sw := s.sweeps[id]
@@ -377,7 +382,7 @@ func (s *Server) reclaimAndGCLocked(now time.Time) {
 		sw.table.closeCovered()
 	}
 	for name, ws := range s.workers {
-		if now.Sub(ws.lastSeen) >= s.cfg.WorkerExpiry {
+		if now.Sub(ws.lastSeen) >= 4*s.cfg.LeaseTimeout {
 			delete(s.workers, name)
 			s.unregisterWorkerObsLocked(name)
 			s.cfg.Log.Printf("worker %s departed (silent %s), dropped from tables", name, now.Sub(ws.lastSeen))
@@ -385,7 +390,7 @@ func (s *Server) reclaimAndGCLocked(now time.Time) {
 	}
 	for i := 0; i < len(s.order); {
 		sw := s.sweeps[s.order[i]]
-		if sw.state == SweepCancelled && now.Sub(sw.finished) >= s.cfg.WorkerExpiry {
+		if sw.state == SweepCancelled && now.Sub(sw.finished) >= 4*s.cfg.LeaseTimeout {
 			s.removeSweepLocked(sw)
 			continue
 		}
@@ -459,26 +464,45 @@ func (s *Server) Drain(ctx context.Context) error {
 	if !already {
 		s.cfg.Log.Printf("draining: no new leases, waiting for in-flight leases to flush")
 	}
-	t := time.NewTicker(50 * time.Millisecond)
-	defer t.Stop()
 	for {
 		s.mu.Lock()
-		s.reclaimAndGCLocked(s.cfg.Now())
+		now := s.cfg.Clock.Now()
+		s.reclaimAndGCLocked(now)
 		inflight := 0
 		for _, sw := range s.sweeps {
 			inflight += len(sw.table.active) // only active sweeps hold leases
 		}
+		wake, d := s.wake, s.untilEventLocked(now, s.cfg.LeaseTimeout)
 		s.mu.Unlock()
 		if inflight == 0 {
 			return s.Close()
 		}
-		select {
-		case <-ctx.Done():
+		if !s.park(ctx, wake, d) {
 			s.Close()
 			return ctx.Err()
-		case <-t.C:
 		}
 	}
+}
+
+// park waits until wake closes, d passes on the Clock, or ctx ends (false).
+func (s *Server) park(ctx context.Context, wake <-chan struct{}, d time.Duration) bool {
+	fire, stop := s.cfg.Clock.NewTimer(d)
+	defer stop()
+	select {
+	case <-wake:
+	case <-fire:
+	case <-ctx.Done():
+		return false
+	}
+	return true
+}
+
+// untilEventLocked caps d at the time to any sweep's next lease event (untilEvent).
+func (s *Server) untilEventLocked(now time.Time, d time.Duration) time.Duration {
+	for _, sw := range s.sweeps {
+		d = sw.table.untilEvent(now, d)
+	}
+	return d
 }
 
 // WriteFinal streams the boot sweep's completed output — byte-identical
@@ -500,7 +524,7 @@ func (s *Server) WriteFinal(w io.Writer) error {
 func (s *Server) Status() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.cfg.Now()
+	now := s.cfg.Clock.Now()
 	s.reclaimAndGCLocked(now)
 	st := Status{
 		Workers:  len(s.workers),
@@ -773,45 +797,40 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 
 // handleLease grants the requesting worker its next assignment,
 // picking the sweep by cost-weighted fairness with worker affinity
-// (see sched.go). A request with nothing to grant waits, for at most
+// (see sched.go). A request with nothing to grant parks, for at most
 // the RetryMS it would answer, until a sweep is registered, completes
-// or is cancelled, or a drain starts, and then decides once more: an
-// idle worker learns at once that the boot sweep is over or that a new
-// sweep has work.
+// or is cancelled, a drain starts, or a lease expires or turns
+// stealable, and then decides once more: an idle worker learns at once
+// that the boot sweep is over or that work is grantable.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if !readJSON(w, r, &req) {
 		return
 	}
-	resp, wake := s.decideLease(req.Worker)
+	resp, wake, d := s.decideLease(req.Worker)
 	if wake != nil {
-		t := time.NewTimer(time.Duration(resp.RetryMS) * time.Millisecond)
-		defer t.Stop()
-		select {
-		case <-wake:
-		case <-t.C:
-		case <-r.Context().Done():
+		if !s.park(r.Context(), wake, d) {
 			return // the worker is gone: grant it nothing
 		}
-		resp, _ = s.decideLease(req.Worker)
+		resp, _, _ = s.decideLease(req.Worker)
 	}
 	writeJSON(w, resp)
 }
 
 // decideLease answers one /lease: Done, a grant, or a RetryMS hint.
 // An idle answer (nothing to grant, not draining) also returns the
-// wake channel that was current when it was decided.
-func (s *Server) decideLease(worker string) (LeaseResponse, <-chan struct{}) {
-	now := s.cfg.Now()
+// wake channel current when it was decided, and how long to park.
+func (s *Server) decideLease(worker string) (LeaseResponse, <-chan struct{}, time.Duration) {
+	now := s.cfg.Clock.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ws := s.touchWorkerLocked(worker, now)
 	s.reclaimAndGCLocked(now)
 	if s.boot != nil && s.boot.state != SweepActive {
-		return LeaseResponse{Done: true}, nil
+		return LeaseResponse{Done: true}, nil, 0
 	}
 	if s.draining {
-		return s.retryResponseLocked(), nil
+		return s.retryResponseLocked(), nil, 0
 	}
 	// The runnable set: active sweeps with grantable work right now.
 	// An active sweep with nothing to hand out holds no claim on
@@ -830,7 +849,7 @@ func (s *Server) decideLease(worker string) (LeaseResponse, <-chan struct{}) {
 		}
 	}
 	if len(elig) == 0 {
-		return s.retryResponseLocked(), s.wake
+		return s.idleLocked(now)
 	}
 	debts := make([]float64, len(elig))
 	affinity, maxChunk := -1, 0.0
@@ -843,14 +862,10 @@ func (s *Server) decideLease(worker string) (LeaseResponse, <-chan struct{}) {
 			maxChunk = sw.table.chunkCost
 		}
 	}
-	threshold := s.cfg.AffinityDebt
-	if threshold <= 0 {
-		threshold = 2 * maxChunk
-	}
-	sw := elig[pickFair(debts, affinity, threshold)]
+	sw := elig[pickFair(debts, affinity, 2*maxChunk)]
 	l := sw.table.grant(worker, now)
 	if l == nil {
-		return s.retryResponseLocked(), s.wake
+		return s.idleLocked(now)
 	}
 	cost := 0.0
 	for p := l.lo; p < l.hi; p++ {
@@ -876,12 +891,18 @@ func (s *Server) decideLease(worker string) (LeaseResponse, <-chan struct{}) {
 			DeadlineMS: s.cfg.LeaseTimeout.Milliseconds(),
 		},
 		Header: &sw.header,
-	}, nil
+	}, nil, 0
 }
 
 // retryResponseLocked is the "nothing to grant right now" answer.
 func (s *Server) retryResponseLocked() LeaseResponse {
 	return LeaseResponse{RetryMS: max(s.cfg.LeaseTimeout/8, 50*time.Millisecond).Milliseconds()}
+}
+
+// idleLocked answers RetryMS; the request parks on wake until then or the next lease event.
+func (s *Server) idleLocked(now time.Time) (LeaseResponse, <-chan struct{}, time.Duration) {
+	resp := s.retryResponseLocked()
+	return resp, s.wake, s.untilEventLocked(now, time.Duration(resp.RetryMS)*time.Millisecond)
 }
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -893,7 +914,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "coord: heartbeat is missing the sweep parameter", http.StatusBadRequest)
 		return
 	}
-	now := s.cfg.Now()
+	now := s.cfg.Clock.Now()
 	s.mu.Lock()
 	s.touchWorkerLocked(req.Worker, now)
 	sw := s.sweeps[req.Sweep]
@@ -982,7 +1003,7 @@ func (s *Server) ingestResults(w http.ResponseWriter, worker, sweepID, lease str
 		s.obs.lockedUS.Observe(time.Since(lockedAt).Microseconds())
 		s.mu.Unlock()
 	}()
-	ws := s.touchWorkerLocked(worker, s.cfg.Now())
+	ws := s.touchWorkerLocked(worker, s.cfg.Clock.Now())
 	sw := s.sweeps[sweepID]
 	if sw == nil || sw.state == SweepCancelled {
 		writeJSON(w, ResultAck{Cancelled: true})
@@ -1013,7 +1034,11 @@ func (s *Server) ingestResults(w http.ResponseWriter, worker, sweepID, lease str
 	ws.accepted += int64(ack.Accepted)
 	s.obs.accepted.Add(int64(ack.Accepted))
 	s.obs.duplicates.Add(int64(ack.Duplicates))
+	leases := len(sw.table.active)
 	sw.table.closeCovered()
+	if s.draining && len(sw.table.active) < leases { // Drain waits for this
+		s.wakeLocked()
+	}
 	progress := s.progressDueLocked(sw)
 	if sw.acc.Complete() {
 		s.completeSweepLocked(sw)

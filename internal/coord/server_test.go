@@ -16,27 +16,6 @@ import (
 	"mpsockit/internal/dse"
 )
 
-// fakeClock is an injectable, manually advanced clock for driving
-// lease expiry deterministically.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1000, 0)} }
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
 // sweepLines evaluates the sweep once and returns the expanded points
 // plus each point's JSONL line (without trailing newline), indexed by
 // point ID — the ground truth any worker anywhere would produce.
@@ -132,7 +111,7 @@ func TestLeaseExpiryReclaimThenLateAck(t *testing.T) {
 	const spec, seed = "smoke", uint64(1)
 	points, lines := sweepLines(t, spec, seed)
 	clock := newFakeClock()
-	srv, err := New(Config{Spec: spec, Seed: seed, LeaseTimeout: 10 * time.Second, Chunks: 4, Now: clock.Now})
+	srv, err := New(Config{Spec: spec, Seed: seed, LeaseTimeout: 10 * time.Second, Chunks: 4, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +197,7 @@ func TestResultsDoNotExtendLease(t *testing.T) {
 	const spec, seed = "smoke", uint64(1)
 	points, lines := sweepLines(t, spec, seed)
 	clock := newFakeClock()
-	srv, err := New(Config{Spec: spec, Seed: seed, LeaseTimeout: 10 * time.Second, Chunks: 1, Now: clock.Now})
+	srv, err := New(Config{Spec: spec, Seed: seed, LeaseTimeout: 10 * time.Second, Chunks: 1, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,39 +398,58 @@ func TestWriteFinalIncomplete(t *testing.T) {
 
 // TestStealDuplicatesStragglerTail checks work stealing: when all
 // work is leased but one holder is slow, an idle worker is handed a
-// duplicate of the unfinished tail rather than nothing.
+// duplicate of the unfinished tail rather than nothing — by a /lease
+// parked on the fake clock, the moment the straggler turns stealable.
 func TestStealDuplicatesStragglerTail(t *testing.T) {
 	const spec, seed = "smoke", uint64(1)
 	points, lines := sweepLines(t, spec, seed)
 	clock := newFakeClock()
-	srv, err := New(Config{Spec: spec, Seed: seed, LeaseTimeout: 10 * time.Second, Chunks: 1, Now: clock.Now})
+	srv, err := New(Config{Spec: spec, Seed: seed, LeaseTimeout: 10 * time.Second, Chunks: 1, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := srv.Handler()
 
 	// One lease covers the whole sweep.
+	granted := clock.Now()
 	la := requestLease(t, h, "slow")
 	if la.Lease == nil || la.Lease.Len() != len(points) {
 		t.Fatalf("expected a whole-sweep lease, got %+v", la)
 	}
-	// Too young to rob yet.
-	if lb := requestLease(t, h, "idle"); lb.Lease != nil {
+	stealable := granted.Add(5 * time.Second)
+	// Too young to rob yet: the idle request parks for RetryMS (1.25 s,
+	// before the lease turns stealable) and comes back empty.
+	var rec *httptest.ResponseRecorder
+	answered := leaseAsync(h, "idle", &rec)
+	at, parked := clock.parkedAt(t, answered)
+	if !parked || !at.Before(stealable) {
+		t.Fatalf("idle /lease on a fresh lease: parked %v until %v, want a park ending before %v", parked, at, stealable)
+	}
+	clock.advanceTo(at)
+	<-answered
+	if lb := decodeLease(t, rec); lb.Lease != nil {
 		t.Fatalf("stole from a fresh lease: %+v", lb.Lease)
 	}
 	// The straggler heartbeats (stays live) but completes only the
-	// first quarter. Past half the timeout its tail is stealable.
+	// first quarter. At half the timeout its tail turns stealable, and
+	// an idle request parked across that instant is answered with it.
 	quarter := len(points) / 4
 	if code, _, _ := postLines(t, h, "slow", la.Lease, lines[:quarter]); code != http.StatusOK {
 		t.Fatal("straggler submit failed")
 	}
-	clock.Advance(6 * time.Second)
+	clock.advanceTo(stealable.Add(-time.Second))
 	var hb HeartbeatResponse
 	postJSON(t, h, "/heartbeat", HeartbeatRequest{Worker: "slow", Sweep: la.Lease.Sweep, Lease: la.Lease.ID}, &hb)
 	if !hb.Valid {
 		t.Fatal("straggler heartbeat refused")
 	}
-	lb := requestLease(t, h, "idle")
+	answered = leaseAsync(h, "idle", &rec)
+	if at, parked = clock.parkedAt(t, answered); !parked || !at.Equal(stealable) {
+		t.Fatalf("idle /lease before half the timeout: parked %v until %v, want until %v", parked, at, stealable)
+	}
+	clock.advanceTo(at)
+	<-answered
+	lb := decodeLease(t, rec)
 	if lb.Lease == nil {
 		t.Fatalf("no steal offered: %+v", srv.Status())
 	}
