@@ -7,40 +7,45 @@ import (
 	"mpsockit/internal/obs"
 )
 
-// BenchmarkSweepPoint measures one task-level design-point evaluation
-// end to end (platform build, mapping search, mapped execution) — the
-// unit of work the sweep engine repeats hundreds of times per run.
-// The pipe8 variants evaluate the same (platform, workload, heuristic)
-// at the pipelined fidelity with 8 iterations; their ratio to mvp is
-// the evidence behind EstCost's pipe term.
+// BenchmarkSweepPoint measures one design-point evaluation end to end
+// (platform build, mapping search, mapped execution) — the unit of
+// work the sweep engine repeats hundreds of times per run. The pipe8
+// variants evaluate the same (platform, workload, heuristic) at the
+// pipelined fidelity with 8 iterations, and rtos/jobs16 a 16-job bag
+// on the same platform; their ratios to list/mvp are the evidence
+// behind EstCost's pipe and rtos terms.
 func BenchmarkSweepPoint(b *testing.B) {
-	for _, heur := range []string{"anneal", "list"} {
-		for _, fid := range []string{"mvp", "pipe8"} {
-			p := Point{
-				ID:   0,
-				Seed: 12345,
-				Plat: PlatSpec{Kind: "wireless", Fabric: "mesh", DVFS: 1},
-
-				Workload:     "synth",
-				N:            16,
-				WorkloadSeed: 99,
-				Heuristic:    heur,
-				Fidelity:     "mvp",
-			}
-			if fid == "pipe8" {
-				p.Fidelity, p.Iterations = "pipe", 8
-			}
-			b.Run(heur+"/"+fid, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					r := Evaluate(p)
-					if r.Err != "" {
-						b.Fatal(r.Err)
-					}
+	run := func(name string, p Point) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r := Evaluate(p)
+				if r.Err != "" {
+					b.Fatal(r.Err)
 				}
-			})
-		}
+			}
+		})
 	}
+	base := Point{
+		ID:   0,
+		Seed: 12345,
+		Plat: PlatSpec{Kind: "wireless", Fabric: "mesh", DVFS: 1},
+
+		Workload:     "synth",
+		N:            16,
+		WorkloadSeed: 99,
+		Fidelity:     "mvp",
+	}
+	for _, heur := range []string{"anneal", "list"} {
+		p := base
+		p.Heuristic = heur
+		run(heur+"/mvp", p)
+		p.Fidelity, p.Iterations = "pipe", 8
+		run(heur+"/pipe8", p)
+	}
+	jobs := base
+	jobs.Workload, jobs.Heuristic, jobs.Fidelity = "jobs", "-", "rtos"
+	run("rtos/jobs16", jobs)
 }
 
 // vpBenchPoint is the vp-fidelity benchmark point: an 8-core platform

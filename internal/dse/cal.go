@@ -134,7 +134,7 @@ func (c *EvalContext) calFit(p Point) (*calEntry, error) {
 	// Probes run on their own kernel so the caller's platform and
 	// execution record stay untouched mid-evaluation.
 	var pk *sim.Kernel
-	var pkBase kernelBase
+	var pkBase sim.KernelStats
 	for _, pr := range p.CalProbes {
 		k := reuseKernel(&pk)
 		plat, _, err := buildPlatform(k, p.Plat)

@@ -26,10 +26,9 @@ import (
 // An EvalContext is not safe for concurrent use; Engine.Run gives
 // each worker its own.
 type EvalContext struct {
-	// k runs mapped executions and the RTOS scheduler. It is Reset
-	// between points and discarded when an evaluation leaves live
-	// processes behind (mapped executions are kernel callbacks and
-	// never do; the RTOS scheduler closes its own services).
+	// k runs mapped executions and the RTOS scheduler, both kernel
+	// event handlers that leave nothing behind, so one kernel is Reset
+	// between points for the context's whole life.
 	k *sim.Kernel
 	// me is the reusable mapping scratch, rebound per point; ex the
 	// reusable execution scratch of the mapped run.
@@ -53,10 +52,9 @@ type EvalContext struct {
 	cals map[string]*calEntry
 
 	// obs is the optional instrumentation handle (SetObs); the zero
-	// value is inert. kBase anchors the mapping kernel's stat baseline
-	// so counter growth survives kernel replacement.
+	// value is inert. kBase is k's stat baseline at the last absorb.
 	obs   EvalObs
-	kBase kernelBase
+	kBase sim.KernelStats
 }
 
 type graphKey struct {
@@ -93,10 +91,11 @@ func (c *EvalContext) SetObs(o EvalObs) {
 	c.me.Obs = o.Search
 }
 
-// reuseKernel returns *kp reset for the next point, replacing it with
-// a fresh kernel when live processes make reset impossible.
+// reuseKernel returns *kp reset for the next point, creating it on
+// first use. No evaluation path spawns a process, so the reset never
+// meets one (sim.Kernel.Reset panics if it does).
 func reuseKernel(kp **sim.Kernel) *sim.Kernel {
-	if *kp == nil || (*kp).LiveProcs() > 0 {
+	if *kp == nil {
 		*kp = sim.NewKernel()
 	} else {
 		(*kp).Reset()

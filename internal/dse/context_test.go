@@ -10,8 +10,7 @@ import (
 
 // contextPoints covers every evaluation path through an EvalContext:
 // task-level one-shot, pipelined, instruction-level vp refinement,
-// and the RTOS jobs path (whose scheduler services are closed after
-// each point, so the kernel is reset rather than replaced).
+// and the RTOS jobs path.
 func contextPoints() []Point {
 	mk := func(id int, plat PlatSpec, wl string, n int, heur, fid string, iters, quantum int) Point {
 		return Point{
@@ -126,24 +125,37 @@ func rtosPoints(n int) []Point {
 	return points
 }
 
-// TestRTOSPointsReleaseGoroutines: evaluating rtos points leaves no
-// scheduler goroutine parked behind (each point's time-shared
-// dispatchers are closed), and their result bytes are the ones the
-// sweep produced while the dispatchers still leaked.
-func TestRTOSPointsReleaseGoroutines(t *testing.T) {
-	points := rtosPoints(50)
+// TestEveryFidelityReusesOneKernel: one EvalContext evaluating points
+// of every fidelity (mvp, pipe, vp, cal, rtos) keeps one kernel for its
+// whole life. No point leaves a live process or a parked goroutine, so
+// every point resets the same *sim.Kernel. The rtos points' result
+// bytes are the ones the sweep produced while the scheduler still ran
+// its time-shared cores as goroutines.
+func TestEveryFidelityReusesOneKernel(t *testing.T) {
+	points := append(contextPoints(), vpRefinePoints(16)...)
 	c := NewEvalContext()
 	c.Evaluate(points[0]) // settle any one-time runtime goroutines
+	k := c.k
 	before := runtime.NumGoroutine()
+	fids := map[string]bool{}
 	h := sha256.New()
-	for _, p := range points {
+	for i, p := range rtosPoints(50) {
 		h.Write([]byte(resultBytes(t, c.Evaluate(p))))
+		q := points[i%len(points)]
+		resultBytes(t, c.Evaluate(q))
+		fids[p.Fidelity], fids[q.Fidelity] = true, true
+		if c.k != k {
+			t.Fatalf("point %d (fid=%s) replaced the context's kernel", q.ID, q.Fidelity)
+		}
+		if n := k.LiveProcs(); n != 0 {
+			t.Fatalf("kernel left with %d live processes after fid=%s and fid=%s points", n, p.Fidelity, q.Fidelity)
+		}
+	}
+	if len(fids) != 5 {
+		t.Fatalf("covered fidelities %v, want mvp, pipe, vp, cal and rtos", fids)
 	}
 	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("goroutines grew from %d to %d over %d rtos points", before, after, len(points))
-	}
-	if c.k.LiveProcs() != 0 {
-		t.Fatalf("kernel left with %d live processes", c.k.LiveProcs())
+		t.Fatalf("goroutines grew from %d to %d", before, after)
 	}
 	const want = "a42a98d75a64e518ec8833a9e58bf3f21bd2d795d89ec054fb3dfc9c7c6cf1f5"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {

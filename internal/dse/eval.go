@@ -495,10 +495,6 @@ func evalJobs(p Point, k *sim.Kernel, plat *platform.Platform, area float64) (Me
 		c.SpaceShared = i != 0
 	}
 	s := rtos.NewHybrid(k, plat, rtos.DefaultConfig())
-	// The metrics below are read before the deferred Close drains the
-	// dispatchers, so the kernel is reset for the next point, not
-	// rebuilt, and no goroutine stays parked.
-	defer s.Close()
 	r := xrand.New(p.WorkloadSeed)
 	n := p.N
 	if n <= 0 {

@@ -133,29 +133,15 @@ func (o *EvalObs) latency(fid string) *obs.Histogram {
 	return nil
 }
 
-// kernelBase remembers which kernel a context's stat baseline belongs
-// to: reuseKernel replaces kernels that cannot reset, and the new
-// kernel's monotonic stats restart from zero.
-type kernelBase struct {
-	k    *sim.Kernel
-	last sim.KernelStats
-}
-
-// absorb folds the kernel's stat growth since the last absorb into
-// the counters, re-baselining when the kernel was replaced.
-func (o *EvalObs) absorb(base *kernelBase, k *sim.Kernel) {
-	if k == nil {
-		return
-	}
+// absorb folds the growth of k's monotonic stats since *last, their
+// value at the previous absorb of k, into the counters.
+func (o *EvalObs) absorb(last *sim.KernelStats, k *sim.Kernel) {
 	s := k.Stats()
-	if base.k != k {
-		base.k, base.last = k, sim.KernelStats{}
-	}
-	o.SimScheduled.Add(int64(s.Scheduled - base.last.Scheduled))
-	o.SimExecuted.Add(int64(s.Executed - base.last.Executed))
-	o.SimCancelled.Add(int64(s.Cancelled - base.last.Cancelled))
-	o.PoolHits.Add(int64(s.PoolHits - base.last.PoolHits))
-	o.PoolMisses.Add(int64(s.PoolMisses - base.last.PoolMisses))
+	o.SimScheduled.Add(int64(s.Scheduled - last.Scheduled))
+	o.SimExecuted.Add(int64(s.Executed - last.Executed))
+	o.SimCancelled.Add(int64(s.Cancelled - last.Cancelled))
+	o.PoolHits.Add(int64(s.PoolHits - last.PoolHits))
+	o.PoolMisses.Add(int64(s.PoolMisses - last.PoolMisses))
 	o.HeapMax.Max(int64(s.HeapMax))
-	base.last = s
+	*last = s
 }

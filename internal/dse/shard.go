@@ -50,6 +50,10 @@ func (s Shard) String() string {
 // (anneal/mvp ~459 us vs list/mvp ~35 us), and the throughput
 // annealer of the pipelined fidelity, an O(cores) load update per
 // move, at 2.3x (anneal/pipe8 ~161 us vs list/pipe8 ~71 us).
+//
+// An rtos point's cost is linear in its job count; BenchmarkSweepPoint
+// rtos/jobs16 measured 0.76x list/mvp (medians of 10 on a 2-vCPU AMD
+// EPYC, ~8.0 vs ~10.5 us; 6.3x while the scheduler ran as goroutines).
 func EstCost(p Point) float64 {
 	c := 1.0 + 0.25*float64(p.Plat.CoreCount())
 	switch p.Fidelity {
@@ -73,7 +77,7 @@ func EstCost(p Point) float64 {
 		if n <= 0 {
 			n = 32
 		}
-		c *= 1 + float64(n)/16
+		c *= 0.76 * float64(n) / 16
 	}
 	switch p.Heuristic {
 	case "anneal":

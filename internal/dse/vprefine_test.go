@@ -363,8 +363,8 @@ func TestEvalContextHammer(t *testing.T) {
 
 // TestEvalObsNoDoubleCount: aggregated kernel-event counters are
 // identical whether points run on one context (the kernel reset
-// between points, rtos points included now that their dispatchers
-// are closed) or on a fresh context per point — absorbing must
+// between points, rtos points included) or on a fresh context per
+// point — absorbing must
 // neither double-count nor drop kernel stats.
 func TestEvalObsNoDoubleCount(t *testing.T) {
 	points := vpRefinePoints(16)[:4] // cal fits are cached per context

@@ -12,7 +12,7 @@
 package rtos
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 
 	"mpsockit/internal/platform"
@@ -59,10 +59,9 @@ type Job struct {
 	Boosted  bool // whether DVFS boost was applied
 	Missed   bool
 
-	// qseq orders jobs with equal deadlines: bumped on every enqueue
-	// so preempted jobs rotate to the back of their class (round-robin
-	// within one deadline).
-	qseq int
+	dispatched bool             // Started is set (first dispatch)
+	cores      []*platform.Core // a parallel job's grant
+	dur        sim.Time         // and run time
 }
 
 // Lateness returns completion time minus deadline (negative = early).
@@ -119,148 +118,161 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Missed) / float64(total)
 }
 
-// HybridScheduler implements the reactive time-/space-shared policy.
+// HybridScheduler implements the reactive time-/space-shared policy as
+// a kernel state machine, in the idiom of mapping.Executor: it is the
+// sim.Handler of all its events, runs no goroutine, schedules no closure
+// and leaves nothing behind. Each event stands where the goroutine
+// scheduler of procsched_test.go parked or scheduled a closure, at the
+// same delay and in the same order.
 type HybridScheduler struct {
 	K   *sim.Kernel
 	P   *platform.Platform
 	Cfg Config
 
 	// time-shared side
-	tsCores []*platform.Core
+	ts      []tsCore
 	tsReady []*Job // EDF-ordered
-	tsWake  *sim.Signal
-	tsProcs []*sim.Proc // the per-core dispatchers, for Close
+	tsIdle  []int  // cores that found tsReady empty, woken FIFO by Submit
 
 	// space-shared side
 	ssFree []*platform.Core
 	ssWait []*Job // EDF-ordered
 
+	jobs  []*Job // by ID
 	done  []*Job
 	stats Stats
-	next  int
-	qctr  int
 }
+
+// tsCore is a time-shared core's dispatcher: its program counter and
+// the slice of job j it is running (run cycles taking dur).
+type tsCore struct {
+	c   *platform.Core
+	pc  int
+	j   *Job
+	run int64
+	dur sim.Time
+}
+
+// Time-shared program counters: pick the most urgent ready job (or go
+// idle), pay the context switch, run one quantum-bounded slice.
+const (
+	tsPick = iota
+	tsSwitch
+	tsSlice
+)
+
+// An event's arg is a core index or job ID shifted left by fireBits,
+// tagged with its kind in the low bits.
+const (
+	fireCore     = iota // time-shared core: resume its state machine
+	fireDispatch        // grant waiting parallel jobs
+	fireFinish          // parallel job done
+	fireBits     = 2
+)
 
 // NewHybrid builds a scheduler over the platform's cores: cores with
 // SpaceShared=true form the gang pool; the rest are time-shared. At
 // least one core must exist in each pool; if the platform has no
 // time-shared cores, the first space-shared core is reassigned.
 func NewHybrid(k *sim.Kernel, p *platform.Platform, cfg Config) *HybridScheduler {
-	s := &HybridScheduler{K: k, P: p, Cfg: cfg, tsWake: k.NewSignal()}
+	s := &HybridScheduler{K: k, P: p, Cfg: cfg}
 	for _, c := range p.Cores {
 		if c.SpaceShared {
 			s.ssFree = append(s.ssFree, c)
 		} else {
-			s.tsCores = append(s.tsCores, c)
+			s.ts = append(s.ts, tsCore{c: c})
 		}
 	}
-	if len(s.tsCores) == 0 && len(s.ssFree) > 0 {
-		s.tsCores = append(s.tsCores, s.ssFree[0])
+	if len(s.ts) == 0 && len(s.ssFree) > 0 {
+		s.ts = append(s.ts, tsCore{c: s.ssFree[0]})
 		s.ssFree = s.ssFree[1:]
 	}
-	for _, c := range s.tsCores {
-		s.runTimeShared(c)
+	for i := range s.ts {
+		k.ScheduleH(0, s, i<<fireBits|fireCore)
 	}
 	return s
 }
 
 // Submit enqueues a job at the current virtual time.
 func (s *HybridScheduler) Submit(j *Job) {
-	j.ID = s.next
-	s.next++
+	j.ID = len(s.jobs)
+	s.jobs = append(s.jobs, j)
 	j.Arrival = s.K.Now()
 	switch j.Kind {
 	case Sequential:
-		s.enqueueTS(j)
-		s.tsWake.Broadcast()
+		s.tsReady = insertEDF(s.tsReady, j)
+		for _, i := range s.tsIdle {
+			s.K.ScheduleH(0, s, i<<fireBits|fireCore)
+		}
+		s.tsIdle = s.tsIdle[:0]
 	case Parallel:
 		if j.MaxWidth < 1 {
 			j.MaxWidth = 1
 		}
-		j.qseq = s.qctr
-		s.qctr++
-		s.ssWait = append(s.ssWait, j)
-		s.sortEDF(s.ssWait)
-		s.K.Schedule(0, s.dispatchParallel)
+		s.ssWait = insertEDF(s.ssWait, j)
+		s.K.ScheduleH(0, s, fireDispatch)
 	}
 }
 
-// sortEDF orders by deadline (earliest first; best-effort last),
-// breaking ties by arrival then ID for determinism.
-func (s *HybridScheduler) sortEDF(jobs []*Job) {
-	sort.SliceStable(jobs, func(a, b int) bool {
-		da, db := jobs[a].Deadline, jobs[b].Deadline
-		if da == 0 {
-			da = sim.Forever
-		}
-		if db == 0 {
-			db = sim.Forever
-		}
-		if da != db {
-			return da < db
-		}
-		return jobs[a].qseq < jobs[b].qseq
-	})
-}
-
-// enqueueTS appends to the time-shared ready queue with a fresh
-// rotation sequence.
-func (s *HybridScheduler) enqueueTS(j *Job) {
-	j.qseq = s.qctr
-	s.qctr++
-	s.tsReady = append(s.tsReady, j)
-	s.sortEDF(s.tsReady)
-}
-
-// runTimeShared is the per-core dispatcher loop: EDF with quantum
-// slicing, context-switch overhead charged on every dispatch.
-func (s *HybridScheduler) runTimeShared(c *platform.Core) {
-	proc := s.K.Spawn(fmt.Sprintf("ts-%s", c.Name), func(p *sim.Proc) {
-		for {
-			for len(s.tsReady) == 0 {
-				s.tsWake.Wait(p)
-			}
-			j := s.tsReady[0]
-			s.tsReady = s.tsReady[1:]
-			if j.Started == 0 {
-				j.Started = p.Now()
-			}
-			p.Delay(s.Cfg.CtxSwitch)
-			slice := c.TimeToCycles(s.Cfg.Quantum)
-			run := j.WorkCycles
-			if run > slice {
-				run = slice
-			}
-			dur := c.Cycles(run)
-			p.Delay(dur)
-			s.stats.BusyTime += dur
-			j.WorkCycles -= run
-			if j.WorkCycles <= 0 {
-				s.complete(j)
-			} else {
-				s.enqueueTS(j)
-			}
-		}
-	})
-	s.tsProcs = append(s.tsProcs, proc)
-}
-
-// Close stops the time-shared dispatchers, which otherwise stay
-// parked on the kernel forever waiting for work: each is killed and
-// the kernel stepped until they have unwound. Events pending at the
-// current instant may fire during the drain; nothing later does.
-// Afterwards the scheduler leaves no live process on the kernel, so
-// a kernel it was alone on can be Reset. Read the results first.
-func (s *HybridScheduler) Close() {
-	for _, p := range s.tsProcs {
-		p.Kill()
+// Fire implements sim.Handler: it dispatches one scheduler event.
+func (s *HybridScheduler) Fire(arg int) {
+	switch arg & (1<<fireBits - 1) {
+	case fireCore:
+		s.step(arg >> fireBits)
+	case fireDispatch:
+		s.dispatchParallel()
+	case fireFinish:
+		s.finish(s.jobs[arg>>fireBits])
 	}
-	s.K.Resume() // a Stop would stall the drain
-	for _, p := range s.tsProcs {
-		for !p.Dead() && s.K.Step() {
+}
+
+// due is the job's EDF key: its deadline, or Forever if best-effort.
+func (j *Job) due() sim.Time {
+	if j.Deadline == 0 {
+		return sim.Forever
+	}
+	return j.Deadline
+}
+
+// insertEDF inserts j into the EDF-ordered queue q behind every job due
+// no later: equal deadlines keep enqueue order, so a preempted job
+// rotates to the back of its class (round-robin within one deadline).
+func insertEDF(q []*Job, j *Job) []*Job {
+	i := sort.Search(len(q), func(x int) bool { return q[x].due() > j.due() })
+	return slices.Insert(q, i, j)
+}
+
+// step advances time-shared core i's dispatcher to its next wait: EDF
+// with quantum slicing, context-switch overhead on every dispatch.
+func (s *HybridScheduler) step(i int) {
+	t := &s.ts[i]
+	switch t.pc {
+	case tsSwitch:
+		t.run = min(t.j.WorkCycles, t.c.TimeToCycles(s.Cfg.Quantum))
+		t.dur = t.c.Cycles(t.run)
+		t.pc = tsSlice
+		s.K.ScheduleH(t.dur, s, i<<fireBits|fireCore)
+		return
+	case tsSlice:
+		s.stats.BusyTime += t.dur
+		if t.j.WorkCycles -= t.run; t.j.WorkCycles <= 0 {
+			s.complete(t.j)
+		} else {
+			s.tsReady = insertEDF(s.tsReady, t.j)
 		}
 	}
-	s.tsProcs = nil
+	if len(s.tsReady) == 0 {
+		t.pc = tsPick
+		s.tsIdle = append(s.tsIdle, i)
+		return
+	}
+	t.j = s.tsReady[0]
+	s.tsReady = slices.Delete(s.tsReady, 0, 1)
+	if !t.j.dispatched {
+		t.j.dispatched, t.j.Started = true, s.K.Now()
+	}
+	t.pc = tsSwitch
+	s.K.ScheduleH(s.Cfg.CtxSwitch, s, i<<fireBits|fireCore)
 }
 
 // dispatchParallel implements the reactive space-sharing policy:
@@ -280,7 +292,7 @@ func (s *HybridScheduler) dispatchParallel() {
 		if width == 0 {
 			return // not enough resources yet; retry on next release
 		}
-		s.ssWait = s.ssWait[1:]
+		s.ssWait = slices.Delete(s.ssWait, 0, 1)
 		grant := s.ssFree[:width]
 		s.ssFree = s.ssFree[width:]
 		s.launch(j, grant, boost)
@@ -337,7 +349,7 @@ func (s *HybridScheduler) syncCycles(w int) int64 {
 	return steps * s.Cfg.SyncCyclesPerStep
 }
 
-// launch runs j on the granted cores and returns them when done.
+// launch starts j on the granted cores; finish returns them.
 func (s *HybridScheduler) launch(j *Job, cores []*platform.Core, boost bool) {
 	j.Started = s.K.Now()
 	j.Width = len(cores)
@@ -350,18 +362,21 @@ func (s *HybridScheduler) launch(j *Job, cores []*platform.Core, boost bool) {
 	}
 	// Cores already run at their (possibly boosted) frequency here.
 	per := j.WorkCycles/int64(len(cores)) + s.syncCycles(len(cores))
-	dur := cores[0].Cycles(per)
-	s.K.Schedule(dur, func() {
-		s.stats.BusyTime += sim.Time(int64(dur) * int64(len(cores)))
-		if boost {
-			for _, c := range cores {
-				c.Unboost()
-			}
+	j.cores, j.dur = cores, cores[0].Cycles(per)
+	s.K.ScheduleH(j.dur, s, j.ID<<fireBits|fireFinish)
+}
+
+// finish completes parallel job j, frees its cores and grants them on.
+func (s *HybridScheduler) finish(j *Job) {
+	s.stats.BusyTime += sim.Time(int64(j.dur) * int64(len(j.cores)))
+	if j.Boosted {
+		for _, c := range j.cores {
+			c.Unboost()
 		}
-		s.ssFree = append(s.ssFree, cores...)
-		s.complete(j)
-		s.dispatchParallel()
-	})
+	}
+	s.ssFree = append(s.ssFree, j.cores...)
+	s.complete(j)
+	s.dispatchParallel()
 }
 
 func (s *HybridScheduler) complete(j *Job) {

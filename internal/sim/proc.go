@@ -21,8 +21,8 @@ import "fmt"
 // task-level execution (mapping.Execute, ExecutePipelined) ran at
 // ~1 µs per kernel event as processes and ~130 ns as callbacks. Write
 // hot models as event-handler continuations scheduled with
-// Kernel.ScheduleH, as noc and mapping do, and keep Proc for models
-// whose blocking style is the point (rtos, vp, ttdd, cic).
+// Kernel.ScheduleH, as noc, mapping and rtos do, and keep Proc for
+// models whose blocking style is the point (vp, ttdd, cic, osip).
 type Proc struct {
 	Name   string
 	k      *Kernel
