@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
@@ -201,6 +202,54 @@ func TestResultsProgressLog(t *testing.T) {
 	prefix := fmt.Sprintf("sweep %s live %d/%d points, front %d, hv-norm ", srv.boot.id, 2*every, len(lines), len(dse.GroupedFront(want)))
 	if !strings.HasPrefix(live[1], prefix) {
 		t.Fatalf("live line %q, want prefix %q", live[1], prefix)
+	}
+}
+
+// TestResultsBodyLength: a chunked /results body (no declared length)
+// ingests as a sized one does, and a body declaring more than the
+// 64 MiB cap is refused with 400 before it is read.
+func TestResultsBodyLength(t *testing.T) {
+	const seed = uint64(5)
+	_, lines := sweepLines(t, resultsSpec, seed)
+	srv, err := New(Config{Spec: resultsSpec, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var gotLength int64
+	var gotEncoding []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		gotLength, gotEncoding = r.ContentLength, r.TransferEncoding
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	path := "/results?worker=w&sweep=" + srv.boot.id + "&lease=1"
+
+	// A reader without a Len makes the client send the body chunked.
+	body := io.MultiReader(bytes.NewReader(bytes.Join(lines[:8], []byte("\n"))))
+	resp, err := http.Post(ts.URL+path, "application/x-ndjson", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ack ResultAck
+	err = json.NewDecoder(resp.Body).Decode(&ack)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil || ack.Accepted != 8 {
+		t.Fatalf("chunked post: HTTP %d, ack %+v (%v); want 8 accepted", resp.StatusCode, ack, err)
+	}
+	if gotLength != -1 || len(gotEncoding) != 1 || gotEncoding[0] != "chunked" {
+		t.Fatalf("server saw length %d, transfer encoding %v; want a chunked body", gotLength, gotEncoding)
+	}
+
+	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(lines[8]))
+	req.ContentLength = maxResultsBody + 1
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "too large") {
+		t.Fatalf("oversized post: HTTP %d (%s), want 400 naming the size", rec.Code, rec.Body.String())
+	}
+	if st := srv.Status(); st.Done != 8 {
+		t.Fatalf("Done = %d, want the 8 chunked lines only", st.Done)
 	}
 }
 

@@ -948,7 +948,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "coord: results are missing the sweep parameter", http.StatusBadRequest)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
+	body, err := readBody(http.MaxBytesReader(w, r.Body, maxResultsBody), r.ContentLength)
 	if err != nil {
 		http.Error(w, "coord: reading results: "+err.Error(), http.StatusBadRequest)
 		return
@@ -957,6 +957,28 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	batch := decodeResults(body)
 	s.obs.decodeUS.Observe(time.Since(decodeStart).Microseconds())
 	s.logProgress(s.ingestResults(w, q.Get("worker"), sweepID, q.Get("lease"), batch))
+}
+
+// maxResultsBody caps a /results body; a larger one is a 400.
+const maxResultsBody = 64 << 20
+
+// readBody reads a /results body of the declared length (-1 when
+// unknown, as for a chunked body) through the capped reader body. A
+// known length sizes the buffer once instead of io.ReadAll's
+// doubling; one past the cap fails unread, with the error the capped
+// reader would return.
+func readBody(body io.Reader, length int64) ([]byte, error) {
+	switch {
+	case length > maxResultsBody:
+		return nil, &http.MaxBytesError{Limit: maxResultsBody}
+	case length < 0:
+		return io.ReadAll(body)
+	}
+	buf := make([]byte, length)
+	if _, err := io.ReadFull(body, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // resultBatch is a /results body decoded outside the coordinator

@@ -56,8 +56,14 @@ func (a *Accumulator) Add(line []byte) (added bool, err error) {
 
 // DecodeResult parses one JSONL result line. It is Add's decode step
 // on its own, so a caller that must not decode while holding a lock
-// (the coordinator) can decode first and AddResult later.
+// (the coordinator) can decode first and AddResult later. A line in
+// the layout WriteResult writes takes the reflection-free codec; any
+// other line is decoded by json.Unmarshal, whose value and error the
+// codec's matches exactly where both apply.
 func DecodeResult(line []byte) (Result, error) {
+	if r, ok := decodeResult(line); ok {
+		return r, nil
+	}
 	var r Result
 	if err := json.Unmarshal(line, &r); err != nil {
 		return Result{}, fmt.Errorf("dse: malformed result line: %w", err)

@@ -44,18 +44,10 @@ func expansionBound(s *Sweep) int {
 	return bound
 }
 
-// max1 floors a dimension length at its defaulted size.
-func max1(n int) int {
-	if n < 1 {
-		return 1
-	}
-	return n
-}
-
 // FuzzParseSweep holds the full-spec round trip: any accepted spec
 // renders to a canonical form that re-parses to the same expanded
 // point list (seeds included), and the canonical form is a fixed
-// point of the rendering.
+// point of the rendering. Sweep.Len predicts the expansion's length.
 func FuzzParseSweep(f *testing.F) {
 	for _, seed := range []string{
 		"smoke",
@@ -94,6 +86,9 @@ func FuzzParseSweep(f *testing.F) {
 		p2, err2 := sw2.Points()
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("expansion errors diverge for %q: %v vs %v", spec, err1, err2)
+		}
+		if err1 == nil && sw.Len() != len(p1) {
+			t.Fatalf("spec %q: Len() = %d, but it expands to %d points", spec, sw.Len(), len(p1))
 		}
 		if err1 == nil && HashPoints(p1) != HashPoints(p2) {
 			t.Fatalf("spec %q and its canonical form %q expand to different points", spec, canon)

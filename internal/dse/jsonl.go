@@ -10,6 +10,7 @@ import (
 	"os"
 	"reflect"
 	"sort"
+	"sync"
 )
 
 // SchemaVersion identifies the JSONL sweep-file layout: a header line
@@ -51,19 +52,23 @@ type headerLine struct {
 
 // HashPoints fingerprints an expanded point list: a SHA-256 over the
 // schema version and the JSON encoding of every point (IDs, derived
-// seeds, platform/workload/heuristic/fidelity axes). Two sweeps share
-// a hash exactly when they expand to identical points, so the hash
-// detects a different spec, a different seed, and — because the
-// derived seeds are part of the encoding — a change to the expansion
-// algorithm itself.
+// seeds, platform/workload/heuristic/fidelity axes), one line each,
+// written by the result codec byte for byte as json.Encoder would.
+// Two sweeps share a hash exactly when they expand to identical
+// points, so the hash detects a different spec, a different seed, and
+// — because the derived seeds are part of the encoding — a change to
+// the expansion algorithm itself.
 func HashPoints(points []Point) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "dse-schema-%d\n", SchemaVersion)
-	enc := json.NewEncoder(h)
-	for _, p := range points {
-		// Encoding a Point never fails; ignore the error to keep the
-		// hash a pure function.
-		_ = enc.Encode(p)
+	var line []byte
+	for i := range points {
+		// A point that does not encode (a PE class without a name;
+		// expansion makes none) adds nothing, as with json.Encoder.
+		var err error
+		if line, err = appendPoint(line[:0], &points[i]); err == nil {
+			h.Write(append(line, '\n'))
+		}
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
@@ -145,16 +150,23 @@ func WriteHeader(w io.Writer, h Header) error {
 // WriteResult appends one result as a JSONL line. Encoding a Result
 // is deterministic (fixed field order, no maps), so a sweep streamed
 // through an ordered Engine.OnResult produces byte-identical files
-// run-to-run for the same seed.
+// run-to-run for the same seed. The line is json.Marshal's bytes,
+// written by the result codec into a pooled buffer.
 func WriteResult(w io.Writer, r Result) error {
-	data, err := json.Marshal(r)
+	buf := lineBufs.Get().(*[]byte)
+	defer lineBufs.Put(buf)
+	line, err := appendResult((*buf)[:0], &r)
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
+	*buf = append(line, '\n')
+	_, err = w.Write(*buf)
 	return err
 }
+
+// lineBufs recycles WriteResult's line buffers across calls and
+// goroutines.
+var lineBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // MatchPrefix returns the longest prefix of results that corresponds
 // point-for-point to the expanded sweep — the reusable part of a
@@ -275,8 +287,8 @@ func ReadLog(path string) (*Log, error) {
 			reason = fmt.Sprintf("exceeds the %d MiB line cap", MaxLineBytes>>20)
 		} else if noNewline {
 			reason = "no trailing newline"
-		} else if jsonErr := json.Unmarshal(line, &r); jsonErr != nil {
-			reason = jsonErr.Error()
+		} else if r, err = DecodeResult(line); err != nil {
+			reason = err.Error()
 		}
 		if reason != "" {
 			if noNewline || atEOF(br) {

@@ -2,6 +2,7 @@ package dse
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -88,6 +89,52 @@ func seedFor(seed uint64, label string, n int) uint64 {
 	return xrand.New(h).Uint64()
 }
 
+// Len returns the number of points Points expands the sweep to,
+// computed from the axis lengths without expanding: every (platform,
+// fabric, DVFS, memory) combination contributes one point per jobs
+// workload and heuristics × fidelities points per other workload.
+// Unset axes count as their one default value; a count beyond
+// math.MaxInt saturates there.
+func (s *Sweep) Len() int {
+	perCombo := 0
+	for _, wl := range s.Workloads {
+		if wl.Kind == "jobs" {
+			perCombo = addSat(perCombo, 1)
+		} else {
+			perCombo = addSat(perCombo, mulSat(max1(len(s.Heuristics)), max1(len(s.Fidelities))))
+		}
+	}
+	n := perCombo
+	for _, axis := range [...]int{len(s.Platforms), max1(len(s.Fabrics)), max1(len(s.DVFS)), max1(len(s.Mems))} {
+		n = mulSat(n, axis)
+	}
+	return n
+}
+
+// max1 floors an axis length at its defaulted size.
+func max1(n int) int {
+	if n < 1 {
+		return 1
+	}
+	return n
+}
+
+// addSat and mulSat add and multiply non-negative ints, saturating at
+// math.MaxInt.
+func addSat(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
+}
+
+func mulSat(a, b int) int {
+	if a != 0 && b > math.MaxInt/a {
+		return math.MaxInt
+	}
+	return a * b
+}
+
 // Points expands the sweep into its design points. Expansion order is
 // deterministic (platform-major), point IDs are sequential, and every
 // point's seeds derive from Sweep.Seed alone — the same sweep expands
@@ -116,7 +163,7 @@ func (s *Sweep) Points() ([]Point, error) {
 	if len(mems) == 0 {
 		mems = []mem.Spec{{Kind: "ideal"}}
 	}
-	var points []Point
+	points := make([]Point, 0, s.Len())
 	for _, plat := range s.Platforms {
 		for _, fab := range fabrics {
 			for _, d := range dvfs {

@@ -35,11 +35,15 @@ const (
 var peClassNames = [...]string{"RISC", "DSP", "VLIW", "ACC", "CTRL"}
 
 func (c PEClass) String() string {
-	if c < 0 || int(c) >= len(peClassNames) {
+	if !c.Named() {
 		return fmt.Sprintf("PEClass(%d)", int(c))
 	}
 	return peClassNames[c]
 }
+
+// Named reports whether c is one of the defined classes, the ones
+// String names and MarshalText encodes.
+func (c PEClass) Named() bool { return c >= 0 && int(c) < len(peClassNames) }
 
 // ParsePEClass converts a class name to a PEClass.
 func ParsePEClass(s string) (PEClass, error) {
@@ -55,7 +59,7 @@ func ParsePEClass(s string) (PEClass, error) {
 // readable ("RISC", not 0) and stable if class values are ever
 // reordered.
 func (c PEClass) MarshalText() ([]byte, error) {
-	if c < 0 || int(c) >= len(peClassNames) {
+	if !c.Named() {
 		return nil, fmt.Errorf("platform: cannot encode PEClass(%d)", int(c))
 	}
 	return []byte(peClassNames[c]), nil
