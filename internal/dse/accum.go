@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"reflect"
 )
 
 // Accumulator collects a sweep's results incrementally, in any order
@@ -80,7 +79,7 @@ func (a *Accumulator) AddResult(r Result, line []byte) (added bool, err error) {
 	if id < 0 || id >= len(a.points) {
 		return false, fmt.Errorf("dse: result for point ID %d outside the sweep (0..%d)", id, len(a.points)-1)
 	}
-	if !reflect.DeepEqual(r.Point, a.points[id]) {
+	if !r.Point.Equal(a.points[id]) {
 		return false, fmt.Errorf("dse: result for point %d does not match the spec expansion", id)
 	}
 	line = bytes.TrimSuffix(line, []byte("\n"))

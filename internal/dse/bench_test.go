@@ -48,6 +48,45 @@ func BenchmarkSweepPoint(b *testing.B) {
 	run("rtos/jobs16", jobs)
 }
 
+// BenchmarkSweepPointWarm is BenchmarkSweepPoint's points on one warm
+// EvalContext, as a sweep worker evaluates them: the kernel, the
+// platform, the graph prototype and the mapping and execution scratch
+// are all reused, so allocs/op is what a point still allocates in
+// steady state (CI guards it; limits in docs/performance.md).
+func BenchmarkSweepPointWarm(b *testing.B) {
+	base := Point{
+		ID:   0,
+		Seed: 12345,
+		Plat: PlatSpec{Kind: "wireless", Fabric: "mesh", DVFS: 1},
+
+		Workload:     "synth",
+		N:            16,
+		WorkloadSeed: 99,
+		Fidelity:     "mvp",
+	}
+	listMVP, annealMVP, listPipe, jobs := base, base, base, base
+	listMVP.Heuristic = "list"
+	annealMVP.Heuristic = "anneal"
+	listPipe.Heuristic, listPipe.Fidelity, listPipe.Iterations = "list", "pipe", 8
+	jobs.Workload, jobs.Heuristic, jobs.Fidelity = "jobs", "-", "rtos"
+	for _, c := range []struct {
+		name string
+		p    Point
+	}{{"list/mvp", listMVP}, {"anneal/mvp", annealMVP}, {"list/pipe8", listPipe}, {"rtos/jobs16", jobs}} {
+		b.Run(c.name, func(b *testing.B) {
+			ctx := NewEvalContext()
+			ctx.Evaluate(c.p) // warm the caches
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if r := ctx.Evaluate(c.p); r.Err != "" {
+					b.Fatal(r.Err)
+				}
+			}
+		})
+	}
+}
+
 // vpBenchPoint is the vp-fidelity benchmark point: an 8-core platform
 // whose refinement runs 8 ISS cores.
 func vpBenchPoint() Point {

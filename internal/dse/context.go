@@ -2,22 +2,26 @@ package dse
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mpsockit/internal/mapping"
+	"mpsockit/internal/platform"
 	"mpsockit/internal/sim"
 	"mpsockit/internal/taskgraph"
 	"mpsockit/internal/workload"
 )
 
 // EvalContext is a per-worker evaluation context: it owns the reused
-// simulation kernels, the workload-graph prototypes, and the mapping
-// scratch that successive design points share while one worker drains
-// its slice of a sweep. Point evaluation is deterministic per point
-// (everything is derived from the point's own seeds), so reuse cannot
-// leak state between points: a reset kernel is observably identical
-// to a fresh one (sim.Kernel.Reset), graph prototypes are immutable
-// once built, and the mapping evaluator and executor rebind per point. The vp
+// simulation kernels, the last platform built, the workload-graph
+// prototypes, and the mapping scratch that successive design points
+// share while one worker drains its slice of a sweep. Point evaluation
+// is deterministic per point (everything is derived from the point's
+// own seeds), so reuse cannot leak state between points: a reset
+// kernel is observably identical to a fresh one (sim.Kernel.Reset), a
+// reused platform is reset to its state when built (platEntry), graph
+// prototypes are immutable once built, and the mapping evaluator and
+// executor rebind per point. The vp
 // refinement is closed-form arithmetic (runLoops), so no virtual
 // platform is built or kept. The sweep byte-identity tests hold
 // exactly that — any worker count, fresh or reused context, same
@@ -30,6 +34,10 @@ type EvalContext struct {
 	// event handlers that leave nothing behind, so one kernel is Reset
 	// between points for the context's whole life.
 	k *sim.Kernel
+	// plat is the last platform built on k, reset and reused while
+	// consecutive points share its spec — expansion is platform-major,
+	// so they mostly do.
+	plat platEntry
 	// me is the reusable mapping scratch, rebound per point; ex the
 	// reusable execution scratch of the mapped run.
 	me mapping.Evaluator
@@ -55,6 +63,47 @@ type EvalContext struct {
 	// value is inert. kBase is k's stat baseline at the last absorb.
 	obs   EvalObs
 	kBase sim.KernelStats
+}
+
+// platEntry is a built platform kept for reuse: the spec it was built
+// for, its area proxy, and each core as buildPlatform left it (DVFS
+// level pinned as nominal, no switches counted). A point may boost
+// cores, count switches and move cores between the RTOS pools; reuse
+// restores every core from its snapshot and resets the fabric and the
+// memory model, which leaves the platform as buildPlatform returns it.
+type platEntry struct {
+	spec  PlatSpec
+	plat  *platform.Platform
+	area  float64
+	cores []platform.Core
+}
+
+// platform returns a platform of spec on the context's kernel k and
+// its area proxy: the context's last platform, reset, when it was
+// built for an equal spec, a fresh buildPlatform otherwise.
+func (c *EvalContext) platform(k *sim.Kernel, spec PlatSpec) (*platform.Platform, float64, error) {
+	e := &c.plat
+	if e.plat != nil && e.spec.Equal(spec) {
+		for i, core := range e.plat.Cores {
+			*core = e.cores[i]
+		}
+		e.plat.Fabric.Reset()
+		if e.plat.Mem != nil {
+			e.plat.Mem.Reset()
+		}
+		return e.plat, e.area, nil
+	}
+	plat, area, err := buildPlatform(k, spec)
+	if err != nil {
+		return nil, 0, err
+	}
+	spec.Mix = slices.Clone(spec.Mix)
+	e.spec, e.plat, e.area = spec, plat, area
+	e.cores = e.cores[:0]
+	for _, core := range plat.Cores {
+		e.cores = append(e.cores, *core)
+	}
+	return plat, area, nil
 }
 
 type graphKey struct {

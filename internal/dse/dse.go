@@ -9,11 +9,11 @@
 // decoupling) is what makes evaluating thousands of candidate designs
 // cheap enough to do before committing to hardware.
 //
-// Design points are embarrassingly parallel: each evaluation builds a
-// private kernel, fabric and platform, so points share no mutable
-// state and the pool scales with GOMAXPROCS. Results stream in point
-// order regardless of completion order, which makes a sweep's JSONL
-// output byte-reproducible for a given seed and resumable from a
+// Design points are embarrassingly parallel: each worker owns its
+// kernel, fabric and platform (an EvalContext), so workers share no
+// mutable state and the pool scales with GOMAXPROCS. Results stream
+// in point order regardless of completion order, which makes a sweep's
+// JSONL output byte-reproducible for a given seed and resumable from a
 // checkpoint prefix.
 //
 // # Distribution
@@ -104,6 +104,7 @@ package dse
 import (
 	"context"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -174,6 +175,29 @@ func (s PlatSpec) String() string {
 		str += "/" + s.Mem
 	}
 	return str
+}
+
+// Equal reports whether s and o are the same spec, field for field.
+// Like reflect.DeepEqual it tells a nil Mix from an empty one.
+func (s PlatSpec) Equal(o PlatSpec) bool {
+	return s.Kind == o.Kind && s.Cores == o.Cores && exactEqual(s.Mix, o.Mix) &&
+		s.Fabric == o.Fabric && s.DVFS == o.DVFS && s.Mem == o.Mem
+}
+
+// Equal reports whether p and o are the same point, field for field:
+// exactly reflect.DeepEqual(p, o), nil-versus-empty slices included,
+// without reflection.
+func (p Point) Equal(o Point) bool {
+	return p.ID == o.ID && p.Seed == o.Seed && p.Plat.Equal(o.Plat) &&
+		p.Workload == o.Workload && p.N == o.N && p.WorkloadSeed == o.WorkloadSeed &&
+		exactEqual(p.Apps, o.Apps) && p.Heuristic == o.Heuristic && p.Fidelity == o.Fidelity &&
+		p.Iterations == o.Iterations && p.Quantum == o.Quantum && exactEqual(p.CalProbes, o.CalProbes)
+}
+
+// exactEqual is slices.Equal that, like reflect.DeepEqual, tells a nil
+// slice from an empty one.
+func exactEqual[T comparable](a, b []T) bool {
+	return (a == nil) == (b == nil) && slices.Equal(a, b)
 }
 
 // AppRef names one application of a multi-app design point: the

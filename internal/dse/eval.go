@@ -39,19 +39,19 @@ func peArea(c *platform.Core) (float64, error) {
 	return w + 0.2*float64(c.L1Bytes+c.L2Bytes)/float64(256<<10), nil
 }
 
-// Evaluate scores one design point on a private kernel. It never
+// Evaluate scores one design point on a fresh context. It never
 // panics the sweep: evaluation failures come back in Result.Err.
 // Callers evaluating many points should construct one EvalContext per
-// goroutine and use its Evaluate method, which reuses kernels and
-// workload prototypes across points.
+// goroutine and use its Evaluate method, which reuses kernels,
+// platforms and workload prototypes across points.
 func Evaluate(p Point) Result {
 	return NewEvalContext().Evaluate(p)
 }
 
 // Evaluate scores one design point using the context's reused
-// kernels, graph prototypes and mapping scratch. It never panics the
-// sweep: evaluation failures come back in Result.Err. Results are
-// byte-identical to a fresh-context evaluation.
+// kernels, platform, graph prototypes and mapping scratch. It never
+// panics the sweep: evaluation failures come back in Result.Err.
+// Results are byte-identical to a fresh-context evaluation.
 func (c *EvalContext) Evaluate(p Point) Result {
 	// Latency is observed wall-clock around the whole evaluation; the
 	// clock is read only when this fidelity has a live histogram, and
@@ -86,7 +86,7 @@ func (c *EvalContext) evaluate(p Point) (Metrics, error) {
 		p.Workload, p.N, p.WorkloadSeed, p.Apps = a.Kind, a.N, a.Seed, nil
 	}
 	k := reuseKernel(&c.k)
-	plat, area, err := buildPlatform(k, p.Plat)
+	plat, area, err := c.platform(k, p.Plat)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -281,15 +281,19 @@ func metricsFrom(plat *platform.Platform, stats mapping.ExecStats, area float64,
 	if stats.Makespan > 0 {
 		m.ThroughputHz = float64(units) / stats.Makespan.Seconds()
 	}
-	util := stats.Utilization()
-	for _, u := range util {
-		m.UtilMean += u
-		if u > m.UtilMax {
-			m.UtilMax = u
+	// Utilization is each PE's busy fraction of the makespan (zero
+	// when the makespan is), averaged over the PEs.
+	if stats.Makespan > 0 {
+		for _, b := range stats.PEBusy {
+			u := float64(b) / float64(stats.Makespan)
+			m.UtilMean += u
+			if u > m.UtilMax {
+				m.UtilMax = u
+			}
 		}
 	}
-	if len(util) > 0 {
-		m.UtilMean /= float64(len(util))
+	if n := len(stats.PEBusy); n > 0 {
+		m.UtilMean /= float64(n)
 	}
 	makespanS := stats.Makespan.Seconds()
 	for i, c := range plat.Cores {

@@ -50,7 +50,8 @@ type EvalObs struct {
 	// SimScheduled/SimExecuted/SimCancelled aggregate kernel event
 	// counts across every kernel the context used; PoolHits/PoolMisses
 	// aggregate event-record pool reuse; HeapMax tracks the deepest
-	// pending-event heap seen (a high-water gauge).
+	// pending-event queue seen, heap plus now-queue (a high-water
+	// gauge).
 	SimScheduled *obs.Counter
 	SimExecuted  *obs.Counter
 	SimCancelled *obs.Counter
@@ -101,7 +102,7 @@ func NewEvalObs(r *obs.Registry) EvalObs {
 		SimCancelled: r.Counter("sim_events_cancelled_total", "Kernel events cancelled before firing."),
 		PoolHits:     r.Counter("sim_pool_hits_total", "Event records recycled from the kernel free list."),
 		PoolMisses:   r.Counter("sim_pool_misses_total", "Event records freshly allocated by the kernel."),
-		HeapMax:      r.Gauge("sim_heap_depth_max", "Deepest pending-event heap observed."),
+		HeapMax:      r.Gauge("sim_heap_depth_max", "Most events pending at once (heap plus now-queue) observed."),
 
 		Search: mapping.SearchObs{
 			Schedules:      r.Counter("map_schedules_total", "Static-schedule constructions, full or suffix."),

@@ -25,7 +25,9 @@
 // update, for the makespan objective a reschedule of the topological
 // suffix from the moved task on. The search results are byte-identical
 // to the naive implementations — the regression tests in this package
-// hold that equivalence.
+// hold that equivalence. Evaluator.Map returns its assignment in
+// evaluator scratch too, valid until the next Map or Bind, so a
+// rebound evaluator maps point after point without allocating.
 //
 // Execution is the other per-point cost. Execute, ExecuteMulti and
 // ExecutePipelined run tasks as state machines on the platform kernel,
@@ -168,6 +170,18 @@ type Evaluator struct {
 	pos  []int
 	load []sim.Time
 
+	// result is the Assignment Map returns, backed by the scratch
+	// below: taskPE is the list or LPT mapping, best the annealer's,
+	// slots the schedule. rank, ids and weights are the heuristics'
+	// working arrays.
+	result  Assignment
+	taskPE  []int
+	best    []int
+	slots   []Slot
+	rank    []float64
+	ids     []int
+	weights []int64
+
 	// Obs is the optional search-instrumentation handle. The zero
 	// value is inert; attaching counters never changes which
 	// assignment a heuristic returns.
@@ -276,10 +290,9 @@ func (e *Evaluator) Capable(id int) []int { return e.capab[id] }
 
 // schedule computes the static schedule for a fixed assignment:
 // topological order, communication charged at contention-free fabric
-// and memory estimates, one task at a time per PE. With wantSlots
-// false it runs entirely in reused scratch — zero allocations — and
-// returns only the makespan; with wantSlots true it allocates a fresh
-// slot list for the caller to keep.
+// and memory estimates, one task at a time per PE. It runs entirely in
+// reused scratch: with wantSlots true it also returns the slot list,
+// which is evaluator scratch valid until the next schedule.
 func (e *Evaluator) schedule(taskPE []int, wantSlots bool) (sim.Time, []Slot, error) {
 	return e.scheduleFrom(taskPE, 0, wantSlots)
 }
@@ -318,7 +331,10 @@ func (e *Evaluator) scheduleFrom(taskPE []int, from int, wantSlots bool) (sim.Ti
 	}
 	var slots []Slot
 	if wantSlots {
-		slots = make([]Slot, 0, len(order)-from)
+		if e.slots == nil || cap(e.slots) < len(order)-from {
+			e.slots = make([]Slot, 0, len(order))
+		}
+		slots = e.slots[:0]
 	}
 	for q := from; q < len(order); q++ {
 		id := order[q]
@@ -417,8 +433,9 @@ func (e *Evaluator) objectiveCost(objective Objective, assign []int) sim.Time {
 }
 
 // Map assigns g's tasks onto plat with the selected heuristic, using
-// a fresh Evaluator. Callers mapping many candidates against reusable
-// scratch should construct an Evaluator once and call its Map method.
+// a fresh Evaluator, and returns a fresh assignment the caller owns.
+// Callers mapping many candidates against reusable scratch should
+// construct an Evaluator once and call its Map method.
 func Map(g *taskgraph.Graph, plat *platform.Platform, opt Options) (*Assignment, error) {
 	// Validate before building the evaluator: its adjacency view
 	// indexes edge endpoints unchecked, and a malformed graph (edges
@@ -427,11 +444,22 @@ func Map(g *taskgraph.Graph, plat *platform.Platform, opt Options) (*Assignment,
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	return NewEvaluator(g, plat).Map(opt)
+	a, err := NewEvaluator(g, plat).Map(opt)
+	if err != nil {
+		return nil, err
+	}
+	// The evaluator is dropped here, so its scratch — which backs
+	// a.TaskPE and a.Schedule — is the caller's alone; copying the
+	// header lets the rest of the evaluator be collected.
+	out := *a
+	return &out, nil
 }
 
 // Map assigns the bound graph's tasks onto the bound platform with
-// the selected heuristic.
+// the selected heuristic. The Assignment, its TaskPE and its Schedule
+// are evaluator scratch, valid until the next Map or Bind: a caller
+// that keeps a mapping past that copies it (or uses the package-level
+// Map, whose result it owns).
 func (e *Evaluator) Map(opt Options) (*Assignment, error) {
 	g, plat := e.g, e.plat
 	if err := g.Validate(); err != nil {
@@ -468,7 +496,8 @@ func (e *Evaluator) Map(opt Options) (*Assignment, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Assignment{Graph: g, Platform: plat, TaskPE: taskPE, Schedule: slots, Makespan: mk}, nil
+	e.result = Assignment{Graph: g, Platform: plat, TaskPE: taskPE, Schedule: slots, Makespan: mk}
+	return &e.result, nil
 }
 
 // listMap is HEFT-flavoured: rank tasks by upward rank (mean compute
@@ -491,7 +520,9 @@ func (e *Evaluator) listMap() ([]int, error) {
 		}
 		return sum / float64(cnt)
 	}
-	rank := make([]float64, n)
+	// Every task's rank is written, successors first, before any read.
+	rank := grow(e.rank, n)
+	e.rank = rank
 	order, _ := v.TopoOrder()
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
@@ -507,7 +538,8 @@ func (e *Evaluator) listMap() ([]int, error) {
 		}
 		rank[id] = meanCycles(id) + best
 	}
-	ids := make([]int, n)
+	ids := grow(e.ids, n)
+	e.ids = ids
 	for i := range ids {
 		ids[i] = i
 	}
@@ -518,7 +550,8 @@ func (e *Evaluator) listMap() ([]int, error) {
 		return cmp.Compare(a, b)
 	})
 
-	taskPE := make([]int, n)
+	taskPE := grow(e.taskPE, n)
+	e.taskPE = taskPE
 	for i := range taskPE {
 		taskPE[i] = -1
 	}
@@ -571,8 +604,8 @@ func (e *Evaluator) throughputMap() ([]int, error) {
 	g, plat := e.g, e.plat
 	n := len(g.Tasks)
 	nPE := len(plat.Cores)
-	ids := make([]int, n)
-	weights := make([]int64, n)
+	ids, weights := grow(e.ids, n), grow(e.weights, n)
+	e.ids, e.weights = ids, weights
 	for i := range ids {
 		ids[i] = i
 		// Fastest capable core's execution time. An explicit found
@@ -595,7 +628,8 @@ func (e *Evaluator) throughputMap() ([]int, error) {
 	for i := range load {
 		load[i] = 0
 	}
-	taskPE := make([]int, n)
+	taskPE := grow(e.taskPE, n)
+	e.taskPE = taskPE
 	for _, id := range ids {
 		bestPE := -1
 		var bestLoad sim.Time = sim.Forever
@@ -644,7 +678,8 @@ func (e *Evaluator) annealMap(opt Options) ([]int, error) {
 	}
 	rng := xrand.New(opt.Seed + 1)
 	curCost := e.objectiveCost(opt.Objective, cur)
-	best := append([]int{}, cur...)
+	best := append(e.best[:0], cur...)
+	e.best = best
 	bestCost := curCost
 	temp := float64(curCost)
 	// Throughput: e.load now holds cur's per-core loads (filled by
@@ -867,16 +902,4 @@ func (s ExecStats) BusyTotal() sim.Time {
 		total += b
 	}
 	return total
-}
-
-// Utilization returns per-PE busy fraction of the makespan.
-func (s ExecStats) Utilization() []float64 {
-	out := make([]float64, len(s.PEBusy))
-	if s.Makespan <= 0 {
-		return out
-	}
-	for i, b := range s.PEBusy {
-		out[i] = float64(b) / float64(s.Makespan)
-	}
-	return out
 }

@@ -1,6 +1,8 @@
 package mapping
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -257,5 +259,65 @@ func TestFeasibleWithin(t *testing.T) {
 	}
 	if a.FeasibleWithin(a.Makespan - 1) {
 		t.Fatal("deadline check too lenient")
+	}
+}
+
+// TestEvaluatorMapResultAliasing: Evaluator.Map's assignment is
+// evaluator scratch, valid until the next Map. Executed before that
+// next Map, it yields the stats of a caller-owned assignment, and the
+// next Map — a different graph, another heuristic — leaves those
+// stats alone. Each Map equals the package-level Map, whose results
+// never share storage.
+func TestEvaluatorMapResultAliasing(t *testing.T) {
+	plat := wirelessPlat()
+	g1, g2 := forkJoin(5, 80_000), chainGraph(7, 60_000, 512)
+	opt1 := Options{Heuristic: Anneal, Seed: 3}
+	opt2 := Options{Heuristic: List, Objective: Throughput}
+	want1, err := Map(g1, plat, opt1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want2, err := Map(g2, plat, opt2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &want1.TaskPE[0] == &want2.TaskPE[0] || &want1.Schedule[0] == &want2.Schedule[0] {
+		t.Fatal("package-level Map results share storage")
+	}
+	wantStats, err := Execute(want1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plat.Kernel.Reset()
+	plat.Fabric.Reset()
+
+	ev := NewEvaluator(g1, plat)
+	a1, err := ev.Map(opt1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a1, want1) {
+		t.Fatalf("Evaluator.Map %+v, package Map %+v", a1, want1)
+	}
+	stats, err := Execute(a1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := stats
+	kept.PEBusy = slices.Clone(stats.PEBusy)
+	if !reflect.DeepEqual(stats, wantStats) {
+		t.Fatalf("executing Evaluator.Map's result: %+v, want %+v", stats, wantStats)
+	}
+
+	ev.Bind(g2, plat)
+	a2, err := ev.Map(opt2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a2, want2) {
+		t.Fatalf("second Evaluator.Map %+v, package Map %+v", a2, want2)
+	}
+	if !reflect.DeepEqual(stats, kept) {
+		t.Fatalf("the second Map changed the first execution's stats: %+v, was %+v", stats, kept)
 	}
 }

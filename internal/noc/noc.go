@@ -193,6 +193,12 @@ func (m *Mesh) Stats() (uint64, sim.Time) {
 	return m.Transfers, m.TotalWait
 }
 
+// Reset implements platform.Fabric: every link free, counters zeroed.
+func (m *Mesh) Reset() {
+	clear(m.busyUntil)
+	m.Transfers, m.TotalWait = 0, 0
+}
+
 // Bus is a single shared split-transaction bus: every transfer
 // serializes through one arbiter. It is the centralized baseline for
 // experiment E1.
@@ -266,4 +272,9 @@ func (b *Bus) EstPayloadLatency(bytes int) sim.Time {
 // Stats implements platform.Fabric.
 func (b *Bus) Stats() (uint64, sim.Time) {
 	return b.Transfers, b.TotalWait
+}
+
+// Reset implements platform.Fabric: the bus free, counters zeroed.
+func (b *Bus) Reset() {
+	b.busyUntil, b.Transfers, b.TotalWait = 0, 0, 0
 }

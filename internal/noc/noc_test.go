@@ -1,9 +1,11 @@
 package noc
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"mpsockit/internal/platform"
 	"mpsockit/internal/sim"
 )
 
@@ -198,6 +200,43 @@ func TestEstLatencySplit(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestFabricResetIsFresh: after Reset on a reset kernel, a contended
+// transfer pattern completes at the times and with the counters of a
+// freshly built fabric, for the mesh and the bus.
+func TestFabricResetIsFresh(t *testing.T) {
+	pattern := func(k *sim.Kernel, f platform.Fabric) ([]sim.Time, platform.FabricStats) {
+		var done []sim.Time
+		for i := 0; i < 4; i++ {
+			f.Transfer(0, 3-i%2, 40*(i+1), sim.Func(func() { done = append(done, k.Now()) }), 0)
+		}
+		k.Run()
+		return done, platform.FabricStatsOf(f)
+	}
+	builds := []func(*sim.Kernel) platform.Fabric{
+		func(k *sim.Kernel) platform.Fabric { return NewMesh(k, 4, 1, 2*sim.Nanosecond, 8) },
+		func(k *sim.Kernel) platform.Fabric { return DefaultBus(k) },
+	}
+	for _, build := range builds {
+		fk := sim.NewKernel()
+		wantDone, want := pattern(fk, build(fk))
+		if want.Wait == 0 {
+			t.Fatal("pattern saw no contention; the check would be vacuous")
+		}
+		k := sim.NewKernel()
+		f := build(k)
+		pattern(k, f)
+		k.Reset()
+		f.Reset()
+		if s := platform.FabricStatsOf(f); s != (platform.FabricStats{}) {
+			t.Fatalf("%s: Reset left stats %+v", f.Name(), s)
+		}
+		done, got := pattern(k, f)
+		if got != want || !slices.Equal(done, wantDone) {
+			t.Fatalf("%s: reset fabric delivered %v with %+v, fresh %v with %+v", f.Name(), done, got, wantDone, want)
 		}
 	}
 }

@@ -231,6 +231,9 @@ type Fabric interface {
 	// contention wait (plain values so implementations need not
 	// depend on this package).
 	Stats() (transfers uint64, wait sim.Time)
+	// Reset returns the fabric to its state when built: every link
+	// free and the Stats counters zeroed.
+	Reset()
 }
 
 // Platform is a complete MPSoC: cores plus interconnect plus optional

@@ -33,6 +33,15 @@
 //     would otherwise build a closure per event (mapping's executors,
 //     the noc fabrics' completions) pass a long-lived Handler and
 //     encode what to do in arg through ScheduleH and AtH.
+//
+//   - Zero-delay events skip the heap. An event queued for the current
+//     instant at priority 0 — a wake-up, a hand-off, a same-core
+//     delivery — goes on a FIFO now-queue instead of the binary heap.
+//     Its entries share the current time and priority 0 and were
+//     queued in rising sequence order, so Step merges the FIFO head
+//     with the heap top under the heap's own (time, priority,
+//     sequence) order and dispatches exactly the heap-only sequence;
+//     time cannot advance while the now-queue holds an event.
 package sim
 
 import "fmt"
@@ -97,14 +106,23 @@ func (w *procWake) Fire(int) { (*Proc)(w).run() }
 
 // event is the pooled scheduling record.
 type event struct {
-	at    Time
-	prio  int
-	seq   uint64
-	gen   uint64
-	h     Handler
-	arg   int
-	index int // heap index, -1 when not queued
+	at   Time
+	prio int
+	seq  uint64
+	gen  uint64
+	h    Handler
+	arg  int
+	// index is the record's heap position (>= 0), notQueued, or, for
+	// a now-queue entry at slot i, nowSlot(i) (<= -2).
+	index int
 }
+
+// notQueued is the index of a record in neither queue.
+const notQueued = -1
+
+// nowSlot encodes now-queue slot i as an event index; it is its own
+// inverse.
+func nowSlot(i int) int { return -2 - i }
 
 // Event is a cancellable handle to a scheduled callback or wake-up.
 // Events are single-shot; cancelling an already-fired,
@@ -119,7 +137,7 @@ type Event struct {
 
 // Pending reports whether the handle still refers to a queued event.
 func (ev Event) Pending() bool {
-	return ev.e != nil && ev.e.gen == ev.gen && ev.e.index >= 0
+	return ev.e != nil && ev.e.gen == ev.gen && ev.e.index != notQueued
 }
 
 // Time returns the virtual time the event is scheduled for, or -1 once
@@ -154,7 +172,8 @@ type KernelStats struct {
 	PoolHits uint64
 	// PoolMisses counts event records that had to be heap-allocated.
 	PoolMisses uint64
-	// HeapMax is the event queue's high-water depth.
+	// HeapMax is the high-water pending-event depth: the heap plus
+	// the now-queue, the most events ever queued at once.
 	HeapMax int
 }
 
@@ -162,8 +181,15 @@ type KernelStats struct {
 // concurrent use; all model code runs on the kernel's goroutine (or in
 // lock-step handoff with it, for processes).
 type Kernel struct {
-	now     Time
-	queue   []*event
+	now   Time
+	queue []*event // binary heap of every other pending event
+	// nowq[nowHead:] is the now-queue of zero-delay priority-0 events
+	// at time now, in sequence order; a cancelled entry leaves a nil
+	// slot. nowLive counts its live entries: while it is positive
+	// nowq[nowHead] is live, and when it drops to 0 nowq is emptied.
+	nowq    []*event
+	nowHead int
+	nowLive int
 	free    []*event
 	seq     uint64
 	stopped bool
@@ -184,7 +210,7 @@ func NewKernel() *Kernel {
 func (k *Kernel) Now() Time { return k.now }
 
 // Pending returns the number of queued events.
-func (k *Kernel) Pending() int { return len(k.queue) }
+func (k *Kernel) Pending() int { return len(k.queue) + k.nowLive }
 
 // Schedule queues fn to run after delay, with priority 0. A negative
 // delay panics: virtual time cannot run backwards.
@@ -250,7 +276,14 @@ func (k *Kernel) at(t Time, prio int, h Handler, arg int) Event {
 	k.stats.Scheduled++
 	e.at, e.prio, e.seq, e.h, e.arg = t, prio, k.seq, h, arg
 	k.seq++
-	k.heapPush(e)
+	if t == k.now && prio == 0 {
+		k.nowPush(e)
+	} else {
+		k.heapPush(e)
+	}
+	if n := k.Pending(); n > k.stats.HeapMax {
+		k.stats.HeapMax = n
+	}
 	return Event{e: e, gen: e.gen}
 }
 
@@ -259,7 +292,7 @@ func (k *Kernel) at(t Time, prio int, h Handler, arg int) Event {
 func (k *Kernel) recycle(e *event) {
 	e.gen++
 	e.h = nil
-	e.index = -1
+	e.index = notQueued
 	k.free = append(k.free, e)
 }
 
@@ -267,11 +300,15 @@ func (k *Kernel) recycle(e *event) {
 // zero-valued handles: the generation check turns those into no-ops.
 func (k *Kernel) Cancel(ev Event) {
 	e := ev.e
-	if e == nil || e.gen != ev.gen || e.index < 0 {
+	if e == nil || e.gen != ev.gen || e.index == notQueued {
 		return
 	}
 	k.stats.Cancelled++
-	k.heapRemove(e.index)
+	if e.index >= 0 {
+		k.heapRemove(e.index)
+	} else {
+		k.nowRemove(nowSlot(e.index))
+	}
 	k.recycle(e)
 }
 
@@ -284,10 +321,19 @@ func (k *Kernel) Stats() KernelStats { return k.stats }
 // Step executes the single next event. It returns false when the queue
 // is empty or the kernel has been stopped.
 func (k *Kernel) Step() bool {
-	if k.stopped || len(k.queue) == 0 {
+	if k.stopped {
 		return false
 	}
-	e := k.heapPop()
+	var e *event
+	switch {
+	case k.nowLive > 0 && (len(k.queue) == 0 || !eventLess(k.queue[0], k.nowq[k.nowHead])):
+		e = k.nowq[k.nowHead]
+		k.nowRemove(k.nowHead)
+	case len(k.queue) > 0:
+		e = k.heapPop()
+	default:
+		return false
+	}
 	if e.at < k.now {
 		panic("sim: event queue corrupted (time went backwards)")
 	}
@@ -313,7 +359,7 @@ func (k *Kernel) Run() {
 // it). It returns the number of events executed.
 func (k *Kernel) RunUntil(deadline Time) uint64 {
 	start := k.Executed
-	for !k.stopped && len(k.queue) > 0 && k.queue[0].at <= deadline {
+	for !k.stopped && k.nextAt() <= deadline {
 		k.Step()
 	}
 	if !k.stopped && k.now < deadline {
@@ -347,6 +393,13 @@ func (k *Kernel) Reset() {
 		k.recycle(e)
 	}
 	k.queue = k.queue[:0]
+	for _, e := range k.nowq[k.nowHead:] {
+		if e != nil {
+			k.recycle(e)
+		}
+	}
+	clear(k.nowq)
+	k.nowq, k.nowHead, k.nowLive = k.nowq[:0], 0, 0
 	k.now = 0
 	k.seq = 0
 	k.stopped = false
@@ -361,6 +414,56 @@ func (k *Kernel) Stopped() bool { return k.stopped }
 
 // Resume clears a previous Stop so the kernel can run again.
 func (k *Kernel) Resume() { k.stopped = false }
+
+// nextAt returns the time of the next event to dispatch, or Forever
+// when none is queued. A now-queue entry is due now, which no heap
+// event precedes.
+func (k *Kernel) nextAt() Time {
+	switch {
+	case k.nowLive > 0:
+		return k.now
+	case len(k.queue) > 0:
+		return k.queue[0].at
+	}
+	return Forever
+}
+
+// --- Now-queue (FIFO of zero-delay priority-0 events) ---
+
+// nowPush appends e to the now-queue, first squeezing out consumed and
+// cancelled slots when the backing array is full of them.
+func (k *Kernel) nowPush(e *event) {
+	if len(k.nowq) == cap(k.nowq) && k.nowLive < len(k.nowq) {
+		n := 0
+		for _, x := range k.nowq[k.nowHead:] {
+			if x != nil {
+				k.nowq[n] = x
+				x.index = nowSlot(n)
+				n++
+			}
+		}
+		clear(k.nowq[n:])
+		k.nowq, k.nowHead = k.nowq[:n], 0
+	}
+	e.index = nowSlot(len(k.nowq))
+	k.nowq = append(k.nowq, e)
+	k.nowLive++
+}
+
+// nowRemove takes the live entry at slot i out of the now-queue and
+// moves the head to the next live entry.
+func (k *Kernel) nowRemove(i int) {
+	k.nowq[i].index = notQueued
+	k.nowq[i] = nil
+	k.nowLive--
+	if k.nowLive == 0 {
+		k.nowq, k.nowHead = k.nowq[:0], 0
+		return
+	}
+	for k.nowq[k.nowHead] == nil {
+		k.nowHead++
+	}
+}
 
 // --- Event heap (inlined binary heap; avoids container/heap's
 // interface dispatch on the hottest code in the system) ---
@@ -377,9 +480,6 @@ func eventLess(a, b *event) bool {
 
 func (k *Kernel) heapPush(e *event) {
 	k.queue = append(k.queue, e)
-	if n := len(k.queue); n > k.stats.HeapMax {
-		k.stats.HeapMax = n
-	}
 	e.index = len(k.queue) - 1
 	k.siftUp(e.index)
 }
@@ -396,7 +496,7 @@ func (k *Kernel) heapPop() *event {
 		last.index = 0
 		k.siftDown(0)
 	}
-	e.index = -1
+	e.index = notQueued
 	return e
 }
 
@@ -413,7 +513,7 @@ func (k *Kernel) heapRemove(i int) {
 		k.siftDown(i)
 		k.siftUp(last.index)
 	}
-	e.index = -1
+	e.index = notQueued
 }
 
 func (k *Kernel) siftUp(i int) {
