@@ -52,7 +52,11 @@ func BenchmarkSweepPoint(b *testing.B) {
 // EvalContext, as a sweep worker evaluates them: the kernel, the
 // platform, the graph prototype and the mapping and execution scratch
 // are all reused, so allocs/op is what a point still allocates in
-// steady state (CI guards it; limits in docs/performance.md).
+// steady state (CI guards it; limits in docs/performance.md). The
+// searched points alternate two mapping seeds (alternateSeed), so
+// every iteration searches; vp64/twin repeats one vp point, so every
+// iteration executes the mapping memo, as the vp twin of an mvp point
+// does in a sweep (the evidence behind EstCost's twinCost).
 func BenchmarkSweepPointWarm(b *testing.B) {
 	base := Point{
 		ID:   0,
@@ -64,27 +68,46 @@ func BenchmarkSweepPointWarm(b *testing.B) {
 		WorkloadSeed: 99,
 		Fidelity:     "mvp",
 	}
-	listMVP, annealMVP, listPipe, jobs := base, base, base, base
+	listMVP, annealMVP, listPipe, jobs, twin := base, base, base, base, base
 	listMVP.Heuristic = "list"
 	annealMVP.Heuristic = "anneal"
 	listPipe.Heuristic, listPipe.Fidelity, listPipe.Iterations = "list", "pipe", 8
 	jobs.Workload, jobs.Heuristic, jobs.Fidelity = "jobs", "-", "rtos"
+	twin.Heuristic, twin.Fidelity, twin.Quantum = "anneal", "vp", 64
 	for _, c := range []struct {
-		name string
-		p    Point
-	}{{"list/mvp", listMVP}, {"anneal/mvp", annealMVP}, {"list/pipe8", listPipe}, {"rtos/jobs16", jobs}} {
+		name   string
+		p      Point
+		search bool
+	}{
+		{"list/mvp", listMVP, true}, {"anneal/mvp", annealMVP, true}, {"list/pipe8", listPipe, true},
+		{"rtos/jobs16", jobs, false}, {"vp64/twin", twin, false},
+	} {
 		b.Run(c.name, func(b *testing.B) {
 			ctx := NewEvalContext()
 			ctx.Evaluate(c.p) // warm the caches
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if r := ctx.Evaluate(c.p); r.Err != "" {
+				p := c.p
+				if c.search {
+					p = alternateSeed(p, i)
+				}
+				if r := ctx.Evaluate(p); r.Err != "" {
 					b.Fatal(r.Err)
 				}
 			}
 		})
 	}
+}
+
+// alternateSeed returns p with its mapping seed flipped on odd i. A
+// reused EvalContext's evaluator returns its last mapping unsearched
+// when a point repeats the last one's graph, platform tables and
+// options, so a benchmark or test that evaluates
+// one point over and over alternates the seed to search every time.
+func alternateSeed(p Point, i int) Point {
+	p.Seed ^= uint64(i & 1)
+	return p
 }
 
 // vpBenchPoint is the vp-fidelity benchmark point: an 8-core platform
@@ -179,7 +202,7 @@ func BenchmarkVPPointEval(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r := c.Evaluate(p)
+			r := c.Evaluate(alternateSeed(p, i))
 			if r.Err != "" {
 				b.Fatal(r.Err)
 			}
@@ -208,7 +231,7 @@ func BenchmarkSweepPointObs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := c.Evaluate(p)
+		r := c.Evaluate(alternateSeed(p, i))
 		if r.Err != "" {
 			b.Fatal(r.Err)
 		}

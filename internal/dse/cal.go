@@ -137,6 +137,7 @@ func (c *EvalContext) calFit(p Point) (*calEntry, error) {
 	var pkBase sim.KernelStats
 	for _, pr := range p.CalProbes {
 		k := reuseKernel(&pk)
+		c.obs.PlatBuilds.Inc()
 		plat, _, err := buildPlatform(k, p.Plat)
 		if err != nil {
 			return nil, err

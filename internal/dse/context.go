@@ -7,6 +7,7 @@ import (
 
 	"mpsockit/internal/mapping"
 	"mpsockit/internal/platform"
+	"mpsockit/internal/rtos"
 	"mpsockit/internal/sim"
 	"mpsockit/internal/taskgraph"
 	"mpsockit/internal/workload"
@@ -21,7 +22,10 @@ import (
 // kernel is observably identical to a fresh one (sim.Kernel.Reset), a
 // reused platform is reset to its state when built (platEntry), graph
 // prototypes are immutable once built, and the mapping evaluator and
-// executor rebind per point. The vp
+// executor rebind per point — the evaluator keeps its last mapping
+// only when a point binds the same graph and identical platform
+// tables (mapping.Evaluator.Map), which is how the fidelity twins of
+// a group share one search. The vp
 // refinement is closed-form arithmetic (runLoops), so no virtual
 // platform is built or kept. The sweep byte-identity tests hold
 // exactly that — any worker count, fresh or reused context, same
@@ -42,6 +46,10 @@ type EvalContext struct {
 	// reusable execution scratch of the mapped run.
 	me mapping.Evaluator
 	ex mapping.Executor
+	// jobs is the job slab of rtos points: a bag's jobs are refilled
+	// in place, since the scheduler that held them is dropped with its
+	// point.
+	jobs []rtos.Job
 	// graphs caches built workload task graphs: every point of a
 	// sweep that shares (workload, N, seed) maps the identical
 	// prototype, so the graph and its adjacency view are built once
@@ -93,6 +101,7 @@ func (c *EvalContext) platform(k *sim.Kernel, spec PlatSpec) (*platform.Platform
 		}
 		return e.plat, e.area, nil
 	}
+	c.obs.PlatBuilds.Inc()
 	plat, area, err := buildPlatform(k, spec)
 	if err != nil {
 		return nil, 0, err

@@ -345,6 +345,16 @@ type Engine struct {
 	Tracer *obs.Tracer
 }
 
+// twins reports whether p and o are fidelity twins: the same mapping
+// problem — platform, workload instance, heuristic and mapping seed —
+// at possibly different fidelities. Sweep.Points gives a group's mvp,
+// vp and cal points one seed and lists them consecutively.
+func twins(p, o Point) bool {
+	return p.Seed == o.Seed && p.Heuristic == o.Heuristic && p.Plat.Equal(o.Plat) &&
+		p.Workload == o.Workload && p.N == o.N && p.WorkloadSeed == o.WorkloadSeed &&
+		slices.Equal(p.Apps, o.Apps)
+}
+
 // Run evaluates every point and returns the results in input order.
 func (e *Engine) Run(points []Point) []Result {
 	return e.RunContext(context.Background(), points)
@@ -352,7 +362,10 @@ func (e *Engine) Run(points []Point) []Result {
 
 // RunContext evaluates points until the context is cancelled. In-flight
 // evaluations finish (a design point is never torn mid-evaluation); no
-// new points are dispatched after cancellation. The returned slice is
+// new points are started after cancellation. A run of consecutive
+// fidelity twins (twins) goes to one worker, which evaluates it in
+// order, so the run's mapping is searched once whatever the worker
+// count. The returned slice is
 // the completed contiguous prefix — exactly the results that were
 // released to OnResult — so a caller writing JSONL has a clean cut
 // point: flushing what OnResult saw yields a valid resumable
@@ -369,7 +382,8 @@ func (e *Engine) RunContext(ctx context.Context, points []Point) []Result {
 	if len(points) == 0 {
 		return results
 	}
-	jobs := make(chan int)
+	// jobs carries runs [lo, hi) of point indexes.
+	jobs := make(chan [2]int)
 	completed := make(chan int, len(points))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -381,16 +395,21 @@ func (e *Engine) RunContext(ctx context.Context, points []Point) []Result {
 			// drains, with no cross-worker sharing.
 			ec := NewEvalContext()
 			ec.SetObs(e.Obs)
-			for idx := range jobs {
-				if e.Tracer != nil {
-					t0 := time.Now()
-					results[idx] = ec.Evaluate(points[idx])
-					e.Tracer.Span("eval", points[idx].Fidelity, w, t0, time.Since(t0),
-						obs.Arg{Key: "point", Val: int64(points[idx].ID)})
-				} else {
-					results[idx] = ec.Evaluate(points[idx])
+			for run := range jobs {
+				for idx := run[0]; idx < run[1]; idx++ {
+					if idx > run[0] && ctx.Err() != nil {
+						break
+					}
+					if e.Tracer != nil {
+						t0 := time.Now()
+						results[idx] = ec.Evaluate(points[idx])
+						e.Tracer.Span("eval", points[idx].Fidelity, w, t0, time.Since(t0),
+							obs.Arg{Key: "point", Val: int64(points[idx].ID)})
+					} else {
+						results[idx] = ec.Evaluate(points[idx])
+					}
+					completed <- idx
 				}
-				completed <- idx
 			}
 		}(w)
 	}
@@ -415,12 +434,17 @@ func (e *Engine) RunContext(ctx context.Context, points []Point) []Result {
 		}
 	}()
 dispatch:
-	for i := range points {
+	for lo := 0; lo < len(points); {
+		hi := lo + 1
+		for hi < len(points) && twins(points[lo], points[hi]) {
+			hi++
+		}
 		select {
-		case jobs <- i:
+		case jobs <- [2]int{lo, hi}:
 		case <-ctx.Done():
 			break dispatch
 		}
+		lo = hi
 	}
 	close(jobs)
 	wg.Wait()

@@ -91,7 +91,7 @@ func (c *EvalContext) evaluate(p Point) (Metrics, error) {
 		return Metrics{}, err
 	}
 	if p.Workload == "jobs" {
-		return evalJobs(p, k, plat, area)
+		return c.evalJobs(p, k, plat, area)
 	}
 	// Single and multi-app points share one evaluation body: a multi
 	// point maps and executes the cached union graph of its scenario
@@ -492,11 +492,12 @@ func (c *EvalContext) vpRefine(p Point, stats mapping.ExecStats) (sim.Time, uint
 // evalJobs scores a jobs design point: a deterministic bag of moldable
 // parallel and sequential jobs submitted to the section II-B hybrid
 // time-/space-shared RTOS scheduler, with reactive DVFS boosting. The
-// mapping heuristic is not used — placement is the scheduler's.
-func evalJobs(p Point, k *sim.Kernel, plat *platform.Platform, area float64) (Metrics, error) {
+// mapping heuristic is not used — placement is the scheduler's. The
+// bag's jobs live in the context's slab, refilled per point.
+func (c *EvalContext) evalJobs(p Point, k *sim.Kernel, plat *platform.Platform, area float64) (Metrics, error) {
 	// One time-shared core for sequential jobs; the rest gang-schedule.
-	for i, c := range plat.Cores {
-		c.SpaceShared = i != 0
+	for i, core := range plat.Cores {
+		core.SpaceShared = i != 0
 	}
 	s := rtos.NewHybrid(k, plat, rtos.DefaultConfig())
 	r := xrand.New(p.WorkloadSeed)
@@ -504,10 +505,13 @@ func evalJobs(p Point, k *sim.Kernel, plat *platform.Platform, area float64) (Me
 	if n <= 0 {
 		n = 32
 	}
+	if cap(c.jobs) < n {
+		c.jobs = make([]rtos.Job, n)
+	}
 	var totalCycles int64
-	for i := 0; i < n; i++ {
-		j := &rtos.Job{
-			Name:       fmt.Sprintf("job%d", i),
+	for i := range c.jobs[:n] {
+		j := &c.jobs[i]
+		*j = rtos.Job{
 			Kind:       rtos.Sequential,
 			WorkCycles: r.Range(500_000, 4_000_000),
 			MaxWidth:   1,
@@ -528,9 +532,9 @@ func evalJobs(p Point, k *sim.Kernel, plat *platform.Platform, area float64) (Me
 	// a large bound costs nothing — a fixed cap would spuriously fail
 	// big bags on slow/low-DVFS platforms.
 	minHz := plat.Cores[0].Hz()
-	for _, c := range plat.Cores {
-		if c.Hz() < minHz {
-			minHz = c.Hz()
+	for _, core := range plat.Cores {
+		if core.Hz() < minHz {
+			minHz = core.Hz()
 		}
 	}
 	bound := sim.Time(float64(totalCycles)/float64(minHz)*float64(sim.Second))*4 + 100*sim.Millisecond
@@ -564,9 +568,9 @@ func evalJobs(p Point, k *sim.Kernel, plat *platform.Platform, area float64) (Me
 	}
 	makespanS := makespan.Seconds()
 	busyPer := st.BusyTime.Seconds() / float64(len(plat.Cores))
-	for _, c := range plat.Cores {
-		m.Energy += coreEnergy(busyPer, makespanS, float64(c.Hz())/1e9)
-		m.FreqSwitches += c.FreqSwitches
+	for _, core := range plat.Cores {
+		m.Energy += coreEnergy(busyPer, makespanS, float64(core.Hz())/1e9)
+		m.FreqSwitches += core.FreqSwitches
 	}
 	m.Energy += float64(m.FreqSwitches) * freqSwitchCharge
 	return m, nil

@@ -39,6 +39,9 @@ type EvalObs struct {
 	MultiMisses *obs.Counter
 	CalHits     *obs.Counter
 	CalMisses   *obs.Counter
+	// PlatBuilds counts platforms built: a point whose PlatSpec is not
+	// the context's last one's, and every cal probe.
+	PlatBuilds *obs.Counter
 
 	// VPHits and VPMisses counted the virtual-platform pool, which
 	// closed-form vp refinement retired. NewEvalObs leaves them nil
@@ -96,6 +99,7 @@ func NewEvalObs(r *obs.Registry) EvalObs {
 		MultiMisses: cacheMiss("multi"),
 		CalHits:     cacheHit("cal"),
 		CalMisses:   cacheMiss("cal"),
+		PlatBuilds:  r.Counter("dse_platform_builds_total", "Platforms built rather than reset and reused."),
 
 		SimScheduled: r.Counter("sim_events_scheduled_total", "Kernel events scheduled."),
 		SimExecuted:  r.Counter("sim_events_executed_total", "Kernel events executed."),

@@ -131,8 +131,10 @@ func TestInstrumentationAllocFree(t *testing.T) {
 	observed := NewEvalContext()
 	observed.SetObs(NewEvalObs(obs.NewRegistry()))
 	run := func(c *EvalContext) float64 {
+		i := 0
 		return testing.AllocsPerRun(20, func() {
-			if r := c.Evaluate(p); r.Err != "" {
+			i++
+			if r := c.Evaluate(alternateSeed(p, i)); r.Err != "" {
 				t.Fatal(r.Err)
 			}
 		})

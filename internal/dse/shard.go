@@ -37,11 +37,19 @@ func (s Shard) String() string {
 // heuristics multiply the number of candidate schedules evaluated.
 // Only the ratio between point costs matters.
 //
-// vp points carry no weight of their own: refinement is closed-form
-// (~130 ns, BenchmarkVPRefine/closed), so a vp point costs its
-// mapping and task-level execution like its mvp twin —
-// BenchmarkVPPointEval/reused measured 1.05x the same point at mvp
-// (~55 vs ~50 us on a 2-vCPU 2.1 GHz Xeon).
+// The search is charged to mvp and pipe points only. The vp and cal
+// points of a group are the mvp point's fidelity twins: they take its
+// mapping seed (Sweep.Points), the Engine hands a group's twins to one
+// worker, and that worker's evaluator returns the mapping the mvp
+// point searched without searching again (mapping.Evaluator.Map), so
+// a vp point weighs what its execution does — refinement is closed-form
+// (~130 ns, BenchmarkVPRefine/closed). BenchmarkSweepPointWarm
+// measured such a twin (vp64/twin, ~4 us) at 0.5x a warm list/mvp
+// point (~8.5 us) on a 2-vCPU Xeon. A spec with vp or cal points but
+// no mvp under-charges: its first twin fidelity pays the search. So
+// does one that lists a pipe fidelity between twins, whose search
+// replaces the one kept mapping, and a shard or lease that starts
+// inside a group, whose first twin searches again.
 //
 // The two annealers are charged separately, at their measured cost
 // over list scheduling on BenchmarkSweepPoint (synth16 on wireless,
@@ -63,31 +71,36 @@ func EstCost(p Point) float64 {
 			it = 8
 		}
 		c *= 1 + float64(it)/4
+		switch p.Heuristic {
+		case "anneal":
+			c *= 2.3
+		case "exhaustive":
+			c *= 10
+		}
+	case "vp":
+		c *= twinCost
 	case "cal":
-		// A cal point is task-level plus its share of the group's
-		// probes. Each probe maps and executes once more at task
-		// level (a group fit over K probes measured (1+K)x an mvp
-		// evaluation on the same host), paid once per group by
+		// A cal point is its execution plus its share of the group's
+		// probes. Each probe searches and executes its mapping once
+		// more at task level (a group fit over K probes measured (1+K)x
+		// an mvp evaluation on the same host), paid once per group by
 		// whichever worker sees the group first; charging each member
-		// half a probe keeps the estimate near the truth for the
-		// usual two-member groups without knowing the group size here.
-		c *= 1 + 0.5*float64(len(p.CalProbes))
+		// half of every probe keeps the estimate near the truth for
+		// the usual two-member groups without knowing the group size
+		// here.
+		probes := 0.0
+		for _, pr := range p.CalProbes {
+			probes += searchCost(pr.Heur)
+		}
+		c *= twinCost + 0.5*probes
 	case "rtos":
 		n := p.N
 		if n <= 0 {
 			n = 32
 		}
 		c *= 0.76 * float64(n) / 16
-	}
-	switch p.Heuristic {
-	case "anneal":
-		if p.Fidelity == "pipe" {
-			c *= 2.3
-		} else {
-			c *= 13
-		}
-	case "exhaustive":
-		c *= 10
+	default:
+		c *= searchCost(p.Heuristic)
 	}
 	// A multi-app scenario maps and executes the union of its
 	// constituent graphs, so its cost scales with the app count.
@@ -101,4 +114,20 @@ func EstCost(p Point) float64 {
 		c *= 1.15
 	}
 	return c
+}
+
+// twinCost is a vp or cal point's own evaluation, which executes the
+// mapping its mvp twin searched, relative to a list/mvp point.
+const twinCost = 0.5
+
+// searchCost is a makespan mapping search of heuristic h, with its
+// execution, relative to a list/mvp point.
+func searchCost(h string) float64 {
+	switch h {
+	case "anneal":
+		return 13
+	case "exhaustive":
+		return 10
+	}
+	return 1
 }

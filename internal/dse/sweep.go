@@ -139,6 +139,14 @@ func mulSat(a, b int) int {
 // deterministic (platform-major), point IDs are sequential, and every
 // point's seeds derive from Sweep.Seed alone — the same sweep expands
 // to byte-identical points every time.
+//
+// The mvp, vp and cal points of one (platform, fabric, DVFS, memory,
+// workload, heuristic) group are fidelity twins: they take the group's
+// mapping seed, the point seed of its first non-pipe fidelity, so every
+// tier measures the one mapping and a worker searches it once (the
+// Engine keeps a group on one worker, whose evaluator keeps its last
+// mapping). Pipe points keep their own
+// seed: they optimize the throughput objective, a different search.
 func (s *Sweep) Points() ([]Point, error) {
 	if len(s.Platforms) == 0 || len(s.Workloads) == 0 {
 		return nil, fmt.Errorf("dse: sweep needs at least one platform and one workload")
@@ -174,16 +182,23 @@ func (s *Sweep) Points() ([]Point, error) {
 							heurs = []string{"-"}
 							fids = []FidelitySpec{{Kind: "rtos"}}
 						}
+						twin := firstTwin(fids)
 						for hi, h := range heurs {
-							for _, f := range fids {
+							for fi, f := range fids {
 								ps := plat
 								ps.Fabric = fab
 								ps.DVFS = d
 								ps.Mem = mm.Token()
 								id := len(points)
+								// groupID is the ID of the group's first
+								// twin, whose point seed the twins share.
+								groupID := id
+								if f.Kind != "pipe" {
+									groupID = id - fi + twin
+								}
 								p := Point{
 									ID:           id,
-									Seed:         seedFor(s.Seed, "point", id),
+									Seed:         seedFor(s.Seed, "point", groupID),
 									Plat:         ps,
 									Workload:     wl.Kind,
 									N:            wl.N,
@@ -201,14 +216,15 @@ func (s *Sweep) Points() ([]Point, error) {
 									// mappings (same plat/fab/dvfs/wl, the other
 									// heuristics of this fidelity). Sibling IDs
 									// differ by the fidelity stride, so each
-									// probe's mapping seed is recomputable here
-									// and identical for every group member.
+									// probe's mapping seed — its sibling's group
+									// seed — is recomputable here and identical
+									// for every group member.
 									k := f.Probes
 									if k > len(heurs) {
 										k = len(heurs)
 									}
 									for m := 0; m < k; m++ {
-										pid := id - (hi-m)*len(fids)
+										pid := groupID - (hi-m)*len(fids)
 										p.CalProbes = append(p.CalProbes, CalProbe{
 											Heur: heurs[m],
 											Seed: seedFor(s.Seed, "point", pid),
@@ -242,6 +258,18 @@ func (s *Sweep) Points() ([]Point, error) {
 		}
 	}
 	return points, nil
+}
+
+// firstTwin returns the index of the first non-pipe fidelity in fids,
+// whose point seed the group's mvp, vp and cal points share, or 0 when
+// every fidelity is pipe (and none shares).
+func firstTwin(fids []FidelitySpec) int {
+	for i, f := range fids {
+		if f.Kind != "pipe" {
+			return i
+		}
+	}
+	return 0
 }
 
 // ParseSweep builds a sweep from a compact spec string. Named presets:

@@ -27,7 +27,12 @@
 // to the naive implementations — the regression tests in this package
 // hold that equivalence. Evaluator.Map returns its assignment in
 // evaluator scratch too, valid until the next Map or Bind, so a
-// rebound evaluator maps point after point without allocating.
+// rebound evaluator maps point after point without allocating. A
+// search reads nothing but the graph, the bound tables, the cores'
+// classes and clocks, and its options, so a Bind that reproduces all
+// of them keeps Map's result, and Map with the same options returns
+// it unsearched: the fidelity twins of a design point share one
+// search.
 //
 // Execution is the other per-point cost. Execute, ExecuteMulti and
 // ExecutePipelined run tasks as state machines on the platform kernel,
@@ -159,6 +164,13 @@ type Evaluator struct {
 	// EstLatency calls it stands for.
 	pairLat []sim.Time
 	edgeLat []sim.Time
+	// clocks[pe] is core pe's class and clock as bound. listMap's
+	// upward rank reads them besides the tables above; its
+	// communication term EstLatency(0, last, b) sums pairLat's and
+	// edgeLat's entries (the split contract above), so equal tables and
+	// clocks rank equally. A one-core platform has no split, but every
+	// task lands on its core whatever the rank.
+	clocks []coreClock
 
 	peAvail []sim.Time
 	// finish[id] is the task's finish time in the last schedule built;
@@ -182,6 +194,14 @@ type Evaluator struct {
 	ids     []int
 	weights []int64
 
+	// kept reports that result is what Map returned for keptOpt and
+	// that nothing the search reads has changed since: Bind keeps it
+	// only when every table it writes comes out as it was, whatever
+	// the graph and platform objects' identity, and Map clears it
+	// before a search overwrites the scratch behind result.
+	kept    bool
+	keptOpt Options
+
 	// Obs is the optional search-instrumentation handle. The zero
 	// value is inert; attaching counters never changes which
 	// assignment a heuristic returns.
@@ -201,16 +221,23 @@ func NewEvaluator(g *taskgraph.Graph, plat *platform.Platform) *Evaluator {
 // Bind repoints the evaluator at (g, plat), reusing its scratch
 // storage. Call it again after structural graph changes or core DVFS
 // level changes; the per-(task, core) time table and the edge-latency
-// tables are frozen at bind time.
+// tables are frozen at bind time. A Bind that reproduces every table
+// of the last one — the same graph on an equal platform, such as the
+// same design point at another fidelity — keeps Map's last result.
 func (e *Evaluator) Bind(g *taskgraph.Graph, plat *platform.Platform) {
-	e.g, e.plat = g, plat
-	e.mem = plat.Mem
-	e.view = g.View()
+	v := g.View()
 	n := len(g.Tasks)
 	nPE := len(plat.Cores)
+	// same tracks whether the tables come out as they were: first the
+	// graph and the table sizes, then every entry as it is written.
+	same := e.kept && g == e.g && v == e.view && n == len(e.capab) && nPE == len(e.infCost)
+	e.g, e.plat = g, plat
+	e.mem = plat.Mem
+	e.view = v
 
 	e.capab = grow(e.capab, n)
 	need := n * nPE
+	oldCap := e.capBuf
 	if cap(e.capBuf) < need {
 		e.capBuf = make([]int, 0, need)
 	}
@@ -222,11 +249,12 @@ func (e *Evaluator) Bind(g *taskgraph.Graph, plat *platform.Platform) {
 	e.prevFinish = grow(e.prevFinish, n)
 	e.pos = grow(e.pos, n)
 	e.load = grow(e.load, nPE)
+	e.clocks = grow(e.clocks, nPE)
 
 	for pe, c := range plat.Cores {
-		e.infCost[pe] = c.Cycles(1 << 50)
+		same = put(e.infCost, pe, c.Cycles(1<<50), same)
+		same = put(e.clocks, pe, coreClock{c.Class, c.Hz()}, same)
 	}
-	v := e.view
 	for id, t := range g.Tasks {
 		usePref := false
 		if t.HasPref {
@@ -240,16 +268,21 @@ func (e *Evaluator) Bind(g *taskgraph.Graph, plat *platform.Platform) {
 		start := len(e.capBuf)
 		for _, c := range plat.Cores {
 			if !v.CanRunOn(id, c.Class) {
-				e.durs[id*nPE+c.ID] = -1
+				same = put(e.durs, id*nPE+c.ID, -1, same)
 				continue
 			}
-			e.durs[id*nPE+c.ID] = c.Cycles(v.CyclesOn(id, c.Class))
+			same = put(e.durs, id*nPE+c.ID, c.Cycles(v.CyclesOn(id, c.Class)), same)
 			if !usePref || c.Class == t.PreferredPE {
+				// The slot still holds the last Bind's entry.
+				q := len(e.capBuf)
+				same = same && q < len(oldCap) && oldCap[q] == c.ID
 				e.capBuf = append(e.capBuf, c.ID)
 			}
 		}
+		same = same && len(e.capab[id]) == len(e.capBuf)-start
 		e.capab[id] = e.capBuf[start:len(e.capBuf):len(e.capBuf)]
 	}
+	same = same && len(e.capBuf) == len(oldCap)
 
 	e.pairLat = grow(e.pairLat, nPE*nPE)
 	for src := 0; src < nPE; src++ {
@@ -258,7 +291,7 @@ func (e *Evaluator) Bind(g *taskgraph.Graph, plat *platform.Platform) {
 			if e.mem != nil {
 				l += e.mem.EstPairLatency(src, dst)
 			}
-			e.pairLat[src*nPE+dst] = l
+			same = put(e.pairLat, src*nPE+dst, l, same)
 		}
 	}
 	e.edgeLat = grow(e.edgeLat, v.PredBase(n))
@@ -269,9 +302,24 @@ func (e *Evaluator) Bind(g *taskgraph.Graph, plat *platform.Platform) {
 			if e.mem != nil {
 				l += e.mem.EstPayloadLatency(pr.Bytes)
 			}
-			e.edgeLat[base+k] = l
+			same = put(e.edgeLat, base+k, l, same)
 		}
 	}
+	e.kept = same
+}
+
+// coreClock is what listMap reads of a core.
+type coreClock struct {
+	class platform.PEClass
+	hz    int64
+}
+
+// put stores x at s[i] and returns same, cleared if s[i] held another
+// value.
+func put[T comparable](s []T, i int, x T, same bool) bool {
+	same = same && s[i] == x
+	s[i] = x
+	return same
 }
 
 // grow returns s resized to n, reusing its backing array. The
@@ -457,10 +505,19 @@ func Map(g *taskgraph.Graph, plat *platform.Platform, opt Options) (*Assignment,
 
 // Map assigns the bound graph's tasks onto the bound platform with
 // the selected heuristic. The Assignment, its TaskPE and its Schedule
-// are evaluator scratch, valid until the next Map or Bind: a caller
-// that keeps a mapping past that copies it (or uses the package-level
-// Map, whose result it owns).
+// are read-only evaluator scratch, valid until the next Map or Bind: a
+// caller that keeps a mapping past that copies it (or uses the
+// package-level Map, whose result it owns).
+//
+// A search reads only the graph, what Bind recorded and opt, so when
+// none of them changed since the last Map returned, Map returns
+// that assignment again, on the bound platform, without searching.
 func (e *Evaluator) Map(opt Options) (*Assignment, error) {
+	if e.kept && opt == e.keptOpt {
+		e.result.Platform = e.plat
+		return &e.result, nil
+	}
+	e.kept = false
 	g, plat := e.g, e.plat
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -497,6 +554,7 @@ func (e *Evaluator) Map(opt Options) (*Assignment, error) {
 		return nil, err
 	}
 	e.result = Assignment{Graph: g, Platform: plat, TaskPE: taskPE, Schedule: slots, Makespan: mk}
+	e.kept, e.keptOpt = true, opt
 	return &e.result, nil
 }
 
