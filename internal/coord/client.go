@@ -10,10 +10,14 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
+	"unicode"
 
 	"mpsockit/internal/dse"
 	"mpsockit/internal/obs"
@@ -36,10 +40,15 @@ type WorkerConfig struct {
 	// URL is the coordinator's base URL, e.g. http://host:9090.
 	URL string
 	// ID is the worker's identity; it seeds the backoff jitter and
-	// names the local fallback checkpoints. Defaults to host:pid.
+	// names the local fallback checkpoints, so Run refuses one with a
+	// path separator, "..", a glob metacharacter or a control
+	// character. Defaults to host-pid.
 	ID string
 	// FlushPoints is how many completed points accumulate before a
-	// partial submit, bounding work lost to a worker crash. Default 8.
+	// partial submit, bounding work lost to a worker crash. Zero (the
+	// default) flushes every quarter of each lease, but no less than
+	// 8 points: a lease costs at most four /results posts, and a crash
+	// loses less than one such batch.
 	FlushPoints int
 	// Client is the HTTP client; nil means http.DefaultClient. Chaos
 	// tests inject a fault-wrapped transport here.
@@ -64,9 +73,8 @@ type WorkerConfig struct {
 	OnResult func(dse.Result)
 	// Workers sizes the evaluation pool; <= 0 means GOMAXPROCS.
 	Workers int
-	// Obs, when non-zero, instruments the evaluation pool (attached to
-	// every engine the worker runs). Telemetry never changes result
-	// bytes.
+	// Obs, when non-zero, instruments the evaluation pool. Telemetry
+	// never changes result bytes.
 	Obs dse.EvalObs
 	// Tracer, when set, records lease/eval/flush spans.
 	Tracer *obs.Tracer
@@ -91,6 +99,10 @@ type Worker struct {
 	log     *log.Logger
 	backoff *Backoff
 	sweeps  map[string]*workerSweep
+	// eng is the worker's one evaluation pool: its EvalContexts, and
+	// with them kernels, platforms and graph prototypes, live as long
+	// as the worker, across leases and sweeps.
+	eng dse.Engine
 	// done is set when a result ack reports farm completion, so the
 	// worker exits without needing one more /lease round trip (the
 	// coordinator may already be shutting down by then).
@@ -106,9 +118,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.ID == "" {
 		host, _ := os.Hostname()
 		cfg.ID = fmt.Sprintf("%s-%d", host, os.Getpid())
-	}
-	if cfg.FlushPoints <= 0 {
-		cfg.FlushPoints = 8
 	}
 	if cfg.Client == nil {
 		cfg.Client = http.DefaultClient
@@ -133,14 +142,20 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		log:     cfg.Log,
 		backoff: NewBackoff(cfg.BackoffBase, cfg.BackoffMax, h.Sum64()),
 		sweeps:  make(map[string]*workerSweep),
+		eng:     dse.Engine{Workers: cfg.Workers, Obs: cfg.Obs, Tracer: cfg.Tracer},
 	}
 }
 
 // Run joins the coordinator and works leases until the farm is done.
 // It returns nil on farm completion, ctx.Err() on cancellation, and
 // an error when the coordinator is unreachable past the retry budget
-// or rejects this worker's results as conflicting.
+// or rejects this worker's results as conflicting. A worker ID that
+// cannot name a checkpoint file inside CheckpointDir is refused before
+// the first request.
 func (w *Worker) Run(ctx context.Context) error {
+	if err := checkWorkerID(w.cfg.ID); err != nil {
+		return err
+	}
 	if err := w.resubmitCheckpoints(ctx); err != nil {
 		return err
 	}
@@ -180,6 +195,17 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
+// checkWorkerID refuses a worker ID that would misplace or mismatch
+// its checkpoint files: a path separator or ".." leads out of
+// CheckpointDir, a glob metacharacter breaks the rejoin scan, and a
+// control character has no business in a file name or a log line.
+func checkWorkerID(id string) error {
+	if strings.ContainsAny(id, `/\*?[`) || strings.Contains(id, "..") || strings.ContainsFunc(id, unicode.IsControl) {
+		return fmt.Errorf(`coord: worker ID %q may not contain a path separator, "..", a glob metacharacter (*?[\) or a control character`, id)
+	}
+	return nil
+}
+
 // resolveSweep returns the worker's verified expansion of the leased
 // sweep, building it on first contact: the spec from the lease header
 // is re-expanded locally and the point-list hash compared against the
@@ -206,10 +232,11 @@ func (w *Worker) resolveSweep(l Lease, h *dse.Header) (*workerSweep, error) {
 	return sw, nil
 }
 
-// workLease evaluates the leased range, submitting partial batches
-// every FlushPoints completed points and heartbeating in the
-// background. A Cancelled ack or heartbeat aborts the evaluation and
-// returns errSweepCancelled — the sweep's tenant withdrew it, so the
+// workLease evaluates the leased range on the worker's engine,
+// submitting partial batches every FlushPoints completed points (a
+// quarter-lease by default) and heartbeating in the background. A
+// Cancelled ack or heartbeat aborts the evaluation and returns
+// errSweepCancelled — the sweep's tenant withdrew it, so the
 // remaining work is dropped, not delivered. If the coordinator
 // vanishes mid-lease the worker finishes evaluating, checkpoints the
 // undelivered lines locally, and returns the transport error so the
@@ -238,6 +265,10 @@ func (w *Worker) workLease(ctx context.Context, sw *workerSweep, l Lease) error 
 	}
 	go w.heartbeatLoop(leaseCtx, l, abandon)
 
+	flushEvery := w.cfg.FlushPoints
+	if flushEvery <= 0 {
+		flushEvery = max(8, (l.Hi-l.Lo+3)/4)
+	}
 	var pending bytes.Buffer
 	pendingPoints := 0
 	flush := func() error {
@@ -258,33 +289,28 @@ func (w *Worker) workLease(ctx context.Context, sw *workerSweep, l Lease) error 
 	}
 
 	var evalErr error
-	eng := dse.Engine{
-		Workers: w.cfg.Workers,
-		Obs:     w.cfg.Obs,
-		Tracer:  w.cfg.Tracer,
-		// OnResult runs on the engine's collector goroutine, in point
-		// order — so pending accumulates the exact bytes a standalone
-		// run would write for this range.
-		OnResult: func(r dse.Result) {
-			if w.cfg.OnResult != nil {
-				w.cfg.OnResult(r)
-			}
-			if err := dse.WriteResult(&pending, r); err != nil && evalErr == nil {
+	// OnResult runs on the engine's collector goroutine, in point
+	// order — so pending accumulates the exact bytes a standalone run
+	// would write for this range.
+	w.eng.OnResult = func(r dse.Result) {
+		if w.cfg.OnResult != nil {
+			w.cfg.OnResult(r)
+		}
+		if err := dse.WriteResult(&pending, r); err != nil && evalErr == nil {
+			evalErr = err
+			return
+		}
+		pendingPoints++
+		if pendingPoints >= flushEvery && evalErr == nil {
+			if err := flush(); err != nil {
+				// Keep evaluating: the lease is already paid for and
+				// the undelivered lines checkpoint locally below. Only
+				// remember the first delivery failure.
 				evalErr = err
-				return
 			}
-			pendingPoints++
-			if pendingPoints >= w.cfg.FlushPoints && evalErr == nil {
-				if err := flush(); err != nil {
-					// Keep evaluating: the lease is already paid for
-					// and the undelivered lines checkpoint locally
-					// below. Only remember the first delivery failure.
-					evalErr = err
-				}
-			}
-		},
+		}
 	}
-	eng.RunContext(leaseCtx, sw.points[l.Lo:l.Hi])
+	w.eng.RunContext(leaseCtx, sw.points[l.Lo:l.Hi])
 	if cancelled.Load() || errors.Is(evalErr, errSweepCancelled) {
 		w.log.Printf("%s: lease %s/%d abandoned: sweep cancelled", w.cfg.ID, l.Sweep, l.ID)
 		return errSweepCancelled
@@ -336,7 +362,11 @@ func (w *Worker) heartbeatLoop(ctx context.Context, l Lease, abandon func()) {
 // failures with backoff. A 409 (conflict) maps to ErrConflict and is
 // not retried; a Cancelled ack is returned for the caller to act on.
 func (w *Worker) submit(ctx context.Context, sweepID string, leaseID int64, lines []byte) (ResultAck, error) {
-	path := fmt.Sprintf("/results?worker=%s&sweep=%s&lease=%d", w.cfg.ID, sweepID, leaseID)
+	path := "/results?" + url.Values{
+		"worker": {w.cfg.ID},
+		"sweep":  {sweepID},
+		"lease":  {strconv.FormatInt(leaseID, 10)},
+	}.Encode()
 	if w.cfg.Tracer != nil {
 		flushStart := time.Now()
 		defer func() {

@@ -6,16 +6,20 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mpsockit/internal/dse"
+	"mpsockit/internal/obs"
 )
 
 // quickWorker returns a WorkerConfig tuned for tests: tiny backoff,
@@ -365,5 +369,259 @@ func TestWorkerConflictNotRetried(t *testing.T) {
 	defer mu.Unlock()
 	if submits != 1 {
 		t.Fatalf("rejected batch submitted %d times, want 1 (no retry)", submits)
+	}
+}
+
+// stubCoord is a one-lease coordinator: it grants [0,n) of its sweep
+// once, answers Done afterwards, and records the line count of every
+// /results post it acks.
+type stubCoord struct {
+	mu     sync.Mutex
+	leased bool
+	posts  []int
+}
+
+func newStubCoord(t *testing.T, h dse.Header, n int) (*stubCoord, *httptest.Server) {
+	t.Helper()
+	s := &stubCoord{}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /lease", func(w http.ResponseWriter, r *http.Request) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.leased {
+			json.NewEncoder(w).Encode(LeaseResponse{Done: true})
+			return
+		}
+		s.leased = true
+		json.NewEncoder(w).Encode(LeaseResponse{
+			Lease:  &Lease{Sweep: SweepID(h), ID: 1, Lo: 0, Hi: n, DeadlineMS: 30000},
+			Header: &h,
+		})
+	})
+	mux.HandleFunc("POST /results", func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		lines := bytes.Count(body, []byte("\n"))
+		s.mu.Lock()
+		s.posts = append(s.posts, lines)
+		s.mu.Unlock()
+		json.NewEncoder(w).Encode(ResultAck{Accepted: lines})
+	})
+	hs := httptest.NewServer(mux)
+	t.Cleanup(hs.Close)
+	return s, hs
+}
+
+func (s *stubCoord) postSizes() []int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.posts)
+}
+
+// TestWorkerFlushCadence: with FlushPoints unset a lease of N points
+// is posted in batches of max(8, ⌈N/4⌉), so it costs at most four
+// /results posts; a lease of 32 points or fewer keeps 8-point
+// batches. A FlushPoints setting still wins.
+func TestWorkerFlushCadence(t *testing.T) {
+	srv, err := New(Config{Spec: "default", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		n, flush int
+		want     []int
+	}{
+		{5, 0, []int{5}},
+		{32, 0, []int{8, 8, 8, 8}},
+		{33, 0, []int{9, 9, 9, 6}},
+		{150, 0, []int{38, 38, 38, 36}},
+		{10, 3, []int{3, 3, 3, 1}},
+	} {
+		t.Run(fmt.Sprintf("n%d-flush%d", tc.n, tc.flush), func(t *testing.T) {
+			stub, hs := newStubCoord(t, srv.Header(), tc.n)
+			cfg := quickWorker(hs.URL, "w0")
+			cfg.FlushPoints = tc.flush
+			w := NewWorker(cfg)
+			if err := w.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if got := stub.postSizes(); !slices.Equal(got, tc.want) {
+				t.Fatalf("posted batches %v, want %v", got, tc.want)
+			}
+			if w.Submitted != tc.n {
+				t.Fatalf("%d acked, want %d", w.Submitted, tc.n)
+			}
+		})
+	}
+}
+
+// TestWorkerCancelMidLeaseLosesLessThanABatch: a worker killed in the
+// middle of a 150-point lease (batches of 38) has delivered every
+// batch it completed, so fewer than one batch of the results it had
+// released is unacked at the kill, and nothing is posted after it.
+func TestWorkerCancelMidLeaseLosesLessThanABatch(t *testing.T) {
+	const n, batch = 150, 38
+	srv, err := New(Config{Spec: "default", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stub, hs := newStubCoord(t, srv.Header(), n)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var w *Worker
+	seen, unacked := 0, 0
+	cfg := quickWorker(hs.URL, "w0")
+	cfg.FlushPoints = 0
+	// OnResult and the batch posts both run on the engine's collector
+	// goroutine, so w.Submitted here counts every ack so far.
+	cfg.OnResult = func(dse.Result) {
+		if seen++; seen == batch+batch/2 {
+			unacked = seen - w.Submitted
+			cancel()
+		}
+	}
+	w = NewWorker(cfg)
+	if err := w.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled worker returned %v", err)
+	}
+	if got := stub.postSizes(); !slices.Equal(got, []int{batch}) {
+		t.Fatalf("posted batches %v, want the one completed batch of %d", got, batch)
+	}
+	if unacked >= batch {
+		t.Fatalf("%d released points unacked at the kill, want fewer than a batch (%d)", unacked, batch)
+	}
+}
+
+// TestWorkerIDsReachTheCoordinatorIntact: the /results query is
+// escaped, so an ID with a space, '&', '#' or '+' is attributed to
+// exactly that worker; an ID that would lead a checkpoint file out of
+// the worker directory is refused before any request or write.
+func TestWorkerIDsReachTheCoordinatorIntact(t *testing.T) {
+	for _, id := range []string{"lab 1", "a&sweep=evil", "a#b", "a+b"} {
+		t.Run(id, func(t *testing.T) {
+			srv, err := New(Config{Spec: "smoke", Seed: 1, Chunks: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs := httptest.NewServer(srv.Handler())
+			defer hs.Close()
+			// A misrouted post can leave the worker waiting out lease
+			// expiries; the deadline turns that into a failure.
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := NewWorker(quickWorker(hs.URL, id)).Run(ctx); err != nil {
+				t.Fatal(err)
+			}
+			var metrics bytes.Buffer
+			if err := srv.Registry().WritePrometheus(&metrics); err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("coord_worker_accepted_total{worker=%q} %d\n", id, len(srv.Points()))
+			if !strings.Contains(metrics.String(), want) {
+				t.Fatalf("scrape lacks %q:\n%s", want, metrics.String())
+			}
+		})
+	}
+	for _, id := range []string{"../x", "a/b", "a*b", "a\nb"} {
+		t.Run(fmt.Sprintf("%q", id), func(t *testing.T) {
+			srv, err := New(Config{Spec: "smoke", Seed: 1, Chunks: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var requests atomic.Int64
+			hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				requests.Add(1)
+				srv.Handler().ServeHTTP(w, r)
+			}))
+			defer hs.Close()
+			root := t.TempDir()
+			cfg := quickWorker(hs.URL, id)
+			cfg.CheckpointDir = filepath.Join(root, "wdir")
+			if err := NewWorker(cfg).Run(context.Background()); err == nil {
+				t.Fatal("worker ran under an unsafe ID")
+			}
+			if n := requests.Load(); n != 0 {
+				t.Fatalf("refused worker sent %d requests", n)
+			}
+			if entries, err := os.ReadDir(root); err != nil || len(entries) != 0 {
+				t.Fatalf("refused worker wrote %v (%v)", entries, err)
+			}
+		})
+	}
+}
+
+// TestWorkerKeepsOnePoolAcrossSweeps: one single-threaded worker
+// serves a service-mode coordinator's two sweeps in turn. Both final
+// files equal standalone bytes, and the worker builds each platform
+// and graph as often as one EvalContext evaluating both sweeps in
+// order does — once per worker life, not once per lease.
+func TestWorkerKeepsOnePoolAcrossSweeps(t *testing.T) {
+	sweeps := []struct {
+		spec string
+		seed uint64
+	}{
+		{"smoke", 1},
+		{"plat=homog4,2xrisc+2xdsp;wl=jpeg,synth12;heur=list,anneal;fid=mvp,vp64,pipe4;mem=ideal,bank:4x2", 5},
+	}
+	srv, err := New(Config{LeaseTimeout: 30 * time.Second, Chunks: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	h := srv.Handler()
+
+	eo := dse.NewEvalObs(obs.NewRegistry())
+	cfg := quickWorker(hs.URL, "w0")
+	cfg.Workers = 1
+	cfg.Obs = eo
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() { errc <- NewWorker(cfg).Run(ctx) }()
+
+	ids := make([]string, len(sweeps))
+	for i, s := range sweeps {
+		_, rr := registerSweep(t, h, s.spec, s.seed)
+		ids[i] = rr.Sweep.ID
+		waitUntil(t, 60*time.Second, func() bool {
+			var row SweepStatus
+			doJSON(t, h, http.MethodGet, "/sweeps/"+ids[i], nil, &row)
+			return row.State == SweepDone
+		})
+	}
+	cancel() // service mode: the worker polls forever
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("worker: %v", err)
+	}
+
+	ref := dse.NewEvalObs(obs.NewRegistry())
+	c := dse.NewEvalContext()
+	c.SetObs(ref)
+	for i, s := range sweeps {
+		if !bytes.Equal(fetchResult(t, h, ids[i]), referenceBytes(t, s.spec, s.seed)) {
+			t.Fatalf("sweep %q bytes differ from the standalone run", s.spec)
+		}
+		points, _, err := dse.Expand(s.spec, s.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range points {
+			c.Evaluate(p)
+		}
+	}
+	for _, m := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"platform builds", eo.PlatBuilds.Value(), ref.PlatBuilds.Value()},
+		{"graph misses", eo.GraphMisses.Value(), ref.GraphMisses.Value()},
+	} {
+		if m.got != m.want {
+			t.Fatalf("worker %s %d, one context over both sweeps %d", m.name, m.got, m.want)
+		}
 	}
 }

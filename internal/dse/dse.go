@@ -327,7 +327,13 @@ type Result struct {
 	Err     string  `json:"err,omitempty"`
 }
 
-// Engine runs sweeps over a pool of workers.
+// Engine runs sweeps over a pool of workers. It keeps its workers'
+// EvalContexts across Run and RunContext calls, so kernels, platforms,
+// graph prototypes and mapping scratch survive from one run to the
+// next — a farm worker that evaluates lease after lease on one Engine
+// pays for them once, as a standalone sweep does. That is safe
+// because every EvalContext cache is keyed on content. An Engine
+// reused across runs must not run two of them concurrently.
 type Engine struct {
 	// Workers is the pool size; <= 0 means GOMAXPROCS.
 	Workers int
@@ -343,6 +349,10 @@ type Engine struct {
 	// Perfetto row per worker, categorized by fidelity. Telemetry is a
 	// side channel: results are byte-identical with or without it.
 	Tracer *obs.Tracer
+
+	// ctxs holds one EvalContext per pool worker, grown on demand and
+	// kept for the Engine's life.
+	ctxs []*EvalContext
 }
 
 // twins reports whether p and o are fidelity twins: the same mapping
@@ -382,6 +392,9 @@ func (e *Engine) RunContext(ctx context.Context, points []Point) []Result {
 	if len(points) == 0 {
 		return results
 	}
+	for len(e.ctxs) < workers {
+		e.ctxs = append(e.ctxs, NewEvalContext())
+	}
 	// jobs carries runs [lo, hi) of point indexes.
 	jobs := make(chan [2]int)
 	completed := make(chan int, len(points))
@@ -392,8 +405,8 @@ func (e *Engine) RunContext(ctx context.Context, points []Point) []Result {
 			defer wg.Done()
 			// One context per worker: kernels, workload prototypes and
 			// mapping scratch are reused across the points this worker
-			// drains, with no cross-worker sharing.
-			ec := NewEvalContext()
+			// drains, and across runs, with no cross-worker sharing.
+			ec := e.ctxs[w]
 			ec.SetObs(e.Obs)
 			for run := range jobs {
 				for idx := run[0]; idx < run[1]; idx++ {

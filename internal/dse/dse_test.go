@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
+
+	"mpsockit/internal/obs"
 )
 
 // TestEvaluateRepresentativePoints drives every workload kind and
@@ -216,6 +219,41 @@ func TestParseSweepErrors(t *testing.T) {
 	} {
 		if _, err := ParseSweep(bad, 1); err == nil {
 			t.Errorf("ParseSweep(%q) accepted", bad)
+		}
+	}
+}
+
+// TestEngineReuseMatchesFresh: an Engine keeps its workers' contexts
+// across runs, so a later run starts on warm kernels, platforms, graph
+// prototypes and mapping memos. Runs on one Engine equal the same runs
+// on fresh Engines, result for result: across a change of sweep, and
+// across a cut through a run of fidelity twins, whose tail meets the
+// mapping its head left in the evaluator.
+func TestEngineReuseMatchesFresh(t *testing.T) {
+	a := expandSweep(t, "smoke", 1)
+	b := expandSweep(t, twinMixedSpec, 3)
+	cut := 1
+	for cut < len(b) && !twins(b[cut-1], b[cut]) {
+		cut++
+	}
+	if cut == len(b) {
+		t.Fatal("vacuous: no fidelity twins to cut between")
+	}
+	for _, workers := range []int{1, 3} {
+		o := NewEvalObs(obs.NewRegistry())
+		e := &Engine{Workers: workers, Obs: o}
+		for i, run := range [][]Point{a, b[:cut], b[cut:], a} {
+			misses := o.GraphMisses.Value()
+			got := e.Run(run)
+			want := (&Engine{Workers: workers}).Run(run)
+			for j := range want {
+				if !reflect.DeepEqual(got[j], want[j]) {
+					t.Fatalf("%d workers, run %d, point %d: reused %+v, fresh %+v", workers, i, run[j].ID, got[j], want[j])
+				}
+			}
+			if i == 3 && workers == 1 && o.GraphMisses.Value() != misses {
+				t.Fatal("repeating a sweep on one worker rebuilt its graphs: the context was not kept")
+			}
 		}
 	}
 }
