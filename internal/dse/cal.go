@@ -210,6 +210,6 @@ func (c *EvalContext) calFit(p Point) (*calEntry, error) {
 		}
 		e.rms = math.Sqrt(se / float64(len(samples)))
 	}
-	c.cals[key] = e
+	store(c.cals, key, e)
 	return e, nil
 }

@@ -66,6 +66,7 @@ type EvalContext struct {
 	// per (platform, workload, probes) group per worker; any worker
 	// recomputes identical values, so distribution never changes bytes.
 	cals map[string]*calEntry
+	// All three caches are bounded by cacheCap (store).
 
 	// obs is the optional instrumentation handle (SetObs); the zero
 	// value is inert. kBase is k's stat baseline at the last absorb.
@@ -113,6 +114,26 @@ func (c *EvalContext) platform(k *sim.Kernel, spec PlatSpec) (*platform.Platform
 		e.cores = append(e.cores, *core)
 	}
 	return plat, area, nil
+}
+
+// cacheCap bounds each of an EvalContext's graph, multi-app and
+// cal-fit caches. A context lives as long as its Engine, and a farm
+// worker keeps one Engine for every sweep it serves, so unbounded
+// caches would keep every workload graph it ever built. A sweep
+// revisits its workload instances once per platform (expansion is
+// platform-major) but has only a handful of them, and its cal groups
+// are contiguous runs of points, so a cap of a few hundred entries
+// never evicts an entry the running sweep will read again.
+const cacheCap = 256
+
+// store puts v in m under k, first dropping the whole cache when it
+// holds cacheCap entries. Every entry is a deterministic function of
+// its key, so a dropped one is rebuilt to the same value.
+func store[K comparable, V any](m map[K]V, k K, v V) {
+	if len(m) >= cacheCap {
+		clear(m)
+	}
+	m[k] = v
 }
 
 type graphKey struct {
@@ -177,7 +198,7 @@ func (c *EvalContext) graph(p Point) (*taskgraph.Graph, error) {
 	// Materialize the adjacency view now: the prototype is immutable
 	// from here on, and every mapping of it starts from the view.
 	g.View()
-	c.graphs[key] = g
+	store(c.graphs, key, g)
 	return g, nil
 }
 
@@ -222,6 +243,6 @@ func (c *EvalContext) multiScenario(p Point) (*multiEntry, error) {
 	union, spans := taskgraph.Union(p.Workload, graphs...)
 	union.View()
 	mu := &multiEntry{graph: union, spans: spans, worstLoad: worst}
-	c.multis[key] = mu
+	store(c.multis, key, mu)
 	return mu, nil
 }

@@ -1,11 +1,14 @@
 package dse
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"runtime"
 	"testing"
+
+	"mpsockit/internal/obs"
 )
 
 // contextPoints covers every evaluation path through an EvalContext:
@@ -160,5 +163,55 @@ func TestEveryFidelityReusesOneKernel(t *testing.T) {
 	const want = "a42a98d75a64e518ec8833a9e58bf3f21bd2d795d89ec054fb3dfc9c7c6cf1f5"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("rtos result bytes changed: sha256 %s, want %s", got, want)
+	}
+}
+
+// sweepBytes is a run's results as the JSONL records WriteResult
+// streams.
+func sweepBytes(t *testing.T, results []Result) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, r := range results {
+		if err := WriteResult(&buf, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestEngineCachesStayBounded: one Workers: 1 Engine, as a farm worker
+// keeps it for life, runs 400 one-sweep specs (seeds 1–400), each with
+// three workload graphs, one multi-app scenario and three cal groups
+// of its own. Its context's caches must stay within cacheCap while
+// well over cacheCap entries pass through them, every sweep's bytes
+// must equal a fresh engine's, and a sweep over many platforms
+// afterwards must build each of its graphs once (platform-major
+// expansion does not thrash the bounded cache).
+func TestEngineCachesStayBounded(t *testing.T) {
+	const spec = "plat=homog4;wl=jpeg,synth12,multi:jpeg+synth8;heur=list;fid=mvp,cal:1"
+	o := NewEvalObs(obs.NewRegistry())
+	eng := &Engine{Workers: 1, Obs: o}
+	for seed := uint64(1); seed <= 400; seed++ {
+		points := expandSweep(t, spec, seed)
+		got := sweepBytes(t, eng.Run(points))
+		want := sweepBytes(t, (&Engine{Workers: 1}).Run(points))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: reused engine wrote\n%s\nfresh engine\n%s", seed, got, want)
+		}
+		c := eng.ctxs[0]
+		if len(c.graphs) > cacheCap || len(c.multis) > cacheCap || len(c.cals) > cacheCap {
+			t.Fatalf("seed %d: cache sizes graphs %d, multis %d, cals %d, cap %d",
+				seed, len(c.graphs), len(c.multis), len(c.cals), cacheCap)
+		}
+	}
+	for name, misses := range map[string]int64{"graph": o.GraphMisses.Value(), "multi": o.MultiMisses.Value(), "cal": o.CalMisses.Value()} {
+		if misses <= cacheCap {
+			t.Fatalf("vacuous: only %d %s cache misses, cap %d", misses, name, cacheCap)
+		}
+	}
+	before := o.GraphMisses.Value()
+	eng.Run(expandSweep(t, "plat=homog2,homog4,homog8,mpcore4,wireless;fab=mesh,bus;wl=jpeg,h264,synth8,synth16;heur=list;fid=mvp", 401))
+	if built := o.GraphMisses.Value() - before; built != 4 {
+		t.Fatalf("a 4-workload sweep over 10 platform blocks built %d graphs, want 4", built)
 	}
 }

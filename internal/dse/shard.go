@@ -52,12 +52,18 @@ func (s Shard) String() string {
 // inside a group, whose first twin searches again.
 //
 // The two annealers are charged separately, at their measured cost
-// over list scheduling on BenchmarkSweepPoint (synth16 on wireless,
-// median of 6 runs on the same host): the makespan annealer, which
-// reschedules a suffix of the static schedule per move, at 13x
-// (anneal/mvp ~459 us vs list/mvp ~35 us), and the throughput
-// annealer of the pipelined fidelity, an O(cores) load update per
-// move, at 2.3x (anneal/pipe8 ~161 us vs list/pipe8 ~71 us).
+// over list scheduling. The makespan annealer, which reschedules a
+// suffix of the static schedule per move, is charged 39x: its warm
+// cost over list/mvp on BenchmarkSweepPointWarm (synth16 on wireless,
+// anneal/mvp ~337 us vs list/mvp ~8.7 us, medians of 30 runs on a
+// 2-vCPU Xeon). Timed point by point inside the benchmark sweeps,
+// anneal/mvp points average only 15-21x the list/mvp points, but the
+// larger charge ranks anneal points above the rest, which tracks
+// measured cost better: perfbench's dse.estcost_spearman on
+// sweep_tasklevel rose from 0.77-0.78 at 13x to 0.78-0.79, and
+// sweep_default's held at 0.83-0.86. The throughput annealer of the pipelined fidelity, an O(cores) load
+// update per move, is charged 2.3x on BenchmarkSweepPoint
+// (anneal/pipe8 ~161 us vs list/pipe8 ~71 us).
 //
 // An rtos point's cost is linear in its job count; BenchmarkSweepPoint
 // rtos/jobs16 measured 0.76x list/mvp (medians of 10 on a 2-vCPU AMD
@@ -125,7 +131,7 @@ const twinCost = 0.5
 func searchCost(h string) float64 {
 	switch h {
 	case "anneal":
-		return 13
+		return 39
 	case "exhaustive":
 		return 10
 	}

@@ -126,9 +126,10 @@ func BenchmarkEvaluateMem(b *testing.B) {
 
 // BenchmarkAnnealMove is one makespan anneal move and its revert on a
 // bound evaluator — the incremental scoring path: reschedule from the
-// moved task's topological position, then restore the committed
-// finish times. Iterations cycle through the tasks, each moved to its
-// next capable core. The CI guard requires 0 allocs/op.
+// moved task's topological position (suffix), then restore the
+// committed finish times and core. Iterations cycle through the tasks,
+// each moved to its next capable core. The CI guard requires 0
+// allocs/op.
 func BenchmarkAnnealMove(b *testing.B) {
 	g := workload.SyntheticTaskGraph(16, 42)
 	plat := memPlat()
@@ -139,7 +140,7 @@ func BenchmarkAnnealMove(b *testing.B) {
 	ev := NewEvaluator(g, plat)
 	cur := a.TaskPE
 	ev.objectiveCost(Makespan, cur)
-	pos := ev.topoPositions()
+	pos, peq := ev.pos, ev.peq
 	next := make([]int, len(cur))
 	for id, pe := range cur {
 		cands := ev.Capable(id)
@@ -153,13 +154,11 @@ func BenchmarkAnnealMove(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := i % len(cur)
-		old := cur[id]
-		cur[id] = next[id]
-		if _, _, err := ev.scheduleFrom(cur, pos[id], false); err != nil {
-			b.Fatal(err)
-		}
-		cur[id] = old
-		ev.restoreFrom(pos[id])
+		q := int(pos[id])
+		peq[q] = int32(next[id])
+		ev.suffix(q)
+		peq[q] = int32(cur[id])
+		ev.restore(q)
 	}
 }
 

@@ -23,7 +23,8 @@
 // reject instead of copying assignments, and scores each move
 // incrementally: for the throughput objective an O(cores) load
 // update, for the makespan objective a reschedule of the topological
-// suffix from the moved task on. The search results are byte-identical
+// suffix from the moved task on, by the one position-indexed schedule
+// kernel that builds every static schedule. The search results are byte-identical
 // to the naive implementations — the regression tests in this package
 // hold that equivalence. Evaluator.Map returns its assignment in
 // evaluator scratch too, valid until the next Map or Bind, so a
@@ -135,7 +136,8 @@ type Assignment struct {
 // and the contention-free latency of every cross-PE edge as a
 // core-pair plus a per-edge payload table — and keeps scratch arrays
 // alive across evaluations, so scoring an assignment allocates
-// nothing. Rebind (or construct) after changing
+// nothing. Static schedules run on one kernel indexed by topological
+// position (suffix). Rebind (or construct) after changing
 // the graph, the platform, or a core's DVFS level; an Evaluator is
 // not safe for concurrent use.
 type Evaluator struct {
@@ -146,8 +148,10 @@ type Evaluator struct {
 	// cached at bind time so the scoring loop skips the field chase.
 	mem mem.Model
 
-	capab  [][]int // per task: capable core IDs (preferred-PE filtered)
-	capBuf []int   // backing array for capab
+	// capBuf[capStart[id]:capStart[id+1]] are task id's capable core
+	// IDs (preferred-PE filtered).
+	capStart []int32
+	capBuf   []int
 
 	// durs[id*nPE+pe] is the task's execution time on core pe at its
 	// bound DVFS level, or -1 when the task cannot run there.
@@ -157,30 +161,39 @@ type Evaluator struct {
 	// bit-identical to the pre-Evaluator implementation.
 	infCost []sim.Time
 
-	// pairLat[src*nPE+dst] and edgeLat[j] split the contention-free
+	// pairLat[src*nPE+dst] and preds[j].lat split the contention-free
 	// cost of a cross-PE edge — fabric plus memory estimate — into the
-	// core-pair term and the payload term of aggregated Preds record j
-	// (View.PredBase numbering). Their sum is exactly the sum of the
-	// EstLatency calls it stands for.
+	// core-pair term and the payload term of aggregated predecessor
+	// record j. Their sum is exactly the sum of the EstLatency calls it
+	// stands for.
 	pairLat []sim.Time
-	edgeLat []sim.Time
 	// clocks[pe] is core pe's class and clock as bound. listMap's
 	// upward rank reads them besides the tables above; its
 	// communication term EstLatency(0, last, b) sums pairLat's and
-	// edgeLat's entries (the split contract above), so equal tables and
+	// preds' entries (the split contract above), so equal tables and
 	// clocks rank equally. A one-core platform has no split, but every
 	// task lands on its core whatever the rank.
 	clocks []coreClock
 
+	// The schedule kernel's state is indexed by topological position
+	// q: order[q] is the task there (the view's order) and pos[id] the
+	// position of task id. peq[q] is the core of the task at q, fq[q]
+	// its finish time in the last schedule built, and prevq[q] the
+	// finish the last suffix overwrote, so a rejected anneal move can
+	// restore it. preds[predStart[q]:predStart[q+1]] are the task's
+	// aggregated predecessors in Preds order, each as the
+	// predecessor's position and the edge's payload latency. Index
+	// tables are int32 to keep the scratch small.
+	order     []int
+	pos       []int32
+	peq       []int32
+	fq        []sim.Time
+	prevq     []sim.Time
+	predStart []int32
+	preds     []predRec
+
 	peAvail []sim.Time
-	// finish[id] is the task's finish time in the last schedule built;
-	// prevFinish[q] the finish scheduleFrom overwrote at topological
-	// position q, so a rejected anneal move can restore it.
-	finish     []sim.Time
-	prevFinish []sim.Time
-	// pos[id] is the task's topological position (filled by annealMap).
-	pos  []int
-	load []sim.Time
+	load    []sim.Time
 
 	// result is the Assignment Map returns, backed by the scratch
 	// below: taskPE is the list or LPT mapping, best the annealer's,
@@ -230,12 +243,13 @@ func (e *Evaluator) Bind(g *taskgraph.Graph, plat *platform.Platform) {
 	nPE := len(plat.Cores)
 	// same tracks whether the tables come out as they were: first the
 	// graph and the table sizes, then every entry as it is written.
-	same := e.kept && g == e.g && v == e.view && n == len(e.capab) && nPE == len(e.infCost)
+	same := e.kept && g == e.g && v == e.view && n+1 == len(e.capStart) && nPE == len(e.infCost)
 	e.g, e.plat = g, plat
 	e.mem = plat.Mem
 	e.view = v
 
-	e.capab = grow(e.capab, n)
+	e.capStart = grow(e.capStart, n+1)
+	e.capStart[0] = 0
 	need := n * nPE
 	oldCap := e.capBuf
 	if cap(e.capBuf) < need {
@@ -245,9 +259,10 @@ func (e *Evaluator) Bind(g *taskgraph.Graph, plat *platform.Platform) {
 	e.durs = grow(e.durs, need)
 	e.infCost = grow(e.infCost, nPE)
 	e.peAvail = grow(e.peAvail, nPE)
-	e.finish = grow(e.finish, n)
-	e.prevFinish = grow(e.prevFinish, n)
 	e.pos = grow(e.pos, n)
+	e.peq = grow(e.peq, n)
+	e.fq = grow(e.fq, n)
+	e.prevq = grow(e.prevq, n)
 	e.load = grow(e.load, nPE)
 	e.clocks = grow(e.clocks, nPE)
 
@@ -265,7 +280,6 @@ func (e *Evaluator) Bind(g *taskgraph.Graph, plat *platform.Platform) {
 				}
 			}
 		}
-		start := len(e.capBuf)
 		for _, c := range plat.Cores {
 			if !v.CanRunOn(id, c.Class) {
 				same = put(e.durs, id*nPE+c.ID, -1, same)
@@ -279,8 +293,7 @@ func (e *Evaluator) Bind(g *taskgraph.Graph, plat *platform.Platform) {
 				e.capBuf = append(e.capBuf, c.ID)
 			}
 		}
-		same = same && len(e.capab[id]) == len(e.capBuf)-start
-		e.capab[id] = e.capBuf[start:len(e.capBuf):len(e.capBuf)]
+		same = put(e.capStart, id+1, int32(len(e.capBuf)), same)
 	}
 	same = same && len(e.capBuf) == len(oldCap)
 
@@ -294,18 +307,34 @@ func (e *Evaluator) Bind(g *taskgraph.Graph, plat *platform.Platform) {
 			same = put(e.pairLat, src*nPE+dst, l, same)
 		}
 	}
-	e.edgeLat = grow(e.edgeLat, v.PredBase(n))
-	for id := 0; id < n; id++ {
-		base := v.PredBase(id)
-		for k, pr := range v.Preds(id) {
+	// A cyclic graph has no order: its tables stay empty, and schedule
+	// and Map report the cycle before reading them.
+	e.order, _ = v.TopoOrder()
+	e.predStart = grow(e.predStart, n+1)
+	e.preds = grow(e.preds, v.PredBase(n))
+	var j int32
+	for q, id := range e.order {
+		e.pos[id] = int32(q)
+		e.predStart[q] = j
+		for _, pr := range v.Preds(id) {
 			l := plat.Fabric.EstPayloadLatency(pr.Bytes)
 			if e.mem != nil {
 				l += e.mem.EstPayloadLatency(pr.Bytes)
 			}
-			same = put(e.edgeLat, base+k, l, same)
+			same = put(e.preds, int(j), predRec{q: e.pos[pr.Task], lat: l}, same)
+			j++
 		}
 	}
+	e.predStart[len(e.order)] = j
 	e.kept = same
+}
+
+// predRec is one aggregated predecessor record of the schedule kernel:
+// the predecessor's topological position and the payload term of the
+// edge's latency.
+type predRec struct {
+	q   int32
+	lat sim.Time
 }
 
 // coreClock is what listMap reads of a core.
@@ -334,113 +363,101 @@ func grow[T any](s []T, n int) []T {
 // Capable returns the core IDs that can run task id, respecting a
 // preferred PE class when one is available. The slice is the
 // evaluator's own — read-only.
-func (e *Evaluator) Capable(id int) []int { return e.capab[id] }
+func (e *Evaluator) Capable(id int) []int {
+	lo, hi := e.capStart[id], e.capStart[id+1]
+	return e.capBuf[lo:hi:hi]
+}
 
 // schedule computes the static schedule for a fixed assignment:
 // topological order, communication charged at contention-free fabric
-// and memory estimates, one task at a time per PE. It runs entirely in
-// reused scratch: with wantSlots true it also returns the slot list,
-// which is evaluator scratch valid until the next schedule.
+// and memory estimates, one task at a time per PE. It loads the
+// assignment into the kernel by position, checking every task's core
+// first, and runs the whole order (suffix from 0). It runs entirely in
+// reused scratch: with wantSlots true it also returns the slot list
+// in topological order, which is evaluator scratch valid until the
+// next schedule.
 func (e *Evaluator) schedule(taskPE []int, wantSlots bool) (sim.Time, []Slot, error) {
-	return e.scheduleFrom(taskPE, 0, wantSlots)
-}
-
-// scheduleFrom is schedule resumed at topological position from. A
-// task's schedule depends only on the tasks before it in topological
-// order, so when e.finish holds a schedule whose assignment agrees
-// with taskPE on every task before from — the annealer's committed
-// state after moving the task at from — those finish times are still
-// exact: one scan of them rebuilds each PE's availability (the finish
-// of its last task so far) and the running makespan, and the loop
-// reschedules only positions from on. It saves each finish time it
-// overwrites in e.prevFinish for restoreFrom. Slots, when wanted,
-// cover the rescheduled positions.
-func (e *Evaluator) scheduleFrom(taskPE []int, from int, wantSlots bool) (sim.Time, []Slot, error) {
-	e.Obs.Schedules.Inc()
-	v := e.view
-	order, err := v.TopoOrder()
+	order, err := e.view.TopoOrder()
 	if err != nil {
+		e.Obs.Schedules.Inc()
 		return 0, nil, err
 	}
 	nPE := len(e.plat.Cores)
-	peAvail := e.peAvail
-	for i := range peAvail {
-		peAvail[i] = 0
-	}
-	finish, prev := e.finish, e.prevFinish
-	durs, pairLat, edgeLat := e.durs, e.pairLat, e.edgeLat
-	var makespan sim.Time
-	for _, id := range order[:from] {
-		end := finish[id]
-		peAvail[taskPE[id]] = end
-		if end > makespan {
-			makespan = end
-		}
-	}
-	var slots []Slot
-	if wantSlots {
-		if e.slots == nil || cap(e.slots) < len(order)-from {
-			e.slots = make([]Slot, 0, len(order))
-		}
-		slots = e.slots[:0]
-	}
-	for q := from; q < len(order); q++ {
-		id := order[q]
+	for q, id := range order {
 		pe := taskPE[id]
-		dur := durs[id*nPE+pe]
-		if dur < 0 {
-			e.Obs.TasksScheduled.Add(int64(q - from))
-			t := e.g.Tasks[id]
-			return 0, nil, fmt.Errorf("mapping: task %q cannot run on core %d (%v)", t.Name, pe, e.plat.Core(pe).Class)
+		if e.durs[id*nPE+pe] < 0 {
+			e.Obs.Schedules.Inc()
+			e.Obs.TasksScheduled.Add(int64(q))
+			return 0, nil, fmt.Errorf("mapping: task %q cannot run on core %d (%v)", e.g.Tasks[id].Name, pe, e.plat.Core(pe).Class)
 		}
-		ready := sim.Time(0)
-		base := v.PredBase(id)
-		for k, pr := range v.Preds(id) {
-			arr := finish[pr.Task]
-			if src := taskPE[pr.Task]; src != pe {
-				arr += pairLat[src*nPE+pe] + edgeLat[base+k]
-			}
-			if arr > ready {
-				ready = arr
-			}
-		}
-		start := ready
-		if peAvail[pe] > start {
-			start = peAvail[pe]
-		}
-		end := start + dur
-		peAvail[pe] = end
-		prev[q] = finish[id]
-		finish[id] = end
-		if wantSlots {
-			slots = append(slots, Slot{Task: id, PE: pe, Start: start, Finish: end})
-		}
-		if end > makespan {
-			makespan = end
-		}
+		e.peq[q] = int32(pe)
 	}
-	e.Obs.TasksScheduled.Add(int64(len(order) - from))
+	makespan := e.suffix(0)
+	if !wantSlots {
+		return makespan, nil, nil
+	}
+	if cap(e.slots) < len(order) {
+		e.slots = make([]Slot, 0, len(order))
+	}
+	slots := e.slots[:0]
+	for q, id := range order {
+		pe, end := int(e.peq[q]), e.fq[q]
+		slots = append(slots, Slot{Task: id, PE: pe, Start: end - e.durs[id*nPE+pe], Finish: end})
+	}
+	e.slots = slots
 	return makespan, slots, nil
 }
 
-// topoPositions fills and returns e.pos: each task's position in the
-// view's topological order.
-func (e *Evaluator) topoPositions() []int {
-	order, _ := e.view.TopoOrder()
-	for q, id := range order {
-		e.pos[id] = q
+// suffix is the schedule kernel: it reschedules topological positions
+// from on under the assignment in peq and returns the makespan. A
+// task's schedule depends only on the tasks before it in topological
+// order, so when fq holds a schedule whose assignment agrees with peq
+// on every position before from — the annealer's committed state
+// after moving the task at from — those finish times are still exact:
+// one scan of them rebuilds each PE's availability (the finish of its
+// last task so far) and the running makespan. Each finish time it
+// overwrites is saved in prevq for restore. Every core in peq must be
+// capable of its task (schedule checks; annealer moves pick capable
+// cores), so the loop holds only arithmetic.
+func (e *Evaluator) suffix(from int) sim.Time {
+	n := len(e.order)
+	order, peq, fq, prevq := e.order, e.peq[:n], e.fq[:n], e.prevq[:n]
+	e.Obs.Schedules.Inc()
+	e.Obs.TasksScheduled.Add(int64(n - from))
+	peAvail := e.peAvail
+	clear(peAvail)
+	var makespan sim.Time
+	for q, end := range fq[:from] {
+		peAvail[peq[q]] = end
+		makespan = max(makespan, end)
 	}
-	return e.pos
+	nPE := len(peAvail)
+	durs, pairLat, preds, predStart := e.durs, e.pairLat, e.preds, e.predStart[:n+1]
+	for q := from; q < n; q++ {
+		pe := int(peq[q])
+		var ready sim.Time
+		for _, r := range preds[predStart[q]:predStart[q+1]] {
+			src := int(peq[r.q])
+			lat := pairLat[src*nPE+pe] + r.lat
+			if src == pe {
+				lat = 0
+			}
+			ready = max(ready, fq[r.q]+lat)
+		}
+		end := max(ready, peAvail[pe]) + durs[order[q]*nPE+pe]
+		peAvail[pe] = end
+		prevq[q] = fq[q]
+		fq[q] = end
+		makespan = max(makespan, end)
+	}
+	return makespan
 }
 
-// restoreFrom puts back the finish times the last successful
-// scheduleFrom(…, from, …) overwrote, returning e.finish to the
-// schedule it resumed from.
-func (e *Evaluator) restoreFrom(from int) {
-	order, _ := e.view.TopoOrder()
-	for q := from; q < len(order); q++ {
-		e.finish[order[q]] = e.prevFinish[q]
-	}
+// restore puts back the finish times the last suffix(from) overwrote,
+// returning fq to the schedule it resumed from. The caller puts back
+// the core it changed in peq.
+func (e *Evaluator) restore(from int) {
+	copy(e.fq[from:], e.prevq[from:])
 }
 
 // evaluate is the legacy entry point kept for the equivalence tests:
@@ -526,7 +543,7 @@ func (e *Evaluator) Map(opt Options) (*Assignment, error) {
 		return nil, fmt.Errorf("mapping: platform has no cores")
 	}
 	for id, t := range g.Tasks {
-		if len(e.capab[id]) == 0 {
+		if len(e.Capable(id)) == 0 {
 			return nil, fmt.Errorf("mapping: no core can run task %q", t.Name)
 		}
 	}
@@ -581,7 +598,7 @@ func (e *Evaluator) listMap() ([]int, error) {
 	// Every task's rank is written, successors first, before any read.
 	rank := grow(e.rank, n)
 	e.rank = rank
-	order, _ := v.TopoOrder()
+	order := e.order
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
 		var best float64
@@ -618,20 +635,22 @@ func (e *Evaluator) listMap() ([]int, error) {
 	for i := range peAvail {
 		peAvail[i] = 0
 	}
-	finish := e.finish
+	// fq holds each placed task's earliest finish, by position.
+	fq := e.fq
 	for _, id := range ids {
 		bestPE, bestEFT := -1, sim.Forever
-		base := v.PredBase(id)
-		for _, pe := range e.capab[id] {
+		q := e.pos[id]
+		preds := e.preds[e.predStart[q]:e.predStart[q+1]]
+		for _, pe := range e.Capable(id) {
 			ready := sim.Time(0)
-			for k, pr := range v.Preds(id) {
-				src := taskPE[pr.Task]
+			for _, r := range preds {
+				src := taskPE[order[r.q]]
 				if src < 0 {
 					continue // predecessor not placed yet (rank order anomaly)
 				}
-				arr := finish[pr.Task]
+				arr := fq[r.q]
 				if src != pe {
-					arr += e.pairLat[src*nPE+pe] + e.edgeLat[base+k]
+					arr += e.pairLat[src*nPE+pe] + r.lat
 				}
 				if arr > ready {
 					ready = arr
@@ -649,7 +668,7 @@ func (e *Evaluator) listMap() ([]int, error) {
 		}
 		taskPE[id] = bestPE
 		peAvail[bestPE] = bestEFT
-		finish[id] = bestEFT
+		fq[q] = bestEFT
 	}
 	return taskPE, nil
 }
@@ -691,7 +710,7 @@ func (e *Evaluator) throughputMap() ([]int, error) {
 	for _, id := range ids {
 		bestPE := -1
 		var bestLoad sim.Time = sim.Forever
-		for _, pe := range e.capab[id] {
+		for _, pe := range e.Capable(id) {
 			l := load[pe] + e.durs[id*nPE+pe]
 			if l < bestLoad {
 				bestLoad = l
@@ -712,8 +731,8 @@ func (e *Evaluator) throughputMap() ([]int, error) {
 // keeps the current cost (and, at dE = 0, is accepted without drawing
 // from the RNG); the throughput objective updates two per-core loads;
 // the makespan objective reschedules only from the moved task's
-// topological position on (scheduleFrom), restoring the committed
-// finish times on reject. All produce the exact cost values of a full
+// topological position on (suffix), restoring the committed finish
+// times and the moved task's core on reject. All produce the exact cost values of a full
 // recomputation, so the accept/reject trajectory — and therefore the
 // returned assignment — is byte-identical to the copying
 // implementation.
@@ -749,12 +768,13 @@ func (e *Evaluator) annealMap(opt Options) ([]int, error) {
 		}
 		return e.infCost[pe]
 	}
-	// Makespan: e.finish now holds cur's schedule (objectiveCost
-	// above); moves reschedule from the moved task's position.
-	pos := e.topoPositions()
+	// Makespan: the kernel now holds cur's schedule (objectiveCost
+	// above), and peq follows cur; moves reschedule from the moved
+	// task's position.
+	pos, peq := e.pos, e.peq
 	for i := 0; i < iters; i++ {
 		tIdx := rng.Intn(len(g.Tasks))
-		cands := e.capab[tIdx]
+		cands := e.Capable(tIdx)
 		oldPE := cur[tIdx]
 		newPE := cands[rng.Intn(len(cands))]
 		// A move onto the task's current core keeps curCost.
@@ -771,11 +791,8 @@ func (e *Evaluator) annealMap(opt Options) ([]int, error) {
 					}
 				}
 			} else {
-				mk, _, err := e.scheduleFrom(cur, pos[tIdx], false)
-				if err != nil {
-					mk = sim.Forever
-				}
-				nc = mk
+				peq[pos[tIdx]] = int32(newPE)
+				nc = e.suffix(int(pos[tIdx]))
 			}
 		}
 		e.Obs.AnnealMoves.Inc()
@@ -794,7 +811,8 @@ func (e *Evaluator) annealMap(opt Options) ([]int, error) {
 				load[newPE] -= dur(tIdx, newPE)
 				load[oldPE] += dur(tIdx, oldPE)
 			} else {
-				e.restoreFrom(pos[tIdx])
+				peq[pos[tIdx]] = int32(oldPE)
+				e.restore(int(pos[tIdx]))
 			}
 		}
 		temp *= 0.995
@@ -816,7 +834,7 @@ func (e *Evaluator) exhaustiveMap(objective Objective) ([]int, error) {
 	nPE := len(e.plat.Cores)
 	space := 1
 	for id := range g.Tasks {
-		space *= len(e.capab[id])
+		space *= len(e.Capable(id))
 		if space > 500_000 {
 			return nil, fmt.Errorf("mapping: exhaustive search space too large (>500k); use list or anneal")
 		}
@@ -826,7 +844,7 @@ func (e *Evaluator) exhaustiveMap(objective Objective) ([]int, error) {
 	minDur := make([]sim.Time, n)
 	for id := range g.Tasks {
 		m := sim.Forever
-		for _, pe := range e.capab[id] {
+		for _, pe := range e.Capable(id) {
 			if d := e.durs[id*nPE+pe]; d < m {
 				m = d
 			}
@@ -861,7 +879,7 @@ func (e *Evaluator) exhaustiveMap(objective Objective) ([]int, error) {
 				return
 			}
 		}
-		for _, pe := range e.capab[i] {
+		for _, pe := range e.Capable(i) {
 			assign[i] = pe
 			d := e.durs[i*nPE+pe]
 			load[pe] += d

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mpsockit/internal/mem"
 	"mpsockit/internal/noc"
 	"mpsockit/internal/obs"
 	"mpsockit/internal/platform"
@@ -32,6 +33,16 @@ func TestMapKeepsResultOnEqualBind(t *testing.T) {
 	bus := func() *platform.Platform {
 		k := sim.NewKernel()
 		return platform.NewWirelessTerminal(k, noc.DefaultBus(k))
+	}
+	// A bandwidth memory model adds nothing to the core-pair term, so
+	// halving its bandwidth changes only the per-edge payload latencies.
+	bw := func(div int64) func() *platform.Platform {
+		return func() *platform.Platform {
+			p := wirelessPlat()
+			access, bpns := p.MemTiming()
+			p.Mem = mem.NewBWModel(access, bpns/div)
+			return p
+		}
 	}
 	// Two homogeneous clocks with one cycle period: every table binds
 	// equal, only the list rank's mean compute differs.
@@ -83,6 +94,9 @@ func TestMapKeepsResultOnEqualBind(t *testing.T) {
 		{"same tables, other edges", fanIn, homog(999_000_000), Options{Heuristic: List}, true},
 		{"clock within one period", fanIn, homog(998_500_000), Options{Heuristic: List}, true},
 		{"clock again", fanIn, homog(998_500_000), Options{Heuristic: List}, false},
+		{"memory", g, bw(1), Options{Heuristic: List}, true},
+		{"payload latency only", g, bw(2), Options{Heuristic: List}, true},
+		{"payload again", g, bw(2), Options{Heuristic: List}, false},
 	}
 	ev := Evaluator{Obs: liveSearchObs(obs.NewRegistry())}
 	for _, st := range steps {

@@ -11,7 +11,8 @@ import "mpsockit/internal/obs"
 // increments compiled in).
 type SearchObs struct {
 	// Schedules counts static-schedule constructions, full or suffix
-	// (calls to scheduleFrom).
+	// (runs of the schedule kernel, and full schedules refused for an
+	// incapable core).
 	Schedules *obs.Counter
 	// TasksScheduled counts tasks placed by those constructions — the
 	// deterministic work count of the scoring path, which a suffix
