@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 )
 
 // TaskCtx is the target-independent execution context handed to task
@@ -409,11 +408,4 @@ func classNames(t *TaskSpec) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// String renders a compact spec summary.
-func (s *Spec) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "cic %s: %d tasks, %d channels", s.Name, len(s.Tasks), len(s.Channels))
-	return b.String()
 }

@@ -13,9 +13,6 @@ type Program struct {
 	Funcs   []*FuncDecl
 }
 
-// Pos implements Node; a program starts at line 1.
-func (p *Program) Pos() int { return 1 }
-
 // Func returns the function with the given name, or nil.
 func (p *Program) Func(name string) *FuncDecl {
 	for _, f := range p.Funcs {
@@ -232,13 +229,6 @@ func Walk(n Node, fn func(Node) bool) {
 		return
 	}
 	switch x := n.(type) {
-	case *Program:
-		for _, g := range x.Globals {
-			Walk(g, fn)
-		}
-		for _, f := range x.Funcs {
-			Walk(f, fn)
-		}
 	case *VarDecl:
 		if x.Init != nil {
 			Walk(x.Init, fn)

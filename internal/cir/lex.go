@@ -39,10 +39,6 @@ type Token struct {
 	Col  int
 }
 
-func (t Token) String() string {
-	return fmt.Sprintf("%d:%d %q", t.Line, t.Col, t.Text)
-}
-
 var keywords = map[string]bool{
 	"int": true, "void": true, "if": true, "else": true,
 	"while": true, "for": true, "return": true,

@@ -40,7 +40,6 @@ type parser struct {
 }
 
 func (p *parser) cur() Token  { return p.toks[p.pos] }
-func (p *parser) peek() Token { return p.toks[p.pos+1] }
 func (p *parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
 
 func (p *parser) errf(format string, args ...any) error {

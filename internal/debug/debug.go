@@ -92,11 +92,6 @@ func (d *Debugger) AddBreakpoint(core int, pc uint32) {
 	d.breakpoints[core][pc] = true
 }
 
-// ClearBreakpoint removes a breakpoint.
-func (d *Debugger) ClearBreakpoint(core int, pc uint32) {
-	delete(d.breakpoints[core], pc)
-}
-
 // WatchMem arms an address-range watchpoint and returns it.
 func (d *Debugger) WatchMem(lo, hi uint32, onRead, onWrite bool, core int) *MemWatch {
 	d.nextWatchID++
@@ -112,9 +107,6 @@ func (d *Debugger) WatchMem(lo, hi uint32, onRead, onWrite bool, core int) *MemW
 // asserted ("a watchpoint can be set on a signal, such as the
 // interrupt line of a peripheral").
 func (d *Debugger) WatchIRQ() { d.irqWatch = true }
-
-// UnwatchIRQ disables the IRQ watchpoint.
-func (d *Debugger) UnwatchIRQ() { d.irqWatch = false }
 
 func (d *Debugger) onStep(core int, pc uint32) bool {
 	if d.stepOver[core] == pc {
@@ -197,18 +189,6 @@ func (d *Debugger) SharedWord(addr uint32) uint32 {
 	var v uint32
 	for i := 3; i >= 0; i-- {
 		v = v<<8 | uint32(d.VP.Shared[off+uint32(i)])
-	}
-	return v
-}
-
-// LocalWord reads a word of a core's local memory.
-func (d *Debugger) LocalWord(core int, addr uint32) uint32 {
-	if int(addr)+4 > len(d.VP.Locals[core]) {
-		return 0
-	}
-	var v uint32
-	for i := 3; i >= 0; i-- {
-		v = v<<8 | uint32(d.VP.Locals[core][addr+uint32(i)])
 	}
 	return v
 }

@@ -9,7 +9,6 @@
 package dfa
 
 import (
-	"fmt"
 	"sort"
 
 	"mpsockit/internal/cir"
@@ -356,13 +355,4 @@ func (g *DepGraph) FlowDeps() []DepEdge {
 		}
 	}
 	return out
-}
-
-// String renders the graph for reports.
-func (g *DepGraph) String() string {
-	s := fmt.Sprintf("dep graph of %s: %d stmts\n", g.Fn.Name, len(g.Stmts))
-	for _, e := range g.Edges {
-		s += fmt.Sprintf("  S%d -%s-> S%d via %v\n", e.From, e.Kind, e.To, e.Vars)
-	}
-	return s
 }

@@ -131,36 +131,24 @@ func (c *EvalContext) calFit(p Point) (*calEntry, error) {
 	}
 	var samples []sample
 	e := &calEntry{scale: map[platform.PEClass]float64{}, global: 1}
-	// Probes run on their own kernel so the caller's platform and
-	// execution record stay untouched mid-evaluation.
-	var pk *sim.Kernel
-	var pkBase sim.KernelStats
+	g, spans, _, err := c.pointGraph(p)
+	if err != nil {
+		return nil, err
+	}
 	for _, pr := range p.CalProbes {
-		k := reuseKernel(&pk)
-		c.obs.PlatBuilds.Inc()
-		plat, _, err := buildPlatform(k, p.Plat)
-		if err != nil {
-			return nil, err
-		}
-		g, spans, _, err := c.pointGraph(p)
-		if err != nil {
-			return nil, err
-		}
 		heur, err := mapping.ParseHeuristic(pr.Heur)
 		if err != nil {
 			return nil, err
 		}
-		c.me.Bind(g, plat)
-		a, err := c.me.Map(mapping.Options{Heuristic: heur, Seed: pr.Seed})
+		// A probe reruns the point's platform, reset, on the point's
+		// kernel: the caller has read its own execution into its
+		// metrics already, and Evaluate's absorb counts the probes'
+		// kernel events with the point's.
+		plat, _, err := c.platform(reuseKernel(&c.k), p.Plat)
 		if err != nil {
 			return nil, err
 		}
-		var stats mapping.ExecStats
-		if spans != nil {
-			stats, _, err = c.ex.ExecuteMulti(a, spans)
-		} else {
-			stats, err = c.ex.Execute(a)
-		}
+		stats, _, err := c.mapAndExecute(g, spans, plat, mapping.Options{Heuristic: heur, Seed: pr.Seed}, "mvp", 1)
 		if err != nil {
 			return nil, err
 		}
@@ -178,9 +166,6 @@ func (c *EvalContext) calFit(p Point) (*calEntry, error) {
 				// through unchanged.
 				y: float64(refined - (stats.Makespan - maxBusy)),
 			})
-		}
-		if c.obs.SimExecuted != nil {
-			c.obs.absorb(&pkBase, k)
 		}
 	}
 	e.n = len(samples)

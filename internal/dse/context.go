@@ -26,17 +26,19 @@ import (
 // only when a point binds the same graph and identical platform
 // tables (mapping.Evaluator.Map), which is how the fidelity twins of
 // a group share one search. The vp
-// refinement is closed-form arithmetic (runLoops), so no virtual
-// platform is built or kept. The sweep byte-identity tests hold
+// refinement is closed-form arithmetic (runLoops: the loops' halt
+// times when run to exhaustion), so no virtual platform is built or
+// kept. The sweep byte-identity tests hold
 // exactly that — any worker count, fresh or reused context, same
 // bytes.
 //
 // An EvalContext is not safe for concurrent use; Engine.Run gives
 // each worker its own.
 type EvalContext struct {
-	// k runs mapped executions and the RTOS scheduler, both kernel
-	// event handlers that leave nothing behind, so one kernel is Reset
-	// between points for the context's whole life.
+	// k runs mapped executions, a cal point's probes among them, and
+	// the RTOS scheduler, all kernel event handlers that leave nothing
+	// behind, so one kernel is Reset between runs for the context's
+	// whole life.
 	k *sim.Kernel
 	// plat is the last platform built on k, reset and reused while
 	// consecutive points share its spec — expansion is platform-major,

@@ -117,25 +117,7 @@ func (c *EvalContext) evaluate(p Point) (Metrics, error) {
 			units = 8
 		}
 	}
-	c.me.Bind(g, plat)
-	a, err := c.me.Map(opt)
-	if err != nil {
-		return Metrics{}, err
-	}
-	var stats mapping.ExecStats
-	var appMk []sim.Time
-	switch p.Fidelity {
-	case "mvp", "vp", "cal":
-		if spans != nil {
-			stats, appMk, err = c.ex.ExecuteMulti(a, spans)
-		} else {
-			stats, err = c.ex.Execute(a)
-		}
-	case "pipe":
-		stats, err = c.ex.ExecutePipelined(a, units)
-	default:
-		return Metrics{}, fmt.Errorf("dse: unknown fidelity %q", p.Fidelity)
-	}
+	stats, appMk, err := c.mapAndExecute(g, spans, plat, opt, p.Fidelity, units)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -163,6 +145,30 @@ func (c *EvalContext) evaluate(p Point) (Metrics, error) {
 		}
 	}
 	return m, nil
+}
+
+// mapAndExecute maps g onto plat with opt and executes the mapping at
+// the fidelity's task level: once — the union graph's applications
+// side by side, with their makespans, when spans is non-nil — or
+// units pipelined iterations at pipe fidelity.
+func (c *EvalContext) mapAndExecute(g *taskgraph.Graph, spans []taskgraph.Span, plat *platform.Platform, opt mapping.Options, fid string, units int) (mapping.ExecStats, []sim.Time, error) {
+	c.me.Bind(g, plat)
+	a, err := c.me.Map(opt)
+	if err != nil {
+		return mapping.ExecStats{}, nil, err
+	}
+	switch fid {
+	case "mvp", "vp", "cal":
+		if spans != nil {
+			return c.ex.ExecuteMulti(a, spans)
+		}
+		stats, err := c.ex.Execute(a)
+		return stats, nil, err
+	case "pipe":
+		stats, err := c.ex.ExecutePipelined(a, units)
+		return stats, nil, err
+	}
+	return mapping.ExecStats{}, nil, fmt.Errorf("dse: unknown fidelity %q", fid)
 }
 
 // pointGraph returns the point's task graph: the cached union graph
@@ -318,9 +324,9 @@ func metricsFrom(plat *platform.Platform, stats mapping.ExecStats, area float64,
 //	      halt
 //
 // The loop touches no memory and the cores never interact, so what
-// the platform measures is closed-form in (N, quantum): runLoops
-// computes it, and the ISS run survives only as the test oracle
-// (TestVPRefineOracle).
+// the platform measures when it runs to exhaustion is closed-form in
+// (N, quantum): runLoops computes it, and the ISS run survives only
+// as the test oracle (TestVPRefineOracle).
 const (
 	loopIterCycles = 6 // addi(1) + mul(3) + bne(2)
 	loopHaltCycles = 4 // halt is CostSys
@@ -328,90 +334,39 @@ const (
 	// run on up to 16 ISS cores, the tail PEs are below the
 	// bottleneck anyway.
 	maxVPCores = 16
-	// vpWindow is the step in which vp.VP.RunUntilHalted advances the
-	// kernel; it checks for halted cores only between windows.
-	vpWindow = 10 * sim.Microsecond
 )
 
 // vpCyclePeriod is the refinement cores' clock period.
 var vpCyclePeriod = sim.Time(int64(sim.Second) / vp.DefaultConfig(1).HzPer)
 
-// vpRun is what vp.VP.RunUntilHalted leaves behind after running the
-// refinement loops on a fresh platform: the kernel time it stopped
-// at, the kernel events executed, the instructions retired, and
-// whether every core halted before the deadline.
+// vpRun is what a virtual platform leaves behind after running the
+// refinement loops to exhaustion: the kernel time of the last halt,
+// the kernel events executed and the instructions retired.
 type vpRun struct {
 	now    sim.Time
 	events uint64
 	instr  uint64
-	halted bool
-}
-
-// loopCycles returns the cycles the first k instructions of the loop
-// program take, for k short of its final halt; lead is the li
-// expansion's length.
-func loopCycles(lead, k int64) int64 {
-	if k <= lead {
-		return k
-	}
-	k -= lead
-	c := lead + loopIterCycles*(k/3)
-	switch k % 3 {
-	case 1:
-		c++ // addi
-	case 2:
-		c += 4 // addi + mul
-	}
-	return c
 }
 
 // runLoops returns the vp run of one refinement loop per core — core i
-// spins iters[i] iterations, for i < cores — at the given quantum,
-// exactly as RunUntilHalted(deadline) reports it. A core executes
-// its n instructions in ceil(n/quantum) bursts, one kernel event
-// each (the first is the process start at time 0); burst j starts
-// after the cycles of its first j·quantum instructions, and the core
-// halts in its last burst, whose wake-up event fires at the end of
-// the program. RunUntilHalted stops at the end of the first window
-// (at least one) by which every core has started its halting burst,
-// having executed every event up to that instant; it gives up before
-// a window that would start at or past the deadline. When it gives
-// up, only now and halted are set: the refinement fails the point.
-// A variable so the oracle tests can run the ISS instead.
-var runLoops = func(iters [maxVPCores]int64, cores, quantum int, deadline sim.Time) vpRun {
+// spins iters[i] iterations, for i < cores — at the given quantum. A
+// core executes its n instructions in ceil(n/quantum) bursts, each
+// ending in one wake-up event, after a start event at time 0; it
+// halts after lead + 6·iters + 4 cycles, and the run ends at the last
+// halt. A variable so the oracle tests can run the ISS instead.
+var runLoops = func(iters [maxVPCores]int64, cores, quantum int) vpRun {
 	var r vpRun
-	var ends [maxVPCores]sim.Time
-	var lastStart sim.Time
 	q := int64(quantum)
-	for i := 0; i < cores; i++ {
+	for _, it := range iters[:cores] {
 		lead := int64(1)
-		if iters[i] >= 1<<15 {
+		if it >= 1<<15 {
 			lead = 2
 		}
-		n := lead + 3*iters[i] + 1
-		bursts := (n + q - 1) / q
-		if s := sim.Time(loopCycles(lead, (bursts-1)*q)) * vpCyclePeriod; s > lastStart {
-			lastStart = s
-		}
-		ends[i] = sim.Time(lead+loopIterCycles*iters[i]+loopHaltCycles) * vpCyclePeriod
+		n := lead + 3*it + 1
 		r.instr += uint64(n)
-		r.events += uint64(bursts)
-	}
-	windows := (lastStart + vpWindow - 1) / vpWindow
-	if windows < 1 {
-		windows = 1
-	}
-	if (windows-1)*vpWindow >= deadline {
-		r = vpRun{}
-		if deadline > 0 {
-			r.now = (deadline + vpWindow - 1) / vpWindow * vpWindow
-		}
-		return r
-	}
-	r.now, r.halted = windows*vpWindow, true
-	for _, end := range ends[:cores] {
-		if end <= r.now {
-			r.events++ // the halted core's final wake-up
+		r.events += uint64((n+q-1)/q) + 1
+		if end := sim.Time(lead+loopIterCycles*it+loopHaltCycles) * vpCyclePeriod; end > r.now {
+			r.now = end
 		}
 	}
 	return r
@@ -439,8 +394,9 @@ func (c *EvalContext) refineVP(p Point, stats mapping.ExecStats, units int, m *M
 // each busy PE's compute time becomes a calibrated MR32 loop on an ISS
 // core of a temporally-decoupled virtual platform (vp.Config.Quantum =
 // Point.Quantum), computed in closed form by runLoops. The refined
-// makespan is the VP-measured compute of the bottleneck core plus the
-// task-level communication slack; the returned event/instruction
+// makespan is the VP-measured compute of the bottleneck core — its
+// loop's halt time — plus the task-level communication slack; the
+// returned event/instruction
 // counts expose the fidelity-versus-cost trade of experiment E13.
 func (c *EvalContext) vpRefine(p Point, stats mapping.ExecStats) (sim.Time, uint64, uint64, error) {
 	// busy keeps the maxVPCores largest busy times, descending. The
@@ -464,7 +420,6 @@ func (c *EvalContext) vpRefine(p Point, stats mapping.ExecStats) (sim.Time, uint
 	if n == 0 {
 		return stats.Makespan, 0, 0, nil
 	}
-	maxBusy := busy[0]
 	var iters [maxVPCores]int64
 	for i, b := range busy[:n] {
 		it := int64(b) / int64(vpCyclePeriod) / loopIterCycles
@@ -481,11 +436,8 @@ func (c *EvalContext) vpRefine(p Point, stats mapping.ExecStats) (sim.Time, uint
 	if quantum < 1 {
 		quantum = 1
 	}
-	run := runLoops(iters, n, quantum, stats.Makespan+maxBusy+sim.Millisecond)
-	if !run.halted {
-		return 0, 0, 0, fmt.Errorf("dse: vp refinement did not halt (point %d)", p.ID)
-	}
-	slack := stats.Makespan - maxBusy
+	run := runLoops(iters, n, quantum)
+	slack := stats.Makespan - busy[0]
 	return slack + run.now, run.events, run.instr, nil
 }
 

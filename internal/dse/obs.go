@@ -40,7 +40,7 @@ type EvalObs struct {
 	CalHits     *obs.Counter
 	CalMisses   *obs.Counter
 	// PlatBuilds counts platforms built: a point whose PlatSpec is not
-	// the context's last one's, and every cal probe.
+	// the context's last one's.
 	PlatBuilds *obs.Counter
 
 	// VPHits and VPMisses counted the virtual-platform pool, which

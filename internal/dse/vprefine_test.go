@@ -3,6 +3,7 @@ package dse
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -30,8 +31,8 @@ loop:
 }
 
 // issRunLoops is the oracle for runLoops: it actually runs the loops
-// on the ISS cores of a fresh virtual platform.
-func issRunLoops(iters [maxVPCores]int64, cores, quantum int, deadline sim.Time) vpRun {
+// to exhaustion on the ISS cores of a fresh virtual platform.
+func issRunLoops(iters [maxVPCores]int64, cores, quantum int) vpRun {
 	cfg := vp.DefaultConfig(cores)
 	cfg.Quantum = quantum
 	v := vp.New(sim.NewKernel(), cfg)
@@ -43,15 +44,8 @@ func issRunLoops(iters [maxVPCores]int64, cores, quantum int, deadline sim.Time)
 		v.LoadProgram(i, prog)
 	}
 	v.Start()
-	halted := v.RunUntilHalted(deadline)
-	r := vpRun{now: v.K.Now(), events: v.K.Executed, instr: v.Retired(), halted: halted}
-	if !halted {
-		// The loops are finite: run them out so no core process stays
-		// parked on the discarded kernel.
-		v.K.Run()
-		r.events, r.instr = 0, 0
-	}
-	return r
+	v.K.Run()
+	return vpRun{now: v.K.Now(), events: v.K.Executed, instr: v.Retired()}
 }
 
 // withISS runs the rest of the test with vp refinement backed by the
@@ -63,13 +57,12 @@ func withISS(t testing.TB) {
 	t.Cleanup(func() { runLoops = saved })
 }
 
-// loopCase is one refinement run: per-core iteration counts, the
-// quantum and the RunUntilHalted deadline.
+// loopCase is one refinement run: per-core iteration counts and the
+// quantum.
 type loopCase struct {
-	Iters    [maxVPCores]int64
-	Cores    int
-	Quantum  int
-	Deadline sim.Time
+	Iters   [maxVPCores]int64
+	Cores   int
+	Quantum int
 }
 
 // oracleEventBudget bounds one case's ISS kernel events (about half a
@@ -77,21 +70,19 @@ type loopCase struct {
 const oracleEventBudget = 20000
 
 // Generate draws cases over the shapes that matter to the formula:
-// the li expansion edge (32767/32768), programs ending on a window
-// edge, bursts of 1, 2, 3, 7, 64 and
-// odd quanta, one to sixteen cores, and deadlines from the sweep's
-// generous bound down to ones that fall short of the halting window.
-// Cores beyond the event budget are dropped; a first core alone over
-// it has its iterations cut.
+// the li expansion edge (32767/32768), bursts of 1, 2, 3, 7, 64 and
+// odd quanta, quanta beyond the whole program, and one to sixteen
+// cores. Cores beyond the event budget are dropped; a first core
+// alone over it has its iterations cut.
 func (loopCase) Generate(r *rand.Rand, _ int) reflect.Value {
 	c := loopCase{Cores: 1 + r.Intn(maxVPCores)}
-	quanta := []int{1, 2, 3, 7, 64, 1 + r.Intn(300)}
+	quanta := []int{1, 2, 3, 7, 64, 1 + r.Intn(300), 1000}
 	c.Quantum = quanta[r.Intn(len(quanta))]
 	q := int64(c.Quantum)
-	var end, events int64
+	var events int64
 	for i := 0; i < c.Cores; i++ {
 		var it int64
-		switch r.Intn(7) {
+		switch r.Intn(6) {
 		case 0:
 			it = 1
 		case 1:
@@ -102,10 +93,6 @@ func (loopCase) Generate(r *rand.Rand, _ int) reflect.Value {
 			it = 32768
 		case 4:
 			it = 1 + r.Int63n(40000)
-		case 5:
-			// lui+ori and 6N+6 cycles a multiple of 1000: the final
-			// wake-up can land exactly on a window edge.
-			it = 500*(66+r.Int63n(14)) - 1
 		default:
 			it = 1 + r.Int63n(64)
 		}
@@ -118,36 +105,36 @@ func (loopCase) Generate(r *rand.Rand, _ int) reflect.Value {
 		}
 		events += (3*it + 3 + q - 1) / q
 		c.Iters[i] = it
-		if e := 6*it + 6; e > end {
-			end = e
-		}
-	}
-	endT := sim.Time(end) * vpCyclePeriod
-	switch r.Intn(4) {
-	case 0: // the sweep's own bound shape: compute plus a millisecond
-		c.Deadline = endT + sim.Millisecond
-	case 1: // on a window edge near the end
-		c.Deadline = (endT/vpWindow - sim.Time(r.Intn(3))) * vpWindow
-	default: // anywhere up to the end, often short of it
-		c.Deadline = sim.Time(r.Int63n(int64(endT) + 1))
 	}
 	return reflect.ValueOf(c)
 }
 
-// TestVPRefineOracle: the closed form agrees with the ISS run on the
-// kernel time, kernel events, retired instructions and halt outcome;
-// events and instructions are compared when the cores halt, the only
-// case the refinement reads them.
+// TestVPRefineOracle: the closed form agrees with the ISS run to
+// exhaustion on the kernel time, kernel events and retired
+// instructions.
 func TestVPRefineOracle(t *testing.T) {
-	var halted, short int
+	// seen counts the cases with each shape the formula must cover.
+	seen := map[string]int{}
 	check := func(c loopCase) bool {
-		got := runLoops(c.Iters, c.Cores, c.Quantum, c.Deadline)
-		want := issRunLoops(c.Iters, c.Cores, c.Quantum, c.Deadline)
-		if want.halted {
-			halted++
-		} else {
-			short++
+		for _, it := range c.Iters[:c.Cores] {
+			if it == 32767 || it == 32768 {
+				seen["li edge"]++
+			}
+			if 3*it+3 < int64(c.Quantum) {
+				seen["quantum beyond the program"]++
+			}
 		}
+		if c.Quantum == 1 {
+			seen["quantum 1"]++
+		}
+		if c.Cores == 1 {
+			seen["one core"]++
+		}
+		if c.Cores == maxVPCores {
+			seen["sixteen cores"]++
+		}
+		got := runLoops(c.Iters, c.Cores, c.Quantum)
+		want := issRunLoops(c.Iters, c.Cores, c.Quantum)
 		if got != want {
 			t.Logf("%+v:\nclosed %+v\niss    %+v", c, got, want)
 			return false
@@ -161,16 +148,18 @@ func TestVPRefineOracle(t *testing.T) {
 	if err := quick.Check(check, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if halted == 0 || short == 0 {
-		t.Fatalf("vacuous: %d halted and %d did-not-halt cases", halted, short)
+	for _, shape := range []string{"li edge", "quantum beyond the program", "quantum 1", "one core", "sixteen cores"} {
+		if seen[shape] == 0 {
+			t.Errorf("vacuous: no case with %s", shape)
+		}
 	}
 }
 
-// TestLoopCyclesMatchesISS: loopCycles is the ISS's cycle count after
-// each of the loop program's instructions, on both li expansions, and
-// the whole program costs L + 6N + 4 cycles.
+// TestLoopCyclesMatchesISS: on both li expansions the loop program
+// halts after L + 6N + 4 cycles of the ISS, the halt time runLoops
+// reports.
 func TestLoopCyclesMatchesISS(t *testing.T) {
-	for _, iters := range []int64{1, 7, 32768} {
+	for _, iters := range []int64{1, 7, 32767, 32768} {
 		lead := int64(1)
 		if iters >= 1<<15 {
 			lead = 2
@@ -183,16 +172,58 @@ func TestLoopCyclesMatchesISS(t *testing.T) {
 		v.LoadProgram(0, prog)
 		cpu := v.CPUs[0]
 		var cycles int64
-		for k := int64(0); !cpu.Halted; k++ {
-			if k < 300 && cycles != loopCycles(lead, k) {
-				t.Fatalf("N=%d: %d instructions take %d cycles on the ISS, loopCycles says %d",
-					iters, k, cycles, loopCycles(lead, k))
-			}
+		for !cpu.Halted {
 			cycles += cpu.Step()
 		}
 		if want := lead + loopIterCycles*iters + loopHaltCycles; cycles != want {
 			t.Fatalf("N=%d: program takes %d cycles, want %d", iters, cycles, want)
 		}
+	}
+}
+
+// TestVPWithinBoundOfMVP: every vp point of the default preset and
+// the ledger spec differs from its mvp twin by end(B) − B, where B is
+// the bottleneck PE's busy time and end(B) its refinement loop's halt:
+// within (−10 ns, +60 ns] when B ≥ 60 ns, exactly 110 ns − B below
+// that, where the loop runs its one-iteration minimum, and nothing
+// when no PE computed. B is read off the twin's metrics as
+// UtilMax·Makespan.
+func TestVPWithinBoundOfMVP(t *testing.T) {
+	const ns = sim.Nanosecond
+	c := NewEvalContext()
+	pairs := 0
+	for _, spec := range []string{"default", ledgerSpec} {
+		for _, p := range expandSweep(t, spec, 1) {
+			if p.Fidelity != "vp" {
+				continue
+			}
+			twin := p
+			twin.Fidelity, twin.Quantum = "mvp", 0
+			vpr, mvp := c.Evaluate(p), c.Evaluate(twin)
+			if vpr.Err != "" || mvp.Err != "" {
+				t.Fatalf("point %d: vp error %q, mvp error %q", p.ID, vpr.Err, mvp.Err)
+			}
+			m := mvp.Metrics.Makespan
+			b := sim.Time(math.Round(mvp.Metrics.UtilMax * float64(m)))
+			d := vpr.Metrics.Makespan - m
+			var ok bool
+			switch {
+			case b >= 60*ns:
+				ok = d > -10*ns && d <= 60*ns
+			case b > 0:
+				ok = d == 110*ns-b
+			default:
+				ok = d == 0
+			}
+			if !ok {
+				t.Errorf("%s point %d: vp %v, mvp %v (bottleneck busy %v): vp − mvp = %v out of bound",
+					spec, p.ID, vpr.Metrics.Makespan, m, b, d)
+			}
+			pairs++
+		}
+	}
+	if pairs < 288 {
+		t.Fatalf("vacuous: %d vp/mvp pairs", pairs)
 	}
 }
 

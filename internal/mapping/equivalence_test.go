@@ -58,9 +58,10 @@ func evaluateRef(g *taskgraph.Graph, plat *platform.Platform, taskPE []int) (sim
 		for _, p := range g.Preds(id) {
 			arr := finish[p]
 			if taskPE[p] != pe {
-				arr += plat.Fabric.EstLatency(taskPE[p], pe, g.InBytes(p, id))
+				b := g.InBytes(p, id)
+				arr += plat.Fabric.EstPairLatency(taskPE[p], pe) + plat.Fabric.EstPayloadLatency(b)
 				if plat.Mem != nil {
-					arr += plat.Mem.EstLatency(taskPE[p], pe, g.InBytes(p, id))
+					arr += plat.Mem.EstPairLatency(taskPE[p], pe) + plat.Mem.EstPayloadLatency(b)
 				}
 			}
 			if arr > ready {

@@ -164,15 +164,14 @@ type Evaluator struct {
 	// pairLat[src*nPE+dst] and preds[j].lat split the contention-free
 	// cost of a cross-PE edge — fabric plus memory estimate — into the
 	// core-pair term and the payload term of aggregated predecessor
-	// record j. Their sum is exactly the sum of the EstLatency calls it
-	// stands for.
+	// record j: the fabric's and the memory model's EstPairLatency
+	// and EstPayloadLatency, summed.
 	pairLat []sim.Time
 	// clocks[pe] is core pe's class and clock as bound. listMap's
 	// upward rank reads them besides the tables above; its
-	// communication term EstLatency(0, last, b) sums pairLat's and
-	// preds' entries (the split contract above), so equal tables and
-	// clocks rank equally. A one-core platform has no split, but every
-	// task lands on its core whatever the rank.
+	// communication term is the pair term of (0, last) plus the
+	// payload term, the same calls pairLat's and preds' entries sum,
+	// so equal tables and clocks rank equally.
 	clocks []coreClock
 
 	// The schedule kernel's state is indexed by topological position
@@ -460,12 +459,6 @@ func (e *Evaluator) restore(from int) {
 	copy(e.fq[from:], e.prevq[from:])
 }
 
-// evaluate is the legacy entry point kept for the equivalence tests:
-// score one assignment with a throwaway evaluator.
-func evaluate(g *taskgraph.Graph, plat *platform.Platform, taskPE []int) (sim.Time, []Slot, error) {
-	return NewEvaluator(g, plat).schedule(taskPE, true)
-}
-
 // objectiveCost scores an assignment under the selected objective:
 // static-schedule makespan, or the pipeline's steady-state period
 // (the most-loaded core) for throughput. Zero allocations.
@@ -599,13 +592,14 @@ func (e *Evaluator) listMap() ([]int, error) {
 	rank := grow(e.rank, n)
 	e.rank = rank
 	order := e.order
+	last := len(plat.Cores) - 1
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
 		var best float64
 		for _, s := range v.Succs(id) {
-			comm := float64(plat.Fabric.EstLatency(0, len(plat.Cores)-1, s.Bytes))
+			comm := float64(plat.Fabric.EstPairLatency(0, last) + plat.Fabric.EstPayloadLatency(s.Bytes))
 			if e.mem != nil {
-				comm += float64(e.mem.EstLatency(0, len(plat.Cores)-1, s.Bytes))
+				comm += float64(e.mem.EstPairLatency(0, last) + e.mem.EstPayloadLatency(s.Bytes))
 			}
 			if r := rank[s.Task] + comm; r > best {
 				best = r

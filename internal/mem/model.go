@@ -7,8 +7,8 @@
 // queues for memory service after it crosses the interconnect.
 //
 // The models follow the noc contention idiom: a deterministic
-// busy-until reservation per resource, a contention-free EstLatency
-// for the mapping cost models, and cumulative transfer/wait counters
+// busy-until reservation per resource, a contention-free latency
+// estimate for the mapping cost models, and cumulative transfer/wait counters
 // that the sweep reads as a delta per run. A Model is reset per
 // design point like the kernel. Its estimator and its service path
 // both clamp non-positive payloads to one byte, matching the fabrics'
@@ -29,14 +29,11 @@ import (
 // service time — the exact pre-model behaviour.
 type Model interface {
 	Name() string
-	// EstLatency returns the contention-free service-time estimate the
-	// mapping cost models add on top of platform.Fabric.EstLatency for
-	// cross-PE edges. It must allocate nothing.
-	EstLatency(src, dst, bytes int) sim.Time
-	// EstPairLatency and EstPayloadLatency split EstLatency for
-	// src != dst into a core-pair term and a payload term, exactly as
-	// platform.Fabric does: EstLatency(src, dst, b) ==
-	// EstPairLatency(src, dst) + EstPayloadLatency(b).
+	// EstPairLatency and EstPayloadLatency are the contention-free
+	// service-time estimate the mapping cost models add on top of the
+	// platform.Fabric estimate for a cross-PE edge, split as the
+	// fabric's is: a core-pair term plus a payload term. They must
+	// allocate nothing.
 	EstPairLatency(src, dst int) sim.Time
 	EstPayloadLatency(bytes int) sim.Time
 	// Service books one memory access starting at virtual time now and
@@ -190,11 +187,6 @@ func (m *BankModel) Name() string {
 	return fmt.Sprintf("bank%dx%d", len(m.bankBusy), len(m.chanBusy))
 }
 
-// EstLatency implements Model: the zero-conflict service time.
-func (m *BankModel) EstLatency(src, dst, bytes int) sim.Time {
-	return m.EstPairLatency(src, dst) + m.EstPayloadLatency(bytes)
-}
-
 // EstPairLatency implements Model: the zero-conflict service time
 // does not depend on which cores talk.
 func (m *BankModel) EstPairLatency(src, dst int) sim.Time { return 0 }
@@ -266,11 +258,6 @@ func NewBWModel(access sim.Time, bytesPerNS int64) *BWModel {
 
 // Name implements Model.
 func (m *BWModel) Name() string { return fmt.Sprintf("bw%d", m.BytesPerNS) }
-
-// EstLatency implements Model.
-func (m *BWModel) EstLatency(src, dst, bytes int) sim.Time {
-	return m.EstPairLatency(src, dst) + m.EstPayloadLatency(bytes)
-}
 
 // EstPairLatency implements Model: the zero-conflict service time
 // does not depend on which cores talk.

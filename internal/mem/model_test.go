@@ -66,9 +66,9 @@ func TestServiceTimeClampsZeroBytes(t *testing.T) {
 		NewBankModel(4, 2, 10*sim.Nanosecond, 8),
 		NewBWModel(10*sim.Nanosecond, 8),
 	} {
-		one := m.EstLatency(0, 1, 1)
-		if got := m.EstLatency(0, 1, 0); got != one {
-			t.Fatalf("%s: EstLatency(0 bytes) = %v, want %v", m.Name(), got, one)
+		one := m.EstPairLatency(0, 1) + m.EstPayloadLatency(1)
+		if got := m.EstPairLatency(0, 1) + m.EstPayloadLatency(0); got != one {
+			t.Fatalf("%s: estimate for 0 bytes = %v, want %v", m.Name(), got, one)
 		}
 		if got := m.Service(0, 0, 1, 0); got != one {
 			t.Fatalf("%s: Service(0 bytes) = %v, want %v", m.Name(), got, one)
@@ -82,7 +82,7 @@ func TestServiceTimeClampsZeroBytes(t *testing.T) {
 // to a byte-identical replay.
 func TestBankModelContention(t *testing.T) {
 	m := NewBankModel(4, 2, 10*sim.Nanosecond, 8)
-	svc := m.EstLatency(0, 0, 64) // 10ns access + 8ns serialization
+	svc := m.EstPayloadLatency(64) // 10ns access + 8ns serialization
 	if svc != 18*sim.Nanosecond {
 		t.Fatalf("service time = %v, want 18ns", svc)
 	}
@@ -116,7 +116,7 @@ func TestBankModelContention(t *testing.T) {
 // access; starting after the engine drains costs no wait.
 func TestBWModelSerializes(t *testing.T) {
 	m := NewBWModel(5*sim.Nanosecond, 8)
-	svc := m.EstLatency(2, 3, 16) // 5ns + 2ns
+	svc := m.EstPairLatency(2, 3) + m.EstPayloadLatency(16) // 5ns + 2ns
 	d1 := m.Service(0, 0, 1, 16)
 	d2 := m.Service(0, 2, 3, 16)
 	if d1 != svc || d2 != 2*svc {
@@ -138,9 +138,8 @@ func TestBWModelSerializes(t *testing.T) {
 
 // TestEstLatencySplit: over the spec bounds (every bank:BxC geometry
 // and every bw:G budget), the pair and payload terms the mapping
-// evaluator tabulates sum to EstLatency for every src != dst, and
-// EstLatency equals access latency plus serialization with payloads
-// ≤ 0 clamped to one byte.
+// evaluator tabulates sum, for every src != dst, to access latency
+// plus serialization with payloads ≤ 0 clamped to one byte.
 func TestEstLatencySplit(t *testing.T) {
 	const access = 10 * sim.Nanosecond
 	type model struct {
@@ -169,9 +168,8 @@ func TestEstLatencySplit(t *testing.T) {
 					if src == dst {
 						continue
 					}
-					got := m.EstPairLatency(src, dst) + m.EstPayloadLatency(b)
-					if est := m.EstLatency(src, dst, b); got != want || est != want {
-						t.Fatalf("%s %d->%d %dB: pair+payload %v, EstLatency %v, want %v", m.Name(), src, dst, b, got, est, want)
+					if got := m.EstPairLatency(src, dst) + m.EstPayloadLatency(b); got != want {
+						t.Fatalf("%s %d->%d %dB: pair+payload %v, want %v", m.Name(), src, dst, b, got, want)
 					}
 				}
 			}

@@ -170,14 +170,6 @@ func (m *Mesh) Transfer(src, dst, bytes int, h sim.Handler, arg int) {
 	m.k.AtH(finish, h, arg)
 }
 
-// EstLatency implements platform.Fabric: zero-load latency.
-func (m *Mesh) EstLatency(src, dst, bytes int) sim.Time {
-	if src == dst {
-		return m.HopLatency
-	}
-	return m.EstPairLatency(src, dst) + m.EstPayloadLatency(bytes)
-}
-
 // EstPairLatency implements platform.Fabric: the head's hop latency
 // along the XY route.
 func (m *Mesh) EstPairLatency(src, dst int) sim.Time {
@@ -252,11 +244,6 @@ func (b *Bus) Transfer(src, dst, bytes int, h sim.Handler, arg int) {
 	b.busyUntil = start + dur
 	b.Transfers++
 	b.k.AtH(start+dur, h, arg)
-}
-
-// EstLatency implements platform.Fabric.
-func (b *Bus) EstLatency(src, dst, bytes int) sim.Time {
-	return b.EstPairLatency(src, dst) + b.EstPayloadLatency(bytes)
 }
 
 // EstPairLatency implements platform.Fabric: every pair shares the

@@ -36,8 +36,8 @@ func TestMeshTransferLatency(t *testing.T) {
 	if doneAt != want {
 		t.Fatalf("transfer done at %v, want %v", doneAt, want)
 	}
-	if got := m.EstLatency(0, 2, 64); got != want {
-		t.Fatalf("EstLatency = %v, want %v", got, want)
+	if got := m.EstPairLatency(0, 2) + m.EstPayloadLatency(64); got != want {
+		t.Fatalf("estimated latency = %v, want %v", got, want)
 	}
 }
 
@@ -163,10 +163,9 @@ func TestMeshRouteProperty(t *testing.T) {
 
 // TestEstLatencySplit: for every src != dst on meshes of 2–16 cores
 // and on the bus, the pair and payload terms the mapping evaluator
-// tabulates sum to EstLatency, and EstLatency equals the zero-load
-// formula written out here (hops × hop latency plus serialization on
-// the mesh, arbitration plus serialization on the bus, payloads ≤ 0
-// clamped to one byte).
+// tabulates sum to the zero-load formula written out here (hops × hop
+// latency plus serialization on the mesh, arbitration plus
+// serialization on the bus, payloads ≤ 0 clamped to one byte).
 func TestEstLatencySplit(t *testing.T) {
 	ser := func(bytes int, bpns int64) sim.Time {
 		if bytes <= 0 {
@@ -188,14 +187,14 @@ func TestEstLatencySplit(t *testing.T) {
 					}
 					for _, b := range payloads {
 						want := sim.Time(m.Hops(src, dst))*m.HopLatency + ser(b, bpns)
-						if got := m.EstPairLatency(src, dst) + m.EstPayloadLatency(b); got != want || m.EstLatency(src, dst, b) != want {
-							t.Fatalf("%s %d->%d %dB @%dB/ns: pair+payload %v, EstLatency %v, want %v",
-								m.Name(), src, dst, b, bpns, got, m.EstLatency(src, dst, b), want)
+						if got := m.EstPairLatency(src, dst) + m.EstPayloadLatency(b); got != want {
+							t.Fatalf("%s %d->%d %dB @%dB/ns: pair+payload %v, want %v",
+								m.Name(), src, dst, b, bpns, got, want)
 						}
 						want = bus.ArbLatency + ser(b, bpns)
-						if got := bus.EstPairLatency(src, dst) + bus.EstPayloadLatency(b); got != want || bus.EstLatency(src, dst, b) != want {
-							t.Fatalf("bus %d->%d %dB @%dB/ns: pair+payload %v, EstLatency %v, want %v",
-								src, dst, b, bpns, got, bus.EstLatency(src, dst, b), want)
+						if got := bus.EstPairLatency(src, dst) + bus.EstPayloadLatency(b); got != want {
+							t.Fatalf("bus %d->%d %dB @%dB/ns: pair+payload %v, want %v",
+								src, dst, b, bpns, got, want)
 						}
 					}
 				}

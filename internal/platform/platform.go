@@ -108,9 +108,6 @@ type Core struct {
 // Hz returns the current clock frequency.
 func (c *Core) Hz() int64 { return c.Levels[c.level] }
 
-// Level returns the current DVFS level index.
-func (c *Core) Level() int { return c.level }
-
 // SetLevel switches the core to DVFS level i.
 func (c *Core) SetLevel(i int) error {
 	if i < 0 || i >= len(c.Levels) {
@@ -217,14 +214,12 @@ type Fabric interface {
 	// current virtual time. h.Fire(arg) runs when delivery completes;
 	// a closure caller passes sim.Func(fn), 0.
 	Transfer(src, dst, bytes int, h sim.Handler, arg int)
-	// EstLatency returns the contention-free latency estimate used by
-	// mapping cost models.
-	EstLatency(src, dst, bytes int) sim.Time
-	// EstPairLatency and EstPayloadLatency split EstLatency for
-	// src != dst into a term of the core pair and a term of the
-	// payload: EstLatency(src, dst, b) == EstPairLatency(src, dst) +
-	// EstPayloadLatency(b), exactly. Mapping cost models tabulate both
-	// once per bound (graph, platform) pair.
+	// EstPairLatency and EstPayloadLatency are the contention-free
+	// latency estimate of the mapping cost models for a payload of b
+	// bytes from src to dst, src != dst: EstPairLatency(src, dst) +
+	// EstPayloadLatency(b), a term of the core pair and a term of the
+	// payload. Mapping cost models tabulate both once per bound
+	// (graph, platform) pair.
 	EstPairLatency(src, dst int) sim.Time
 	EstPayloadLatency(bytes int) sim.Time
 	// Stats returns the cumulative completed-transfer count and

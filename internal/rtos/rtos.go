@@ -64,14 +64,6 @@ type Job struct {
 	dur        sim.Time         // and run time
 }
 
-// Lateness returns completion time minus deadline (negative = early).
-func (j *Job) Lateness() sim.Time {
-	if j.Deadline == 0 {
-		return 0
-	}
-	return j.Finished - j.Deadline
-}
-
 // Config tunes the scheduler.
 type Config struct {
 	// Quantum is the time-shared round-robin slice.

@@ -94,9 +94,6 @@ func (p *Proc) park() {
 	}
 }
 
-// Kernel returns the kernel this process runs on.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.Now() }
 
@@ -106,16 +103,6 @@ func (p *Proc) Delay(d Time) {
 		panic("sim: negative delay")
 	}
 	p.k.ScheduleProc(d, 0, p)
-	p.park()
-}
-
-// DelayP suspends like Delay but wakes with the given event priority,
-// controlling ordering against same-time events.
-func (p *Proc) DelayP(d Time, prio int) {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	p.k.ScheduleProc(d, prio, p)
 	p.park()
 }
 
@@ -173,6 +160,3 @@ func (s *Signal) Broadcast() {
 	s.Fires++
 	s.k.wakeAll(&s.waiters)
 }
-
-// Waiters returns the number of processes currently waiting.
-func (s *Signal) Waiters() int { return len(s.waiters) }

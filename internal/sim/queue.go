@@ -32,9 +32,6 @@ func (k *Kernel) NewQueue(name string, capacity int) *Queue {
 // Len returns the number of buffered tokens.
 func (q *Queue) Len() int { return len(q.buf) }
 
-// Cap returns the capacity (0 = unbounded).
-func (q *Queue) Cap() int { return q.cap }
-
 // Full reports whether a Put would block.
 func (q *Queue) Full() bool { return q.cap > 0 && len(q.buf) >= q.cap }
 

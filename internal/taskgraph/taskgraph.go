@@ -117,17 +117,6 @@ func (g *Graph) Preds(id int) []int {
 	return out
 }
 
-// Succs returns the successor task IDs of id, in edge order.
-func (g *Graph) Succs(id int) []int {
-	var out []int
-	for _, e := range g.Edges {
-		if e.From == id {
-			out = append(out, e.To)
-		}
-	}
-	return out
-}
-
 // InBytes sums payload arriving at task id from pred p.
 func (g *Graph) InBytes(p, id int) int {
 	total := 0

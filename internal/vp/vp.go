@@ -513,11 +513,6 @@ func (v *VP) ecall(c *iss.CPU) int64 {
 	}
 }
 
-// RunFor advances the whole platform by d of virtual time.
-func (v *VP) RunFor(d sim.Time) {
-	v.K.RunFor(d)
-}
-
 // RunUntilHalted runs until all cores halt or maxTime passes.
 func (v *VP) RunUntilHalted(maxTime sim.Time) bool {
 	deadline := v.K.Now() + maxTime
