@@ -1,466 +1,26 @@
-// Benchmark harness: one benchmark per experiment in DESIGN.md's
-// index (E1..E13). Each benchmark regenerates its experiment's
-// table/series and prints it once (the paper is a position paper
-// without numbered tables; the experiments operationalize its
-// per-section claims — see EXPERIMENTS.md for the recorded shapes).
+// Benchmark harness: one sub-benchmark per experiment of the
+// internal/paper registry (E1..E13b), which makes the paper's section
+// claims checkable; docs/paper.md indexes them. The benchmarks only
+// time the tables: cmd/mpsocsim's TestPaperExperimentsGolden pins
+// their text, and the registry's own tests assert each claim's shape.
 //
-// Run with: go test -bench=. -benchmem
+// Run with: go test -run='^$' -bench=Paper -benchmem
 package mpsockit
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 
-	"mpsockit/internal/amdahl"
-	"mpsockit/internal/cic"
-	"mpsockit/internal/core"
-	"mpsockit/internal/dataflow"
-	"mpsockit/internal/debug"
-	"mpsockit/internal/isa"
-	"mpsockit/internal/mapping"
-	"mpsockit/internal/noc"
-	"mpsockit/internal/osip"
-	"mpsockit/internal/partition"
-	"mpsockit/internal/platform"
-	"mpsockit/internal/rtos"
-	"mpsockit/internal/sim"
-	"mpsockit/internal/targets"
-	"mpsockit/internal/taskgraph"
-	"mpsockit/internal/ttdd"
-	"mpsockit/internal/vp"
-	"mpsockit/internal/workload"
+	"mpsockit/internal/paper"
 )
 
-var printOnce sync.Map
-
-func printTable(key, table string) {
-	if _, loaded := printOnce.LoadOrStore(key, true); !loaded {
-		fmt.Print(table)
-	}
-}
-
-// --- E1: homogeneous ISA scales; a-priori partitioning inhibits
-// scalability (section II-A) ---
-
-func runE1(n int) (homog, hetero float64) {
-	// Homogeneous: a bag of 4n equal tasks over n interchangeable
-	// cores. Heterogeneous: the same bag statically partitioned 70/30
-	// across two ISA pools holding 30/70 of the cores (mismatch).
-	homog = amdahl.Speedup(0, n)
-	hetero = amdahl.HeteroSpeedup(amdahl.HeteroConfig{FracA: 0.7, ShareA: 0.3}, n)
-
-	// Cross-check the homogeneous curve with the event-driven
-	// scheduler: 4n equal space-shared jobs on n cores.
-	k := sim.NewKernel()
-	p := platform.NewHomogeneous(k, n, 1_000_000_000, noc.MeshFor(k, n))
-	p.Cores[0].SpaceShared = false // scheduler needs one TS core
-	s := rtos.NewHybrid(k, p, rtos.DefaultConfig())
-	for i := 0; i < 4*n; i++ {
-		s.Submit(&rtos.Job{Kind: rtos.Parallel, WorkCycles: 1_000_000, MaxWidth: 1})
-	}
-	k.RunUntil(10 * sim.Second)
-	return homog, hetero
-}
-
-func BenchmarkE1_HomogeneousScaling(b *testing.B) {
-	var table string
-	for i := 0; i < b.N; i++ {
-		table = "E1: speedup vs cores (homogeneous vs 70/30-mismatched heterogeneous)\ncores  homog  hetero  gap\n"
-		for _, n := range []int{2, 4, 8, 16, 32, 64} {
-			h, het := runE1(n)
-			table += fmt.Sprintf("%5d  %5.1f  %6.1f  %4.1f\n", n, h, het, h-het)
-		}
-	}
-	printTable("E1", table)
-}
-
-// --- E2: per-core frequency boost mitigates Amdahl (section II-A) ---
-
-func BenchmarkE2_FrequencyBoost(b *testing.B) {
-	var table string
-	for i := 0; i < b.N; i++ {
-		table = "E2: speedup on 64 cores, plain vs 2x/4x boosted serial phase\nserial%  plain  boost2x  boost4x\n"
-		for _, f := range []float64{0.05, 0.10, 0.20, 0.30, 0.50} {
-			table += fmt.Sprintf("%6.0f%%  %5.2f  %7.2f  %7.2f\n",
-				f*100, amdahl.Speedup(f, 64),
-				amdahl.SpeedupBoosted(f, 64, 2), amdahl.SpeedupBoosted(f, 64, 4))
-		}
-	}
-	printTable("E2", table)
-}
-
-// --- E3: reactive hybrid time-/space-shared scheduling (section II-B) ---
-
-func runE3(parJobs int, boost bool) (missRate, util float64, boosts int) {
-	k := sim.NewKernel()
-	p := platform.NewHomogeneous(k, 8, 1_000_000_000, noc.MeshFor(k, 8))
-	p.Cores[0].SpaceShared = false
-	p.Cores[1].SpaceShared = false
-	cfg := rtos.DefaultConfig()
-	cfg.BoostWhenTight = boost
-	s := rtos.NewHybrid(k, p, cfg)
-	// Sequential background load plus bursts of parallel jobs with
-	// deadlines.
-	for i := 0; i < 6; i++ {
-		s.Submit(&rtos.Job{Kind: rtos.Sequential, WorkCycles: 2_000_000})
-	}
-	for i := 0; i < parJobs; i++ {
-		i := i
-		k.Schedule(sim.Time(i)*sim.Millisecond/2, func() {
-			s.Submit(&rtos.Job{
-				Kind: rtos.Parallel, WorkCycles: 6_000_000, MaxWidth: 4,
-				Deadline: k.Now() + 4*sim.Millisecond,
-			})
-		})
-	}
-	k.RunUntil(time500ms())
-	st := s.Stats()
-	return st.MissRate(), s.Utilization(), st.Boosts
-}
-
-func time500ms() sim.Time { return 500 * sim.Millisecond }
-
-func BenchmarkE3_HybridScheduler(b *testing.B) {
-	var table string
-	for i := 0; i < b.N; i++ {
-		table = "E3: reactive hybrid scheduler, miss rate vs offered parallel load\njobs  miss(noboost)  miss(boost)  boosts\n"
-		for _, jobs := range []int{4, 8, 12, 16, 24} {
-			m0, _, _ := runE3(jobs, false)
-			m1, _, n1 := runE3(jobs, true)
-			table += fmt.Sprintf("%4d  %12.2f%%  %10.2f%%  %6d\n", jobs, m0*100, m1*100, n1)
-		}
-	}
-	printTable("E3", table)
-}
-
-// --- E4: time-triggered corrupts under WCET violation, data-driven
-// does not (section III) ---
-
-func BenchmarkE4_TTvsDD(b *testing.B) {
-	var table string
-	for i := 0; i < b.N; i++ {
-		table = "E4: car radio, 400 periods, WCET margin 10%\njitter  TT-overruns  TT-corrupt  DD-corrupt  DD-latency(max)\n"
-		for _, j := range []float64{0.0, 0.15, 0.3, 0.45, 0.6} {
-			spec := workload.CarRadioTTDD(j, 1.1, 400, 42)
-			tt, err := ttdd.RunTimeTriggered(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dd, err := ttdd.RunDataDriven(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			table += fmt.Sprintf("%6.2f  %11d  %10d  %10d  %15v\n",
-				j, tt.Overruns, tt.Corruptions, dd.Corruptions, dd.MaxLatency)
-		}
-	}
-	printTable("E4", table)
-}
-
-// --- E5: buffer capacities under back-pressure (section III ref [5]) ---
-
-func BenchmarkE5_BufferSizing(b *testing.B) {
-	var table string
-	for i := 0; i < b.N; i++ {
-		g := workload.CarRadioGraph()
-		selfPeriod, err := g.SelfTimedPeriod(64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		table = fmt.Sprintf("E5: car-radio CSDF, self-timed sink period %.0f ps\nsource-period  total-buffer-tokens  per-edge\n", selfPeriod)
-		for _, mult := range []float64{1.1, 1.3, 1.6, 2.0, 3.0} {
-			period := int64(selfPeriod * mult / 4) // source fires 4x per sink firing... scaled below
-			// The source period is over source firings; repetition
-			// vector source:sink is 8:2, so scale accordingly.
-			period = int64(float64(selfPeriod) * mult / 4)
-			caps, err := g.MinBufferSizes(period, 24)
-			if err != nil {
-				table += fmt.Sprintf("%13d  infeasible\n", period)
-				continue
-			}
-			table += fmt.Sprintf("%13d  %19d  %v\n", period, dataflow.TotalTokens(caps), caps)
-		}
-	}
-	printTable("E5", table)
-}
-
-// --- E6: MAPS JPEG partitioning speedup (section IV) ---
-
-func runE6(maxTasks int) (speedup float64, tasks int, err error) {
-	f, err := core.NewFlow(workload.JPEGSourceCIR)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := f.Partition("main", partition.Options{MaxTasks: maxTasks, MinTaskCycles: 500}); err != nil {
-		return 0, 0, err
-	}
-	if err := f.MapTo(core.DefaultPlatform(), mapping.Options{Heuristic: mapping.List}); err != nil {
-		return 0, 0, err
-	}
-	f.Iterations = 32
-	if err := f.Simulate(); err != nil {
-		return 0, 0, err
-	}
-	return f.Speedup(), len(f.Part.Graph.Tasks), nil
-}
-
-func BenchmarkE6_MAPSJpeg(b *testing.B) {
-	var table string
-	for i := 0; i < b.N; i++ {
-		table = "E6: MAPS on the JPEG pipeline (wireless-terminal platform, 32 frames)\nmax-tasks  tasks  speedup\n"
-		for _, mt := range []int{1, 2, 3, 4, 6} {
-			s, n, err := runE6(mt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			table += fmt.Sprintf("%9d  %5d  %6.2fx\n", mt, n, s)
-		}
-	}
-	printTable("E6", table)
-}
-
-// --- E7: OSIP vs RISC software scheduler (section IV) ---
-
-func BenchmarkE7_OSIP(b *testing.B) {
-	var table string
-	for i := 0; i < b.N; i++ {
-		table = "E7: dispatcher comparison, 8 PEs, 1000 tasks\ngranularity(cycles)  util(RISC-SW)  util(OSIP)\n"
-		for _, g := range []int64{500, 1000, 5000, 20_000, 100_000, 500_000} {
-			r, o, err := osip.Compare(8, 1000, g)
-			if err != nil {
-				b.Fatal(err)
-			}
-			table += fmt.Sprintf("%19d  %12.1f%%  %9.1f%%\n",
-				g, r.Utilization()*100, o.Utilization()*100)
-		}
-	}
-	printTable("E7", table)
-}
-
-// --- E8: multi-application concurrency graph -> worst-case load
-// (section IV) ---
-
-func buildE8() *taskgraph.ConcurrencyGraph {
-	cg := taskgraph.NewConcurrencyGraph()
-	mk := func(name string, cycles int64, period sim.Time, rt taskgraph.RTClass) *taskgraph.App {
-		g := taskgraph.NewGraph(name)
-		g.AddTask(&taskgraph.Task{Name: name, WCET: map[platform.PEClass]int64{platform.RISC: cycles}})
-		return cg.AddApp(&taskgraph.App{Name: name, Graph: g, Period: period, RT: rt})
-	}
-	radio := mk("dab-radio", 2_000_000, 10*sim.Millisecond, taskgraph.HardRT)
-	video := mk("video-dec", 8_000_000, 33*sim.Millisecond, taskgraph.SoftRT)
-	ui := mk("gui", 400_000, 40*sim.Millisecond, taskgraph.BestEffort)
-	call := mk("voice-call", 3_000_000, 20*sim.Millisecond, taskgraph.HardRT)
-	cg.MarkConcurrent(radio, video)
-	cg.MarkConcurrent(radio, ui)
-	cg.MarkConcurrent(video, ui)
-	cg.MarkConcurrent(call, ui)
-	cg.MarkConcurrent(call, radio)
-	return cg
-}
-
-func BenchmarkE8_MultiApp(b *testing.B) {
-	var table string
-	for i := 0; i < b.N; i++ {
-		cg := buildE8()
-		load, clique := cg.WorstCaseLoad(platform.RISC)
-		table = "E8: wireless-terminal scenario, worst-case concurrent load\n"
-		for _, cl := range cg.MaximalCliques() {
-			var sum float64
-			names := ""
-			for _, id := range cl {
-				sum += cg.Apps[id].Load(platform.RISC)
-				if names != "" {
-					names += "+"
-				}
-				names += cg.Apps[id].Name
-			}
-			table += fmt.Sprintf("  clique %-28s %7.1f Mcyc/s\n", names, sum/1e6)
-		}
-		table += fmt.Sprintf("  worst case: %.1f Mcyc/s (clique %v) -> need %.1f cores @400MHz\n",
-			load/1e6, clique, load/400e6)
-	}
-	printTable("E8", table)
-}
-
-// --- E9: CIC retargetability, Cell-like vs SMP (section V) ---
-
-func runE9(arch *cic.ArchInfo) (*cic.RunStats, int, error) {
-	spec := workload.H264Spec(64, 48, 3, 3, 3, 5)
-	m, err := cic.AutoMap(spec, arch)
-	if err != nil {
-		return nil, 0, err
-	}
-	tp, err := cic.Translate(spec, arch, m)
-	if err != nil {
-		return nil, 0, err
-	}
-	stats, err := tp.Run()
-	return stats, tp.GeneratedLines(), err
-}
-
-func BenchmarkE9_CICRetarget(b *testing.B) {
-	var table string
-	for i := 0; i < b.N; i++ {
-		cell, cellLines, err := runE9(targets.CellLike(4))
-		if err != nil {
-			b.Fatal(err)
-		}
-		smp, smpLines, err := runE9(targets.SMP(4))
-		if err != nil {
-			b.Fatal(err)
-		}
-		same := len(cell.Outputs["merge"]) == len(smp.Outputs["merge"])
-		if same {
-			for j := range cell.Outputs["merge"] {
-				if cell.Outputs["merge"][j] != smp.Outputs["merge"][j] {
-					same = false
-					break
+func BenchmarkPaper(b *testing.B) {
+	for _, e := range paper.All {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Table(); err != nil {
+					b.Fatal(err)
 				}
 			}
-		}
-		table = "E9: one H.264-like CIC spec on two targets\ntarget     makespan     bytes-moved  synthesized-LoC  output\n"
-		table += fmt.Sprintf("cell-like  %-12v %-12d %-16d %d ints\n",
-			cell.Makespan, cell.BytesMoved, cellLines, len(cell.Outputs["merge"]))
-		table += fmt.Sprintf("smp        %-12v %-12d %-16d %d ints\n",
-			smp.Makespan, smp.BytesMoved, smpLines, len(smp.Outputs["merge"]))
-		table += fmt.Sprintf("outputs byte-identical: %v (retargetability)\n", same)
-		if !same {
-			b.Fatal("retargetability broken: outputs differ")
-		}
-	}
-	printTable("E9", table)
-}
-
-// --- E10: recoder productivity (section VI) ---
-
-func runE10() (ops int, lines int, factor float64, err error) {
-	src := `
-		int raw[96];
-		int mid[96];
-		int total;
-		void main() {
-			for (int i = 0; i < 96; i++) { raw[i] = i * 5 - 7; }
-			for (int i = 0; i < 96; i++) { mid[i] = abs(raw[i]) + 3; }
-			total = 0;
-			for (int i = 0; i < 96; i++) { total += mid[i]; }
-			print(total);
-		}
-	`
-	r, err := newRecoder(src)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	for pass := 0; pass < 3; pass++ {
-		if err := r.SplitLoopToTasks("main", 0, 8); err != nil {
-			return 0, 0, 0, err
-		}
-	}
-	if err := r.SplitVector("mid"); err != nil {
-		return 0, 0, 0, err
-	}
-	return len(r.Journal), r.ManualEditEstimate(), r.ProductivityFactor(), nil
-}
-
-func BenchmarkE10_RecoderProductivity(b *testing.B) {
-	var table string
-	for i := 0; i < b.N; i++ {
-		ops, lines, factor, err := runE10()
-		if err != nil {
-			b.Fatal(err)
-		}
-		table = fmt.Sprintf("E10: recoder chain on the stream kernel\n  designer actions: %d\n  equivalent manual line edits: %d\n  lines per action: %.1fx (paper: up to two orders of magnitude)\n",
-			ops, lines, factor)
-	}
-	printTable("E10", table)
-}
-
-// --- E11: Heisenbug — intrusive vs virtual-platform debugging
-// (section VII) ---
-
-func BenchmarkE11_Heisenbug(b *testing.B) {
-	var table string
-	for i := 0; i < b.N; i++ {
-		baseline, err := debug.RunRace(2, 200, debug.RaceProgram(200), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		prog, _ := isa.Assemble(debug.RaceProgram(200))
-		probed, err := debug.RunRace(2, 200, debug.RaceProgram(200), func(v *vp.VP) {
-			pr := &debug.IntrusiveProbe{Core: 1, TriggerPC: prog.Symbols["loop"], StallCycles: 5000}
-			pr.Install(v)
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		replay, err := debug.RunRace(2, 200, debug.RaceProgram(200), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fixed, err := debug.RunRace(2, 100, debug.SafeProgram(100), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		table = "E11: shared-counter race, 2 cores x 200 increments\nscenario              lost-updates\n"
-		table += fmt.Sprintf("undisturbed           %12d\n", baseline.LostUpdates)
-		table += fmt.Sprintf("intrusive probe       %12d  (Heisenbug: defect hidden)\n", probed.LostUpdates)
-		table += fmt.Sprintf("VP replay             %12d  (identical: %v)\n", replay.LostUpdates, replay.Final == baseline.Final)
-		table += fmt.Sprintf("semaphore-fixed       %12d\n", fixed.LostUpdates)
 	}
-	printTable("E11", table)
-}
-
-// --- E12: watchpoints + scriptable assertions (section VII) ---
-
-func BenchmarkE12_Watchpoints(b *testing.B) {
-	var table string
-	for i := 0; i < b.N; i++ {
-		v, hits, violations, err := runE12()
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = v
-		table = fmt.Sprintf("E12: scripted watchpoint on shared buffer\n  watch hits: %d\n  assertion violations found: %d (illegal oversized writes)\n", hits, violations)
-	}
-	printTable("E12", table)
-}
-
-// --- E13: high-level (MVP) vs cycle-approximate (ISS) simulation ---
-
-func BenchmarkE13_MVPvsISS(b *testing.B) {
-	var table string
-	for i := 0; i < b.N; i++ {
-		mvpEvents, mvpTime, issInstr, issTime, err := runE13()
-		if err != nil {
-			b.Fatal(err)
-		}
-		table = "E13: simulation technology trade-off (same 1ms virtual workload)\nsimulator           work-units            host-cost-proxy\n"
-		table += fmt.Sprintf("MVP (task-level)    %8d events        %v virtual simulated\n", mvpEvents, mvpTime)
-		table += fmt.Sprintf("ISS (instruction)   %8d instructions  %v virtual simulated\n", issInstr, issTime)
-		table += fmt.Sprintf("abstraction ratio: %.0fx fewer units at task level\n",
-			float64(issInstr)/float64(mvpEvents))
-	}
-	printTable("E13", table)
-}
-
-// --- E13b: temporal decoupling — the TLM-2.0-style time quantum
-// closes part of E13's MVP-vs-ISS gap without leaving the ISS
-// abstraction (precise mode stays the default; debugging hooks force
-// it) ---
-
-func BenchmarkE13b_TemporalDecoupling(b *testing.B) {
-	var table string
-	for i := 0; i < b.N; i++ {
-		table = "E13b: ISS with temporal decoupling (same 1ms virtual workload)\nquantum  instructions  kernel-events  events/instr\n"
-		for _, q := range []int{1, 8, 64, 512} {
-			instr, events, err := runE13b(q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			table += fmt.Sprintf("%7d  %12d  %13d  %12.3f\n",
-				q, instr, events, float64(events)/float64(instr))
-		}
-	}
-	printTable("E13b", table)
 }

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -20,11 +21,19 @@ import (
 )
 
 func main() {
-	archFlag := flag.String("arch", "cell", "target: cell, smp, or a path to an architecture XML file")
-	dump := flag.Bool("dump", false, "print the synthesized per-processor sources")
-	emitArch := flag.String("emit-arch", "", "write the selected architecture as XML and exit")
-	workers := flag.Int("workers", 3, "parallel encoder workers in the CIC spec")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "cicc:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("cicc", flag.ExitOnError)
+	archFlag := fs.String("arch", "cell", "target: cell, smp, or a path to an architecture XML file")
+	dump := fs.Bool("dump", false, "print the synthesized per-processor sources")
+	emitArch := fs.String("emit-arch", "", "write the selected architecture as XML and exit")
+	workers := fs.Int("workers", 3, "parallel encoder workers in the CIC spec")
+	fs.Parse(args)
 
 	var arch *cic.ArchInfo
 	switch *archFlag {
@@ -35,12 +44,12 @@ func main() {
 	default:
 		f, err := os.Open(*archFlag)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		a, err := cic.ParseArch(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		arch = a
 	}
@@ -48,27 +57,30 @@ func main() {
 	if *emitArch != "" {
 		f, err := os.Create(*emitArch)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		defer f.Close()
 		if err := cic.WriteArch(f, arch); err != nil {
-			fatal(err)
+			f.Close()
+			return err
 		}
-		fmt.Println("cicc: wrote", *emitArch)
-		return
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout, "cicc: wrote", *emitArch)
+		return nil
 	}
 
 	spec := workload.H264Spec(64, 48, 3, *workers, 3, 5)
-	fmt.Printf("cicc: translating %s onto %s\n", spec.Name, arch.Name)
+	fmt.Fprintf(stdout, "cicc: translating %s onto %s\n", spec.Name, arch.Name)
 	m, err := cic.AutoMap(spec, arch)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	tp, err := cic.Translate(spec, arch, m)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Print(tp.Report)
+	fmt.Fprint(stdout, tp.Report)
 	if *dump {
 		var names []string
 		for name := range tp.Generated {
@@ -76,18 +88,14 @@ func main() {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			fmt.Printf("\n===== %s =====\n%s", name, tp.Generated[name])
+			fmt.Fprintf(stdout, "\n===== %s =====\n%s", name, tp.Generated[name])
 		}
 	}
 	stats, err := tp.Run()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("run: makespan %v, %d bytes moved, %d output ints\n",
+	fmt.Fprintf(stdout, "run: makespan %v, %d bytes moved, %d output ints\n",
 		stats.Makespan, stats.BytesMoved, len(stats.Outputs["merge"]))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cicc:", err)
-	os.Exit(1)
+	return nil
 }

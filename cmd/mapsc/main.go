@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"mpsockit/internal/core"
@@ -21,60 +23,64 @@ import (
 )
 
 func main() {
-	tasks := flag.Int("tasks", 4, "maximum number of coarse tasks")
-	minCycles := flag.Int64("min-cycles", 500, "granularity floor in RISC cycles")
-	plat := flag.String("platform", "wireless", "target platform: wireless or homog16")
-	heuristic := flag.String("heuristic", "list", "mapping heuristic: list, anneal or exhaustive")
-	seed := flag.Uint64("seed", 1, "seed for the annealing mapper (reproducible runs)")
-	frames := flag.Int("frames", 32, "pipelined iterations to simulate")
-	fn := flag.String("fn", "main", "function to partition")
-	demo := flag.Bool("demo", false, "run the built-in JPEG case study")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "mapsc:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("mapsc", flag.ExitOnError)
+	tasks := fs.Int("tasks", 4, "maximum number of coarse tasks")
+	minCycles := fs.Int64("min-cycles", 500, "granularity floor in RISC cycles")
+	plat := fs.String("platform", "wireless", "target platform: wireless or homog16")
+	heuristic := fs.String("heuristic", "list", "mapping heuristic: list, anneal or exhaustive")
+	seed := fs.Uint64("seed", 1, "seed for the annealing mapper (reproducible runs)")
+	frames := fs.Int("frames", 32, "pipelined iterations to simulate")
+	fn := fs.String("fn", "main", "function to partition")
+	demo := fs.Bool("demo", false, "run the built-in JPEG case study")
+	fs.Parse(args)
 
 	var src string
 	switch {
 	case *demo:
 		src = workload.JPEGSourceCIR
-		fmt.Println("mapsc: using the built-in JPEG pipeline (section IV case study)")
-	case flag.NArg() == 1:
-		data, err := os.ReadFile(flag.Arg(0))
+		fmt.Fprintln(stdout, "mapsc: using the built-in JPEG pipeline (section IV case study)")
+	case fs.NArg() == 1:
+		data, err := os.ReadFile(fs.Arg(0))
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		src = string(data)
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return errors.New("want -demo or one source file")
 	}
 
 	f, err := core.NewFlow(src)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := f.Partition(*fn, partition.Options{MaxTasks: *tasks, MinTaskCycles: *minCycles}); err != nil {
-		fatal(err)
+		return err
 	}
 	f.ApplyPragmas(*fn)
 
 	heur, err := mapping.ParseHeuristic(*heuristic)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	target := core.DefaultPlatform()
 	if *plat == "homog16" {
 		target = core.HomogeneousPlatform(16, 1_000_000_000)
 	}
 	if err := f.MapTo(target, mapping.Options{Heuristic: heur, Seed: *seed}); err != nil {
-		fatal(err)
+		return err
 	}
 	f.Iterations = *frames
 	if err := f.Simulate(); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Print(f.Report())
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mapsc:", err)
-	os.Exit(1)
+	fmt.Fprint(stdout, f.Report())
+	return nil
 }

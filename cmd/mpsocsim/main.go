@@ -1,98 +1,32 @@
-// Command mpsocsim runs the platform-level experiments from the
-// command line: homogeneous-vs-heterogeneous scaling (paper section
-// II-A), the reactive hybrid scheduler (II-B), and the
-// time-triggered-vs-data-driven comparison (III).
+// Command mpsocsim prints the tables of the paper's experiments
+// (E1–E13b, sections II–VII) from the internal/paper registry. With
+// no arguments it prints all of them, byte for byte the content of
+// testdata/experiments.golden.
 //
 // Usage:
 //
-//	mpsocsim -exp scaling|scheduler|ttdd [-cores N] [-jitter F]
+//	mpsocsim [-exp all|ID[,ID...]]    # for example -exp E4 or -exp E1,E3
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"mpsockit/internal/amdahl"
-	"mpsockit/internal/noc"
-	"mpsockit/internal/platform"
-	"mpsockit/internal/rtos"
-	"mpsockit/internal/sim"
-	"mpsockit/internal/ttdd"
-	"mpsockit/internal/workload"
+	"mpsockit/internal/paper"
 )
 
 func main() {
-	exp := flag.String("exp", "scaling", "experiment: scaling, scheduler or ttdd")
-	cores := flag.Int("cores", 16, "core count")
-	jitter := flag.Float64("jitter", 0.3, "execution-time jitter for ttdd")
-	flag.Parse()
-
-	switch *exp {
-	case "scaling":
-		scaling()
-	case "scheduler":
-		scheduler(*cores)
-	case "ttdd":
-		ttddExp(*jitter)
-	default:
-		fmt.Fprintln(os.Stderr, "mpsocsim: unknown experiment", *exp)
-		os.Exit(2)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "mpsocsim:", err)
+		os.Exit(1)
 	}
 }
 
-func scaling() {
-	fmt.Println("homogeneous vs a-priori partitioned heterogeneous speedup (section II-A)")
-	fmt.Println("cores  homog  hetero(70/30 mismatch)")
-	for n := 2; n <= 128; n *= 2 {
-		h := amdahl.Speedup(0, n)
-		het := amdahl.HeteroSpeedup(amdahl.HeteroConfig{FracA: 0.7, ShareA: 0.3}, n)
-		fmt.Printf("%5d  %5.1f  %6.1f\n", n, h, het)
-	}
-}
-
-func scheduler(cores int) {
-	fmt.Printf("reactive hybrid scheduler on %d cores (section II-B)\n", cores)
-	k := sim.NewKernel()
-	p := platform.NewHomogeneous(k, cores, 1_000_000_000, noc.MeshFor(k, cores))
-	p.Cores[0].SpaceShared = false
-	s := rtos.NewHybrid(k, p, rtos.DefaultConfig())
-	for i := 0; i < 4; i++ {
-		s.Submit(&rtos.Job{Kind: rtos.Sequential, WorkCycles: 3_000_000})
-	}
-	for i := 0; i < cores; i++ {
-		i := i
-		k.Schedule(sim.Time(i)*sim.Millisecond/2, func() {
-			s.Submit(&rtos.Job{
-				Kind: rtos.Parallel, WorkCycles: 8_000_000, MaxWidth: 4,
-				Deadline: k.Now() + 5*sim.Millisecond,
-			})
-		})
-	}
-	k.RunUntil(200 * sim.Millisecond)
-	st := s.Stats()
-	fmt.Printf("  completed %d jobs, %d misses (%.1f%%), %d boosts, utilization %.1f%%\n",
-		st.Completed, st.Missed, st.MissRate()*100, st.Boosts, s.Utilization()*100)
-}
-
-func ttddExp(jitter float64) {
-	fmt.Printf("time-triggered vs data-driven, jitter %.0f%% (section III)\n", jitter*100)
-	spec := workload.CarRadioTTDD(jitter, 1.1, 500, 42)
-	tt, err := ttdd.RunTimeTriggered(spec)
-	if err != nil {
-		fatal(err)
-	}
-	dd, err := ttdd.RunDataDriven(spec)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("  %-15s overruns=%d corruptions=%d (gaps %d, dups %d) sink-misses=%d\n",
-		tt.Executor, tt.Overruns, tt.Corruptions, tt.Gaps, tt.Duplicates, tt.SinkMisses)
-	fmt.Printf("  %-15s overruns=%d corruptions=%d max-latency=%v\n",
-		dd.Executor, dd.Overruns, dd.Corruptions, dd.MaxLatency)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mpsocsim:", err)
-	os.Exit(1)
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("mpsocsim", flag.ExitOnError)
+	exp := fs.String("exp", "all", "experiments to print: all, or a comma-separated list of IDs (E1..E13b)")
+	fs.Parse(args)
+	return paper.Write(stdout, *exp)
 }

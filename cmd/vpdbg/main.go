@@ -5,51 +5,58 @@
 // Usage:
 //
 //	vpdbg [-cores N] [-script dbg.tcl] [-trace] prog.s [prog2.s ...]
-//	vpdbg -demo-race   # run the Heisenbug demonstration
+//	vpdbg -demo-race   # print the Heisenbug experiment E11
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"mpsockit/internal/debug"
 	"mpsockit/internal/isa"
+	"mpsockit/internal/paper"
 	"mpsockit/internal/script"
 	"mpsockit/internal/sim"
 	"mpsockit/internal/vp"
 )
 
 func main() {
-	cores := flag.Int("cores", 1, "number of cores (programs repeat across cores)")
-	scriptPath := flag.String("script", "", "debug script to run")
-	traceDump := flag.Bool("trace", false, "dump the trace buffer at exit")
-	demoRace := flag.Bool("demo-race", false, "run the Heisenbug race demonstration")
-	quantum := flag.Int("quantum", 1, "temporal-decoupling quantum in instructions per kernel event (1 = precise; debugging hooks force precise)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "vpdbg:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("vpdbg", flag.ExitOnError)
+	cores := fs.Int("cores", 1, "number of cores (programs repeat across cores)")
+	scriptPath := fs.String("script", "", "debug script to run")
+	traceDump := fs.Bool("trace", false, "dump the trace buffer at exit")
+	demoRace := fs.Bool("demo-race", false, "print the Heisenbug race experiment (E11)")
+	quantum := fs.Int("quantum", 1, "temporal-decoupling quantum in instructions per kernel event (1 = precise; debugging hooks force precise)")
+	fs.Parse(args)
 
 	if *quantum < 1 {
-		fmt.Fprintln(os.Stderr, "vpdbg: -quantum must be >= 1")
-		os.Exit(2)
+		return errors.New("-quantum must be >= 1")
 	}
-
 	if *demoRace {
-		raceDemo()
-		return
+		return paper.Write(stdout, "E11")
 	}
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: vpdbg [-cores N] [-script s.tcl] prog.s ...")
-		os.Exit(2)
+	if fs.NArg() == 0 {
+		return errors.New("usage: vpdbg [-cores N] [-script s.tcl] prog.s ...")
 	}
 	var progs []*isa.Program
-	for _, path := range flag.Args() {
+	for _, path := range fs.Args() {
 		data, err := os.ReadFile(path)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		p, err := isa.Assemble(string(data))
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		progs = append(progs, p)
 	}
@@ -60,68 +67,34 @@ func main() {
 	for c := 0; c < *cores; c++ {
 		v.LoadProgram(c, progs[c%len(progs)])
 	}
-	d := debug.New(v)
-	in := script.New(d)
+	in := script.New(debug.New(v))
 	in.Symbols = progs[0].Symbols
 	v.Start()
 
 	if *scriptPath != "" {
 		data, err := os.ReadFile(*scriptPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := in.Run(string(data)); err != nil {
-			fatal(err)
+			return err
 		}
 	} else {
 		v.RunUntilHalted(sim.Second)
 	}
 	for _, o := range in.Out {
-		fmt.Println(o)
+		fmt.Fprintln(stdout, o)
 	}
 	for _, viol := range in.Violations {
-		fmt.Println("VIOLATION:", viol)
+		fmt.Fprintln(stdout, "VIOLATION:", viol)
 	}
 	for c := 0; c < *cores; c++ {
 		if len(v.Console[c]) > 0 {
-			fmt.Printf("console core%d: %v\n", c, v.Console[c])
+			fmt.Fprintf(stdout, "console core%d: %v\n", c, v.Console[c])
 		}
 	}
 	if *traceDump {
-		fmt.Print(v.Trace.Dump())
+		fmt.Fprint(stdout, v.Trace.Dump())
 	}
-}
-
-func raceDemo() {
-	fmt.Println("vpdbg: Heisenbug demonstration (section VII)")
-	baseline, err := debug.RunRace(2, 200, debug.RaceProgram(200), nil)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("  undisturbed run:     %d/%d updates lost\n", baseline.LostUpdates, baseline.Expected)
-	prog, _ := isa.Assemble(debug.RaceProgram(200))
-	probed, err := debug.RunRace(2, 200, debug.RaceProgram(200), func(v *vp.VP) {
-		pr := &debug.IntrusiveProbe{Core: 1, TriggerPC: prog.Symbols["loop"], StallCycles: 5000}
-		pr.Install(v)
-	})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("  intrusive probe:     %d lost (the bug vanished under the debugger!)\n", probed.LostUpdates)
-	replay, err := debug.RunRace(2, 200, debug.RaceProgram(200), nil)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("  VP deterministic rerun: %d lost (identical to first run: %v)\n",
-		replay.LostUpdates, replay.Final == baseline.Final)
-	fixed, err := debug.RunRace(2, 100, debug.SafeProgram(100), nil)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("  semaphore-guarded:   %d lost (fix verified on the VP)\n", fixed.LostUpdates)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "vpdbg:", err)
-	os.Exit(1)
+	return nil
 }

@@ -63,6 +63,8 @@
 // the workflow guide; docs/dsed.md the farm's; docs/architecture.md
 // maps the layers.
 //
-// bench_test.go in this directory regenerates every experiment
-// (E1–E13).
+// The paper's section claims are experiments E1–E13b of the
+// internal/paper registry: cmd/mpsocsim prints their tables,
+// testdata/experiments.golden pins them, and docs/paper.md maps each
+// claim to its experiment and tests.
 package mpsockit

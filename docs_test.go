@@ -16,6 +16,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"mpsockit/internal/paper"
 )
 
 // docFiles returns the repo's markdown files: everything at the root
@@ -220,4 +222,65 @@ func tableRows(doc, heading string) []string {
 		}
 	}
 	return rows
+}
+
+// testName matches a test named in a backticked cell.
+var testName = regexp.MustCompile("`(Test[A-Za-z0-9_]+)`")
+
+// testDecl matches a test function's declaration.
+var testDecl = regexp.MustCompile(`(?m)^func (Test[A-Za-z0-9_]+)\(t \*testing\.T\)`)
+
+// TestDocsPaperIndex: docs/paper.md has a row for every experiment of
+// the internal/paper registry, and every test a row names exists.
+func TestDocsPaperIndex(t *testing.T) {
+	doc, err := os.ReadFile("docs/paper.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir // .git, build caches
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testDecl.FindAllStringSubmatch(string(src), -1) {
+			declared[m[1]] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexed := map[string]bool{}
+	rows := tableRows(string(doc), "| Section |")
+	if len(rows) < 3 {
+		t.Fatalf("docs/paper.md: found %d index table lines — heading changed?", len(rows))
+	}
+	for _, row := range rows[2:] {
+		cells := strings.Split(row, "|")
+		if len(cells) != 6 {
+			t.Fatalf("docs/paper.md row has %d cells, want 4: %s", len(cells)-2, row)
+		}
+		id := strings.TrimSpace(cells[3])
+		indexed[id] = true
+		names := testName.FindAllStringSubmatch(cells[4], -1)
+		if len(names) == 0 {
+			t.Errorf("docs/paper.md row %s names no test", id)
+		}
+		for _, m := range names {
+			if !declared[m[1]] {
+				t.Errorf("docs/paper.md row %s names %s, which no _test.go declares", id, m[1])
+			}
+		}
+	}
+	for _, e := range paper.All {
+		if !indexed[e.ID] {
+			t.Errorf("experiment %s has no row in docs/paper.md", e.ID)
+		}
+	}
 }

@@ -1,52 +1,27 @@
 // The section III experiment: a car-radio stream chain under
 // time-triggered versus data-driven execution, swept over
-// execution-time jitter, plus the CSDF buffer-sizing analysis of
-// reference [5]. The data-driven executor never corrupts the stream;
-// the time-triggered one silently overwrites and re-reads data as
-// soon as actual times exceed their design-time estimates.
+// execution-time jitter (E4), plus the CSDF buffer-sizing analysis of
+// reference [5] (E5), both from the internal/paper registry. The
+// data-driven executor never corrupts the stream; the time-triggered
+// one silently overwrites and re-reads data as soon as actual times
+// exceed their design-time estimates.
 package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
-	"mpsockit/internal/dataflow"
-	"mpsockit/internal/ttdd"
-	"mpsockit/internal/workload"
+	"mpsockit/internal/paper"
 )
 
 func main() {
-	fmt.Println("time-triggered vs data-driven (400 periods, 10% WCET margin)")
-	fmt.Println("jitter  TT-corruptions  DD-corruptions  DD-max-latency")
-	for _, jitter := range []float64{0, 0.15, 0.3, 0.45, 0.6} {
-		spec := workload.CarRadioTTDD(jitter, 1.1, 400, 42)
-		tt, err := ttdd.RunTimeTriggered(spec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		dd, err := ttdd.RunDataDriven(spec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%6.2f  %14d  %14d  %14v\n",
-			jitter, tt.Corruptions, dd.Corruptions, dd.MaxLatency)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "carradio_ttdd:", err)
+		os.Exit(1)
 	}
+}
 
-	fmt.Println("\nCSDF buffer sizing for the same chain (wait-free periodic source):")
-	g := workload.CarRadioGraph()
-	selfPeriod, err := g.SelfTimedPeriod(64)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("self-timed sink period: %.0f ps\n", selfPeriod)
-	for _, mult := range []float64{1.2, 1.5, 2.0} {
-		period := int64(float64(selfPeriod) * mult / 4)
-		caps, err := g.MinBufferSizes(period, 24)
-		if err != nil {
-			fmt.Printf("source period %d ps: infeasible\n", period)
-			continue
-		}
-		fmt.Printf("source period %d ps: buffers %v (total %d tokens)\n",
-			period, caps, dataflow.TotalTokens(caps))
-	}
+func run(_ []string, stdout io.Writer) error {
+	return paper.Write(stdout, "E4,E5")
 }

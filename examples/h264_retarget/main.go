@@ -4,55 +4,46 @@
 // synthesized interface code differs per target; the encoded stream
 // is byte-identical — "from the same CIC specification, we also
 // generated a parallel program for an MPCore processor … which
-// confirms the retargetability of the CIC model".
+// confirms the retargetability of the CIC model". The study is E9 of
+// the internal/paper registry.
 package main
 
 import (
+	"errors"
 	"fmt"
-	"log"
+	"io"
+	"os"
 
-	"mpsockit/internal/cic"
-	"mpsockit/internal/targets"
-	"mpsockit/internal/workload"
+	"mpsockit/internal/paper"
 )
 
-func run(arch *cic.ArchInfo) (*cic.RunStats, *cic.TargetProgram) {
-	spec := workload.H264Spec(64, 48, 3, 3, 3, 5)
-	m, err := cic.AutoMap(spec, arch)
-	if err != nil {
-		log.Fatal(err)
+func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "h264_retarget:", err)
+		os.Exit(1)
 	}
-	tp, err := cic.Translate(spec, arch, m)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(tp.Report)
-	stats, err := tp.Run()
-	if err != nil {
-		log.Fatal(err)
-	}
-	return stats, tp
 }
 
-func main() {
-	golden := workload.EncodeVideo(workload.SyntheticVideo(64, 48, 3, 5), 3)
-	fmt.Printf("golden sequential encoder: %d-int stream\n\n", len(golden))
-
-	fmt.Println("--- target 1: Cell-like (DMA message passing) ---")
-	cell, _ := run(targets.CellLike(4))
-	fmt.Printf("makespan %v, %d bytes over the DMA fabric\n\n", cell.Makespan, cell.BytesMoved)
-
-	fmt.Println("--- target 2: MPCore-like SMP (lock-protected shared FIFOs) ---")
-	smp, _ := run(targets.SMP(4))
-	fmt.Printf("makespan %v, %d bytes through shared memory\n\n", smp.Makespan, smp.BytesMoved)
-
-	a, b := cell.Outputs["merge"], smp.Outputs["merge"]
-	identical := len(a) == len(b) && len(a) == len(golden)
-	for i := 0; identical && i < len(a); i++ {
-		identical = a[i] == b[i] && a[i] == golden[i]
+func run(_ []string, stdout io.Writer) error {
+	res, err := paper.E9()
+	if err != nil {
+		return err
 	}
-	fmt.Printf("streams identical across both targets and the golden model: %v\n", identical)
-	if !identical {
-		log.Fatal("retargetability broken")
+	fmt.Fprintf(stdout, "golden sequential encoder: %d-int stream\n\n", len(res.Sequential))
+	for i, t := range []struct {
+		title, via string
+		paper.E9Target
+	}{
+		{"Cell-like (DMA message passing)", "over the DMA fabric", res.Cell},
+		{"MPCore-like SMP (lock-protected shared FIFOs)", "through shared memory", res.SMP},
+	} {
+		fmt.Fprintf(stdout, "--- target %d: %s ---\n", i+1, t.title)
+		fmt.Fprint(stdout, t.Program.Report)
+		fmt.Fprintf(stdout, "makespan %v, %d bytes %s\n\n", t.Stats.Makespan, t.Stats.BytesMoved, t.via)
 	}
+	fmt.Fprintf(stdout, "streams identical across both targets and the golden model: %v\n", res.MatchesSequential)
+	if !res.MatchesSequential {
+		return errors.New("retargetability broken")
+	}
+	return nil
 }

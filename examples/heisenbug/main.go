@@ -1,58 +1,55 @@
 // The section VII debugging story end to end:
 //
 //  1. a two-core program races on a shared counter and loses updates;
-//  2. a traditional intrusive probe (halting only the core under
-//     debug) makes the defect vanish — a Heisenbug;
-//  3. the virtual platform reproduces it deterministically, a
-//     watchpoint + scripted assertion locates the unsynchronized
-//     writes, and the trace shows the interleaving;
-//  4. the semaphore-guarded fix is verified on the same platform.
+//     a traditional intrusive probe (halting only the core under
+//     debug) makes the defect vanish — a Heisenbug; the virtual
+//     platform reproduces it deterministically, and the
+//     semaphore-guarded fix is verified on the same platform. These
+//     runs are E11 of the internal/paper registry;
+//  2. on the virtual platform, a watchpoint + scripted assertion
+//     locates the unsynchronized writes, and the trace shows the
+//     interleaving.
 package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"mpsockit/internal/debug"
 	"mpsockit/internal/isa"
+	"mpsockit/internal/paper"
 	"mpsockit/internal/script"
 	"mpsockit/internal/sim"
 	"mpsockit/internal/vp"
 )
 
 func main() {
-	const iters = 100
-
-	// 1. The defect.
-	baseline, err := debug.RunRace(2, iters, debug.RaceProgram(iters), nil)
-	if err != nil {
-		log.Fatal(err)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "heisenbug:", err)
+		os.Exit(1)
 	}
-	fmt.Printf("1. undisturbed: expected %d, got %d -> %d lost updates\n",
-		baseline.Expected, baseline.Final, baseline.LostUpdates)
+}
 
-	// 2. The Heisenbug.
-	prog, _ := isa.Assemble(debug.RaceProgram(iters))
-	probed, err := debug.RunRace(2, iters, debug.RaceProgram(iters), func(v *vp.VP) {
-		pr := &debug.IntrusiveProbe{Core: 1, TriggerPC: prog.Symbols["loop"], StallCycles: 5000}
-		pr.Install(v)
-	})
-	if err != nil {
-		log.Fatal(err)
+func run(_ []string, stdout io.Writer) error {
+	// 1. The defect, the Heisenbug, the replay and the fix.
+	if err := paper.Write(stdout, "E11"); err != nil {
+		return err
 	}
-	fmt.Printf("2. intrusive probe attached: %d lost updates — the bug disappeared\n",
-		probed.LostUpdates)
 
-	// 3. Diagnose on the virtual platform: watch every write to the
+	// 2. Diagnose on the virtual platform: watch every write to the
 	// counter and assert writes never decrease (lost updates violate
 	// monotonic growth of max).
+	prog, err := isa.Assemble(debug.RaceProgram(paper.RaceIters))
+	if err != nil {
+		return err
+	}
 	k := sim.NewKernel()
 	v := vp.New(k, vp.DefaultConfig(2))
 	for c := 0; c < 2; c++ {
 		v.LoadProgram(c, prog)
 	}
-	d := debug.New(v)
-	in := script.New(d)
+	in := script.New(debug.New(v))
 	in.Symbols = prog.Symbols
 	v.Start()
 	err = in.Run(`
@@ -65,19 +62,13 @@ func main() {
 		run 5000us
 	`)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("3. VP watchpoint: %d monotonicity violations pinpoint the lost updates\n",
+	fmt.Fprintf(stdout, "\nVP watchpoint: %d monotonicity violations pinpoint the lost updates\n",
 		len(in.Violations))
-	fmt.Println("   last peripheral/memory trace entries:")
+	fmt.Fprintln(stdout, "last peripheral/memory trace entries:")
 	for _, e := range v.Trace.Last(3) {
-		fmt.Println("   ", e)
+		fmt.Fprintln(stdout, "  ", e)
 	}
-
-	// 4. The fix.
-	fixed, err := debug.RunRace(2, iters, debug.SafeProgram(iters), nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("4. semaphore-guarded version: %d lost updates — fix verified\n", fixed.LostUpdates)
+	return nil
 }

@@ -2,7 +2,8 @@
 // sequential JPEG-like encoder into a task pipeline, sweep the task
 // count, and report the speedup on the wireless-terminal platform —
 // "initial case studies on partitioning applications like JPEG
-// encoder indicate promising speedup results".
+// encoder indicate promising speedup results". The sweep is E6 of the
+// internal/paper registry.
 //
 // Also runs the real (Go) JPEG block pipeline on a test image so the
 // workload itself is demonstrably functional.
@@ -10,47 +11,38 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
-	"mpsockit/internal/core"
-	"mpsockit/internal/mapping"
-	"mpsockit/internal/partition"
+	"mpsockit/internal/paper"
 	"mpsockit/internal/workload"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "jpeg_pipeline:", err)
+		os.Exit(1)
+	}
+}
+
+func run(_ []string, stdout io.Writer) error {
 	// 1. The functional encoder on a synthetic image.
 	img := workload.TestImage(64, 64, 1)
 	stream := workload.EncodeJPEG(img, 64, 64, 4)
-	fmt.Printf("functional encoder: 64x64 image -> %d-symbol stream\n\n", len(stream))
+	fmt.Fprintf(stdout, "functional encoder: 64x64 image -> %d-symbol stream\n\n", len(stream))
 
-	// 2. The MAPS flow over the C-subset version.
-	fmt.Println("MAPS partitioning sweep (32 pipelined frames):")
-	fmt.Println("tasks  speedup")
-	for _, maxTasks := range []int{1, 2, 4, 6} {
-		flow, err := core.NewFlow(workload.JPEGSourceCIR)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := flow.Partition("main", partition.Options{MaxTasks: maxTasks, MinTaskCycles: 500}); err != nil {
-			log.Fatal(err)
-		}
-		if err := flow.MapTo(core.DefaultPlatform(), mapping.Options{Heuristic: mapping.List}); err != nil {
-			log.Fatal(err)
-		}
-		flow.Iterations = 32
-		if err := flow.Simulate(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%5d  %6.2fx\n", len(flow.Part.Graph.Tasks), flow.Speedup())
+	// 2. The MAPS flow over the C-subset version, swept over the task
+	// count.
+	if err := paper.Write(stdout, "E6"); err != nil {
+		return err
 	}
 
 	// 3. Full detail for the best configuration.
-	flow, _ := core.NewFlow(workload.JPEGSourceCIR)
-	_ = flow.Partition("main", partition.Options{MaxTasks: 4, MinTaskCycles: 500})
-	_ = flow.MapTo(core.DefaultPlatform(), mapping.Options{Heuristic: mapping.List})
-	flow.Iterations = 32
-	_ = flow.Simulate()
-	fmt.Println()
-	fmt.Print(flow.Report())
+	flow, err := paper.JPEGFlow(4, 32)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, flow.Report())
+	return nil
 }

@@ -5,7 +5,8 @@ package main
 
 import (
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"mpsockit/internal/core"
 	"mpsockit/internal/mapping"
@@ -33,19 +34,27 @@ const src = `
 `
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "quickstart:", err)
+		os.Exit(1)
+	}
+}
+
+func run(_ []string, stdout io.Writer) error {
 	flow, err := core.NewFlow(src)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := flow.Partition("main", partition.Options{MaxTasks: 3, MinTaskCycles: 500}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := flow.MapTo(core.DefaultPlatform(), mapping.Options{Heuristic: mapping.List}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	flow.Iterations = 16
 	if err := flow.Simulate(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Print(flow.Report())
+	fmt.Fprint(stdout, flow.Report())
+	return nil
 }

@@ -10,13 +10,12 @@ import (
 	"mpsockit/internal/cic"
 	"mpsockit/internal/cir"
 	"mpsockit/internal/core"
-	"mpsockit/internal/debug"
 	"mpsockit/internal/isa"
 	"mpsockit/internal/iss"
 	"mpsockit/internal/mapping"
+	"mpsockit/internal/paper"
 	"mpsockit/internal/partition"
 	"mpsockit/internal/recode"
-	"mpsockit/internal/script"
 	"mpsockit/internal/sim"
 	"mpsockit/internal/targets"
 	"mpsockit/internal/vp"
@@ -183,49 +182,11 @@ func TestSameBinaryISSAndVP(t *testing.T) {
 	}
 }
 
-// TestScriptedDebugOfRaceFindsRootCause ties VII together: watch the
-// shared counter during the race, assert monotonic growth, and
-// confirm the script pinpoints violations while the program is
-// unmodified.
-func TestScriptedDebugOfRaceFindsRootCause(t *testing.T) {
-	prog, err := isa.Assemble(debug.RaceProgram(50))
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := sim.NewKernel()
-	v := vp.New(k, vp.DefaultConfig(2))
-	v.LoadProgram(0, prog)
-	v.LoadProgram(1, prog)
-	d := debug.New(v)
-	in := script.New(d)
-	in.Symbols = prog.Symbols
-	v.Start()
-	err = in.Run(`
-		set seen 0
-		watch write 0x40000000
-		onwatch 1 {
-			assert $hit_value > $seen
-			set seen $hit_value
-		}
-		run 5000us
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(in.Violations) == 0 {
-		t.Fatal("scripted assertion failed to catch the race")
-	}
-	// The trace shows overlapping read-modify-write windows.
-	if len(v.Trace.OfKind(1)) == 0 { // MemRd
-		t.Fatal("no read trace")
-	}
-}
-
 // TestConcurrencyDrivenDimensioning chains E8 into the scheduler: the
 // worst-case load must actually be schedulable on the computed core
 // count.
 func TestConcurrencyDrivenDimensioning(t *testing.T) {
-	cg := buildE8()
+	cg := paper.E8Scenario()
 	load, _ := cg.WorstCaseLoad(0 /* platform.RISC */)
 	needed := int(load/400e6) + 1
 	if needed < 1 || needed > 8 {

@@ -34,9 +34,6 @@ type Pragma struct {
 	Order []string
 }
 
-// Pos implements Node.
-func (p *Pragma) Pos() int { return p.Line }
-
 // Get returns a pragma value and whether it was present.
 func (p *Pragma) Get(key string) (string, bool) {
 	v, ok := p.Keys[key]
@@ -65,9 +62,6 @@ type FuncDecl struct {
 	Body    *Block
 	Pragmas []*Pragma
 }
-
-// Pos implements Node.
-func (f *FuncDecl) Pos() int { return f.Line }
 
 // Pragma returns the first pragma value for key across the function's
 // annotations.
@@ -233,11 +227,6 @@ func Walk(n Node, fn func(Node) bool) {
 		if x.Init != nil {
 			Walk(x.Init, fn)
 		}
-	case *FuncDecl:
-		for _, p := range x.Params {
-			Walk(p, fn)
-		}
-		Walk(x.Body, fn)
 	case *Block:
 		for _, s := range x.Stmts {
 			Walk(s, fn)
@@ -285,7 +274,7 @@ func Walk(n Node, fn func(Node) bool) {
 		for _, a := range x.Args {
 			Walk(a, fn)
 		}
-	case *IntLit, *Ident, *Pragma:
+	case *IntLit, *Ident:
 	default:
 		panic(fmt.Sprintf("cir: Walk: unknown node %T", n))
 	}

@@ -1,15 +1,12 @@
 package workload
 
-import (
-	"mpsockit/internal/dataflow"
-	"mpsockit/internal/ttdd"
-)
+import "mpsockit/internal/dataflow"
 
 // The car-radio stream chain of the paper's section III (the NXP
 // Hijdra application domain): sample -> decimating FIR -> FM demod ->
-// stereo decoder -> DAC. Provided in two forms: a CSDF graph for the
-// buffer-sizing analysis (experiment E5) and a ttdd.Spec for the
-// time-triggered versus data-driven comparison (experiment E4).
+// stereo decoder -> DAC. This is its CSDF graph for the buffer-sizing
+// analysis (experiment E5); ttdd.CarRadioSpec is the same chain for
+// the time-triggered versus data-driven comparison (experiment E4).
 
 // CarRadioGraph builds the CSDF model. Execution times are in
 // picoseconds; the decimator consumes 4 samples per output (a
@@ -28,11 +25,4 @@ func CarRadioGraph() *dataflow.Graph {
 	g.Connect(demod, stereo, []int{1}, []int{1, 1}, 0)
 	g.Connect(stereo, dac, []int{1, 1}, []int{1}, 0)
 	return g
-}
-
-// CarRadioTTDD returns the section III executor spec (defined in
-// internal/ttdd) with the given jitter/margin, so benches drive both
-// representations of the same application from one place.
-func CarRadioTTDD(jitter, margin float64, iters int, seed uint64) ttdd.Spec {
-	return ttdd.CarRadioSpec(jitter, margin, iters, seed)
 }
