@@ -25,7 +25,7 @@
 // for simulation speed. Quantum=1 (the default) is precise mode, with
 // event ordering byte-identical to per-instruction stepping; precise
 // mode is also forced automatically whenever debugging hooks
-// (breakpoints, memory/IRQ watchpoints, OnStep) are installed or the
+// (breakpoints, memory watchpoints, OnStep) are installed or the
 // system is suspended, so the section-VII debugging semantics never
 // change. Deterministic replay holds at every quantum: identical
 // configurations dispatch identical event sequences.

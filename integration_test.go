@@ -92,9 +92,9 @@ func interpretMain(t *testing.T, src string) int64 {
 	return in.Output[len(in.Output)-1]
 }
 
-// TestCICXMLWorkflow exercises the full file-based CIC path the cicc
-// tool uses: write architecture + mapping to XML, read them back,
-// translate, run.
+// TestCICXMLWorkflow exercises the file-based CIC path: write the
+// architecture (which cicc reads) and the mapping to XML, read them
+// back, translate, run.
 func TestCICXMLWorkflow(t *testing.T) {
 	arch := targets.CellLike(3)
 	spec := workload.H264Spec(32, 32, 2, 2, 3, 9)

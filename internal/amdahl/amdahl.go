@@ -46,19 +46,6 @@ func SpeedupBoosted(f float64, n int, boost float64) float64 {
 	return 1 / (f/boost + (1-f)/float64(n))
 }
 
-// SerialFractionForTarget returns the largest serial fraction that
-// still achieves the target speedup on n cores with the given boost
-// (solving SpeedupBoosted for f). It returns a negative value when
-// the target is unreachable even at f=0.
-func SerialFractionForTarget(target float64, n int, boost float64) float64 {
-	// 1/target = f/boost + (1-f)/n  =>  f (1/boost - 1/n) = 1/target - 1/n
-	den := 1/boost - 1/float64(n)
-	if den == 0 {
-		return math.NaN()
-	}
-	return (1/target - 1/float64(n)) / den
-}
-
 // HeteroConfig describes an a-priori functional partitioning across
 // two ISA-incompatible core pools, the scaling foil of section II-A.
 type HeteroConfig struct {
@@ -103,24 +90,4 @@ func HeteroSpeedup(cfg HeteroConfig, n int) float64 {
 		return float64(n)
 	}
 	return 1 / t
-}
-
-// Efficiency returns speedup divided by core count — the "near
-// linear" criterion of section II-A expressed as a scalar in (0,1].
-func Efficiency(speedup float64, n int) float64 {
-	return speedup / float64(n)
-}
-
-// CrossoverBoost returns the boost factor at which a boosted serial
-// phase on n cores matches the speedup of 2n cores without boost —
-// quantifying the paper's argument that raising sequential
-// performance can beat adding cores for Amdahl-limited codes.
-func CrossoverBoost(f float64, n int) float64 {
-	target := Speedup(f, 2*n)
-	// Solve 1/target = f/b + (1-f)/n for b.
-	rhs := 1/target - (1-f)/float64(n)
-	if rhs <= 0 {
-		return math.Inf(1)
-	}
-	return f / rhs
 }

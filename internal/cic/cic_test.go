@@ -328,7 +328,10 @@ func TestRunDeadlockDetected(t *testing.T) {
 	}
 }
 
+// TestStatefulTask: a task body keeps state across its firings and
+// its Wrapup sees the final value.
 func TestStatefulTask(t *testing.T) {
+	var sum int32
 	spec := &Spec{
 		Name: "acc",
 		Tasks: []*TaskSpec{
@@ -342,11 +345,8 @@ func TestStatefulTask(t *testing.T) {
 				Name: "accum", Firings: 5,
 				In:              []PortSpec{{Name: "i", Rate: 1, TokenInts: 1}},
 				CyclesPerFiring: map[string]int64{"CTRL": 100, "DSP": 100},
-				Go: func(ctx *TaskCtx) {
-					s := ctx.State("sum") + ctx.Read("i")[0]
-					ctx.SetState("sum", s)
-				},
-				Wrapup: func(ctx *TaskCtx) { ctx.Emit(ctx.State("sum")) },
+				Go:              func(ctx *TaskCtx) { sum += ctx.Read("i")[0] },
+				Wrapup:          func(ctx *TaskCtx) { ctx.Emit(sum) },
 			},
 		},
 		Channels: []*ChannelSpec{

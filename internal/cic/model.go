@@ -30,7 +30,6 @@ type TaskCtx struct {
 	in     map[string][]int32
 	out    map[string][][]int32
 	emit   []int32
-	state  map[string]int32
 }
 
 // Read returns the tokens consumed from port this firing.
@@ -52,12 +51,6 @@ func (c *TaskCtx) Write(port string, vals ...int32) {
 func (c *TaskCtx) Emit(vals ...int32) {
 	c.emit = append(c.emit, vals...)
 }
-
-// State returns persistent per-task state surviving across firings.
-func (c *TaskCtx) State(key string) int32 { return c.state[key] }
-
-// SetState updates persistent per-task state.
-func (c *TaskCtx) SetState(key string, v int32) { c.state[key] = v }
 
 // TaskFunc is the body of a CIC task, executed once per firing.
 type TaskFunc func(ctx *TaskCtx)

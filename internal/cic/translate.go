@@ -400,14 +400,13 @@ func (tp *TargetProgram) Run() (*RunStats, error) {
 		core := plat.Core(procIdx[pname])
 		cycles := t.CyclesPerFiring[proc.Class]
 		k.Spawn(t.Name, func(p *sim.Proc) {
-			state := map[string]int32{}
 			if t.Init != nil {
-				ctx := &TaskCtx{in: map[string][]int32{}, out: map[string][][]int32{}, state: state}
+				ctx := &TaskCtx{in: map[string][]int32{}, out: map[string][][]int32{}}
 				t.Init(ctx)
 				stats.Outputs[t.Name] = append(stats.Outputs[t.Name], ctx.emit...)
 			}
 			for f := 0; f < t.Firings; f++ {
-				ctx := &TaskCtx{Firing: f, in: map[string][]int32{}, out: map[string][][]int32{}, state: state}
+				ctx := &TaskCtx{Firing: f, in: map[string][]int32{}, out: map[string][][]int32{}}
 				// Gather inputs.
 				for _, port := range t.In {
 					ch := channelInto(tp.Spec, t.Name, port.Name)
@@ -447,7 +446,7 @@ func (tp *TargetProgram) Run() (*RunStats, error) {
 				}
 			}
 			if t.Wrapup != nil {
-				ctx := &TaskCtx{in: map[string][]int32{}, out: map[string][][]int32{}, state: state}
+				ctx := &TaskCtx{in: map[string][]int32{}, out: map[string][][]int32{}}
 				t.Wrapup(ctx)
 				stats.Outputs[t.Name] = append(stats.Outputs[t.Name], ctx.emit...)
 			}

@@ -56,7 +56,3 @@ func (b *Backoff) Next() time.Duration {
 // bursts while the sequence as a whole remains a pure function of the
 // seed and the call pattern.
 func (b *Backoff) Reset() { b.attempt = 0 }
-
-// Attempt returns how many delays have been handed out since the last
-// Reset.
-func (b *Backoff) Attempt() int { return b.attempt }

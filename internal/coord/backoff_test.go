@@ -58,8 +58,8 @@ func TestBackoffBounds(t *testing.T) {
 			}
 		}
 	}
-	if got := b.Attempt(); got != 12 {
-		t.Fatalf("Attempt() = %d, want 12", got)
+	if got := b.attempt; got != 12 {
+		t.Fatalf("attempt = %d, want 12", got)
 	}
 	b.Reset()
 	if d := b.Next(); d >= base {

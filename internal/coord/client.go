@@ -471,7 +471,7 @@ func (w *Worker) checkpointLocal(sw *workerSweep, l Lease, lines []byte) error {
 	}
 	path := filepath.Join(w.cfg.CheckpointDir, fmt.Sprintf("%s-%s-lease%d.jsonl", w.cfg.ID, l.Sweep, l.ID))
 	h := sw.header
-	h.Shard = &dse.Shard{Index: 0, Count: 1, Lo: l.Lo, Hi: l.Hi}
+	h.Shard = &dse.Shard{Lo: l.Lo, Hi: l.Hi}
 	err := dse.AtomicWriteFile(path, func(f io.Writer) error {
 		if err := dse.WriteHeader(f, h); err != nil {
 			return err

@@ -407,15 +407,6 @@ func (s *Server) Done() <-chan struct{} {
 	return s.boot.done
 }
 
-// Header returns the boot sweep's provenance header (zero in service
-// mode).
-func (s *Server) Header() dse.Header {
-	if s.boot == nil {
-		return dse.Header{}
-	}
-	return s.boot.header
-}
-
 // Points returns the boot sweep's expanded point list.
 func (s *Server) Points() []dse.Point {
 	if s.boot == nil {

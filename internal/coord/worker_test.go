@@ -255,8 +255,8 @@ func TestWorkerResubmitsTornLeaseCheckpoint(t *testing.T) {
 	defer hs.Close()
 
 	const intact = 5
-	h := srv.Header()
-	h.Shard = &dse.Shard{Index: 0, Count: 1, Lo: 0, Hi: intact + 1}
+	h := srv.boot.header
+	h.Shard = &dse.Shard{Lo: 0, Hi: intact + 1}
 	var file bytes.Buffer
 	if err := dse.WriteHeader(&file, h); err != nil {
 		t.Fatal(err)
@@ -305,6 +305,92 @@ func TestWorkerResubmitsTornLeaseCheckpoint(t *testing.T) {
 	}
 }
 
+// TestOldFormatLeaseCheckpoint: a lease checkpoint written while
+// dse.Shard still carried "index" and "count" members merges with the
+// coordinator's log (dse -merge) and is resubmitted on rejoin, byte
+// for byte, without re-evaluating its points.
+func TestOldFormatLeaseCheckpoint(t *testing.T) {
+	const spec, seed = "smoke", uint64(1)
+	_, lines := sweepLines(t, spec, seed)
+	srv, err := New(Config{Spec: spec, Seed: seed, Chunks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	const hi = 6
+	writeFile := func(path string, h dse.Header, lines [][]byte) []byte {
+		var file bytes.Buffer
+		if err := dse.WriteHeader(&file, h); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range lines {
+			file.Write(line)
+			file.WriteByte('\n')
+		}
+		if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return file.Bytes()
+	}
+	h := srv.boot.header
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, fmt.Sprintf("w0-%s-lease1.jsonl", SweepID(h)))
+	h.Shard = &dse.Shard{Lo: 0, Hi: hi}
+	data := writeFile(ckpt, h, lines[:hi])
+	old := bytes.Replace(data, []byte(`"shard":{"lo":`), []byte(`"shard":{"index":0,"count":1,"lo":`), 1)
+	if bytes.Equal(old, data) {
+		t.Fatal("checkpoint header has no shard range to rewrite")
+	}
+	if err := os.WriteFile(ckpt, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	log := filepath.Join(t.TempDir(), "coord.jsonl")
+	writeFile(log, srv.boot.header, lines[hi:])
+	acc, header, err := dse.MergeShards([]string{log, ckpt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var merged bytes.Buffer
+	if _, err := acc.WriteTo(&merged, header); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(merged.Bytes(), referenceBytes(t, spec, seed)) {
+		t.Fatal("merged coordinator log + old-format lease checkpoint differ from the standalone run")
+	}
+
+	var mu sync.Mutex
+	evaluated := map[int]bool{}
+	cfg := quickWorker(hs.URL, "w0")
+	cfg.CheckpointDir = dir
+	cfg.OnResult = func(r dse.Result) {
+		mu.Lock()
+		evaluated[r.Point.ID] = true
+		mu.Unlock()
+	}
+	w := NewWorker(cfg)
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Fatalf("old-format lease checkpoint not removed after resubmission (%v)", err)
+	}
+	for id := 0; id < hi; id++ {
+		if evaluated[id] {
+			t.Fatalf("point %d re-evaluated: its checkpointed line was not resubmitted", id)
+		}
+	}
+	var got bytes.Buffer
+	if err := srv.WriteFinal(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), referenceBytes(t, spec, seed)) {
+		t.Fatal("output differs after resubmitting an old-format lease checkpoint")
+	}
+}
+
 // TestWorkerRefusesSpecHashMismatch checks the first-lease drift
 // guard: a worker whose local expansion hashes differently refuses the
 // sweep instead of submitting conflicting bytes later.
@@ -315,7 +401,7 @@ func TestWorkerRefusesSpecHashMismatch(t *testing.T) {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /lease", func(w http.ResponseWriter, r *http.Request) {
-		h := srv.Header()
+		h := srv.boot.header
 		h.SpecHash = "0000000000000000"
 		json.NewEncoder(w).Encode(LeaseResponse{
 			Lease:  &Lease{Sweep: SweepID(h), ID: 1, Lo: 0, Hi: 4, DeadlineMS: 30000},
@@ -344,7 +430,7 @@ func TestWorkerConflictNotRetried(t *testing.T) {
 	var mu sync.Mutex
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /lease", func(w http.ResponseWriter, r *http.Request) {
-		h := srv.Header()
+		h := srv.boot.header
 		json.NewEncoder(w).Encode(LeaseResponse{
 			Lease:  &Lease{Sweep: SweepID(h), ID: 1, Lo: 0, Hi: 4, DeadlineMS: 30000},
 			Header: &h,
@@ -441,7 +527,7 @@ func TestWorkerFlushCadence(t *testing.T) {
 		{10, 3, []int{3, 3, 3, 1}},
 	} {
 		t.Run(fmt.Sprintf("n%d-flush%d", tc.n, tc.flush), func(t *testing.T) {
-			stub, hs := newStubCoord(t, srv.Header(), tc.n)
+			stub, hs := newStubCoord(t, srv.boot.header, tc.n)
 			cfg := quickWorker(hs.URL, "w0")
 			cfg.FlushPoints = tc.flush
 			w := NewWorker(cfg)
@@ -468,7 +554,7 @@ func TestWorkerCancelMidLeaseLosesLessThanABatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stub, hs := newStubCoord(t, srv.Header(), n)
+	stub, hs := newStubCoord(t, srv.boot.header, n)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var w *Worker

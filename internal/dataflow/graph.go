@@ -203,19 +203,3 @@ func (g *Graph) Validate() error {
 	_, err := g.RepetitionVector()
 	return err
 }
-
-// Chain builds a linear SDF pipeline with unit rates: a common shape
-// for the paper's car-radio stream processing. execTimes are in
-// picoseconds.
-func Chain(name string, execTimes ...int64) *Graph {
-	g := NewGraph(name)
-	var prev *Actor
-	for i, t := range execTimes {
-		a := g.AddActor(fmt.Sprintf("%s%d", name, i), t)
-		if prev != nil {
-			g.ConnectSDF(prev, a, 1, 1, 0)
-		}
-		prev = a
-	}
-	return g
-}

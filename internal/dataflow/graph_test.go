@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -302,4 +303,20 @@ func TestBufferSizingSafetyProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Chain builds a linear SDF pipeline with unit rates: a common shape
+// for the paper's car-radio stream processing. execTimes are in
+// picoseconds.
+func Chain(name string, execTimes ...int64) *Graph {
+	g := NewGraph(name)
+	var prev *Actor
+	for i, t := range execTimes {
+		a := g.AddActor(fmt.Sprintf("%s%d", name, i), t)
+		if prev != nil {
+			g.ConnectSDF(prev, a, 1, 1, 0)
+		}
+		prev = a
+	}
+	return g
 }

@@ -1,5 +1,5 @@
 // Package debug layers the section-VII debugging methodology over the
-// virtual platform: breakpoints, memory and signal watchpoints with
+// virtual platform: breakpoints, memory watchpoints with
 // whole-system suspension, per-core stepping, full state inspection,
 // and system-level software assertions evaluated without changing the
 // target code.
@@ -13,7 +13,6 @@ package debug
 
 import (
 	"fmt"
-	"sort"
 
 	"mpsockit/internal/sim"
 	"mpsockit/internal/trace"
@@ -22,18 +21,13 @@ import (
 
 // StopReason describes why the system suspended.
 type StopReason struct {
-	Kind   string // "break", "watch-mem", "watch-irq", "manual"
+	Kind   string // "break", "watch-mem-read", "watch-mem-write"
 	Core   int
 	PC     uint32
 	Addr   uint32
 	Value  uint32
 	At     sim.Time
 	Detail string
-}
-
-func (r StopReason) String() string {
-	return fmt.Sprintf("%s core%d pc=0x%08x addr=0x%08x val=%#x at %v %s",
-		r.Kind, r.Core, r.PC, r.Addr, r.Value, r.At, r.Detail)
 }
 
 // MemWatch is a peripheral/memory access watchpoint ("suspending
@@ -61,7 +55,6 @@ type Debugger struct {
 	breakpoints map[int]map[uint32]bool
 	stepOver    map[int]uint32 // skip bp once after resume (core -> pc)
 	memWatches  []*MemWatch
-	irqWatch    bool
 	nextWatchID int
 
 	// Stops records every suspension with its cause.
@@ -80,7 +73,6 @@ func New(v *vp.VP) *Debugger {
 	}
 	v.OnStep = d.onStep
 	v.OnMemAccess = d.onMem
-	v.OnIRQ = d.onIRQ
 	return d
 }
 
@@ -103,23 +95,18 @@ func (d *Debugger) WatchMem(lo, hi uint32, onRead, onWrite bool, core int) *MemW
 	return w
 }
 
-// WatchIRQ suspends the system whenever any interrupt line is
-// asserted ("a watchpoint can be set on a signal, such as the
-// interrupt line of a peripheral").
-func (d *Debugger) WatchIRQ() { d.irqWatch = true }
-
-func (d *Debugger) onStep(core int, pc uint32) bool {
+func (d *Debugger) onStep(core int, pc uint32) sim.Time {
 	if d.stepOver[core] == pc {
 		delete(d.stepOver, core)
-		return true
+		return 0
 	}
 	if d.breakpoints[core][pc] {
 		r := StopReason{Kind: "break", Core: core, PC: pc, At: d.VP.K.Now()}
 		d.stop(r)
 		d.stepOver[core] = pc
-		return false
+		return d.VP.CyclePeriod() // parked until Continue: stop suspended the system
 	}
-	return true
+	return 0
 }
 
 func (d *Debugger) onMem(core int, addr uint32, write bool, val uint32) {
@@ -152,13 +139,6 @@ func (d *Debugger) onMem(core int, addr uint32, write bool, val uint32) {
 			d.stop(r)
 		}
 	}
-}
-
-func (d *Debugger) onIRQ(core int) {
-	if !d.irqWatch {
-		return
-	}
-	d.stop(StopReason{Kind: "watch-irq", Core: core, PC: d.VP.CPUs[core].PC, At: d.VP.K.Now()})
 }
 
 // stop suspends the whole system and records why.
@@ -205,24 +185,6 @@ func (d *Debugger) Assert(name string, pred func(d *Debugger) bool) bool {
 	return false
 }
 
-// StateDump renders all core and peripheral state while suspended.
-func (d *Debugger) StateDump() string {
-	s := fmt.Sprintf("system state at %v (suspended=%v)\n", d.VP.K.Now(), d.VP.Suspended())
-	for i, c := range d.VP.CPUs {
-		s += fmt.Sprintf("  core%d pc=0x%08x halted=%v cycles=%d irqs=%d\n",
-			i, c.PC, c.Halted, c.Cycles, c.IntTaken)
-	}
-	var ws []string
-	for _, w := range d.memWatches {
-		ws = append(ws, fmt.Sprintf("watch%d [0x%08x..0x%08x] hits=%d", w.ID, w.Lo, w.Hi, w.Hits))
-	}
-	sort.Strings(ws)
-	for _, w := range ws {
-		s += "  " + w + "\n"
-	}
-	return s
-}
-
 // --- The intrusive alternative (for the Heisenbug experiment) ---
 
 // IntrusiveProbe models traditional single-core halt debugging: when
@@ -239,33 +201,33 @@ type IntrusiveProbe struct {
 }
 
 // Install arms the probe on a virtual platform (instead of a
-// Debugger; they both claim the OnStep hook). While the probed core
-// is stalled the step hook refuses execution, so the core idles cycle
-// by cycle as virtual time — and every other core — marches on.
+// Debugger; they both claim the OnStep hook). On a hit the step hook
+// parks the probed core for the whole stall in one kernel event,
+// while virtual time — and every other core — marches on.
 func (pr *IntrusiveProbe) Install(v *vp.VP) {
 	stalledUntil := sim.Time(-1)
 	armed := true // re-arms once the core leaves the trigger PC
-	v.OnStep = func(core int, pc uint32) bool {
+	v.OnStep = func(core int, pc uint32) sim.Time {
 		if core != pr.Core {
-			return true
+			return 0
 		}
 		now := v.K.Now()
 		if stalledUntil >= 0 {
 			if now < stalledUntil {
-				return false // core under debug stays halted
+				return stalledUntil - now // core under debug stays halted
 			}
 			stalledUntil = -1
 			armed = false // let the trigger instruction finally run
 		}
 		if pc != pr.TriggerPC {
 			armed = true
-			return true
+			return 0
 		}
 		if !armed {
-			return true
+			return 0
 		}
 		pr.Hits++
 		stalledUntil = now + sim.Time(pr.StallCycles)*v.CyclePeriod()
-		return false
+		return stalledUntil - now
 	}
 }

@@ -111,27 +111,6 @@ func TestWatchpointCoreFilter(t *testing.T) {
 	}
 }
 
-func TestIRQWatchpoint(t *testing.T) {
-	src := `
-		li  t0, 0xF0000008
-		li  t1, 500
-		sw  t1, 0(t0)      # start timer
-	spin:
-		j   spin
-	`
-	k, v, _ := platformWith(t, 1, src)
-	d := New(v)
-	d.WatchIRQ()
-	v.Start()
-	k.RunFor(100 * sim.Microsecond)
-	if len(d.Stops) == 0 || d.Stops[0].Kind != "watch-irq" {
-		t.Fatalf("stops = %v", d.Stops)
-	}
-	if !v.Suspended() {
-		t.Fatal("not suspended on IRQ watch")
-	}
-}
-
 func TestSystemLevelAssertion(t *testing.T) {
 	src := `
 		li  t0, 0x40000000
@@ -157,23 +136,6 @@ func TestSystemLevelAssertion(t *testing.T) {
 		t.Fatalf("violation text: %s", d.Violations[0])
 	}
 }
-
-func TestStateDump(t *testing.T) {
-	src := "halt"
-	k, v, _ := platformWith(t, 2, src)
-	d := New(v)
-	d.WatchMem(0x40000000, 0x40000004, true, true, -1)
-	v.Start()
-	k.RunFor(time10())
-	s := d.StateDump()
-	for _, want := range []string{"core0", "core1", "watch1"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("state dump lacks %q:\n%s", want, s)
-		}
-	}
-}
-
-func time10() sim.Time { return 10 * sim.Microsecond }
 
 // --- The Heisenbug experiment (E11) ---
 

@@ -278,17 +278,6 @@ const (
 	WAW                // output dependence
 )
 
-func (k DepKind) String() string {
-	switch k {
-	case RAW:
-		return "RAW"
-	case WAR:
-		return "WAR"
-	default:
-		return "WAW"
-	}
-}
-
 // DepEdge connects statement From to the later statement To.
 type DepEdge struct {
 	From, To int

@@ -1,6 +1,7 @@
 package dfa
 
 import (
+	"fmt"
 	"testing"
 
 	"mpsockit/internal/cir"
@@ -83,7 +84,7 @@ func TestDepGraphWARWAW(t *testing.T) {
 	g := BuildDepGraph(prog.Func("main"))
 	var kinds []string
 	for _, e := range g.Edges {
-		kinds = append(kinds, e.Kind.String())
+		kinds = append(kinds, fmt.Sprint(e.Kind))
 	}
 	hasWAR, hasWAW := false, false
 	for _, e := range g.Edges {

@@ -41,18 +41,6 @@ func NewAccumulator(points []Point) *Accumulator {
 	}
 }
 
-// Add parses one JSONL result line and accepts it. It reports whether
-// the line was new (false for a byte-identical duplicate) and fails
-// on a malformed line, an out-of-range or spec-mismatched point, or a
-// conflict with previously accepted bytes for the same ID.
-func (a *Accumulator) Add(line []byte) (added bool, err error) {
-	r, err := DecodeResult(line)
-	if err != nil {
-		return false, err
-	}
-	return a.AddResult(r, line)
-}
-
 // DecodeResult parses one JSONL result line. It is Add's decode step
 // on its own, so a caller that must not decode while holding a lock
 // (the coordinator) can decode first and AddResult later. A line in

@@ -86,7 +86,7 @@ func TestReadLogHeaderOnly(t *testing.T) {
 	}
 	// The same sweep over another shard range is not this log's sweep.
 	shard := h
-	shard.Shard = &Shard{Index: 0, Count: 2, Lo: 0, Hi: 1}
+	shard.Shard = &Shard{Lo: 0, Hi: 1}
 	if err := lg.Header.Check(shard); err == nil || !strings.Contains(err.Error(), "shard range") {
 		t.Fatalf("shard-range mismatch not reported: %v", err)
 	}

@@ -215,3 +215,9 @@ func TestEngineCachesStayBounded(t *testing.T) {
 		t.Fatalf("a 4-workload sweep over 10 platform blocks built %d graphs, want 4", built)
 	}
 }
+
+// Evaluate scores one design point on a fresh context: the oracle the
+// reuse, memo and engine tests compare a long-lived EvalContext with.
+func Evaluate(p Point) Result {
+	return NewEvalContext().Evaluate(p)
+}

@@ -97,8 +97,8 @@
 // bytes/ns. The model charges its service time on both the mapping
 // estimator and the simulated execute path; jobs workloads carry the
 // token but are unaffected (the RTOS does no task transfers).
-// Sweep.Spec renders any sweep back to this grammar canonically;
-// parse→render→parse is the identity on expanded points.
+// FuzzParseSweep holds parse→render→parse to the identity on expanded
+// points, rendering with the tests' canonical Sweep.Spec.
 package dse
 
 import (

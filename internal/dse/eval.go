@@ -39,15 +39,6 @@ func peArea(c *platform.Core) (float64, error) {
 	return w + 0.2*float64(c.L1Bytes+c.L2Bytes)/float64(256<<10), nil
 }
 
-// Evaluate scores one design point on a fresh context. It never
-// panics the sweep: evaluation failures come back in Result.Err.
-// Callers evaluating many points should construct one EvalContext per
-// goroutine and use its Evaluate method, which reuses kernels,
-// platforms and workload prototypes across points.
-func Evaluate(p Point) Result {
-	return NewEvalContext().Evaluate(p)
-}
-
 // Evaluate scores one design point using the context's reused
 // kernels, platform, graph prototypes and mapping scratch. It never
 // panics the sweep: evaluation failures come back in Result.Err.

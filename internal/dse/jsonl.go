@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"reflect"
 	"sort"
 	"sync"
 )
@@ -106,7 +105,7 @@ func (h Header) Check(want Header) error {
 		return fmt.Errorf("spec hash mismatch (%s vs %s)", h.SpecHash, want.SpecHash)
 	case h.Points != want.Points:
 		return fmt.Errorf("point count mismatch (%d vs %d)", h.Points, want.Points)
-	case !reflect.DeepEqual(h.Shard, want.Shard):
+	case (h.Shard == nil) != (want.Shard == nil) || h.Shard != nil && *h.Shard != *want.Shard:
 		return fmt.Errorf("shard range mismatch (%s vs %s)", shardLabel(h.Shard), shardLabel(want.Shard))
 	}
 	return nil
@@ -176,7 +175,7 @@ var lineBufs = sync.Pool{New: func() any { return new([]byte) }}
 // silently merged.
 func MatchPrefix(points []Point, results []Result) []Result {
 	n := 0
-	for n < len(results) && n < len(points) && reflect.DeepEqual(results[n].Point, points[n]) {
+	for n < len(results) && n < len(points) && results[n].Point.Equal(points[n]) {
 		n++
 	}
 	return results[:n]

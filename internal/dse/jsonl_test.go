@@ -22,8 +22,8 @@ func TestMergeEmptyAndHeaderOnlyShards(t *testing.T) {
 	if len(points) != 1 {
 		t.Fatalf("spec expands to %d points, want 1", len(points))
 	}
-	full := Shard{Index: 0, Count: 2, Lo: 0, Hi: 1}
-	emptyShard := Shard{Index: 1, Count: 2, Lo: 1, Hi: 1}
+	full := Shard{Lo: 0, Hi: 1}
+	emptyShard := Shard{Lo: 1, Hi: 1}
 	paths := []string{
 		shardFile(dir, "s", 0),
 		shardFile(dir, "s", 1),
@@ -376,9 +376,16 @@ func TestAccumulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	acc := NewAccumulator(points)
+	add := func(line []byte) (bool, error) {
+		r, err := DecodeResult(line)
+		if err != nil {
+			return false, err
+		}
+		return acc.AddResult(r, line)
+	}
 	// Feed result lines in reverse, then every line again (dupes).
 	for i := len(lines) - 1; i >= 1; i-- {
-		added, err := acc.Add(lines[i])
+		added, err := add(lines[i])
 		if err != nil || !added {
 			t.Fatalf("Add line %d = %v, %v", i, added, err)
 		}
@@ -387,7 +394,7 @@ func TestAccumulator(t *testing.T) {
 		t.Fatalf("accumulator incomplete at %d/%d", acc.Done(), acc.Total())
 	}
 	for _, l := range lines[1:] {
-		if added, err := acc.Add(l); err != nil || added {
+		if added, err := add(l); err != nil || added {
 			t.Fatalf("duplicate line accepted as new: %v, %v", added, err)
 		}
 	}
@@ -403,16 +410,16 @@ func TestAccumulator(t *testing.T) {
 	}
 	// Conflicting bytes for an accepted point refuse loudly.
 	tampered := bytes.Replace(lines[1], []byte(`"busy_ps":`), []byte(`"busy_ps":9`), 1)
-	if _, err := acc.Add(tampered); err == nil || !strings.Contains(err.Error(), "conflicting") {
+	if _, err := add(tampered); err == nil || !strings.Contains(err.Error(), "conflicting") {
 		t.Fatalf("conflicting resubmission not rejected: %v", err)
 	}
 	// Out-of-sweep and spec-mismatched points refuse.
-	if _, err := acc.Add([]byte(`{"point":{"id":99999},"metrics":{}}`)); err == nil {
+	if _, err := add([]byte(`{"point":{"id":99999},"metrics":{}}`)); err == nil {
 		t.Fatal("out-of-range point accepted")
 	}
 	foreign := append([]byte(nil), lines[1]...)
 	foreign = bytes.Replace(foreign, []byte(`"seed":`), []byte(`"seed":1`), 1)
-	if _, err := acc.Add(foreign); err == nil {
+	if _, err := add(foreign); err == nil {
 		t.Fatal("spec-mismatched point accepted")
 	}
 	// Live-front input: Completed is ID-ordered and complete here.

@@ -10,12 +10,9 @@ import "fmt"
 // in ID order — no re-evaluation, no reordering ambiguity. Per-point
 // seeds derive from the sweep seed alone (see Sweep.Points), which is
 // what makes ranges evaluated on different hosts byte-compatible.
+// Files written before the -shard planner was retired also carry
+// "index" and "count" members; decoding ignores them.
 type Shard struct {
-	// Index identifies this range among Count, 0-based. A lease
-	// checkpoint records its range as 0 of 1.
-	Index int `json:"index"`
-	// Count is the number of ranges the writer split the sweep into.
-	Count int `json:"count"`
 	// Lo is the first point ID of the shard (inclusive).
 	Lo int `json:"lo"`
 	// Hi is one past the last point ID of the shard (exclusive). A
@@ -26,7 +23,7 @@ type Shard struct {
 
 // String names the shard for progress and error messages.
 func (s Shard) String() string {
-	return fmt.Sprintf("shard %d/%d (points %d..%d)", s.Index, s.Count, s.Lo, s.Hi)
+	return fmt.Sprintf("shard (points %d..%d)", s.Lo, s.Hi)
 }
 
 // EstCost estimates a point's relative evaluation cost. The farm

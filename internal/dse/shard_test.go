@@ -27,7 +27,7 @@ func expandSweep(t *testing.T, spec string, seed uint64) []Point {
 func splitShards(points []Point, n int) []Shard {
 	shards := make([]Shard, n)
 	for k := range shards {
-		shards[k] = Shard{Index: k, Count: n, Lo: k * len(points) / n, Hi: (k + 1) * len(points) / n}
+		shards[k] = Shard{Lo: k * len(points) / n, Hi: (k + 1) * len(points) / n}
 	}
 	return shards
 }

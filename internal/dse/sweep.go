@@ -452,49 +452,6 @@ func parseWorkload(tok string) (WorkloadSpec, error) {
 	return WorkloadSpec{}, fmt.Errorf("dse: unknown workload %q", tok)
 }
 
-// Spec renders the sweep back to the canonical ';'-separated
-// dimension-list form of the grammar (see the package comment), with
-// dimensions in plat/fab/dvfs/wl/heur/fid order and unset dimensions
-// omitted. ParseSweep(s.Spec(), s.Seed) expands to the same points as
-// s — including for sweeps that were built from a preset name — which
-// is the round-trip property the fuzz targets hold.
-func (s *Sweep) Spec() string {
-	var dims []string
-	add := func(key string, vals []string) {
-		if len(vals) > 0 {
-			dims = append(dims, key+"="+strings.Join(vals, ","))
-		}
-	}
-	var plats []string
-	for _, p := range s.Platforms {
-		plats = append(plats, p.Token())
-	}
-	add("plat", plats)
-	add("fab", s.Fabrics)
-	var dvfs []string
-	for _, d := range s.DVFS {
-		dvfs = append(dvfs, strconv.Itoa(d))
-	}
-	add("dvfs", dvfs)
-	var wls []string
-	for _, w := range s.Workloads {
-		wls = append(wls, w.String())
-	}
-	add("wl", wls)
-	add("heur", s.Heuristics)
-	var fids []string
-	for _, f := range s.Fidelities {
-		fids = append(fids, f.String())
-	}
-	add("fid", fids)
-	var mems []string
-	for _, m := range s.Mems {
-		mems = append(mems, m.String())
-	}
-	add("mem", mems)
-	return strings.Join(dims, ";")
-}
-
 // maxPipeIterations caps the pipeN frame count. Pipelined execution
 // work grows linearly with N, so the cap bounds what one fidelity
 // token can demand of a worker, the way cal:K bounds probe fan-out.

@@ -18,11 +18,6 @@ type Program struct {
 	Source map[uint32]int
 }
 
-// WordAt returns the 32-bit word at addr.
-func (p *Program) WordAt(addr uint32) uint32 {
-	return binary.LittleEndian.Uint32(p.Image[addr:])
-}
-
 // regAliases maps register names to numbers; MIPS-style conventions.
 var regAliases = map[string]int{
 	"zero": 0, "at": 1, "v0": 2, "v1": 3,

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 )
@@ -161,4 +162,9 @@ func TestBranchRangeCheck(t *testing.T) {
 	if _, err := Assemble(sb.String()); err == nil {
 		t.Fatal("out-of-range branch accepted")
 	}
+}
+
+// WordAt returns the 32-bit word at addr.
+func (p *Program) WordAt(addr uint32) uint32 {
+	return binary.LittleEndian.Uint32(p.Image[addr:])
 }

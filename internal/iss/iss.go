@@ -3,8 +3,8 @@
 // One CPU instance models one processing element; the virtual
 // platform (internal/vp) composes several CPUs with peripherals on
 // the discrete-event kernel. The ISS is deliberately side-effect-free
-// outside its Bus so that whole-system state can be snapshotted and
-// restored — the mechanism behind the paper's section VII
+// outside its Bus, so a suspended system can be inspected without
+// disturbing it — the mechanism behind the paper's section VII
 // deterministic, non-intrusive debugging claims.
 package iss
 
@@ -133,43 +133,6 @@ const dcacheSize = 512
 // New returns a CPU with the given ID wired to bus.
 func New(id int, bus Bus, timing *isa.Timing) *CPU {
 	return &CPU{ID: id, Bus: bus, Timing: timing, dcache: make([]isa.Instr, dcacheSize)}
-}
-
-// State is a snapshot of the CPU-architectural state (memory is owned
-// by the Bus and snapshotted by the virtual platform).
-type State struct {
-	Regs       [32]uint32
-	PC         uint32
-	Halted     bool
-	Cycles     uint64
-	Instret    uint64
-	IntEnabled bool
-	IntPending bool
-	IntVector  uint32
-	IntTaken   uint64
-}
-
-// Save captures the architectural state.
-func (c *CPU) Save() State {
-	return State{
-		Regs: c.Regs, PC: c.PC, Halted: c.Halted,
-		Cycles: c.Cycles, Instret: c.Instret,
-		IntEnabled: c.IntEnabled, IntPending: c.IntPending,
-		IntVector: c.IntVector, IntTaken: c.IntTaken,
-	}
-}
-
-// Restore reinstates a previously saved state.
-func (c *CPU) Restore(s State) {
-	c.Regs = s.Regs
-	c.PC = s.PC
-	c.Halted = s.Halted
-	c.Cycles = s.Cycles
-	c.Instret = s.Instret
-	c.IntEnabled = s.IntEnabled
-	c.IntPending = s.IntPending
-	c.IntVector = s.IntVector
-	c.IntTaken = s.IntTaken
 }
 
 // RaiseInterrupt marks an interrupt pending (level-triggered until

@@ -297,40 +297,6 @@ func TestTimingAccumulation(t *testing.T) {
 	}
 }
 
-func TestSaveRestore(t *testing.T) {
-	p, _ := isa.Assemble(`
-	loop:
-		addi r1, r1, 1
-		j    loop
-	`)
-	ram := NewRAM(1 << 12)
-	ram.LoadProgram(p)
-	c := New(0, ram, isa.TimingRISC())
-	for i := 0; i < 10; i++ {
-		c.Step()
-	}
-	snap := c.Save()
-	r1 := c.Regs[1]
-	for i := 0; i < 10; i++ {
-		c.Step()
-	}
-	if c.Regs[1] == r1 {
-		t.Fatal("cpu did not advance")
-	}
-	c.Restore(snap)
-	if c.Regs[1] != r1 || c.PC != snap.PC || c.Cycles != snap.Cycles {
-		t.Fatal("restore did not reinstate state")
-	}
-	// Replay must be bit-identical (determinism for section VII).
-	c.Step()
-	afterOne := c.Regs[1]
-	c.Restore(snap)
-	c.Step()
-	if c.Regs[1] != afterOne {
-		t.Fatal("replay diverged")
-	}
-}
-
 func TestMemPenaltyHook(t *testing.T) {
 	p, _ := isa.Assemble(`
 		la r1, buf

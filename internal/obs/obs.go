@@ -69,27 +69,10 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an atomic instantaneous value: it can be set, moved, or
-// raised to a high-water mark. The zero value is ready to use; all
+// Gauge is an atomic high-water mark. The zero value is ready to use; all
 // methods are safe for concurrent use and no-ops on a nil receiver.
 type Gauge struct {
 	v atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add moves the gauge by delta (either sign).
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
 }
 
 // Max raises the gauge to v if v exceeds the current value — the

@@ -18,8 +18,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil counter read nonzero")
 	}
 	var g *Gauge
-	g.Set(3)
-	g.Add(-1)
 	g.Max(10)
 	if g.Value() != 0 {
 		t.Fatal("nil gauge read nonzero")
@@ -58,7 +56,6 @@ func TestConcurrentHammer(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				c.Inc()
 				c.Add(2)
-				g.Add(1)
 				g.Max(int64(w*perG + i))
 				h.Observe(rng.Int63n(1 << 20))
 			}
@@ -68,11 +65,8 @@ func TestConcurrentHammer(t *testing.T) {
 	if want := int64(goroutines * perG * 3); c.Value() != want {
 		t.Fatalf("counter = %d, want %d", c.Value(), want)
 	}
-	if want := int64(goroutines * perG); g.Value() < want {
-		t.Fatalf("gauge = %d, want >= %d", g.Value(), want)
-	}
-	if want := int64(goroutines*perG - 1); g.Value() < want {
-		t.Fatalf("gauge high-water = %d, want >= %d", g.Value(), want)
+	if want := int64(goroutines*perG - 1); g.Value() != want {
+		t.Fatalf("gauge high-water = %d, want %d", g.Value(), want)
 	}
 	if h.Count() != int64(goroutines*perG) {
 		t.Fatalf("histogram count = %d, want %d", h.Count(), goroutines*perG)
@@ -121,9 +115,10 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-// TestSnapshotDiffProperties holds the snapshot/diff invariants over
+// TestSnapshotDiffProperties holds the snapshot invariants over
 // randomized update sequences: counters never decrease between
-// snapshots, diffs are exactly the updates applied in between, and
+// snapshots, the difference of two snapshots is exactly the updates
+// applied in between, gauges read their high-water mark, and
 // histogram bucket sums always equal the count.
 func TestSnapshotDiffProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -132,15 +127,16 @@ func TestSnapshotDiffProperties(t *testing.T) {
 	g := r.Gauge("prop_gauge", "property gauge")
 	h := r.Histogram("prop_hist_us", "property histogram")
 	prev := r.Snapshot()
+	var gMax int64
 	for round := 0; round < 50; round++ {
 		var cAdds, hObs, hSum int64
-		var gLast int64
 		for i := 0; i < rng.Intn(200); i++ {
 			d := rng.Int63n(100)
 			c.Add(d)
 			cAdds += d
-			gLast = rng.Int63n(1000) - 500
-			g.Set(gLast)
+			gv := rng.Int63n(1000)
+			g.Max(gv)
+			gMax = max(gMax, gv)
 			v := rng.Int63n(1 << 30)
 			h.Observe(v)
 			hObs++
@@ -150,30 +146,23 @@ func TestSnapshotDiffProperties(t *testing.T) {
 		if cur["prop_counter_total"].Value < prev["prop_counter_total"].Value {
 			t.Fatalf("round %d: counter decreased across snapshots", round)
 		}
-		d := Diff(prev, cur)
-		if got := int64(d["prop_counter_total"].Value); got != cAdds {
+		if got := int64(cur["prop_counter_total"].Value - prev["prop_counter_total"].Value); got != cAdds {
 			t.Fatalf("round %d: counter diff %d, want %d", round, got, cAdds)
 		}
-		if got := d["prop_hist_us"]; got.Count != hObs || got.Sum != hSum {
+		ch, ph := cur["prop_hist_us"], prev["prop_hist_us"]
+		if ch.Count-ph.Count != hObs || ch.Sum-ph.Sum != hSum {
 			t.Fatalf("round %d: histogram diff count/sum %d/%d, want %d/%d",
-				round, got.Count, got.Sum, hObs, hSum)
-		}
-		var bsum int64
-		for _, b := range d["prop_hist_us"].Buckets {
-			bsum += b
-		}
-		if bsum != d["prop_hist_us"].Count {
-			t.Fatalf("round %d: diff bucket sum %d != count %d", round, bsum, d["prop_hist_us"].Count)
+				round, ch.Count-ph.Count, ch.Sum-ph.Sum, hObs, hSum)
 		}
 		var csum int64
-		for _, b := range cur["prop_hist_us"].Buckets {
+		for _, b := range ch.Buckets {
 			csum += b
 		}
-		if csum != cur["prop_hist_us"].Count {
-			t.Fatalf("round %d: snapshot bucket sum %d != count %d", round, csum, cur["prop_hist_us"].Count)
+		if csum != ch.Count {
+			t.Fatalf("round %d: snapshot bucket sum %d != count %d", round, csum, ch.Count)
 		}
-		if hObs > 0 && int64(d["prop_gauge"].Value) != gLast {
-			t.Fatalf("round %d: gauge diff kept %v, want current %d", round, d["prop_gauge"].Value, gLast)
+		if int64(cur["prop_gauge"].Value) != gMax {
+			t.Fatalf("round %d: gauge reads %v, want high-water %d", round, cur["prop_gauge"].Value, gMax)
 		}
 		prev = cur
 	}

@@ -321,34 +321,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return out
 }
 
-// Diff returns cur - prev per instrument: counters and histograms
-// subtract (an instrument absent from prev diffs against zero),
-// gauges keep their current reading. Instruments only in prev are
-// dropped.
-func Diff(prev, cur Snapshot) Snapshot {
-	out := Snapshot{}
-	for k, c := range cur {
-		p := prev[k] // zero value when absent
-		switch c.Kind {
-		case "counter":
-			c.Value -= p.Value
-		case "histogram":
-			c.Count -= p.Count
-			c.Sum -= p.Sum
-			buckets := append([]int64(nil), c.Buckets...)
-			for i := range p.Buckets {
-				if i >= len(buckets) {
-					buckets = append(buckets, 0)
-				}
-				buckets[i] -= p.Buckets[i]
-			}
-			c.Buckets = buckets
-		}
-		out[k] = c
-	}
-	return out
-}
-
 // WriteJSON renders a snapshot of the registry as indented JSON — the
 // cmd/dse -metrics-out format.
 func (r *Registry) WriteJSON(w io.Writer) error {

@@ -21,7 +21,7 @@ func goldenRegistry() *Registry {
 	r.Counter("farm_lease_grants_total", "Leases granted to workers.").Add(17)
 	r.Counter("farm_results_accepted_total", "Result lines accepted.", "worker", "w-1").Add(3)
 	r.Counter("farm_results_accepted_total", "Result lines accepted.", "worker", "w-0").Add(9)
-	r.Gauge("farm_points_done", "Points with an accepted result.").Set(12)
+	r.Gauge("farm_points_done", "Points with an accepted result.").Max(12)
 	r.GaugeFunc("farm_worker_heartbeat_age_seconds", "Seconds since the worker was last heard from.",
 		func() float64 { return 1.5 }, "worker", "w-0")
 	r.CounterFunc("farm_reclaims_total", "Expired leases reclaimed.", func() float64 { return 2 })

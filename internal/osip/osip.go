@@ -29,13 +29,6 @@ const (
 	OSIP
 )
 
-func (k Kind) String() string {
-	if k == OSIP {
-		return "OSIP"
-	}
-	return "RISC-SW"
-}
-
 // Config describes one dispatch experiment.
 type Config struct {
 	Kind Kind

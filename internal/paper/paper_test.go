@@ -97,6 +97,11 @@ func TestE11Shape(t *testing.T) {
 		t.Fatalf("lost updates: %d undisturbed, %d probed, %d replayed (%+v vs %+v), %d fixed",
 			r.Baseline.LostUpdates, r.Probed.LostUpdates, r.Replay.LostUpdates, *r.Replay, *r.Baseline, r.Fixed.LostUpdates)
 	}
+	// The probe parks its core for a whole stall in one kernel event,
+	// not one event per stalled cycle.
+	if r.Probed.Events > 2*r.Baseline.Events {
+		t.Fatalf("probed run dispatched %d events, undisturbed %d", r.Probed.Events, r.Baseline.Events)
+	}
 }
 
 // TestE13Shape: the task-level model needs at least 100 times fewer

@@ -39,11 +39,6 @@ type Options struct {
 	ElementBytes int
 }
 
-// DefaultOptions returns a reasonable configuration.
-func DefaultOptions() Options {
-	return Options{MaxTasks: 4, MinTaskCycles: 2000, ElementBytes: 4}
-}
-
 // Result is the partitioning outcome.
 type Result struct {
 	Graph *taskgraph.Graph

@@ -150,7 +150,7 @@ func TestPartitionHeterogeneousWCET(t *testing.T) {
 
 func TestPartitionErrors(t *testing.T) {
 	prog := cir.MustParse("void main() { int x = 0; x += 1; }")
-	if _, err := Partition(prog, "nosuch", DefaultOptions()); err == nil {
+	if _, err := Partition(prog, "nosuch", Options{MaxTasks: 4, MinTaskCycles: 2000, ElementBytes: 4}); err == nil {
 		t.Fatal("missing function accepted")
 	}
 	if _, err := Partition(prog, "main", Options{Pin: [][]int{{0, 99}}}); err == nil {

@@ -135,12 +135,6 @@ func (c *Core) Boost() float64 {
 // Unboost returns the core to its nominal frequency.
 func (c *Core) Unboost() { _ = c.SetLevel(c.nominal) }
 
-// CyclePeriod returns the duration of one clock cycle at the current
-// frequency.
-func (c *Core) CyclePeriod() sim.Time {
-	return sim.Time(int64(sim.Second) / c.Hz())
-}
-
 // Cycles converts a cycle count at the current frequency into virtual
 // time.
 func (c *Core) Cycles(n int64) sim.Time {
@@ -256,28 +250,6 @@ func (p *Platform) MemTiming() (access sim.Time, bytesPerNS int64) {
 		return 30 * sim.Nanosecond, 8
 	}
 	return 15 * sim.Nanosecond, 8
-}
-
-// Homogeneous reports whether all cores share one PE class — the
-// hardware shape section II argues scales (near) linearly.
-func (p *Platform) Homogeneous() bool {
-	for _, c := range p.Cores {
-		if c.Class != p.Cores[0].Class {
-			return false
-		}
-	}
-	return true
-}
-
-// CoresOf returns the cores of the given class, in ID order.
-func (p *Platform) CoresOf(class PEClass) []*Core {
-	var out []*Core
-	for _, c := range p.Cores {
-		if c.Class == class {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // Classes returns the distinct PE classes present, sorted.

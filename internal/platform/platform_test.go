@@ -14,7 +14,7 @@ func testPlatform(n int) (*sim.Kernel, *Platform) {
 
 func TestHomogeneousPlatform(t *testing.T) {
 	_, p := testPlatform(8)
-	if !p.Homogeneous() {
+	if !homogeneous(p) {
 		t.Fatal("homogeneous platform not recognized")
 	}
 	if len(p.Cores) != 8 {
@@ -36,8 +36,8 @@ func TestCycleTiming(t *testing.T) {
 	if c.Hz() != 1_000_000_000 {
 		t.Fatalf("nominal Hz = %d", c.Hz())
 	}
-	if c.CyclePeriod() != sim.Nanosecond {
-		t.Fatalf("cycle period %v, want 1ns at 1GHz", c.CyclePeriod())
+	if c.Cycles(1) != sim.Nanosecond {
+		t.Fatalf("cycle period %v, want 1ns at 1GHz", c.Cycles(1))
 	}
 	if c.Cycles(1000) != sim.Microsecond {
 		t.Fatalf("1000 cycles = %v, want 1us", c.Cycles(1000))
@@ -85,17 +85,17 @@ func TestSetLevelBounds(t *testing.T) {
 func TestCellLikeShape(t *testing.T) {
 	k := sim.NewKernel()
 	p := NewCellLike(k, 6, noc.MeshFor(k, 7))
-	if p.Homogeneous() {
+	if homogeneous(p) {
 		t.Fatal("cell-like platform should be heterogeneous")
 	}
-	if len(p.CoresOf(CTRL)) != 1 {
+	if len(coresOf(p, CTRL)) != 1 {
 		t.Fatal("want exactly one PPE-like control core")
 	}
-	if len(p.CoresOf(DSP)) != 6 {
-		t.Fatalf("want 6 SPE-like cores, got %d", len(p.CoresOf(DSP)))
+	if len(coresOf(p, DSP)) != 6 {
+		t.Fatalf("want 6 SPE-like cores, got %d", len(coresOf(p, DSP)))
 	}
 	// SPE local stores must exist for the CIC translator's capacity checks.
-	for _, c := range p.CoresOf(DSP) {
+	for _, c := range coresOf(p, DSP) {
 		if c.L1Bytes != 256<<10 {
 			t.Fatalf("spe local store %d bytes, want 256K", c.L1Bytes)
 		}
@@ -105,7 +105,7 @@ func TestCellLikeShape(t *testing.T) {
 func TestMPCoreLikeShape(t *testing.T) {
 	k := sim.NewKernel()
 	p := NewMPCoreLike(k, 4, noc.DefaultBus(k))
-	if !p.Homogeneous() {
+	if !homogeneous(p) {
 		t.Fatal("MPCore-like platform should be homogeneous")
 	}
 	if p.SharedBytes == 0 {
@@ -141,4 +141,26 @@ func TestPlatformString(t *testing.T) {
 	if s == "" {
 		t.Fatal("empty string")
 	}
+}
+
+// homogeneous reports whether all cores share one PE class — the
+// hardware shape section II argues scales (near) linearly.
+func homogeneous(p *Platform) bool {
+	for _, c := range p.Cores {
+		if c.Class != p.Cores[0].Class {
+			return false
+		}
+	}
+	return true
+}
+
+// coresOf returns the cores of the given class, in ID order.
+func coresOf(p *Platform, class PEClass) []*Core {
+	var out []*Core
+	for _, c := range p.Cores {
+		if c.Class == class {
+			out = append(out, c)
+		}
+	}
+	return out
 }

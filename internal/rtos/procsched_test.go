@@ -159,7 +159,6 @@ func (s *procHybrid) Close() {
 	for _, p := range s.tsProcs {
 		p.Kill()
 	}
-	s.K.Resume() // a Stop would stall the drain
 	for _, p := range s.tsProcs {
 		for !p.Dead() && s.K.Step() {
 		}

@@ -399,13 +399,3 @@ func (s *HybridScheduler) Stats() Stats {
 	}
 	return st
 }
-
-// Utilization returns busy core-time divided by wall-time × cores.
-func (s *HybridScheduler) Utilization() float64 {
-	elapsed := s.K.Now()
-	if elapsed == 0 {
-		return 0
-	}
-	total := float64(int64(elapsed)) * float64(len(s.P.Cores))
-	return float64(int64(s.stats.BusyTime)) / total
-}

@@ -200,7 +200,7 @@ func TestUtilizationBounded(t *testing.T) {
 			Deadline: 30 * sim.Millisecond})
 	}
 	k.RunUntil(50 * sim.Millisecond)
-	u := s.Utilization()
+	u := float64(s.Stats().BusyTime) / (float64(k.Now()) * float64(len(s.P.Cores)))
 	if u <= 0 || u > 1 {
 		t.Fatalf("utilization %g out of (0,1]", u)
 	}

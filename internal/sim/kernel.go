@@ -135,21 +135,6 @@ type Event struct {
 	gen uint64
 }
 
-// Pending reports whether the handle still refers to a queued event.
-func (ev Event) Pending() bool {
-	return ev.e != nil && ev.e.gen == ev.gen && ev.e.index != notQueued
-}
-
-// Time returns the virtual time the event is scheduled for, or -1 once
-// it has fired or been cancelled (its record may then describe a newer
-// event).
-func (ev Event) Time() Time {
-	if !ev.Pending() {
-		return -1
-	}
-	return ev.e.at
-}
-
 // KernelStats are the kernel's observability counters: plain fields
 // bumped inline on the (single-goroutine) hot path, so instrumentation
 // costs an increment and allocates nothing. Unlike Kernel.Executed,

@@ -160,3 +160,18 @@ func TestScheduleHandlerZeroAlloc(t *testing.T) {
 		t.Fatalf("fired closure %d times and handler %v, want 101 and [0 101 101]", n, h.fired)
 	}
 }
+
+// Pending reports whether the handle still refers to a queued event.
+func (ev Event) Pending() bool {
+	return ev.e != nil && ev.e.gen == ev.gen && ev.e.index != notQueued
+}
+
+// Time returns the virtual time the event is scheduled for, or -1 once
+// it has fired or been cancelled (its record may then describe a newer
+// event).
+func (ev Event) Time() Time {
+	if !ev.Pending() {
+		return -1
+	}
+	return ev.e.at
+}

@@ -29,9 +29,6 @@ func (k *Kernel) NewQueue(name string, capacity int) *Queue {
 	return &Queue{Name: name, k: k, cap: capacity}
 }
 
-// Len returns the number of buffered tokens.
-func (q *Queue) Len() int { return len(q.buf) }
-
 // Full reports whether a Put would block.
 func (q *Queue) Full() bool { return q.cap > 0 && len(q.buf) >= q.cap }
 
@@ -67,28 +64,6 @@ func (q *Queue) TryPut(v any) bool {
 	return true
 }
 
-// ForcePut appends v even when full, evicting the oldest token. It
-// returns the evicted token (nil if none). This is the corruption
-// mechanism of time-triggered overruns in the paper's section III:
-// "data would be overwritten in a buffer".
-func (q *Queue) ForcePut(v any) (evicted any) {
-	if q.Full() {
-		evicted = q.buf[0]
-		copy(q.buf, q.buf[1:])
-		q.buf[len(q.buf)-1] = v
-		q.Puts++
-		q.wake(&q.getters)
-		return evicted
-	}
-	q.buf = append(q.buf, v)
-	q.Puts++
-	if len(q.buf) > q.MaxDepth {
-		q.MaxDepth = len(q.buf)
-	}
-	q.wake(&q.getters)
-	return nil
-}
-
 // Get removes and returns the oldest token, blocking while empty.
 func (q *Queue) Get(p *Proc) any {
 	for len(q.buf) == 0 {
@@ -118,14 +93,6 @@ func (q *Queue) TryGet() (any, bool) {
 	q.Gets++
 	q.wake(&q.putters)
 	return v, true
-}
-
-// Peek returns the oldest token without removing it.
-func (q *Queue) Peek() (any, bool) {
-	if len(q.buf) == 0 {
-		return nil, false
-	}
-	return q.buf[0], true
 }
 
 // wake resumes every parked process on list via the kernel's shared
@@ -169,16 +136,6 @@ func (r *Resource) Acquire(p *Proc) {
 	r.Acquisitions++
 }
 
-// TryAcquire takes one unit if immediately available.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse >= r.total {
-		return false
-	}
-	r.inUse++
-	r.Acquisitions++
-	return true
-}
-
 // Release returns one unit and wakes all waiters (they re-contend in
 // FIFO order thanks to deterministic event ordering).
 func (r *Resource) Release() {
@@ -188,6 +145,3 @@ func (r *Resource) Release() {
 	r.inUse--
 	r.k.wakeAll(&r.wait)
 }
-
-// InUse returns the number of held units.
-func (r *Resource) InUse() int { return r.inUse }

@@ -65,7 +65,7 @@ func TestQueueBackPressure(t *testing.T) {
 	}
 }
 
-func TestQueueTryAndForcePut(t *testing.T) {
+func TestQueueTryPutGet(t *testing.T) {
 	k := NewKernel()
 	q := k.NewQueue("q", 2)
 	if !q.TryPut(1) || !q.TryPut(2) {
@@ -74,17 +74,13 @@ func TestQueueTryAndForcePut(t *testing.T) {
 	if q.TryPut(3) {
 		t.Fatal("TryPut should fail when full")
 	}
-	ev := q.ForcePut(3)
-	if ev != 1 {
-		t.Fatalf("ForcePut evicted %v, want 1 (oldest)", ev)
+	for _, want := range []int{1, 2} {
+		if v, ok := q.TryGet(); !ok || v != want {
+			t.Fatalf("TryGet = %v, %v, want %d (oldest first)", v, ok, want)
+		}
 	}
-	v, ok := q.TryGet()
-	if !ok || v != 2 {
-		t.Fatalf("after eviction head = %v, want 2", v)
-	}
-	v, ok = q.Peek()
-	if !ok || v != 3 {
-		t.Fatalf("peek = %v, want 3", v)
+	if v, ok := q.TryGet(); ok {
+		t.Fatalf("TryGet on an empty queue returned %v", v)
 	}
 }
 
@@ -130,21 +126,30 @@ func TestResourceMutualExclusion(t *testing.T) {
 	}
 }
 
+// TestResourceCounting: a two-unit resource admits two holders at
+// once; the third waits for the first release.
 func TestResourceCounting(t *testing.T) {
 	k := NewKernel()
 	r := k.NewResource("dma", 2)
-	if !r.TryAcquire() || !r.TryAcquire() {
-		t.Fatal("two units should be available")
+	var got []Time
+	for i := 0; i < 3; i++ {
+		k.Spawn("user", func(p *Proc) {
+			r.Acquire(p)
+			got = append(got, p.Now())
+			p.Delay(10 * Nanosecond)
+			r.Release()
+		})
 	}
-	if r.TryAcquire() {
-		t.Fatal("third acquire should fail")
+	k.RunUntil(5 * Nanosecond)
+	if r.inUse != 2 || len(got) != 2 {
+		t.Fatalf("in use = %d with %d holders, want 2", r.inUse, len(got))
 	}
-	r.Release()
-	if !r.TryAcquire() {
-		t.Fatal("released unit should be reacquirable")
+	k.Run()
+	if want := []Time{0, 0, 10 * Nanosecond}; len(got) != 3 || got[2] != want[2] {
+		t.Fatalf("acquired at %v, want %v", got, want)
 	}
-	if r.InUse() != 2 {
-		t.Fatalf("in use = %d, want 2", r.InUse())
+	if r.inUse != 0 {
+		t.Fatalf("in use = %d after every release, want 0", r.inUse)
 	}
 }
 
@@ -171,7 +176,7 @@ func TestQueueOrderProperty(t *testing.T) {
 		k.Spawn("prod", func(p *Proc) {
 			for i := 0; i < count; i++ {
 				q.Put(p, i)
-				if q.Len() > capacity {
+				if len(q.buf) > capacity {
 					overCap = true
 				}
 				p.Delay(Time(prodDelay) * Nanosecond)

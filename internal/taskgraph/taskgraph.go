@@ -171,31 +171,6 @@ func (g *Graph) TotalCycles(class platform.PEClass) int64 {
 	return total
 }
 
-// CriticalPathCycles returns the longest compute path (ignoring
-// communication) on the given class — the parallel-speedup bound.
-func (g *Graph) CriticalPathCycles(class platform.PEClass) int64 {
-	v := g.View()
-	order, err := v.TopoOrder()
-	if err != nil {
-		return g.TotalCycles(class)
-	}
-	finish := make([]int64, len(g.Tasks))
-	var best int64
-	for _, id := range order {
-		var start int64
-		for _, p := range v.Preds(id) {
-			if finish[p.Task] > start {
-				start = finish[p.Task]
-			}
-		}
-		finish[id] = start + g.Tasks[id].CyclesOn(class)
-		if finish[id] > best {
-			best = finish[id]
-		}
-	}
-	return best
-}
-
 // App is one application instance for the concurrency analysis.
 type App struct {
 	ID    int

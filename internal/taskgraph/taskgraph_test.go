@@ -62,18 +62,14 @@ func TestValidateRejectsBadGraphs(t *testing.T) {
 	}
 }
 
-func TestCriticalPath(t *testing.T) {
+func TestTotalCycles(t *testing.T) {
 	g := diamond()
-	// a -> c -> d = 100+300+100 = 500 on RISC.
-	if cp := g.CriticalPathCycles(platform.RISC); cp != 500 {
-		t.Fatalf("critical path %d, want 500", cp)
-	}
 	if tot := g.TotalCycles(platform.RISC); tot != 700 {
 		t.Fatalf("total %d, want 700", tot)
 	}
 	// DSP halves everything.
-	if cp := g.CriticalPathCycles(platform.DSP); cp != 250 {
-		t.Fatalf("DSP critical path %d, want 250", cp)
+	if tot := g.TotalCycles(platform.DSP); tot != 350 {
+		t.Fatalf("DSP total %d, want 350", tot)
 	}
 }
 

@@ -132,9 +132,3 @@ func (b *Buffer) Dump() string {
 	}
 	return sb.String()
 }
-
-// Clear empties the buffer.
-func (b *Buffer) Clear() {
-	b.events = b.events[:0]
-	b.start = 0
-}

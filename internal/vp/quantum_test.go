@@ -69,9 +69,9 @@ func TestDebugHooksForcePrecise(t *testing.T) {
 	v := New(k, cfg)
 	v.LoadProgram(0, prog)
 	steps := 0
-	v.OnStep = func(core int, pc uint32) bool {
+	v.OnStep = func(core int, pc uint32) sim.Time {
 		steps++
-		return true
+		return 0
 	}
 	v.Start()
 	k.RunUntil(10 * sim.Microsecond)

@@ -11,8 +11,8 @@
 //     the operation without recognizing that it has been halted"),
 //     with full visibility into every core and peripheral register,
 //     and
-//   - deterministic snapshots and replay, so defects reproduce
-//     exactly.
+//   - deterministic replay: the same configuration dispatches the
+//     same event sequence, so defects reproduce exactly.
 package vp
 
 import (
@@ -59,7 +59,7 @@ type Config struct {
 	// single Delay. Quantum <= 1 is precise mode — one kernel event per
 	// instruction, byte-identical event ordering to the seed model.
 	// Precise stepping is also forced automatically whenever debugging
-	// hooks (OnStep, OnMemAccess, OnIRQ) are installed or the system is
+	// hooks (OnStep, OnMemAccess) are installed or the system is
 	// suspended, so watchpoint and breakpoint semantics never change.
 	Quantum int
 }
@@ -96,11 +96,11 @@ type VP struct {
 
 	// OnMemAccess observes shared-memory accesses (debug watchpoints).
 	OnMemAccess func(core int, addr uint32, write bool, val uint32)
-	// OnIRQ observes interrupt deliveries (signal watchpoints).
-	OnIRQ func(core int)
-	// OnStep runs before each instruction; returning false parks the
-	// core until the system is resumed (breakpoint hook).
-	OnStep func(core int, pc uint32) bool
+	// OnStep runs before each instruction and returns how long the
+	// core stays parked instead of executing it: 0 runs the
+	// instruction. A hook that suspends the system (a breakpoint)
+	// parks the core until Resume instead.
+	OnStep func(core int, pc uint32) sim.Time
 
 	// InstrBudget, when positive, stops the run loop after that many
 	// total instructions (runaway guard in tests).
@@ -170,11 +170,11 @@ func (v *VP) Start() {
 				// debugging hooks installed, execute a burst of
 				// instructions locally and consume their accumulated
 				// time in one kernel event. Any hook (breakpoints,
-				// watchpoints, IRQ watch) forces precise per-instruction
+				// watchpoints) forces precise per-instruction
 				// stepping so debug semantics are unchanged; the check
 				// is per iteration, so hooks installed mid-run take
 				// effect at the next instruction boundary.
-				if v.quantum > 1 && v.OnStep == nil && v.OnMemAccess == nil && v.OnIRQ == nil {
+				if v.quantum > 1 && v.OnStep == nil && v.OnMemAccess == nil {
 					limit := v.quantum
 					if v.InstrBudget > 0 {
 						// Match the precise path's stop condition
@@ -195,14 +195,15 @@ func (v *VP) Start() {
 					p.Delay(sim.Time(cycles) * v.cyclePeriod)
 					continue
 				}
-				if v.OnStep != nil && !v.OnStep(i, cpu.PC) {
-					// Parked by the debugger; the loop re-checks the
-					// suspend flag. Guard against a hook that refuses
-					// without suspending (would livelock the host).
-					if !v.suspended {
-						p.Delay(v.cyclePeriod)
+				if v.OnStep != nil {
+					if park := v.OnStep(i, cpu.PC); park > 0 {
+						// Parked by the hook; the loop re-checks the
+						// suspend flag afterwards.
+						if !v.suspended {
+							p.Delay(park)
+						}
+						continue
 					}
-					continue
 				}
 				cycles := cpu.Step()
 				v.retired++
@@ -269,65 +270,6 @@ func (v *VP) AllHalted() bool {
 
 // Retired returns total instructions retired across cores.
 func (v *VP) Retired() uint64 { return v.retired }
-
-// --- Snapshot / deterministic replay ---
-
-// Snapshot is a full-system state capture.
-type Snapshot struct {
-	At          sim.Time
-	CPUs        []iss.State
-	Locals      [][]byte
-	Shared      []byte
-	TimerPeriod []int64
-	TimerCount  []uint32
-	Mbox        [][]uint32
-	Sems        [SemCount]uint32
-	Console     [][]uint32
-}
-
-// Snapshot captures the complete platform state. Meaningful while
-// suspended (or before Start).
-func (v *VP) Snapshot() *Snapshot {
-	s := &Snapshot{At: v.K.Now(), Sems: v.sems}
-	for _, c := range v.CPUs {
-		s.CPUs = append(s.CPUs, c.Save())
-	}
-	for _, l := range v.Locals {
-		s.Locals = append(s.Locals, append([]byte{}, l...))
-	}
-	s.Shared = append([]byte{}, v.Shared...)
-	s.TimerPeriod = append([]int64{}, v.timerPeriod...)
-	s.TimerCount = append([]uint32{}, v.timerCount...)
-	for _, m := range v.mbox {
-		s.Mbox = append(s.Mbox, append([]uint32{}, m...))
-	}
-	for _, c := range v.Console {
-		s.Console = append(s.Console, append([]uint32{}, c...))
-	}
-	return s
-}
-
-// Restore reinstates a snapshot's architectural state (clock position
-// is not rewound; determinism comes from identical state and ordered
-// events).
-func (v *VP) Restore(s *Snapshot) {
-	for i, cs := range s.CPUs {
-		v.CPUs[i].Restore(cs)
-	}
-	for i, l := range s.Locals {
-		copy(v.Locals[i], l)
-	}
-	copy(v.Shared, s.Shared)
-	copy(v.timerPeriod, s.TimerPeriod)
-	copy(v.timerCount, s.TimerCount)
-	for i, m := range s.Mbox {
-		v.mbox[i] = append([]uint32{}, m...)
-	}
-	v.sems = s.Sems
-	for i, c := range s.Console {
-		v.Console[i] = append([]uint32{}, c...)
-	}
-}
 
 // --- Bus and peripherals ---
 
@@ -492,9 +434,6 @@ func (v *VP) setTimer(core int, periodCycles int64) {
 func (v *VP) raiseIRQ(core int) {
 	v.CPUs[core].RaiseInterrupt()
 	v.Trace.Add(trace.Event{At: v.K.Now(), Core: core, Kind: trace.IRQ, Detail: "irq"})
-	if v.OnIRQ != nil {
-		v.OnIRQ(core)
-	}
 }
 
 // ecall provides host services: v0=1 print a0 to console, v0=14
