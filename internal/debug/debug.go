@@ -173,18 +173,6 @@ func (d *Debugger) SharedWord(addr uint32) uint32 {
 	return v
 }
 
-// Assert evaluates a predicate over full system state and records a
-// violation when false — the "system level software assertions"
-// capability: no target code changes needed.
-func (d *Debugger) Assert(name string, pred func(d *Debugger) bool) bool {
-	if pred(d) {
-		return true
-	}
-	v := fmt.Sprintf("assertion %q failed at %v", name, d.VP.K.Now())
-	d.Violations = append(d.Violations, v)
-	return false
-}
-
 // --- The intrusive alternative (for the Heisenbug experiment) ---
 
 // IntrusiveProbe models traditional single-core halt debugging: when

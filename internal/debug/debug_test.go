@@ -1,6 +1,7 @@
 package debug
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -112,6 +113,9 @@ func TestWatchpointCoreFilter(t *testing.T) {
 }
 
 func TestSystemLevelAssertion(t *testing.T) {
+	// An assertion over system state attaches to a watchpoint handler
+	// and records into Violations; the target code is unchanged and the
+	// platform runs to completion.
 	src := `
 		li  t0, 0x40000000
 		li  t1, 150
@@ -122,18 +126,24 @@ func TestSystemLevelAssertion(t *testing.T) {
 	d := New(v)
 	w := d.WatchMem(vp.SharedBase, vp.SharedBase+3, false, true, -1)
 	w.Handler = func(d *Debugger, r StopReason) {
-		d.Assert("counter <= 100", func(d *Debugger) bool {
-			return r.Value <= 100
-		})
+		if r.Value > 100 {
+			d.Violations = append(d.Violations,
+				fmt.Sprintf("assertion %q failed at %v", "counter <= 100", d.VP.K.Now()))
+		}
 	}
 	v.Start()
 	k.RunFor(10 * sim.Microsecond)
-	v.RunUntilHalted(sim.Second)
+	if !v.RunUntilHalted(sim.Second) {
+		t.Fatal("program did not finish")
+	}
 	if len(d.Violations) != 1 {
 		t.Fatalf("violations = %v", d.Violations)
 	}
 	if !strings.Contains(d.Violations[0], "counter <= 100") {
 		t.Fatalf("violation text: %s", d.Violations[0])
+	}
+	if len(d.Stops) != 0 {
+		t.Fatalf("assertion handler suspended the system: %v", d.Stops)
 	}
 }
 

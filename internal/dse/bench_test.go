@@ -56,7 +56,9 @@ func BenchmarkSweepPoint(b *testing.B) {
 // searched points alternate two mapping seeds (alternateSeed), so
 // every iteration searches; vp64/twin repeats one vp point, so every
 // iteration executes the mapping memo, as the vp twin of an mvp point
-// does in a sweep (the evidence behind EstCost's twinCost).
+// does in a sweep (the evidence behind EstCost's twinCost). anneal/mvp
+// times a full search: it fails if either seed's start is certified
+// by the lower bound.
 func BenchmarkSweepPointWarm(b *testing.B) {
 	base := Point{
 		ID:   0,
@@ -82,6 +84,9 @@ func BenchmarkSweepPointWarm(b *testing.B) {
 		{"list/mvp", listMVP, true}, {"anneal/mvp", annealMVP, true}, {"list/pipe8", listPipe, true},
 		{"rtos/jobs16", jobs, false}, {"vp64/twin", twin, false},
 	} {
+		if c.p.Heuristic == "anneal" && c.search {
+			requireFullSearch(b, c.p)
+		}
 		b.Run(c.name, func(b *testing.B) {
 			ctx := NewEvalContext()
 			ctx.Evaluate(c.p) // warm the caches
@@ -97,6 +102,23 @@ func BenchmarkSweepPointWarm(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// requireFullSearch fails b unless evaluating p and its alternate seed
+// anneals every move of both searches, none ended by the lower bound.
+func requireFullSearch(b *testing.B, p Point) {
+	b.Helper()
+	o := NewEvalObs(obs.NewRegistry())
+	c := NewEvalContext()
+	c.SetObs(o)
+	for i := range 2 {
+		if r := c.Evaluate(alternateSeed(p, i)); r.Err != "" {
+			b.Fatal(r.Err)
+		}
+	}
+	if n := o.Search.Certified.Value(); n != 0 {
+		b.Fatalf("%d of the 2 searches certified at the start (%d anneal moves)", n, o.Search.AnnealMoves.Value())
 	}
 }
 

@@ -18,7 +18,7 @@ const ledgerSpec = "plat=homog4;mem=ideal,bank:4x2;wl=synth8,multi:jpeg+synth8,j
 // ledgerCols names the work ledger's columns: the context-wide work
 // counters ledgerCounts reads, then the fabric transfers of the
 // points' results.
-var ledgerCols = [...]string{"points", "schedules", "tasks_sched", "anneal_moves", "sim_sched", "sim_exec",
+var ledgerCols = [...]string{"points", "schedules", "tasks_sched", "anneal_moves", "certified", "sim_sched", "sim_exec",
 	"graphs", "multis", "plats", "cal_fits", "transfers"}
 
 // ledgerRow is the deterministic work of a set of points, by
@@ -32,7 +32,7 @@ const transfers = len(ledgerCols) - 1
 func ledgerCounts(o EvalObs) ledgerRow {
 	return ledgerRow{
 		o.Points.Value(), o.Search.Schedules.Value(), o.Search.TasksScheduled.Value(),
-		o.Search.AnnealMoves.Value(), o.SimScheduled.Value(), o.SimExecuted.Value(),
+		o.Search.AnnealMoves.Value(), o.Search.Certified.Value(), o.SimScheduled.Value(), o.SimExecuted.Value(),
 		o.GraphMisses.Value(), o.MultiMisses.Value(), o.PlatBuilds.Value(), o.CalMisses.Value(), 0,
 	}
 }
@@ -111,7 +111,7 @@ func TestWorkLedgerGolden(t *testing.T) {
 	}
 	for i, col := range ledgerCols {
 		switch col {
-		case "schedules", "tasks_sched", "anneal_moves", "graphs", "multis", "plats", "cal_fits":
+		case "schedules", "tasks_sched", "anneal_moves", "certified", "graphs", "multis", "plats", "cal_fits":
 			if vp[i] != 0 {
 				t.Fatalf("vp points: %s = %d, want 0 (the mvp twin's search and builds)", col, vp[i])
 			}

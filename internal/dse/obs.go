@@ -115,6 +115,7 @@ func NewEvalObs(r *obs.Registry) EvalObs {
 			AnnealMoves:    r.Counter("map_anneal_moves_total", "Proposed annealing moves."),
 			AnnealAccepts:  r.Counter("map_anneal_accepts_total", "Accepted annealing moves."),
 			AnnealRejects:  r.Counter("map_anneal_rejects_total", "Rejected (reverted) annealing moves."),
+			Certified:      r.Counter("map_certified_total", "Searches ended by the admissible lower bound."),
 		},
 	}
 }

@@ -4,7 +4,10 @@ import (
 	"testing"
 
 	"mpsockit/internal/mem"
+	"mpsockit/internal/noc"
 	"mpsockit/internal/obs"
+	"mpsockit/internal/platform"
+	"mpsockit/internal/sim"
 	"mpsockit/internal/taskgraph"
 	"mpsockit/internal/workload"
 )
@@ -20,6 +23,7 @@ func liveSearchObs(r *obs.Registry) SearchObs {
 		AnnealMoves:    r.Counter("map_anneal_moves_total", "Proposed annealing moves."),
 		AnnealAccepts:  r.Counter("map_anneal_accepts_total", "Accepted annealing moves."),
 		AnnealRejects:  r.Counter("map_anneal_rejects_total", "Rejected annealing moves."),
+		Certified:      r.Counter("map_certified_total", "Searches ended by the lower bound."),
 	}
 }
 
@@ -162,13 +166,54 @@ func BenchmarkAnnealMove(b *testing.B) {
 	}
 }
 
+// requireCertified fails b unless an anneal of g on plat under opt is
+// certified at its start (want true) or runs all its moves (want
+// false), so a benchmark keeps timing the search it names.
+func requireCertified(b *testing.B, g *taskgraph.Graph, plat *platform.Platform, opt Options, want bool) {
+	b.Helper()
+	ev := NewEvaluator(g, plat)
+	ev.Obs = liveSearchObs(obs.NewRegistry())
+	if _, err := ev.Map(opt); err != nil {
+		b.Fatal(err)
+	}
+	if got := ev.Obs.Certified.Value() == 1; got != want {
+		b.Fatalf("%s on %s: certified %v, want %v (%d anneal moves)", g.Name, plat.Name, got, want, ev.Obs.AnnealMoves.Value())
+	}
+}
+
+// BenchmarkAnneal is a full 2000-move makespan search: its start is
+// not certified.
 func BenchmarkAnneal(b *testing.B) {
 	g := workload.SyntheticTaskGraph(16, 42)
 	plat := wirelessPlat()
+	requireCertified(b, g, plat, Options{Heuristic: Anneal, Seed: 7}, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Map(g, plat, Options{Heuristic: Anneal, Seed: 7}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAnnealCertified is a makespan anneal whose list start
+// meets the lower bound (carradio on four homogeneous cores), on a
+// warm evaluator: the list mapping, its schedule and the bound, no
+// move. The CI guard requires 0 allocs/op.
+func BenchmarkAnnealCertified(b *testing.B) {
+	g := workload.CarRadioTaskGraph()
+	k := sim.NewKernel()
+	plat := platform.NewHomogeneous(k, 4, 1_000_000_000, noc.MeshFor(k, 4))
+	opt := Options{Heuristic: Anneal, Seed: 7}
+	requireCertified(b, g, plat, opt, true)
+	ev := NewEvaluator(g, plat)
+	if _, err := ev.annealMap(opt); err != nil { // grow the heuristics' scratch
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ev.annealMap(opt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"mpsockit/internal/noc"
+	"mpsockit/internal/obs"
 	"mpsockit/internal/platform"
 	"mpsockit/internal/sim"
 	"mpsockit/internal/taskgraph"
@@ -138,8 +139,10 @@ func annealMapRef(g *taskgraph.Graph, plat *platform.Platform, opt Options, star
 	return best
 }
 
-// exhaustiveMapRef is the seed plain enumeration (first-found min).
-func exhaustiveMapRef(g *taskgraph.Graph, plat *platform.Platform, objective Objective) []int {
+// exhaustiveMapRef is the seed plain enumeration (first-found min). It
+// also returns how many leaves it had scored when it first found that
+// minimum.
+func exhaustiveMapRef(g *taskgraph.Graph, plat *platform.Platform, objective Objective) ([]int, int) {
 	n := len(g.Tasks)
 	cands := make([][]int, n)
 	for i, t := range g.Tasks {
@@ -148,13 +151,16 @@ func exhaustiveMapRef(g *taskgraph.Graph, plat *platform.Platform, objective Obj
 	assign := make([]int, n)
 	best := make([]int, n)
 	bestCost := sim.Forever
+	var leaves, first int
 	var rec func(i int)
 	rec = func(i int) {
 		if i == n {
+			leaves++
 			c := objectiveCostRef(g, plat, objective, assign)
 			if c < bestCost {
 				bestCost = c
 				copy(best, assign)
+				first = leaves
 			}
 			return
 		}
@@ -164,7 +170,7 @@ func exhaustiveMapRef(g *taskgraph.Graph, plat *platform.Platform, objective Obj
 		}
 	}
 	rec(0)
-	return best
+	return best, first
 }
 
 // evalPlatforms builds the platform shapes the default sweep crosses,
@@ -267,6 +273,9 @@ func TestScheduleEquivalence(t *testing.T) {
 // exact accept/reject trajectory of the seed full-copy annealer — the
 // returned assignments match element for element across the default
 // sweep's workload × platform × objective cross, several seeds each.
+// The cross must hold, per objective, starts the lower bound certifies
+// (returned unannealed) and starts it does not, so both paths meet the
+// oracle.
 func TestAnnealEquivalence(t *testing.T) {
 	plats := evalPlatforms()
 	graphs := evalWorkloads()
@@ -274,15 +283,22 @@ func TestAnnealEquivalence(t *testing.T) {
 	if testing.Short() {
 		iters = 300
 	}
+	var certified, annealed [2]int
 	for gi, g := range graphs {
 		for pi, plat := range plats {
 			for _, obj := range []Objective{Makespan, Throughput} {
 				for _, seed := range []uint64{1, 42, 0xdead} {
 					opt := Options{Heuristic: Anneal, Objective: obj, Seed: seed, Iterations: iters}
 					ev := NewEvaluator(g, plat)
+					ev.Obs = liveSearchObs(obs.NewRegistry())
 					got, err := ev.annealMap(opt)
 					if err != nil {
 						t.Fatalf("graph %d plat %d: %v", gi, pi, err)
+					}
+					if ev.Obs.Certified.Value() == 1 {
+						certified[obj]++
+					} else {
+						annealed[obj]++
 					}
 					var start []int
 					if obj == Throughput {
@@ -302,11 +318,20 @@ func TestAnnealEquivalence(t *testing.T) {
 			}
 		}
 	}
+	for obj := range certified {
+		if certified[obj] == 0 || annealed[obj] == 0 {
+			t.Fatalf("objective %d: %d certified starts, %d annealed; the cross must hold both", obj, certified[obj], annealed[obj])
+		}
+		t.Logf("objective %d: %d certified starts, %d annealed", obj, certified[obj], annealed[obj])
+	}
 }
 
 // TestExhaustiveEquivalence: branch-and-bound returns the plain
 // enumeration's first-found argmin on every small workload, both
-// objectives.
+// objectives. A search whose incumbent meets the lower bound scores no
+// leaf after the plain enumeration's first argmin: on carradio on the
+// wireless mesh (makespan) that is fewer than the 464 leaves the load
+// bound alone leaves to score.
 func TestExhaustiveEquivalence(t *testing.T) {
 	plats := evalPlatforms()
 	graphs := []*taskgraph.Graph{
@@ -319,14 +344,26 @@ func TestExhaustiveEquivalence(t *testing.T) {
 		for pi, plat := range plats {
 			for _, obj := range []Objective{Makespan, Throughput} {
 				ev := NewEvaluator(g, plat)
+				ev.Obs = liveSearchObs(obs.NewRegistry())
 				got, err := ev.exhaustiveMap(obj)
 				if err != nil {
 					t.Fatalf("graph %d plat %d: %v", gi, pi, err)
 				}
-				want := exhaustiveMapRef(g, plat, obj)
+				want, first := exhaustiveMapRef(g, plat, obj)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("graph %d plat %d obj %d: exhaustive diverged\ngot  %v\nwant %v",
 						gi, pi, obj, got, want)
+				}
+				evals := ev.Obs.CostEvals.Value()
+				if ev.Obs.Certified.Value() == 1 && evals > int64(first) {
+					t.Fatalf("graph %d plat %d obj %d: certified search scored %d leaves, the first argmin is leaf %d",
+						gi, pi, obj, evals, first)
+				}
+				if gi == 0 && pi == 0 && obj == Makespan {
+					if ev.Obs.Certified.Value() != 1 || evals >= 464 {
+						t.Fatalf("carradio on wireless: certified %d, %d leaves scored; want a certified search under 464",
+							ev.Obs.Certified.Value(), evals)
+					}
 				}
 			}
 		}

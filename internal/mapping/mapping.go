@@ -35,6 +35,15 @@
 // it unsearched: the fidelity twins of a design point share one
 // search.
 //
+// A search also stops when it can prove its answer optimal. The bound
+// tables give an admissible lower bound on any capable assignment's
+// cost (lowerBound): the fastest-time critical path with free
+// communication, or for throughput the longest task, and the fastest
+// total work spread over all cores. An anneal whose list or LPT start
+// meets it returns the start without a move, and exhaustive search
+// ends at the first leaf that meets it. Both searches keep a mapping
+// only for a strictly lower cost, so neither changes its result.
+//
 // Execution is the other per-point cost. Execute, ExecuteMulti and
 // ExecutePipelined run tasks as state machines on the platform kernel,
 // not goroutine-backed sim.Procs, dispatching exactly the events of
@@ -179,10 +188,11 @@ type Evaluator struct {
 	// position of task id. peq[q] is the core of the task at q, fq[q]
 	// its finish time in the last schedule built, and prevq[q] the
 	// finish the last suffix overwrote, so a rejected anneal move can
-	// restore it. preds[predStart[q]:predStart[q+1]] are the task's
-	// aggregated predecessors in Preds order, each as the
-	// predecessor's position and the edge's payload latency. Index
-	// tables are int32 to keep the scratch small.
+	// restore it (lowerBound borrows it in between).
+	// preds[predStart[q]:predStart[q+1]] are the task's aggregated
+	// predecessors in Preds order, each as the predecessor's position
+	// and the edge's payload latency. Index tables are int32 to keep
+	// the scratch small.
 	order     []int
 	pos       []int32
 	peq       []int32
@@ -717,9 +727,52 @@ func (e *Evaluator) throughputMap() ([]int, error) {
 	return taskPE, nil
 }
 
+// lowerBound returns an admissible lower bound on the objective cost
+// of every assignment that puts each task on one of its capable cores.
+// Each task takes at least its fastest capable time, and a core runs
+// one task at a time, so both objectives are at least that total
+// spread over all cores (rounded up: costs are whole picoseconds). A
+// makespan is also at least the critical path at those times with
+// every communication free — the schedule kernel only adds
+// non-negative latencies — and a throughput period at least the
+// longest single task. It reads only bound tables and writes prevq,
+// which holds nothing between a suffix and the restore that follows
+// it; fq, the schedule a suffix resumes from, is left alone.
+func (e *Evaluator) lowerBound(objective Objective) sim.Time {
+	nPE := len(e.plat.Cores)
+	eft := e.prevq
+	var total, longest sim.Time
+	for q, id := range e.order {
+		d := e.fastest(id)
+		total += d
+		if objective == Makespan {
+			// eft[q] is the task's finish on that critical path.
+			var ready sim.Time
+			for _, r := range e.preds[e.predStart[q]:e.predStart[q+1]] {
+				ready = max(ready, eft[r.q])
+			}
+			d += ready
+			eft[q] = d
+		}
+		longest = max(longest, d)
+	}
+	return max(longest, (total+sim.Time(nPE)-1)/sim.Time(nPE))
+}
+
+// fastest returns task id's shortest time on a capable core.
+func (e *Evaluator) fastest(id int) sim.Time {
+	nPE := len(e.plat.Cores)
+	d := sim.Forever
+	for _, pe := range e.Capable(id) {
+		d = min(d, e.durs[id*nPE+pe])
+	}
+	return d
+}
+
 // annealMap refines the list (or, for throughput, LPT) mapping with
 // simulated annealing over single-task moves, optimizing the selected
-// objective; deterministic under Options.Seed. Moves mutate the
+// objective; deterministic under Options.Seed. A start whose cost
+// meets lowerBound is returned unannealed. Moves mutate the
 // current assignment in place and revert on reject. Every move cost is
 // computed incrementally: a move that picks the task's current core
 // keeps the current cost (and, at dE = 0, is accepted without drawing
@@ -747,10 +800,16 @@ func (e *Evaluator) annealMap(opt Options) ([]int, error) {
 	if iters <= 0 {
 		iters = 2000
 	}
-	rng := xrand.New(opt.Seed + 1)
 	curCost := e.objectiveCost(opt.Objective, cur)
 	best := append(e.best[:0], cur...)
 	e.best = best
+	if curCost == e.lowerBound(opt.Objective) {
+		// The start is optimal: best only takes a strictly lower cost,
+		// so no move could change what the search returns.
+		e.Obs.Certified.Inc()
+		return best, nil
+	}
+	rng := xrand.New(opt.Seed + 1)
 	bestCost := curCost
 	temp := float64(curCost)
 	// Throughput: e.load now holds cur's per-core loads (filled by
@@ -818,9 +877,10 @@ func (e *Evaluator) annealMap(opt Options) ([]int, error) {
 // selected objective with branch-and-bound: a prefix is cut when an
 // admissible lower bound — the larger of the most-loaded core so far
 // and the remaining work spread perfectly over all cores — already
-// meets the incumbent. Bounds never cut a strictly better leaf and
-// enumeration order is unchanged, so the returned assignment is the
-// plain enumeration's first-found argmin, byte for byte. Guarded to
+// meets the incumbent, and enumeration stops once the incumbent meets
+// lowerBound. Bounds never cut a strictly better leaf and enumeration
+// order is unchanged, so the returned assignment is the plain
+// enumeration's first-found argmin, byte for byte. Guarded to
 // small instances (the paper's exploration loop for design studies).
 func (e *Evaluator) exhaustiveMap(objective Objective) ([]int, error) {
 	g := e.g
@@ -833,22 +893,13 @@ func (e *Evaluator) exhaustiveMap(objective Objective) ([]int, error) {
 			return nil, fmt.Errorf("mapping: exhaustive search space too large (>500k); use list or anneal")
 		}
 	}
-	// minDur[i] is task i's fastest capable-core time; remMin[i] the
-	// total over tasks i..n-1 — the admissible remaining-work term.
-	minDur := make([]sim.Time, n)
-	for id := range g.Tasks {
-		m := sim.Forever
-		for _, pe := range e.Capable(id) {
-			if d := e.durs[id*nPE+pe]; d < m {
-				m = d
-			}
-		}
-		minDur[id] = m
-	}
+	// remMin[i] is the fastest capable-core time summed over tasks
+	// i..n-1 — the admissible remaining-work term.
 	remMin := make([]sim.Time, n+1)
 	for id := n - 1; id >= 0; id-- {
-		remMin[id] = remMin[id+1] + minDur[id]
+		remMin[id] = remMin[id+1] + e.fastest(id)
 	}
+	floor := e.lowerBound(objective)
 	assign := make([]int, n)
 	best := make([]int, n)
 	bestCost := sim.Forever
@@ -874,6 +925,9 @@ func (e *Evaluator) exhaustiveMap(objective Objective) ([]int, error) {
 			}
 		}
 		for _, pe := range e.Capable(i) {
+			if bestCost == floor {
+				return // no later leaf can be strictly better
+			}
 			assign[i] = pe
 			d := e.durs[i*nPE+pe]
 			load[pe] += d
@@ -890,6 +944,9 @@ func (e *Evaluator) exhaustiveMap(objective Objective) ([]int, error) {
 	rec(0, 0)
 	if bestCost == sim.Forever {
 		return nil, fmt.Errorf("mapping: no feasible assignment")
+	}
+	if bestCost == floor {
+		e.Obs.Certified.Inc()
 	}
 	return best, nil
 }

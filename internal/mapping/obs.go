@@ -27,4 +27,8 @@ type SearchObs struct {
 	AnnealAccepts *obs.Counter
 	// AnnealRejects counts rejected (reverted) annealing moves.
 	AnnealRejects *obs.Counter
+	// Certified counts searches ended by the admissible lower bound:
+	// an anneal whose start meets it (and makes no move), an exhaustive
+	// search whose incumbent does.
+	Certified *obs.Counter
 }

@@ -1,11 +1,13 @@
 package mapping
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"mpsockit/internal/platform"
 	"mpsockit/internal/taskgraph"
+	"mpsockit/internal/xrand"
 )
 
 // randomDAG builds a task graph from fuzz bytes: edges always point
@@ -76,4 +78,59 @@ func TestMappingValidityProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestLowerBoundAdmissible: the lower bound never exceeds an
+// assignment's cost — the makespan of its static schedule, the load of
+// its most-loaded core — for random capable assignments of random
+// graphs on mesh and bus fabrics with ideal, bank and bw memory. It is
+// positive, and computing it leaves the schedule a suffix resumes from
+// (fq) as it was.
+func TestLowerBoundAdmissible(t *testing.T) {
+	plats := incPlatforms(t)
+	var tight [2]int
+	f := func(tasks []uint8, edges []uint16, seed uint64) bool {
+		if len(tasks) == 0 {
+			return true
+		}
+		if len(edges) > 16 {
+			edges = edges[:16]
+		}
+		g := randomDAG(tasks, edges)
+		if g.Validate() != nil {
+			return true
+		}
+		plat := plats[int(seed%uint64(len(plats)))]
+		ev := NewEvaluator(g, plat)
+		rng := xrand.New(seed)
+		assign := make([]int, len(g.Tasks))
+		for id := range assign {
+			cands := ev.Capable(id)
+			if len(cands) == 0 {
+				return true
+			}
+			assign[id] = cands[rng.Intn(len(cands))]
+		}
+		for _, obj := range []Objective{Makespan, Throughput} {
+			cost := ev.objectiveCost(obj, assign)
+			fq := slices.Clone(ev.fq)
+			lb := ev.lowerBound(obj)
+			if lb <= 0 || cost < lb {
+				t.Logf("%s, objective %d: cost %v, lower bound %v", plat.Name, obj, cost, lb)
+				return false
+			}
+			if !slices.Equal(fq, ev.fq) {
+				t.Logf("lowerBound changed the kernel's finish times")
+				return false
+			}
+			if cost == lb {
+				tight[obj]++
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("assignments at the bound: %d makespan, %d throughput", tight[Makespan], tight[Throughput])
 }

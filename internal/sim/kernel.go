@@ -177,7 +177,6 @@ type Kernel struct {
 	nowLive int
 	free    []*event
 	seq     uint64
-	stopped bool
 	// Executed counts events dispatched since construction; useful as
 	// a progress measure and in tests.
 	Executed uint64
@@ -304,11 +303,8 @@ func (k *Kernel) Cancel(ev Event) {
 func (k *Kernel) Stats() KernelStats { return k.stats }
 
 // Step executes the single next event. It returns false when the queue
-// is empty or the kernel has been stopped.
+// is empty.
 func (k *Kernel) Step() bool {
-	if k.stopped {
-		return false
-	}
 	var e *event
 	switch {
 	case k.nowLive > 0 && (len(k.queue) == 0 || !eventLess(k.queue[0], k.nowq[k.nowHead])):
@@ -333,7 +329,7 @@ func (k *Kernel) Step() bool {
 	return true
 }
 
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty.
 func (k *Kernel) Run() {
 	for k.Step() {
 	}
@@ -344,10 +340,10 @@ func (k *Kernel) Run() {
 // it). It returns the number of events executed.
 func (k *Kernel) RunUntil(deadline Time) uint64 {
 	start := k.Executed
-	for !k.stopped && k.nextAt() <= deadline {
+	for k.nextAt() <= deadline {
 		k.Step()
 	}
-	if !k.stopped && k.now < deadline {
+	if k.now < deadline {
 		k.now = deadline
 	}
 	return k.Executed - start
@@ -387,18 +383,8 @@ func (k *Kernel) Reset() {
 	k.nowq, k.nowHead, k.nowLive = k.nowq[:0], 0, 0
 	k.now = 0
 	k.seq = 0
-	k.stopped = false
 	k.Executed = 0
 }
-
-// Stop halts the run loop after the current event handler returns.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (k *Kernel) Stopped() bool { return k.stopped }
-
-// Resume clears a previous Stop so the kernel can run again.
-func (k *Kernel) Resume() { k.stopped = false }
 
 // nextAt returns the time of the next event to dispatch, or Forever
 // when none is queued. A now-queue entry is due now, which no heap

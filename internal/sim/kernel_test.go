@@ -124,32 +124,6 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	}
 }
 
-func TestStopResume(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	for i := 1; i <= 5; i++ {
-		i := i
-		k.Schedule(Time(i)*Nanosecond, func() {
-			count++
-			if i == 2 {
-				k.Stop()
-			}
-		})
-	}
-	k.Run()
-	if count != 2 {
-		t.Fatalf("ran %d events before stop, want 2", count)
-	}
-	if !k.Stopped() {
-		t.Fatal("kernel should report stopped")
-	}
-	k.Resume()
-	k.Run()
-	if count != 5 {
-		t.Fatalf("after resume count = %d, want 5", count)
-	}
-}
-
 func TestNegativeDelayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -16,7 +16,6 @@ type refKernel struct {
 	queue    []*event
 	free     []*event
 	seq      uint64
-	stopped  bool
 	executed uint64
 	stats    KernelStats
 }
@@ -61,7 +60,7 @@ func (k *refKernel) cancel(ev Event) {
 }
 
 func (k *refKernel) step() bool {
-	if k.stopped || len(k.queue) == 0 {
+	if len(k.queue) == 0 {
 		return false
 	}
 	e := k.queue[0]
@@ -77,10 +76,10 @@ func (k *refKernel) step() bool {
 
 func (k *refKernel) runUntil(deadline Time) uint64 {
 	start := k.executed
-	for !k.stopped && len(k.queue) > 0 && k.queue[0].at <= deadline {
+	for len(k.queue) > 0 && k.queue[0].at <= deadline {
 		k.step()
 	}
-	if !k.stopped && k.now < deadline {
+	if k.now < deadline {
 		k.now = deadline
 	}
 	return k.executed - start
@@ -91,7 +90,7 @@ func (k *refKernel) reset() {
 		k.recycle(e)
 	}
 	k.queue = k.queue[:0]
-	k.now, k.seq, k.stopped, k.executed = 0, 0, false, 0
+	k.now, k.seq, k.executed = 0, 0, 0
 }
 
 func (k *refKernel) remove(i int) {
@@ -172,9 +171,6 @@ func (d *oracleDriver) Fire(id int) {
 	if r.Intn(4) == 0 {
 		d.cancel(r)
 	}
-	if r.Intn(40) == 0 {
-		d.stop()
-	}
 }
 
 func (d *oracleDriver) now() Time {
@@ -248,14 +244,6 @@ func (d *oracleDriver) cancel(r *rand.Rand) {
 	}
 }
 
-func (d *oracleDriver) stop() {
-	if d.ref != nil {
-		d.ref.stopped = true
-	} else {
-		d.k.Stop()
-	}
-}
-
 // snapshot is everything the two kernels must agree on.
 type snapshot struct {
 	Log      []int
@@ -301,7 +289,7 @@ func (d *oracleDriver) op(kind int, arg Time, r *rand.Rand) uint64 {
 			return d.ref.runUntil(deadline)
 		}
 		return d.k.RunUntil(deadline)
-	case 3: // Run to exhaustion (or the next Stop)
+	case 3: // Run to exhaustion
 		if d.ref != nil {
 			start := d.ref.executed
 			for d.ref.step() {
@@ -312,21 +300,13 @@ func (d *oracleDriver) op(kind int, arg Time, r *rand.Rand) uint64 {
 		d.k.Run()
 		return d.k.Executed - start
 	case 4:
-		if d.ref != nil {
-			d.ref.stopped = false
-		} else {
-			d.k.Resume()
-		}
-	case 5:
 		d.cancel(r)
-	case 6: // Reset mid-run, pending events and all
+	case 5: // Reset mid-run, pending events and all
 		if d.ref != nil {
 			d.ref.reset()
 		} else {
 			d.k.Reset()
 		}
-	case 7:
-		d.stop()
 	}
 	return 0
 }
@@ -334,7 +314,7 @@ func (d *oracleDriver) op(kind int, arg Time, r *rand.Rand) uint64 {
 // TestNowQueueMatchesHeapOracle runs seeded scenarios through the
 // kernel and the heap-only oracle in lock step: every top-level
 // operation and every handler's nested Schedule/ScheduleP/ScheduleH/
-// At/AtH, Cancel and Stop happen on both, and after each operation the
+// At/AtH and Cancel happen on both, and after each operation the
 // dispatch sequence, Now, Executed, Pending, Stats, every handle's
 // Pending and the operation's own result must agree.
 func TestNowQueueMatchesHeapOracle(t *testing.T) {
@@ -344,8 +324,8 @@ func TestNowQueueMatchesHeapOracle(t *testing.T) {
 		ref := &oracleDriver{ref: &refKernel{}, seed: seed, limit: 150}
 		script := rand.New(rand.NewSource(seed))
 		for step := 0; step < 40; step++ {
-			kind := script.Intn(8)
-			if kind == 6 && script.Intn(3) != 0 {
+			kind := script.Intn(6)
+			if kind == 5 && script.Intn(3) != 0 {
 				kind = 1 // keep Reset rare enough for runs to build up
 			}
 			var arg Time

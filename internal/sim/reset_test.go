@@ -53,9 +53,8 @@ func TestKernelResetObservablyFresh(t *testing.T) {
 	stale := k.Schedule(500, func() { t.Error("cancelled event fired after Reset") })
 	k.Reset()
 
-	if k.Now() != 0 || k.Executed != 0 || k.Pending() != 0 || k.Stopped() {
-		t.Fatalf("Reset left state: now=%v executed=%d pending=%d stopped=%v",
-			k.Now(), k.Executed, k.Pending(), k.Stopped())
+	if k.Now() != 0 || k.Executed != 0 || k.Pending() != 0 {
+		t.Fatalf("Reset left state: now=%v executed=%d pending=%d", k.Now(), k.Executed, k.Pending())
 	}
 	if stale.Pending() {
 		t.Fatal("pre-Reset event handle still pending")
@@ -74,24 +73,6 @@ func TestKernelResetObservablyFresh(t *testing.T) {
 		if gotLog[i] != wantLog[i] {
 			t.Fatalf("trace[%d] = %v, want %v", i, gotLog[i], wantLog[i])
 		}
-	}
-}
-
-// TestKernelResetAfterStop: Reset clears a Stop so the kernel runs
-// again.
-func TestKernelResetAfterStop(t *testing.T) {
-	k := NewKernel()
-	k.Schedule(1, func() { k.Stop() })
-	k.Run()
-	if !k.Stopped() {
-		t.Fatal("Stop did not latch")
-	}
-	k.Reset()
-	fired := false
-	k.Schedule(1, func() { fired = true })
-	k.Run()
-	if !fired {
-		t.Fatal("reset kernel did not run")
 	}
 }
 

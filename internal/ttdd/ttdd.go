@@ -112,23 +112,6 @@ type Metrics struct {
 	SourceBlocked int
 	// Latency of delivered tokens, end to end.
 	MaxLatency sim.Time
-	SumLatency sim.Time
-}
-
-// AvgLatency returns the mean end-to-end latency of consumed tokens.
-func (m *Metrics) AvgLatency() sim.Time {
-	if m.Consumed == 0 {
-		return 0
-	}
-	return m.SumLatency / sim.Time(m.Consumed)
-}
-
-// CorruptionRate returns corruptions per source trigger.
-func (m *Metrics) CorruptionRate() float64 {
-	if m.Produced == 0 {
-		return 0
-	}
-	return float64(m.Corruptions) / float64(m.Produced)
 }
 
 // sinkCheck folds one delivered token into the metrics. droppedAtSource
@@ -141,7 +124,6 @@ func (m *Metrics) sinkCheck(tok Token, now sim.Time, lastSeq *int, droppedAtSour
 	if lat > m.MaxLatency {
 		m.MaxLatency = lat
 	}
-	m.SumLatency += lat
 	switch {
 	case tok.Seq == *lastSeq+1:
 		// in order

@@ -156,17 +156,3 @@ func TestSpecValidation(t *testing.T) {
 		}
 	}
 }
-
-func TestMetricsDerivations(t *testing.T) {
-	m := &Metrics{Produced: 100, Consumed: 50, Corruptions: 10, SumLatency: 500}
-	if m.CorruptionRate() != 0.1 {
-		t.Fatalf("corruption rate %g", m.CorruptionRate())
-	}
-	if m.AvgLatency() != 10 {
-		t.Fatalf("avg latency %v", m.AvgLatency())
-	}
-	empty := &Metrics{}
-	if empty.CorruptionRate() != 0 || empty.AvgLatency() != 0 {
-		t.Fatal("zero-division not handled")
-	}
-}

@@ -21,12 +21,6 @@ func New(seed uint64) *Rand {
 	return &Rand{state: seed}
 }
 
-// Split returns a new generator whose stream is independent of r's
-// subsequent output, derived deterministically from r's state.
-func (r *Rand) Split() *Rand {
-	return New(r.Uint64() ^ 0x9e3779b97f4a7c15)
-}
-
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *Rand) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
@@ -66,18 +60,6 @@ func (r *Rand) Range(lo, hi int64) int64 {
 		panic("xrand: Range with hi < lo")
 	}
 	return lo + r.Int63n(hi-lo+1)
-}
-
-// Norm returns an approximately normally distributed float64 with mean
-// mu and standard deviation sigma, using the sum of 12 uniforms
-// (Irwin-Hall). Good enough for jitter models and much cheaper than
-// Box-Muller; exact tails do not matter for our experiments.
-func (r *Rand) Norm(mu, sigma float64) float64 {
-	var s float64
-	for i := 0; i < 12; i++ {
-		s += r.Float64()
-	}
-	return mu + sigma*(s-6)
 }
 
 // Perm returns a deterministic pseudo-random permutation of [0, n).

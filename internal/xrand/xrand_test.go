@@ -88,30 +88,3 @@ func TestPermIsPermutation(t *testing.T) {
 		seen[v] = true
 	}
 }
-
-func TestNormMoments(t *testing.T) {
-	r := New(11)
-	var sum, sq float64
-	const n = 20000
-	for i := 0; i < n; i++ {
-		v := r.Norm(10, 2)
-		sum += v
-		sq += v * v
-	}
-	mean := sum / n
-	variance := sq/n - mean*mean
-	if mean < 9.9 || mean > 10.1 {
-		t.Fatalf("mean %g, want ~10", mean)
-	}
-	if variance < 3.5 || variance > 4.5 {
-		t.Fatalf("variance %g, want ~4", variance)
-	}
-}
-
-func TestSplitIndependence(t *testing.T) {
-	r := New(5)
-	s := r.Split()
-	if r.Uint64() == s.Uint64() {
-		t.Fatal("split stream mirrors parent")
-	}
-}
