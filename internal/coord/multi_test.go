@@ -572,3 +572,22 @@ func TestDrainingRefusesBeforeExpansion(t *testing.T) {
 		t.Fatalf("draining register of a malformed spec: HTTP %d, Retry-After %q; want 503 with Retry-After", code, hdr.Get("Retry-After"))
 	}
 }
+
+// TestRegisterRefusesRepeatedToken: a spec repeating a token within a
+// dimension is a bad sweep spec, refused with 400 naming the token
+// before any sweep is created.
+func TestRegisterRefusesRepeatedToken(t *testing.T) {
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	body, _ := json.Marshal(RegisterRequest{Spec: "plat=homog2;wl=synth8,synth08", Seed: 1})
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/sweeps", bytes.NewReader(body)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"synth08"`) {
+		t.Fatalf("repeated token: HTTP %d (%s), want 400 naming the token", rec.Code, rec.Body.String())
+	}
+	if n := len(listSweeps(t, srv.Handler())); n != 0 {
+		t.Fatalf("%d sweeps registered, want none", n)
+	}
+}

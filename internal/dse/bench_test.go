@@ -259,3 +259,32 @@ func BenchmarkSweepPointObs(b *testing.B) {
 		}
 	}
 }
+
+// taskLevelSpec is the task-level benchmark sweep's spec (2,520 points:
+// custom mixes, memory models, multi-app graphs), as perfbench's
+// sweep_tasklevel workload expands it.
+const taskLevelSpec = "plat=homog4,homog8,homog16,mpcore4,wireless,celllike4,2xrisc+4xdsp+1xvliw;" +
+	"fab=mesh,bus;dvfs=0,1,2;mem=ideal,bank:4x2,bw:8;wl=jpeg,h264,synth32,synth64,multi:jpeg+carradio+synth8;" +
+	"heur=list,anneal;fid=mvp,pipe8"
+
+// BenchmarkExpand measures Expand — parse, expand, header with its
+// spec hash — the set-up every sweep entry point runs before its first
+// point. Per-dimension values are computed once and the hash reuses
+// repeated platform and workload bytes, so allocs/op does not grow
+// with the point count (CI guards ≤ 100; limits in
+// docs/performance.md).
+func BenchmarkExpand(b *testing.B) {
+	for _, c := range []struct{ name, spec string }{
+		{"default", "default"},
+		{"tasklevel", taskLevelSpec},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Expand(c.spec, 7); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

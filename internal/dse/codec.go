@@ -37,15 +37,6 @@ func appendResult(b []byte, r *Result) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// appendPoint appends p's JSON encoding to b: the bytes and error
-// json.Marshal(p) returns.
-func appendPoint(b []byte, p *Point) ([]byte, error) {
-	if !p.encodable() {
-		return appendMarshal(b, *p)
-	}
-	return appendPointJSON(b, p), nil
-}
-
 // appendMarshal is the fallback: json.Marshal(v) appended to b. On an
 // error nothing is appended.
 func appendMarshal(b []byte, v any) ([]byte, error) {
@@ -76,21 +67,37 @@ func (m *Metrics) encodable() bool {
 	return true
 }
 
-// appendPointJSON writes an encodable point.
+// appendPointJSON writes an encodable point. Its four field groups
+// are separate encoders so HashPoints can reuse the platform and
+// workload bytes of the previous point when they repeat.
 func appendPointJSON(b []byte, p *Point) []byte {
+	b = appendPointHead(b, p)
+	b = appendPlatJSON(b, &p.Plat)
+	b = appendWorkloadJSON(b, p)
+	return appendRunJSON(b, p)
+}
+
+// appendPointHead writes the point's opening: its ID and mapping seed,
+// up to the "plat" key.
+func appendPointHead(b []byte, p *Point) []byte {
 	b = append(b, `{"id":`...)
 	b = strconv.AppendInt(b, int64(p.ID), 10)
 	b = append(b, `,"seed":`...)
 	b = strconv.AppendUint(b, p.Seed, 10)
-	b = append(b, `,"plat":{"kind":`...)
-	b = appendString(b, p.Plat.Kind)
-	if p.Plat.Cores != 0 {
+	return append(b, `,"plat":`...)
+}
+
+// appendPlatJSON writes the "plat" object.
+func appendPlatJSON(b []byte, s *PlatSpec) []byte {
+	b = append(b, `{"kind":`...)
+	b = appendString(b, s.Kind)
+	if s.Cores != 0 {
 		b = append(b, `,"cores":`...)
-		b = strconv.AppendInt(b, int64(p.Plat.Cores), 10)
+		b = strconv.AppendInt(b, int64(s.Cores), 10)
 	}
-	if len(p.Plat.Mix) > 0 {
+	if len(s.Mix) > 0 {
 		b = append(b, `,"mix":`...)
-		for i, g := range p.Plat.Mix {
+		for i, g := range s.Mix {
 			b = append(b, elemSep(i))
 			b = append(b, `{"n":`...)
 			b = strconv.AppendInt(b, int64(g.N), 10)
@@ -103,14 +110,19 @@ func appendPointJSON(b []byte, p *Point) []byte {
 		b = append(b, ']')
 	}
 	b = append(b, `,"fabric":`...)
-	b = appendString(b, p.Plat.Fabric)
+	b = appendString(b, s.Fabric)
 	b = append(b, `,"dvfs":`...)
-	b = strconv.AppendInt(b, int64(p.Plat.DVFS), 10)
-	if p.Plat.Mem != "" {
+	b = strconv.AppendInt(b, int64(s.DVFS), 10)
+	if s.Mem != "" {
 		b = append(b, `,"mem":`...)
-		b = appendString(b, p.Plat.Mem)
+		b = appendString(b, s.Mem)
 	}
-	b = append(b, `},"wl":`...)
+	return append(b, '}')
+}
+
+// appendWorkloadJSON writes the workload fields: wl, n, wl_seed, apps.
+func appendWorkloadJSON(b []byte, p *Point) []byte {
+	b = append(b, `,"wl":`...)
 	b = appendString(b, p.Workload)
 	if p.N != 0 {
 		b = append(b, `,"n":`...)
@@ -134,6 +146,12 @@ func appendPointJSON(b []byte, p *Point) []byte {
 		}
 		b = append(b, ']')
 	}
+	return b
+}
+
+// appendRunJSON writes the run fields — heur, fid, iters, quantum,
+// cal_probes — and closes the point.
+func appendRunJSON(b []byte, p *Point) []byte {
 	b = append(b, `,"heur":`...)
 	b = appendString(b, p.Heuristic)
 	b = append(b, `,"fid":`...)

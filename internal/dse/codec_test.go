@@ -164,6 +164,16 @@ func sameErr(a, b error) bool {
 	return a.Error() == b.Error()
 }
 
+// appendPoint appends p's JSON encoding to b as the codec writes it
+// in a result line (and HashPoints, fragment by fragment): the bytes
+// and error json.Marshal(p) returns.
+func appendPoint(b []byte, p *Point) ([]byte, error) {
+	if !p.encodable() {
+		return appendMarshal(b, *p)
+	}
+	return appendPointJSON(b, p), nil
+}
+
 // TestCodecMatchesMarshal: for random Results with every field
 // populated, the codec writes json.Marshal's bytes and error for a
 // Result and for its Point; every line it writes decodes on the fast

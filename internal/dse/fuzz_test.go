@@ -47,7 +47,10 @@ func expansionBound(s *Sweep) int {
 // FuzzParseSweep holds the full-spec round trip: any accepted spec
 // renders to a canonical form that re-parses to the same expanded
 // point list (seeds included), and the canonical form is a fixed
-// point of the rendering. Sweep.Len predicts the expansion's length.
+// point of the rendering. Sweep.Len predicts the expansion's length,
+// and HashPoints, which reuses repeated platform and workload bytes,
+// equals referenceHash, which marshals every point whole. The seeds
+// include tokens repeated within a dimension, which ParseSweep refuses.
 func FuzzParseSweep(f *testing.F) {
 	for _, seed := range []string{
 		"smoke",
@@ -63,6 +66,11 @@ func FuzzParseSweep(f *testing.F) {
 		"plat=homog4;wl=jpeg;mem=ideal,bank:4x2,bw:8",
 		"mem=bank:64x8,bw:1024,bank:1x1;plat=wireless;wl=synth8;fid=mvp,vp64",
 		"plat=homog2;wl=jpeg;mem=bank:0x2,bank:4,bw:0,dram",
+		"plat=homog2,homog2;wl=jpeg",
+		"plat=homog2;wl=jpeg;dvfs=1,1",
+		"plat=homog2;wl=jpeg;mem=ideal,ideal",
+		"plat=homog2;wl=synth8,synth08",
+		richSpec,
 	} {
 		f.Add(seed)
 	}
@@ -92,6 +100,9 @@ func FuzzParseSweep(f *testing.F) {
 		}
 		if err1 == nil && HashPoints(p1) != HashPoints(p2) {
 			t.Fatalf("spec %q and its canonical form %q expand to different points", spec, canon)
+		}
+		if err1 == nil && HashPoints(p1) != referenceHash(p1) {
+			t.Fatalf("spec %q: HashPoints %s, reference %s", spec, HashPoints(p1), referenceHash(p1))
 		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -57,19 +58,51 @@ type headerLine struct {
 // points, so the hash detects a different spec, a different seed, and
 // — because the derived seeds are part of the encoding — a change to
 // the expansion algorithm itself.
+//
+// Consecutive points of an expansion mostly repeat their platform and
+// workload, so each line reuses the previous point's encoded plat
+// object while PlatSpec.Equal holds and its workload fields while they
+// are equal; only the head and run fields are encoded per point. The
+// points are only read: those of one multi workload share one Apps
+// slice (Sweep.Points).
 func HashPoints(points []Point) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "dse-schema-%d\n", SchemaVersion)
-	var line []byte
+	// Sized for a typical point; a longer one grows them once.
+	line, plat, wl := make([]byte, 0, 256), make([]byte, 0, 128), make([]byte, 0, 128)
+	var prev *Point // the last encoded point: plat and wl hold its fragments
 	for i := range points {
-		// A point that does not encode (a PE class without a name;
-		// expansion makes none) adds nothing, as with json.Encoder.
-		var err error
-		if line, err = appendPoint(line[:0], &points[i]); err == nil {
-			h.Write(append(line, '\n'))
+		p := &points[i]
+		if !p.encodable() {
+			// A point that does not encode (a PE class without a
+			// name; expansion makes none) adds nothing, as with
+			// json.Encoder.
+			var err error
+			if line, err = appendMarshal(line[:0], *p); err == nil {
+				h.Write(append(line, '\n'))
+			}
+			continue
 		}
+		if prev == nil || !p.Plat.Equal(prev.Plat) {
+			plat = appendPlatJSON(plat[:0], &p.Plat)
+		}
+		if prev == nil || !sameWorkload(p, prev) {
+			wl = appendWorkloadJSON(wl[:0], p)
+		}
+		prev = p
+		line = appendPointHead(line[:0], p)
+		line = append(line, plat...)
+		line = append(line, wl...)
+		line = appendRunJSON(line, p)
+		h.Write(append(line, '\n'))
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// sameWorkload reports whether p and o carry the same workload fields,
+// the ones appendWorkloadJSON writes.
+func sameWorkload(p, o *Point) bool {
+	return p.Workload == o.Workload && p.N == o.N && p.WorkloadSeed == o.WorkloadSeed && slices.Equal(p.Apps, o.Apps)
 }
 
 // NewHeader builds the header for a sweep over the given expanded

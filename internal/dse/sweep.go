@@ -3,6 +3,7 @@ package dse
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -33,7 +34,7 @@ func (w WorkloadSpec) String() string {
 		return b.String()
 	}
 	if w.N > 0 {
-		return fmt.Sprintf("%s%d", w.Kind, w.N)
+		return w.Kind + strconv.Itoa(w.N)
 	}
 	return w.Kind
 }
@@ -50,11 +51,11 @@ type FidelitySpec struct {
 func (f FidelitySpec) String() string {
 	switch f.Kind {
 	case "pipe":
-		return fmt.Sprintf("pipe%d", f.Iterations)
+		return "pipe" + strconv.Itoa(f.Iterations)
 	case "vp":
-		return fmt.Sprintf("vp%d", f.Quantum)
+		return "vp" + strconv.Itoa(f.Quantum)
 	case "cal":
-		return fmt.Sprintf("cal:%d", f.Probes)
+		return "cal:" + strconv.Itoa(f.Probes)
 	}
 	return f.Kind
 }
@@ -147,6 +148,13 @@ func mulSat(a, b int) int {
 // Engine keeps a group on one worker, whose evaluator keeps its last
 // mapping). Pipe points keep their own
 // seed: they optimize the throughput objective, a different search.
+//
+// Every value that depends on one dimension value alone (memory token,
+// workload token, size and seed, a multi workload's Apps) is computed
+// once before the loops; the innermost loop only stamps IDs, point
+// seeds and cal probes. The points of one multi workload share one
+// read-only Apps slice, its capacity cut to its length so an append
+// copies instead of writing into a sibling's.
 func (s *Sweep) Points() ([]Point, error) {
 	if len(s.Platforms) == 0 || len(s.Workloads) == 0 {
 		return nil, fmt.Errorf("dse: sweep needs at least one platform and one workload")
@@ -171,24 +179,34 @@ func (s *Sweep) Points() ([]Point, error) {
 	if len(mems) == 0 {
 		mems = []mem.Spec{{Kind: "ideal"}}
 	}
+	// Small axes stay on the stack.
+	var memBuf [4]string
+	var wlBuf [8]expandedWorkload
+	memToks, wls := memBuf[:0], wlBuf[:0]
+	for _, mm := range mems {
+		memToks = append(memToks, mm.Token())
+	}
+	for _, wl := range s.Workloads {
+		wls = append(wls, s.expandWorkload(wl))
+	}
+	jobsHeurs, jobsFids := []string{"-"}, []FidelitySpec{{Kind: "rtos"}}
 	points := make([]Point, 0, s.Len())
 	for _, plat := range s.Platforms {
 		for _, fab := range fabrics {
 			for _, d := range dvfs {
-				for _, mm := range mems {
-					for _, wl := range s.Workloads {
+				for _, memTok := range memToks {
+					ps := plat
+					ps.Fabric = fab
+					ps.DVFS = d
+					ps.Mem = memTok
+					for _, wl := range wls {
 						heurs, fids := heuristics, fidelities
-						if wl.Kind == "jobs" {
-							heurs = []string{"-"}
-							fids = []FidelitySpec{{Kind: "rtos"}}
+						if wl.kind == "jobs" {
+							heurs, fids = jobsHeurs, jobsFids
 						}
 						twin := firstTwin(fids)
 						for hi, h := range heurs {
 							for fi, f := range fids {
-								ps := plat
-								ps.Fabric = fab
-								ps.DVFS = d
-								ps.Mem = mm.Token()
 								id := len(points)
 								// groupID is the ID of the group's first
 								// twin, whose point seed the twins share.
@@ -200,9 +218,10 @@ func (s *Sweep) Points() ([]Point, error) {
 									ID:           id,
 									Seed:         seedFor(s.Seed, "point", groupID),
 									Plat:         ps,
-									Workload:     wl.Kind,
-									N:            wl.N,
-									WorkloadSeed: seedFor(s.Seed, "wl/"+wl.Kind, wl.N),
+									Workload:     wl.token,
+									N:            wl.n,
+									WorkloadSeed: wl.seed,
+									Apps:         wl.apps,
 									Heuristic:    h,
 									Fidelity:     f.Kind,
 									Iterations:   f.Iterations,
@@ -231,24 +250,6 @@ func (s *Sweep) Points() ([]Point, error) {
 										})
 									}
 								}
-								if wl.Kind == "multi" {
-									// The token is the workload identity; each
-									// constituent derives the same instance seed
-									// its single-workload token would, so multi
-									// points compose the exact instances the
-									// single points evaluate.
-									tok := wl.String()
-									p.Workload = tok
-									p.N = 0
-									p.WorkloadSeed = seedFor(s.Seed, "wl/"+tok, 0)
-									for _, a := range wl.Apps {
-										p.Apps = append(p.Apps, AppRef{
-											Kind: a.Kind,
-											N:    a.N,
-											Seed: seedFor(s.Seed, "wl/"+a.Kind, a.N),
-										})
-									}
-								}
 								points = append(points, p)
 							}
 						}
@@ -258,6 +259,33 @@ func (s *Sweep) Points() ([]Point, error) {
 		}
 	}
 	return points, nil
+}
+
+// expandedWorkload is a workload dimension value as its points carry
+// it.
+type expandedWorkload struct {
+	kind  string // the WorkloadSpec kind ("jobs" collapses the axes)
+	token string // Point.Workload
+	n     int
+	seed  uint64
+	apps  []AppRef // shared by the workload's points; len == cap
+}
+
+// expandWorkload computes what every point of workload wl carries. A
+// multi workload's token is its identity, and each constituent derives
+// the same instance seed its single-workload token would, so multi
+// points compose the exact instances the single points evaluate.
+func (s *Sweep) expandWorkload(wl WorkloadSpec) expandedWorkload {
+	if wl.Kind != "multi" {
+		return expandedWorkload{kind: wl.Kind, token: wl.Kind, n: wl.N, seed: seedFor(s.Seed, "wl/"+wl.Kind, wl.N)}
+	}
+	tok := wl.String()
+	var apps []AppRef // nil for no apps, as the points always carried
+	for _, a := range wl.Apps {
+		apps = append(apps, AppRef{Kind: a.Kind, N: a.N, Seed: seedFor(s.Seed, "wl/"+a.Kind, a.N)})
+	}
+	apps = slices.Clip(apps)
+	return expandedWorkload{kind: wl.Kind, token: tok, seed: seedFor(s.Seed, "wl/"+tok, 0), apps: apps}
 }
 
 // firstTwin returns the index of the first non-pipe fidelity in fids,
@@ -288,7 +316,10 @@ func firstTwin(fids []FidelitySpec) int {
 // ("2xrisc+4xdsp@3200") and the wl dimension multi-application
 // scenarios ("multi:jpeg+carradio+synth8"); the full grammar is in
 // the package comment. Unspecified dimensions default to fab=mesh,
-// dvfs=1, heur=list, fid=mvp, mem=ideal.
+// dvfs=1, heur=list, fid=mvp, mem=ideal. A token repeated within a
+// dimension, compared in canonical form ("synth08" is "synth8",
+// "dvfs=01" is "dvfs=1"), is an error: it would only expand to
+// duplicate points.
 func ParseSweep(spec string, seed uint64) (*Sweep, error) {
 	s := &Sweep{Seed: seed}
 	switch spec {
@@ -314,6 +345,9 @@ func ParseSweep(spec string, seed uint64) (*Sweep, error) {
 		s.Fidelities = []FidelitySpec{{Kind: "mvp"}, {Kind: "vp", Quantum: 64}}
 		return s, nil
 	}
+	// seen holds every accepted token by dimension in canonical form: a
+	// repeat would only expand to duplicate points.
+	seen := make(map[dimToken]bool, 32)
 	for _, dim := range strings.Split(spec, ";") {
 		dim = strings.TrimSpace(dim)
 		if dim == "" {
@@ -328,6 +362,7 @@ func ParseSweep(spec string, seed uint64) (*Sweep, error) {
 			if val == "" {
 				continue
 			}
+			canon := val
 			switch key {
 			case "plat":
 				ps, err := parsePlat(val)
@@ -335,6 +370,7 @@ func ParseSweep(spec string, seed uint64) (*Sweep, error) {
 					return nil, err
 				}
 				s.Platforms = append(s.Platforms, ps)
+				canon = ps.Token()
 			case "fab":
 				if val != "mesh" && val != "bus" {
 					return nil, fmt.Errorf("dse: unknown fabric %q", val)
@@ -346,12 +382,14 @@ func ParseSweep(spec string, seed uint64) (*Sweep, error) {
 					return nil, fmt.Errorf("dse: bad dvfs level %q", val)
 				}
 				s.DVFS = append(s.DVFS, d)
+				canon = strconv.Itoa(d)
 			case "wl":
 				w, err := parseWorkload(val)
 				if err != nil {
 					return nil, err
 				}
 				s.Workloads = append(s.Workloads, w)
+				canon = w.String()
 			case "heur":
 				if val != "list" && val != "anneal" && val != "exhaustive" {
 					return nil, fmt.Errorf("dse: unknown heuristic %q", val)
@@ -363,15 +401,21 @@ func ParseSweep(spec string, seed uint64) (*Sweep, error) {
 					return nil, err
 				}
 				s.Fidelities = append(s.Fidelities, f)
+				canon = f.String()
 			case "mem":
 				m, err := mem.ParseSpec(val)
 				if err != nil {
 					return nil, fmt.Errorf("dse: %w", err)
 				}
 				s.Mems = append(s.Mems, m)
+				canon = m.String()
 			default:
 				return nil, fmt.Errorf("dse: unknown sweep dimension %q", key)
 			}
+			if seen[dimToken{key, canon}] {
+				return nil, fmt.Errorf("dse: sweep dimension %s repeats token %q (%s=%s)", key, val, key, canon)
+			}
+			seen[dimToken{key, canon}] = true
 		}
 	}
 	if len(s.Platforms) == 0 {
@@ -382,6 +426,10 @@ func ParseSweep(spec string, seed uint64) (*Sweep, error) {
 	}
 	return s, nil
 }
+
+// dimToken is one dimension value in canonical form: the dimension key
+// and the token its value renders to.
+type dimToken struct{ key, tok string }
 
 // parsePlat parses a platform token: homogN, mpcoreN, celllikeN (N =
 // SPE count), wireless, or a digit-leading custom core mix

@@ -274,8 +274,9 @@ func TestScheduleEquivalence(t *testing.T) {
 // returned assignments match element for element across the default
 // sweep's workload × platform × objective cross, several seeds each.
 // The cross must hold, per objective, starts the lower bound certifies
-// (returned unannealed) and starts it does not, so both paths meet the
-// oracle.
+// (returned unannealed), searches whose best meets it after some moves
+// (ended there) and searches that run every move, so all three paths
+// meet the oracle.
 func TestAnnealEquivalence(t *testing.T) {
 	plats := evalPlatforms()
 	graphs := evalWorkloads()
@@ -283,7 +284,7 @@ func TestAnnealEquivalence(t *testing.T) {
 	if testing.Short() {
 		iters = 300
 	}
-	var certified, annealed [2]int
+	var certified, inLoop, annealed [2]int
 	for gi, g := range graphs {
 		for pi, plat := range plats {
 			for _, obj := range []Objective{Makespan, Throughput} {
@@ -295,10 +296,13 @@ func TestAnnealEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("graph %d plat %d: %v", gi, pi, err)
 					}
-					if ev.Obs.Certified.Value() == 1 {
-						certified[obj]++
-					} else {
+					switch {
+					case ev.Obs.Certified.Value() == 0:
 						annealed[obj]++
+					case ev.Obs.AnnealMoves.Value() == 0:
+						certified[obj]++
+					default:
+						inLoop[obj]++
 					}
 					var start []int
 					if obj == Throughput {
@@ -319,10 +323,12 @@ func TestAnnealEquivalence(t *testing.T) {
 		}
 	}
 	for obj := range certified {
-		if certified[obj] == 0 || annealed[obj] == 0 {
-			t.Fatalf("objective %d: %d certified starts, %d annealed; the cross must hold both", obj, certified[obj], annealed[obj])
+		// A short run's 300 moves reach the bound too rarely to require.
+		if certified[obj] == 0 || inLoop[obj] == 0 && !testing.Short() || annealed[obj] == 0 {
+			t.Fatalf("objective %d: %d certified starts, %d ended at the bound after a move, %d annealed; the cross must hold all three",
+				obj, certified[obj], inLoop[obj], annealed[obj])
 		}
-		t.Logf("objective %d: %d certified starts, %d annealed", obj, certified[obj], annealed[obj])
+		t.Logf("objective %d: %d certified starts, %d ended at the bound after a move, %d annealed", obj, certified[obj], inLoop[obj], annealed[obj])
 	}
 }
 

@@ -772,7 +772,8 @@ func (e *Evaluator) fastest(id int) sim.Time {
 // annealMap refines the list (or, for throughput, LPT) mapping with
 // simulated annealing over single-task moves, optimizing the selected
 // objective; deterministic under Options.Seed. A start whose cost
-// meets lowerBound is returned unannealed. Moves mutate the
+// meets lowerBound is returned unannealed, and the search ends at the
+// move whose best meets it. Moves mutate the
 // current assignment in place and revert on reject. Every move cost is
 // computed incrementally: a move that picks the task's current core
 // keeps the current cost (and, at dE = 0, is accepted without drawing
@@ -803,7 +804,8 @@ func (e *Evaluator) annealMap(opt Options) ([]int, error) {
 	curCost := e.objectiveCost(opt.Objective, cur)
 	best := append(e.best[:0], cur...)
 	e.best = best
-	if curCost == e.lowerBound(opt.Objective) {
+	lb := e.lowerBound(opt.Objective)
+	if curCost == lb {
 		// The start is optimal: best only takes a strictly lower cost,
 		// so no move could change what the search returns.
 		e.Obs.Certified.Inc()
@@ -856,6 +858,11 @@ func (e *Evaluator) annealMap(opt Options) ([]int, error) {
 			if curCost < bestCost {
 				copy(best, cur)
 				bestCost = curCost
+				if bestCost == lb {
+					// Optimal too: no later move can be strictly better.
+					e.Obs.Certified.Inc()
+					return best, nil
+				}
 			}
 		} else {
 			e.Obs.AnnealRejects.Inc()

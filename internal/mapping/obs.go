@@ -28,7 +28,8 @@ type SearchObs struct {
 	// AnnealRejects counts rejected (reverted) annealing moves.
 	AnnealRejects *obs.Counter
 	// Certified counts searches ended by the admissible lower bound:
-	// an anneal whose start meets it (and makes no move), an exhaustive
-	// search whose incumbent does.
+	// an anneal whose start meets it (no move made) or whose best
+	// reaches it after a move, an exhaustive search whose incumbent
+	// meets it.
 	Certified *obs.Counter
 }

@@ -107,9 +107,9 @@ func ParseSpec(tok string) (Spec, error) {
 func (s Spec) String() string {
 	switch s.Kind {
 	case "bank":
-		return fmt.Sprintf("bank:%dx%d", s.Banks, s.Channels)
+		return "bank:" + strconv.Itoa(s.Banks) + "x" + strconv.Itoa(s.Channels)
 	case "bw":
-		return fmt.Sprintf("bw:%d", s.GBps)
+		return "bw:" + strconv.FormatInt(s.GBps, 10)
 	}
 	return "ideal"
 }

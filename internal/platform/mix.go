@@ -105,17 +105,26 @@ func ParseMix(spec string) ([]MixGroup, error) {
 // class-default clocks. ParseMix(FormatMix(gs)) reproduces gs, so the
 // rendering is the canonical token for headers and logs.
 func FormatMix(groups []MixGroup) string {
-	var b strings.Builder
+	var b []byte
 	for i, g := range groups {
 		if i > 0 {
-			b.WriteByte('+')
+			b = append(b, '+')
 		}
-		fmt.Fprintf(&b, "%dx%s", g.N, strings.ToLower(g.Class.String()))
+		b = strconv.AppendInt(b, int64(g.N), 10)
+		b = append(b, 'x')
+		// Class names are ASCII: lower-case them byte by byte.
+		for _, c := range []byte(g.Class.String()) {
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			b = append(b, c)
+		}
 		if g.MHz != classDefault[g.Class].mhz {
-			fmt.Fprintf(&b, "@%d", g.MHz)
+			b = append(b, '@')
+			b = strconv.AppendInt(b, int64(g.MHz), 10)
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
 // MixSpecs expands parsed groups into the CoreSpec list New consumes,
