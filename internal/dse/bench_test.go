@@ -53,12 +53,16 @@ func BenchmarkSweepPoint(b *testing.B) {
 // platform, the graph prototype and the mapping and execution scratch
 // are all reused, so allocs/op is what a point still allocates in
 // steady state (CI guards it; limits in docs/performance.md). The
-// searched points alternate two mapping seeds (alternateSeed), so
-// every iteration searches; vp64/twin repeats one vp point, so every
-// iteration executes the mapping memo, as the vp twin of an mvp point
-// does in a sweep (the evidence behind EstCost's twinCost). anneal/mvp
-// times a full search: it fails if either seed's start is certified
-// by the lower bound.
+// searched points alternate two mapping seeds and two workload
+// instances (alternateGraph), so every iteration searches and
+// executes; vp64/twin repeats one vp point, so every
+// iteration takes the mapping memo and reuses the last execution, as
+// the vp twin of an mvp point does in a sweep (the evidence behind
+// EstCost's twinCost). anneal/mvp times a full search: it fails if
+// either seed's start is certified by the lower bound. anneal/twin
+// alternates a list and an anneal point whose anneal keeps its list
+// start, carradio on four cores: each searches, and each reuses the
+// other's execution (it fails unless both do).
 func BenchmarkSweepPointWarm(b *testing.B) {
 	base := Point{
 		ID:   0,
@@ -70,32 +74,38 @@ func BenchmarkSweepPointWarm(b *testing.B) {
 		WorkloadSeed: 99,
 		Fidelity:     "mvp",
 	}
-	listMVP, annealMVP, listPipe, jobs, twin := base, base, base, base, base
+	listMVP, annealMVP, listPipe, jobs, twin, kept := base, base, base, base, base, base
 	listMVP.Heuristic = "list"
 	annealMVP.Heuristic = "anneal"
 	listPipe.Heuristic, listPipe.Fidelity, listPipe.Iterations = "list", "pipe", 8
 	jobs.Workload, jobs.Heuristic, jobs.Fidelity = "jobs", "-", "rtos"
 	twin.Heuristic, twin.Fidelity, twin.Quantum = "anneal", "vp", 64
+	kept.Plat, kept.Workload, kept.N, kept.Heuristic = PlatSpec{Kind: "homog", Cores: 4, Fabric: "mesh", DVFS: 1}, "carradio", 0, "anneal"
+	requireKeptStart(b, kept)
 	for _, c := range []struct {
 		name   string
 		p      Point
 		search bool
 	}{
 		{"list/mvp", listMVP, true}, {"anneal/mvp", annealMVP, true}, {"list/pipe8", listPipe, true},
-		{"rtos/jobs16", jobs, false}, {"vp64/twin", twin, false},
+		{"rtos/jobs16", jobs, false}, {"vp64/twin", twin, false}, {"anneal/twin", kept, false},
 	} {
 		if c.p.Heuristic == "anneal" && c.search {
 			requireFullSearch(b, c.p)
 		}
 		b.Run(c.name, func(b *testing.B) {
 			ctx := NewEvalContext()
-			ctx.Evaluate(c.p) // warm the caches
+			ctx.Evaluate(alternateGraph(c.p, 1)) // warm the caches, c.p last
+			ctx.Evaluate(c.p)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p := c.p
 				if c.search {
-					p = alternateSeed(p, i)
+					p = alternateGraph(p, i)
+				}
+				if c.name == "anneal/twin" && i&1 == 0 {
+					p.Heuristic = "list"
 				}
 				if r := ctx.Evaluate(p); r.Err != "" {
 					b.Fatal(r.Err)
@@ -105,7 +115,7 @@ func BenchmarkSweepPointWarm(b *testing.B) {
 	}
 }
 
-// requireFullSearch fails b unless evaluating p and its alternate seed
+// requireFullSearch fails b unless evaluating p and its alternate
 // anneals every move of both searches, none ended by the lower bound.
 func requireFullSearch(b *testing.B, p Point) {
 	b.Helper()
@@ -113,12 +123,32 @@ func requireFullSearch(b *testing.B, p Point) {
 	c := NewEvalContext()
 	c.SetObs(o)
 	for i := range 2 {
-		if r := c.Evaluate(alternateSeed(p, i)); r.Err != "" {
+		if r := c.Evaluate(alternateGraph(p, i)); r.Err != "" {
 			b.Fatal(r.Err)
 		}
 	}
 	if n := o.Search.Certified.Value(); n != 0 {
 		b.Fatalf("%d of the 2 searches certified at the start (%d anneal moves)", n, o.Search.AnnealMoves.Value())
+	}
+}
+
+// requireKeptStart fails b unless the list twin of anneal point p and
+// p, evaluated in turn, each reuse the other's execution: p's anneal
+// returns its list start.
+func requireKeptStart(b *testing.B, p Point) {
+	b.Helper()
+	o := NewEvalObs(obs.NewRegistry())
+	c := NewEvalContext()
+	c.SetObs(o)
+	list := p
+	list.Heuristic = "list"
+	for _, q := range []Point{list, p, list} {
+		if r := c.Evaluate(q); r.Err != "" {
+			b.Fatal(r.Err)
+		}
+	}
+	if n := o.ExecReused.Value(); n != 2 {
+		b.Fatalf("list and anneal twins reused %d executions, want 2", n)
 	}
 }
 
@@ -129,6 +159,16 @@ func requireFullSearch(b *testing.B, p Point) {
 // one point over and over alternates the seed to search every time.
 func alternateSeed(p Point, i int) Point {
 	p.Seed ^= uint64(i & 1)
+	return p
+}
+
+// alternateGraph is alternateSeed that also flips the workload seed on
+// odd i: the list heuristic ignores the mapping seed, and a context
+// reuses its last execution of the same mapping, so a benchmark that
+// times executions alternates the graph too.
+func alternateGraph(p Point, i int) Point {
+	p = alternateSeed(p, i)
+	p.WorkloadSeed ^= uint64(i & 1)
 	return p
 }
 

@@ -90,13 +90,15 @@ func (c *EvalContext) calibrate(p Point, plat *platform.Platform, stats mapping.
 	if len(p.CalProbes) == 0 {
 		return fmt.Errorf("dse: cal point %d has no probes", p.ID)
 	}
+	// stats.PEBusy is executor scratch, which the probes of a fit
+	// overwrite: read the bottleneck first.
+	pe, maxBusy := bottleneckPE(stats)
 	fit, err := c.calFit(p)
 	if err != nil {
 		return err
 	}
 	m.CalRMS = fit.rms
 	m.CalSamples = fit.n
-	pe, maxBusy := bottleneckPE(stats)
 	if pe < 0 {
 		return nil // no compute, nothing to rescale
 	}
@@ -148,10 +150,11 @@ func (c *EvalContext) calFit(p Point) (*calEntry, error) {
 		if err != nil {
 			return nil, err
 		}
-		stats, _, err := c.mapAndExecute(g, spans, plat, mapping.Options{Heuristic: heur, Seed: pr.Seed}, "mvp", 1)
+		run, err := c.mapAndExecute(g, spans, plat, mapping.Options{Heuristic: heur, Seed: pr.Seed}, "mvp", 1)
 		if err != nil {
 			return nil, err
 		}
+		stats := run.stats
 		refined, _, _, err := c.vpRefine(p, stats)
 		if err != nil {
 			return nil, err

@@ -22,10 +22,12 @@ import (
 // kernel is observably identical to a fresh one (sim.Kernel.Reset), a
 // reused platform is reset to its state when built (platEntry), graph
 // prototypes are immutable once built, and the mapping evaluator and
-// executor rebind per point — the evaluator keeps its last mapping
+// executors rebind per point — the evaluator keeps its last mapping
 // only when a point binds the same graph and identical platform
 // tables (mapping.Evaluator.Map), which is how the fidelity twins of
-// a group share one search. The vp
+// a group share one search, and a point reuses the last execution of
+// its mode only when it runs the same mapping on the same platform
+// (execEntry). The vp
 // refinement is closed-form arithmetic (runLoops: the loops' halt
 // times when run to exhaustion), so no virtual platform is built or
 // kept. The sweep byte-identity tests hold
@@ -44,10 +46,12 @@ type EvalContext struct {
 	// consecutive points share its spec — expansion is platform-major,
 	// so they mostly do.
 	plat platEntry
-	// me is the reusable mapping scratch, rebound per point; ex the
-	// reusable execution scratch of the mapped run.
-	me mapping.Evaluator
-	ex mapping.Executor
+	// me is the reusable mapping scratch, rebound per point; runs the
+	// last one-shot (mvp, vp, cal) and the last pipelined execution,
+	// each on its own executor, for the next point of its mode to reuse
+	// (execEntry).
+	me   mapping.Evaluator
+	runs [2]execEntry
 	// jobs is the job slab of rtos points: a bag's jobs are refilled
 	// in place, since the scheduler that held them is dropped with its
 	// point.
@@ -116,6 +120,32 @@ func (c *EvalContext) platform(k *sim.Kernel, spec PlatSpec) (*platform.Platform
 		e.cores = append(e.cores, *core)
 	}
 	return plat, area, nil
+}
+
+// execEntry is the last task-level execution of one mode, one-shot
+// or pipelined, on the mode's own executor: what it ran — graph,
+// spans, platform, assignment, pipelined units — and what it measured.
+// An execution reads nothing else: the platform is the context's last
+// one, reset to its state when built (platform), and the kernel is
+// reset before each run. The context builds a platform only for a spec
+// other than the last one's, and the entry holds the platform it ran
+// on, so a platform pointer equal to the entry's names the same
+// PlatSpec. A point that runs the same mapping again — the vp and cal
+// twins of an mvp point, an anneal that kept its list start — reuses
+// stats, app makespans and kernel event count as they are: stats and
+// makespans are the executor's scratch, overwritten only by the mode's
+// next run.
+type execEntry struct {
+	ex     mapping.Executor
+	ok     bool // the fields below are a completed run's
+	g      *taskgraph.Graph
+	spans  []taskgraph.Span
+	plat   *platform.Platform
+	taskPE []int
+	units  int
+	stats  mapping.ExecStats
+	appMk  []sim.Time
+	events uint64
 }
 
 // cacheCap bounds each of an EvalContext's graph, multi-app and

@@ -2,6 +2,7 @@ package dse
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"mpsockit/internal/mapping"
@@ -108,19 +109,20 @@ func (c *EvalContext) evaluate(p Point) (Metrics, error) {
 			units = 8
 		}
 	}
-	stats, appMk, err := c.mapAndExecute(g, spans, plat, opt, p.Fidelity, units)
+	run, err := c.mapAndExecute(g, spans, plat, opt, p.Fidelity, units)
 	if err != nil {
 		return Metrics{}, err
 	}
+	stats := run.stats
 	m := metricsFrom(plat, stats, area, units)
-	m.SimEvents = k.Executed
+	m.SimEvents = run.events
 	if spans != nil {
 		m.WorstLoadCPS = worstLoad
 		// Per-app makespans are task-level measurements; at vp
 		// fidelity the headline makespan is ISS-refined below and the
 		// task-level split would contradict it, so it is not emitted.
 		if p.Fidelity == "mvp" {
-			for _, mk := range appMk {
+			for _, mk := range run.appMk {
 				m.AppMakespanPS = append(m.AppMakespanPS, int64(mk))
 			}
 		}
@@ -141,25 +143,46 @@ func (c *EvalContext) evaluate(p Point) (Metrics, error) {
 // mapAndExecute maps g onto plat with opt and executes the mapping at
 // the fidelity's task level: once — the union graph's applications
 // side by side, with their makespans, when spans is non-nil — or
-// units pipelined iterations at pipe fidelity.
-func (c *EvalContext) mapAndExecute(g *taskgraph.Graph, spans []taskgraph.Span, plat *platform.Platform, opt mapping.Options, fid string, units int) (mapping.ExecStats, []sim.Time, error) {
+// units pipelined iterations at pipe fidelity. It returns the mode's
+// execEntry, which holds the run until the mode's next one: a run
+// whose graph, spans, platform, assignment and units equal the entry's
+// is not executed again.
+func (c *EvalContext) mapAndExecute(g *taskgraph.Graph, spans []taskgraph.Span, plat *platform.Platform, opt mapping.Options, fid string, units int) (*execEntry, error) {
+	var run *execEntry
+	switch fid {
+	case "mvp", "vp", "cal":
+		run = &c.runs[0]
+	case "pipe":
+		run = &c.runs[1]
+	default:
+		return nil, fmt.Errorf("dse: unknown fidelity %q", fid)
+	}
 	c.me.Bind(g, plat)
 	a, err := c.me.Map(opt)
 	if err != nil {
-		return mapping.ExecStats{}, nil, err
+		return nil, err
 	}
-	switch fid {
-	case "mvp", "vp", "cal":
-		if spans != nil {
-			return c.ex.ExecuteMulti(a, spans)
-		}
-		stats, err := c.ex.Execute(a)
-		return stats, nil, err
-	case "pipe":
-		stats, err := c.ex.ExecutePipelined(a, units)
-		return stats, nil, err
+	if run.ok && run.g == g && run.plat == plat && run.units == units &&
+		slices.Equal(run.spans, spans) && slices.Equal(run.taskPE, a.TaskPE) {
+		c.obs.ExecReused.Inc()
+		return run, nil
 	}
-	return mapping.ExecStats{}, nil, fmt.Errorf("dse: unknown fidelity %q", fid)
+	run.ok, run.appMk = false, nil
+	switch {
+	case fid == "pipe":
+		run.stats, err = run.ex.ExecutePipelined(a, units)
+	case spans != nil:
+		run.stats, run.appMk, err = run.ex.ExecuteMulti(a, spans)
+	default:
+		run.stats, err = run.ex.Execute(a)
+	}
+	if err != nil {
+		return nil, err
+	}
+	run.ok, run.g, run.spans, run.plat, run.units = true, g, spans, plat, units
+	run.taskPE = append(run.taskPE[:0], a.TaskPE...)
+	run.events = plat.Kernel.Executed
+	return run, nil
 }
 
 // pointGraph returns the point's task graph: the cached union graph

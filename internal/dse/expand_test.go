@@ -177,10 +177,22 @@ func TestParseSweepRefusesRepeatedToken(t *testing.T) {
 			t.Errorf("ParseSweep(%q) = %v; want an error naming dimension %s and token %q", c.spec, err, c.dim, c.tok)
 		}
 	}
+	for _, c := range []struct{ spec, tok1, tok2 string }{
+		{"fid=cal:32,cal:1,vp64;wl=multi:jpeg+synth4;plat=2xrisc+1xdsp", "cal:32", "cal:1"},
+		{"heur=list,anneal;fid=cal:2,mvp,cal:4", "cal:2", "cal:4"},
+		{"fid=cal:3,cal:2;heur=exhaustive,anneal", "cal:3", "cal:2"},
+	} {
+		_, err := ParseSweep(c.spec, 1)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q and %q", c.tok1, c.tok2)) {
+			t.Errorf("ParseSweep(%q) = %v; want an error naming tokens %q and %q", c.spec, err, c.tok1, c.tok2)
+		}
+	}
 	for _, ok := range []string{
 		"plat=homog2,homog4,2xrisc,2xrisc@600;dvfs=0,1;mem=ideal,bank:4x2,bank:2x4,bw:8",
 		"wl=synth8,multi:synth8+jpeg,multi:jpeg+synth8;fid=vp64,vp32,pipe8,cal:2",
 		"plat=homog2;fab=mesh;heur=list;fid=mvp",
+		"plat=homog4,wireless;wl=jpeg,synth12;heur=list,anneal;fid=mvp,vp64,cal:1,cal:4",
+		"heur=list,anneal,exhaustive;fid=cal:1,cal:2,cal:3",
 	} {
 		if _, err := ParseSweep(ok, 1); err != nil {
 			t.Errorf("ParseSweep(%q): %v", ok, err)

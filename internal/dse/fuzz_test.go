@@ -48,9 +48,11 @@ func expansionBound(s *Sweep) int {
 // renders to a canonical form that re-parses to the same expanded
 // point list (seeds included), and the canonical form is a fixed
 // point of the rendering. Sweep.Len predicts the expansion's length,
-// and HashPoints, which reuses repeated platform and workload bytes,
-// equals referenceHash, which marshals every point whole. The seeds
-// include tokens repeated within a dimension, which ParseSweep refuses.
+// HashPoints, which reuses repeated platform and workload bytes,
+// equals referenceHash, which marshals every point whole, and no two
+// points are equal but for their ID. The seeds include tokens repeated
+// within a dimension and cal tokens that clamp to one probe count,
+// which ParseSweep refuses.
 func FuzzParseSweep(f *testing.F) {
 	for _, seed := range []string{
 		"smoke",
@@ -63,6 +65,7 @@ func FuzzParseSweep(f *testing.F) {
 		"plat=03xrisc@01000;wl=synth02",
 		"plat=homog4;wl=jpeg,synth8;heur=list,anneal;fid=mvp,cal:2",
 		"fid=cal:32,cal:1,vp64;wl=multi:jpeg+synth4;plat=2xrisc+1xdsp",
+		"heur=list,anneal;fid=cal:2,cal:4;plat=homog2;wl=jpeg",
 		"plat=homog4;wl=jpeg;mem=ideal,bank:4x2,bw:8",
 		"mem=bank:64x8,bw:1024,bank:1x1;plat=wireless;wl=synth8;fid=mvp,vp64",
 		"plat=homog2;wl=jpeg;mem=bank:0x2,bank:4,bw:0,dram",
@@ -103,6 +106,19 @@ func FuzzParseSweep(f *testing.F) {
 		}
 		if err1 == nil && HashPoints(p1) != referenceHash(p1) {
 			t.Fatalf("spec %q: HashPoints %s, reference %s", spec, HashPoints(p1), referenceHash(p1))
+		}
+		seen := make(map[string]int, len(p1))
+		for _, p := range p1 {
+			id := p.ID
+			p.ID = 0
+			b, err := json.Marshal(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first, ok := seen[string(b)]; ok {
+				t.Fatalf("spec %q expands points %d and %d alike: %s", spec, first, id, b)
+			}
+			seen[string(b)] = id
 		}
 	})
 }

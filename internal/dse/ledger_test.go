@@ -19,7 +19,7 @@ const ledgerSpec = "plat=homog4;mem=ideal,bank:4x2;wl=synth8,multi:jpeg+synth8,j
 // counters ledgerCounts reads, then the fabric transfers of the
 // points' results.
 var ledgerCols = [...]string{"points", "schedules", "tasks_sched", "anneal_moves", "certified", "sim_sched", "sim_exec",
-	"graphs", "multis", "plats", "cal_fits", "transfers"}
+	"exec_reused", "graphs", "multis", "plats", "cal_fits", "transfers"}
 
 // ledgerRow is the deterministic work of a set of points, by
 // ledgerCols.
@@ -33,15 +33,16 @@ func ledgerCounts(o EvalObs) ledgerRow {
 	return ledgerRow{
 		o.Points.Value(), o.Search.Schedules.Value(), o.Search.TasksScheduled.Value(),
 		o.Search.AnnealMoves.Value(), o.Search.Certified.Value(), o.SimScheduled.Value(), o.SimExecuted.Value(),
-		o.GraphMisses.Value(), o.MultiMisses.Value(), o.PlatBuilds.Value(), o.CalMisses.Value(), 0,
+		o.ExecReused.Value(), o.GraphMisses.Value(), o.MultiMisses.Value(), o.PlatBuilds.Value(), o.CalMisses.Value(), 0,
 	}
 }
 
 // TestWorkLedgerGolden pins the deterministic work of evaluation —
 // mapping schedules, tasks scheduled, anneal moves, kernel events,
-// fabric transfers, and the graphs, platforms and cal fits built — per
-// fidelity, over the smoke preset and ledgerSpec evaluated in order on
-// one observed EvalContext, as a sweep worker evaluates them. Work
+// executions reused, fabric transfers, and the graphs, platforms and
+// cal fits built — per fidelity, over the smoke preset and ledgerSpec
+// evaluated in order on one observed EvalContext, as a sweep worker
+// evaluates them. Work
 // counts do not move with host noise, so a change that searches,
 // simulates or rebuilds more shows here as a diff even when its output
 // bytes hold. A change that moves work regenerates the golden and
@@ -103,17 +104,22 @@ func TestWorkLedgerGolden(t *testing.T) {
 	if got := o.Points.Value(); total[0] != got || got != int64(len(points)) {
 		t.Fatalf("ledger rows hold %d points, dse_points_total %d, %d evaluated", total[0], got, len(points))
 	}
-	// A vp point executes the mapping its mvp twin searched on the
-	// twin's platform and graph: it schedules and builds nothing.
+	// A vp point runs the mapping its mvp twin searched on the twin's
+	// platform and graph, right after the twin: it schedules, builds
+	// and executes nothing, reusing the twin's execution.
 	vp := rows["vp"]
 	if vp[0] == 0 {
 		t.Fatal("vacuous: no vp points")
 	}
 	for i, col := range ledgerCols {
 		switch col {
-		case "schedules", "tasks_sched", "anneal_moves", "certified", "graphs", "multis", "plats", "cal_fits":
+		case "schedules", "tasks_sched", "anneal_moves", "certified", "sim_sched", "sim_exec", "graphs", "multis", "plats", "cal_fits":
 			if vp[i] != 0 {
-				t.Fatalf("vp points: %s = %d, want 0 (the mvp twin's search and builds)", col, vp[i])
+				t.Fatalf("vp points: %s = %d, want 0 (the mvp twin's search, execution and builds)", col, vp[i])
+			}
+		case "exec_reused":
+			if vp[i] != vp[0] {
+				t.Fatalf("vp points: %d executions reused, want all %d", vp[i], vp[0])
 			}
 		}
 	}

@@ -42,6 +42,10 @@ type EvalObs struct {
 	// PlatBuilds counts platforms built: a point whose PlatSpec is not
 	// the context's last one's.
 	PlatBuilds *obs.Counter
+	// ExecReused counts task-level executions not run because the last
+	// execution of their mode ran the same graph, platform, assignment
+	// and units (execEntry), cal probes included.
+	ExecReused *obs.Counter
 
 	// VPHits and VPMisses counted the virtual-platform pool, which
 	// closed-form vp refinement retired. NewEvalObs leaves them nil
@@ -100,6 +104,7 @@ func NewEvalObs(r *obs.Registry) EvalObs {
 		CalHits:     cacheHit("cal"),
 		CalMisses:   cacheMiss("cal"),
 		PlatBuilds:  r.Counter("dse_platform_builds_total", "Platforms built rather than reset and reused."),
+		ExecReused:  r.Counter("dse_exec_reused_total", "Task-level executions reused from the last identical run of their mode."),
 
 		SimScheduled: r.Counter("sim_events_scheduled_total", "Kernel events scheduled."),
 		SimExecuted:  r.Counter("sim_events_executed_total", "Kernel events executed."),

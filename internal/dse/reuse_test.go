@@ -2,8 +2,14 @@ package dse
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"mpsockit/internal/mapping"
+	"mpsockit/internal/obs"
+	"mpsockit/internal/taskgraph"
 )
 
 // reuseSpec crosses everything a reused platform must forget between
@@ -90,5 +96,164 @@ func TestPlatformReuseMatchesFresh(t *testing.T) {
 	t.Logf("%d points: %d platform reuses (%d right after a boosting rtos point), %d builds", len(order), hits, afterBoost, misses)
 	if hits < len(order)/2 || misses < len(groups) || afterBoost == 0 {
 		t.Fatalf("%d reuses (%d after a boost) and %d builds over %d points: the stream does not exercise reuse", hits, afterBoost, misses, len(order))
+	}
+}
+
+// execReuseSpec crosses what an execution reuse must tell apart: list
+// and anneal twins at every one-shot fidelity (mvp, vp64, cal:1 and
+// cal:2; an anneal cal:1 point is not its group's probe, so a fit its
+// evaluation computes runs the list probe after the point's own
+// execution), a multi-app scenario's spans, pipe4 beside pipe8 of one
+// mapping, bank and bw memory on the same cores, and rtos bags that
+// run on the platform between twins.
+const execReuseSpec = "plat=homog4,2xrisc+1xdsp;mem=bank:4x2,bw:8;wl=synth8,multi:jpeg+synth8,jobs8;" +
+	"heur=list,anneal;fid=mvp,vp64,cal:1,cal:2,pipe4,pipe8"
+
+// TestExecReuseMatchesFresh: one EvalContext, which reuses the last
+// execution of a mode when a point runs the same graph, spans,
+// platform, assignment and units (execEntry), writes every result line
+// byte-identical to a fresh context's Evaluate, through WriteResult,
+// in expansion order, in reverse, in shuffled orders with repeats, and
+// in a stream that follows each point with its siblings: the other
+// memory model on the same cores, the other pipe depth, an rtos bag on
+// the same platform, and the point again. The streams must reuse
+// executions at every fidelity and hold runs whose key differs from
+// the last run's in the platform alone and in the units alone.
+func TestExecReuseMatchesFresh(t *testing.T) {
+	points := expandSweep(t, execReuseSpec, 9)
+	line := func(res Result) string {
+		t.Helper()
+		if res.Err != "" {
+			t.Fatalf("point %d failed: %s", res.Point.ID, res.Err)
+		}
+		var b bytes.Buffer
+		if err := WriteResult(&b, res); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	want := make([]string, len(points))
+	for i, p := range points {
+		want[i] = line(Evaluate(p))
+	}
+
+	// sibling finds the sweep's point that differs from p only as edit
+	// makes it differ.
+	sibling := func(p Point, edit func(*Point)) (Point, bool) {
+		q := p
+		edit(&q)
+		for _, s := range points {
+			if s.Plat.Equal(q.Plat) && s.Workload == q.Workload && s.Heuristic == q.Heuristic &&
+				s.Fidelity == q.Fidelity && s.Iterations == q.Iterations && s.Quantum == q.Quantum {
+				return s, true
+			}
+		}
+		return Point{}, false
+	}
+	var siblings []Point
+	for _, p := range points {
+		if p.Fidelity == "rtos" {
+			continue
+		}
+		siblings = append(siblings, p)
+		if q, ok := sibling(p, func(q *Point) {
+			q.Plat.Mem = map[string]string{"bank:4x2": "bw:8", "bw:8": "bank:4x2"}[q.Plat.Mem]
+		}); ok {
+			siblings = append(siblings, q)
+		}
+		if p.Fidelity == "pipe" {
+			if q, ok := sibling(p, func(q *Point) { q.Iterations = 12 - q.Iterations }); ok {
+				siblings = append(siblings, q)
+			}
+		}
+		if q, ok := sibling(p, func(q *Point) {
+			q.Workload, q.Heuristic, q.Fidelity, q.Iterations, q.Quantum = "jobs", "-", "rtos", 0, 0
+		}); ok {
+			siblings = append(siblings, q)
+		}
+		siblings = append(siblings, p)
+	}
+	orders := map[string][]Point{"expansion": points, "reverse": slices.Clone(points), "siblings": siblings}
+	slices.Reverse(orders["reverse"])
+	for s := int64(1); s <= 3; s++ {
+		r := rand.New(rand.NewSource(s))
+		order := slices.Clone(points)
+		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		for n := len(order) / 5; n > 0; n-- {
+			i := r.Intn(len(order))
+			order = append(order[:i+1], order[i:]...)
+		}
+		orders[fmt.Sprintf("shuffled/%d", s)] = order
+	}
+
+	reusedBy := map[string]int{}
+	var platOnly, unitsOnly int
+	for name, order := range orders {
+		c := NewEvalContext()
+		o := NewEvalObs(obs.NewRegistry())
+		c.SetObs(o)
+		for i, p := range order {
+			mode := 0
+			if p.Fidelity == "pipe" {
+				mode = 1
+			}
+			last := c.runs[mode]
+			last.taskPE = slices.Clone(last.taskPE)
+			before := o.ExecReused.Value()
+			if got := line(c.Evaluate(p)); got != want[p.ID] {
+				t.Fatalf("%s order, step %d (point %d, %s %s %s %s): reused context\n got %s\nwant %s",
+					name, i, p.ID, p.Plat.Token(), p.Workload, p.Heuristic, p.Fidelity, got, want[p.ID])
+			}
+			if o.ExecReused.Value() > before {
+				reusedBy[p.Fidelity]++
+			} else if now := c.runs[mode]; p.Fidelity != "rtos" && p.Fidelity != "cal" && last.ok &&
+				now.g == last.g && slices.Equal(now.taskPE, last.taskPE) && slices.Equal(now.spans, last.spans) {
+				// Executed again although only the platform or the
+				// units changed.
+				if now.plat != last.plat && now.units == last.units {
+					platOnly++
+				}
+				if now.plat == last.plat && now.units != last.units {
+					unitsOnly++
+				}
+			}
+		}
+	}
+	t.Logf("executions reused by fidelity %v; %d runs differed from the last in the platform only, %d in the units only", reusedBy, platOnly, unitsOnly)
+	for _, fid := range []string{"mvp", "vp", "cal", "pipe"} {
+		if reusedBy[fid] == 0 {
+			t.Errorf("no %s point reused an execution", fid)
+		}
+	}
+	if platOnly == 0 || unitsOnly == 0 {
+		t.Errorf("%d platform-only and %d units-only key changes: the streams do not test the key", platOnly, unitsOnly)
+	}
+
+	// A sweep's union graph always comes with its spans; a run of the
+	// same graph without them measures no application makespans.
+	for _, p := range points {
+		if len(p.Apps) < 2 || p.Fidelity != "mvp" {
+			continue
+		}
+		c := NewEvalContext()
+		g, spans, _, err := c.pointGraph(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := mapping.Options{Heuristic: mapping.List, Seed: p.Seed}
+		for _, sp := range [][]taskgraph.Span{spans, nil, spans} {
+			plat, _, err := c.platform(reuseKernel(&c.k), p.Plat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := c.mapAndExecute(g, sp, plat, opt, "mvp", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(run.appMk) != len(sp) {
+				t.Fatalf("point %d run with %d spans measured %d app makespans", p.ID, len(sp), len(run.appMk))
+			}
+		}
+		break
 	}
 }

@@ -319,7 +319,9 @@ func firstTwin(fids []FidelitySpec) int {
 // dvfs=1, heur=list, fid=mvp, mem=ideal. A token repeated within a
 // dimension, compared in canonical form ("synth08" is "synth8",
 // "dvfs=01" is "dvfs=1"), is an error: it would only expand to
-// duplicate points.
+// duplicate points. So are two cal:K tokens whose probe counts, each
+// clamped to the heuristic count, are equal ("fid=cal:32,cal:1" with
+// one heuristic).
 func ParseSweep(spec string, seed uint64) (*Sweep, error) {
 	s := &Sweep{Seed: seed}
 	switch spec {
@@ -416,6 +418,17 @@ func ParseSweep(spec string, seed uint64) (*Sweep, error) {
 				return nil, fmt.Errorf("dse: sweep dimension %s repeats token %q (%s=%s)", key, val, key, canon)
 			}
 			seen[dimToken{key, canon}] = true
+		}
+	}
+	// Points probes min(K, heuristics) siblings, so cal tokens that
+	// agree on that count expand to identical points.
+	heurs := max1(len(s.Heuristics))
+	for i, f := range s.Fidelities {
+		for _, g := range s.Fidelities[:i] {
+			if f.Kind == "cal" && g.Kind == "cal" && min(f.Probes, heurs) == min(g.Probes, heurs) {
+				return nil, fmt.Errorf("dse: sweep dimension fid: tokens %q and %q both probe %d mappings with %d heuristics (duplicate points)",
+					g.String(), f.String(), min(f.Probes, heurs), heurs)
+			}
 		}
 	}
 	if len(s.Platforms) == 0 {

@@ -160,9 +160,9 @@ func BenchmarkAnnealMove(b *testing.B) {
 		id := i % len(cur)
 		q := int(pos[id])
 		peq[q] = int32(next[id])
-		ev.suffix(q)
+		ev.suffix(q, sim.Forever)
 		peq[q] = int32(cur[id])
-		ev.restore(q)
+		ev.restore(q, len(ev.order))
 	}
 }
 

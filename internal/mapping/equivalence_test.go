@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -468,6 +469,300 @@ func TestScheduleZeroAlloc(t *testing.T) {
 			ev.objectiveCost(obj, a.TaskPE)
 		}); n != 0 {
 			t.Fatalf("objectiveCost(%d) allocates %.1f allocs/op, want 0", obj, n)
+		}
+	}
+}
+
+// annealUnbounded is the annealer before moves read their draw ahead:
+// every makespan move reschedules its whole suffix (suffix with limit
+// sim.Forever) and every uphill move calls math.Exp. It is the oracle
+// of TestBoundedAnnealMatchesUnbounded.
+func annealUnbounded(e *Evaluator, opt Options, rng *xrand.Rand) ([]int, error) {
+	g := e.g
+	nPE := len(e.plat.Cores)
+	var cur []int
+	var err error
+	if opt.Objective == Throughput {
+		cur, err = e.throughputMap()
+	} else {
+		cur, err = e.listMap()
+	}
+	if err != nil {
+		return nil, err
+	}
+	iters := opt.Iterations
+	if iters <= 0 {
+		iters = 2000
+	}
+	curCost := e.objectiveCost(opt.Objective, cur)
+	best := append(e.best[:0], cur...)
+	e.best = best
+	lb := e.lowerBound(opt.Objective)
+	if curCost == lb {
+		e.Obs.Certified.Inc()
+		return best, nil
+	}
+	bestCost := curCost
+	temp := float64(curCost)
+	load := e.load
+	dur := func(id, pe int) sim.Time {
+		if d := e.durs[id*nPE+pe]; d >= 0 {
+			return d
+		}
+		return e.infCost[pe]
+	}
+	pos, peq := e.pos, e.peq
+	for i := 0; i < iters; i++ {
+		tIdx := rng.Intn(len(g.Tasks))
+		cands := e.Capable(tIdx)
+		oldPE := cur[tIdx]
+		newPE := cands[rng.Intn(len(cands))]
+		nc := curCost
+		if newPE != oldPE {
+			cur[tIdx] = newPE
+			if opt.Objective == Throughput {
+				load[oldPE] -= dur(tIdx, oldPE)
+				load[newPE] += dur(tIdx, newPE)
+				nc = 0
+				for _, l := range load {
+					if l > nc {
+						nc = l
+					}
+				}
+			} else {
+				peq[pos[tIdx]] = int32(newPE)
+				nc, _ = e.suffix(int(pos[tIdx]), sim.Forever)
+			}
+		}
+		e.Obs.AnnealMoves.Inc()
+		dE := float64(nc - curCost)
+		if dE <= 0 || rng.Float64() < math.Exp(-dE/math.Max(temp, 1)) {
+			e.Obs.AnnealAccepts.Inc()
+			curCost = nc
+			if curCost < bestCost {
+				copy(best, cur)
+				bestCost = curCost
+				if bestCost == lb {
+					e.Obs.Certified.Inc()
+					return best, nil
+				}
+			}
+		} else {
+			e.Obs.AnnealRejects.Inc()
+			cur[tIdx] = oldPE
+			if opt.Objective == Throughput {
+				load[newPE] -= dur(tIdx, newPE)
+				load[oldPE] += dur(tIdx, oldPE)
+			} else {
+				peq[pos[tIdx]] = int32(oldPE)
+				e.restore(int(pos[tIdx]), len(e.order))
+			}
+		}
+		temp *= 0.995
+	}
+	return best, nil
+}
+
+// shrunk returns g with every WCET divided by 1000 (at least 1 cycle),
+// so an anneal's cost is small enough for its temperature to reach the
+// max(temp, 1) floor within a few thousand moves.
+func shrunk(g *taskgraph.Graph) *taskgraph.Graph {
+	for _, t := range g.Tasks {
+		for c, cyc := range t.WCET {
+			t.WCET[c] = max(cyc/1000, 1)
+		}
+	}
+	return g
+}
+
+// TestBoundedAnnealMatchesUnbounded: the annealer whose makespan moves
+// stop rescheduling once their rejection is certain returns the
+// unbounded annealer's assignment with the same RNG trajectory (equal
+// generator state after the search) and the same search counts, only
+// TasksScheduled lower or equal, on 240 pinned-seed cases: permDAGs
+// and multi-app unions of two or three, on the incPlatforms cross
+// (ideal, bank and bw memory; mesh and bus), both objectives, and
+// shrunk graphs annealed long enough that the temperature sits at its
+// floor of 1 for hundreds of moves.
+func TestBoundedAnnealMatchesUnbounded(t *testing.T) {
+	plats := incPlatforms(t)
+	rng := xrand.New(0xb0d)
+	var stopped, floor, unions int
+	for c := 0; c < 240; c++ {
+		var g *taskgraph.Graph
+		if apps := rng.Intn(3); apps < 2 {
+			g = permDAG(rng, rng.Intn(30)+2)
+		} else {
+			unions++
+			parts := make([]*taskgraph.Graph, rng.Intn(2)+2)
+			for i := range parts {
+				parts[i] = permDAG(rng, rng.Intn(12)+1)
+			}
+			g, _ = taskgraph.Union("multi", parts...)
+		}
+		opt := Options{Heuristic: Anneal, Seed: rng.Uint64(), Iterations: 2000}
+		if c%3 == 0 {
+			g = shrunk(g)
+			opt.Iterations = 6000
+		}
+		if c%4 == 3 {
+			opt.Objective = Throughput
+		}
+		plat := plats[rng.Intn(len(plats))]
+		run := func(search func(*Evaluator, *xrand.Rand) ([]int, error)) ([]int, xrand.Rand, SearchObs) {
+			ev := NewEvaluator(g, plat)
+			ev.Obs = liveSearchObs(obs.NewRegistry())
+			r := xrand.New(opt.Seed + 1)
+			got, err := search(ev, r)
+			if err != nil {
+				t.Fatalf("case %d: %v", c, err)
+			}
+			return append([]int(nil), got...), *r, ev.Obs
+		}
+		got, gotRng, gotObs := run(func(ev *Evaluator, r *xrand.Rand) ([]int, error) { return ev.anneal(opt, r) })
+		want, wantRng, wantObs := run(func(ev *Evaluator, r *xrand.Rand) ([]int, error) { return annealUnbounded(ev, opt, r) })
+		if !reflect.DeepEqual(got, want) || gotRng != wantRng {
+			t.Fatalf("case %d (%d tasks on %s, objective %d): bounded anneal diverged\ngot  %v\nwant %v", c, len(g.Tasks), plat.Name, opt.Objective, got, want)
+		}
+		for _, ctr := range []struct {
+			name      string
+			got, want *obs.Counter
+		}{
+			{"schedules", gotObs.Schedules, wantObs.Schedules},
+			{"cost evals", gotObs.CostEvals, wantObs.CostEvals},
+			{"moves", gotObs.AnnealMoves, wantObs.AnnealMoves},
+			{"accepts", gotObs.AnnealAccepts, wantObs.AnnealAccepts},
+			{"rejects", gotObs.AnnealRejects, wantObs.AnnealRejects},
+			{"certified", gotObs.Certified, wantObs.Certified},
+		} {
+			if ctr.got.Value() != ctr.want.Value() {
+				t.Fatalf("case %d: %s %d, unbounded %d", c, ctr.name, ctr.got.Value(), ctr.want.Value())
+			}
+		}
+		g1, g0 := gotObs.TasksScheduled.Value(), wantObs.TasksScheduled.Value()
+		if g1 > g0 {
+			t.Fatalf("case %d: bounded anneal scheduled %d tasks, unbounded %d", c, g1, g0)
+		}
+		if g1 < g0 {
+			stopped++
+		}
+		// The temperature starts at the start's cost and falls by 0.995
+		// a move; count searches that moved on after it reached 1.
+		ev := NewEvaluator(g, plat)
+		start := ev.objectiveCost(opt.Objective, func() []int {
+			if opt.Objective == Throughput {
+				s, _ := ev.throughputMap()
+				return s
+			}
+			s, _ := ev.listMap()
+			return s
+		}())
+		if float64(start)*math.Pow(0.995, float64(gotObs.AnnealMoves.Value())) < 0.5 {
+			floor++
+		}
+	}
+	t.Logf("%d cases (%d unions): %d stopped a suffix early, %d annealed at the temperature floor", 240, unions, stopped, floor)
+	if stopped < 60 || floor < 10 || unions < 40 {
+		t.Fatalf("%d cases stopped a suffix, %d reached the temperature floor, %d unions: the cases do not exercise the bound", stopped, floor, unions)
+	}
+}
+
+// TestBelowMatchesExp: below(u, x), which calls math.Exp only inside a
+// band around -ln u, equals u < math.Exp(-x) on a pinned-seed
+// quick.Check whose draws cover u = 0, u just under 1, u from the
+// annealer's Float64 grid and from anywhere in (0, 1), x within a few
+// ulps of both band edges and of -ln u itself, x far either side, and x
+// past where Exp underflows to 0.
+func TestBelowMatchesExp(t *testing.T) {
+	check := func(bits uint64, pick uint8, ulps int8) bool {
+		var u float64
+		switch pick % 5 {
+		case 0:
+			u = 0
+		case 1:
+			u = math.Nextafter(1, 0) - float64(bits%64)*0x1p-53
+		case 2:
+			u = float64(bits>>11) / (1 << 53) // xrand.Float64's grid
+		case 3:
+			u = math.Float64frombits(bits>>2 | 1) // anywhere in (0, 1): exponent below 0x3ff
+		default:
+			u = math.Ldexp(float64(bits>>11|1)/(1<<53), -int(bits%1100))
+		}
+		if !(u >= 0 && u < 1) {
+			return true
+		}
+		lo, hi := expBand(u)
+		var x float64
+		switch pick / 5 % 6 {
+		case 0:
+			x = lo
+		case 1:
+			x = hi
+		case 2:
+			x = -math.Log(u)
+		case 3:
+			x = float64(bits%1000) / 7
+		case 4:
+			x = 745 + float64(bits%2000)
+		default:
+			x = float64(bits%64) * 1e-3
+		}
+		if math.IsInf(x, 0) {
+			x = 800
+		}
+		for step := ulps % 8; step != 0; {
+			if step > 0 {
+				x, step = math.Nextafter(x, math.Inf(1)), step-1
+			} else {
+				x, step = math.Nextafter(x, math.Inf(-1)), step+1
+			}
+		}
+		if got, want := below(u, x), u < math.Exp(-x); got != want {
+			t.Logf("below(%v, %v) = %v, u < Exp(-x) = %v (band [%v, %v])", u, x, got, want, lo, hi)
+			return false
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 200_000, Rand: rand.New(rand.NewSource(0xe4b))}
+	if testing.Short() {
+		cfg.MaxCount = 20_000
+	}
+	if err := quick.Check(check, cfg); err != nil {
+		t.Fatal(err)
+	}
+	// The named corners once each.
+	for _, c := range []struct{ u, x float64 }{
+		{0, 0}, {0, 1}, {0, 744}, {0, 746}, {0, math.Inf(1)},
+		{math.Nextafter(1, 0), 0}, {math.Nextafter(1, 0), 1e-16}, {math.Nextafter(1, 0), 1e-17},
+		{0x1p-53, 36.7}, {0x1p-53, 36.8}, {0.5, math.Ln2}, {0.5, math.Nextafter(math.Ln2, 0)},
+	} {
+		if got, want := below(c.u, c.x), c.u < math.Exp(-c.x); got != want {
+			t.Fatalf("below(%v, %v) = %v, want %v", c.u, c.x, got, want)
+		}
+	}
+}
+
+// TestCostLimitRejects: every cost above costLimit(cur, hi, t) is a
+// move below rejects, as the annealer computes x, for draws u on
+// xrand.Float64's grid and temperatures from the floor of 1 up.
+func TestCostLimitRejects(t *testing.T) {
+	rng := xrand.New(0x11)
+	for i := 0; i < 100_000; i++ {
+		u := rng.Float64()
+		if i%50 == 0 {
+			u = 0
+		}
+		tm := math.Max(math.Ldexp(rng.Float64(), int(rng.Intn(60))), 1)
+		cur := sim.Time(rng.Int63n(1 << 40))
+		_, hi := expBand(u)
+		limit := costLimit(cur, hi, tm)
+		if limit == sim.Forever {
+			continue
+		}
+		for _, nc := range []sim.Time{limit + 1, limit + 2, limit + sim.Time(rng.Int63n(1<<20)) + 1} {
+			if below(u, float64(nc-cur)/tm) {
+				t.Fatalf("u %v, t %v: cost %d above limit %d (cur %d) is accepted", u, tm, nc, limit, cur)
+			}
 		}
 	}
 }

@@ -14,9 +14,10 @@ import (
 // per-task, per-core and per-edge state of a run lives in slices that
 // the next run resizes and clears instead of reallocating. The zero
 // value is ready to use; the package-level functions run on a fresh
-// one. An Executor is not safe for concurrent use, and the stats it
-// returns are copied out, so a reused executor never aliases an
-// earlier result.
+// one. An Executor is not safe for concurrent use. The PEBusy of the
+// stats it returns, and ExecuteMulti's makespans, are its own scratch,
+// valid until its next run, so a warm executor allocates nothing; the
+// package-level functions' results are the caller's alone.
 //
 // Every task is a state machine on the platform kernel, and the
 // executor itself is the sim.Handler of all its events: an event's
@@ -205,7 +206,7 @@ func (ex *Executor) run() (ExecStats, error) {
 	}
 	return ExecStats{
 		Makespan: ex.makespan,
-		PEBusy:   append(make([]sim.Time, 0, len(ex.busy)), ex.busy...),
+		PEBusy:   ex.busy,
 		Fabric:   platform.FabricStatsOf(a.Platform.Fabric).Sub(fabric0),
 		Mem:      platform.MemStatsOf(a.Platform.Mem).Sub(mem0),
 	}, nil

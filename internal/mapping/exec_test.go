@@ -256,7 +256,9 @@ func TestCallbackExecutorsMatchProcOracleOnMappedWorkloads(t *testing.T) {
 // Kernel.Executed, Kernel.Now and the full dispatch stream. A
 // deadlocked one-shot run and a stalled pipeline, each followed by a
 // clean run, check that a failed run leaves nothing behind in the
-// reused scratch.
+// reused scratch. A reused executor's result is its scratch, valid
+// until its next run: the fresh executor's run in between must leave
+// it as it was returned.
 func TestExecutorReuseMatchesFresh(t *testing.T) {
 	var plats []execPlatform
 	for _, name := range []string{"homog4", "mpcore2", "wireless", "celllike3", "2xrisc+1xdsp"} {
@@ -271,12 +273,15 @@ func TestExecutorReuseMatchesFresh(t *testing.T) {
 		rounds = 1
 	}
 	var reused Executor
-	// kept holds every reused-executor result next to a copy taken when
-	// it was returned: later runs must not write through to it.
-	var kept [][2]execRun
+	// last holds the reused executor's latest result next to a copy
+	// taken when it was returned.
+	var last [2]execRun
 	r := xrand.New(20261017)
 	check := func(where string, ac, af *Assignment, run func(*Executor, *Assignment) (ExecStats, []sim.Time, error)) execRun {
 		t.Helper()
+		if !reflect.DeepEqual(last[0], last[1]) {
+			t.Fatalf("%s: the last result changed before its executor ran again: %+v, was %+v", where, last[0].stats, last[1].stats)
+		}
 		got := recordRun(ac, func(a *Assignment) (ExecStats, []sim.Time, error) { return run(&reused, a) })
 		want := recordRun(af, func(a *Assignment) (ExecStats, []sim.Time, error) { return run(new(Executor), a) })
 		if !reflect.DeepEqual(got, want) {
@@ -285,7 +290,7 @@ func TestExecutorReuseMatchesFresh(t *testing.T) {
 		}
 		snap := got
 		snap.stats.PEBusy, snap.apps = slices.Clone(got.stats.PEBusy), slices.Clone(got.apps)
-		kept = append(kept, [2]execRun{got, snap})
+		last = [2]execRun{got, snap}
 		return got
 	}
 	execute := func(ex *Executor, a *Assignment) (ExecStats, []sim.Time, error) {
@@ -336,18 +341,13 @@ func TestExecutorReuseMatchesFresh(t *testing.T) {
 			check(fmt.Sprintf("%s ExecutePipelined(%d)", where, iters), ac, af, pipelined(iters))
 		}
 	}
-	for i, k := range kept {
-		if !reflect.DeepEqual(k[0], k[1]) {
-			t.Fatalf("result %d changed after later runs of its executor: %+v, was %+v", i, k[0].stats, k[1].stats)
-		}
-	}
 }
 
 // TestExecutorAllocsPerRun pins the allocation-free steady state: a
-// warm Executor on a platform with a bank memory model allocates the
-// same small constant per run — the caller's copy of PEBusy, plus the
-// app makespans for ExecuteMulti — whatever the number of cross-PE
-// transfers, which each go through the fabric and the memory model.
+// warm Executor on a platform with a bank memory model allocates
+// nothing per run — PEBusy and the app makespans are its scratch —
+// whatever the number of cross-PE transfers, which each go through the
+// fabric and the memory model.
 func TestExecutorAllocsPerRun(t *testing.T) {
 	var ex Executor
 	for _, n := range []int{2, 8, 32} {
@@ -364,9 +364,9 @@ func TestExecutorAllocsPerRun(t *testing.T) {
 			want float64
 			run  func() error
 		}{
-			{"Execute", 1, func() error { _, err := ex.Execute(a); return err }},
-			{"ExecuteMulti", 2, func() error { _, _, err := ex.ExecuteMulti(a, spans); return err }},
-			{"ExecutePipelined", 1, func() error { _, err := ex.ExecutePipelined(a, 8); return err }},
+			{"Execute", 0, func() error { _, err := ex.Execute(a); return err }},
+			{"ExecuteMulti", 0, func() error { _, _, err := ex.ExecuteMulti(a, spans); return err }},
+			{"ExecutePipelined", 0, func() error { _, err := ex.ExecutePipelined(a, 8); return err }},
 		} {
 			if err := c.run(); err != nil {
 				t.Fatal(err)

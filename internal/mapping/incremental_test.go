@@ -145,7 +145,7 @@ func checkMoves(tb testing.TB, ev *Evaluator, cur []int, moves []uint32) bool {
 		old := cur[tIdx]
 		cur[tIdx] = cands[int(m>>8&0xffff)%len(cands)]
 		ev.peq[q] = int32(cur[tIdx])
-		mk := ev.suffix(q)
+		mk, _ := ev.suffix(q, sim.Forever)
 		wantMk, wantSlots, _ := evaluateRef(g, plat, cur)
 		if mk != wantMk || !reflect.DeepEqual(kernelSlots(ev), wantSlots) {
 			tb.Logf("%s on %s: move task %d %d->%d: makespan %v, want %v",
@@ -155,7 +155,7 @@ func checkMoves(tb testing.TB, ev *Evaluator, cur []int, moves []uint32) bool {
 		if m>>31 != 0 {
 			cur[tIdx] = old
 			ev.peq[q] = int32(old)
-			ev.restore(q)
+			ev.restore(q, len(ev.order))
 		}
 		if !committed() {
 			return false

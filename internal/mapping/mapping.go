@@ -44,13 +44,26 @@
 // ends at the first leaf that meets it. Both searches keep a mapping
 // only for a strictly lower cost, so neither changes its result.
 //
+// A makespan move also stops once its rejection is certain. It reads
+// its acceptance draw u before rescheduling, from a copy of the RNG;
+// u bounds the largest cost the move can have and still be accepted
+// (costLimit), and a task's finish plus the fastest-time path after it
+// (tails) bounds the move's makespan from below, so the suffix stops
+// when that bound passes the limit. The stopped move is rejected,
+// having drawn u as a completed one would, and restores only the
+// positions it rescheduled. The acceptance test u < exp(-x) itself
+// calls math.Exp only inside a narrow band around -ln u that u's
+// exponent and mantissa give (expBand): outside it the answer is
+// certain. Trajectory, accepted moves and result are the unbounded
+// annealer's; only the tasks scheduled fall.
+//
 // Execution is the other per-point cost. Execute, ExecuteMulti and
 // ExecutePipelined run tasks as state machines on the platform kernel,
 // not goroutine-backed sim.Procs, dispatching exactly the events of
 // the process executors the tests keep as their oracle. An Executor
 // holds their scratch across runs and is itself the sim.Handler of
-// every event, so a warm executor schedules no closures and allocates
-// only the stats it hands back.
+// every event, and the stats it hands back are that scratch, so a
+// warm executor schedules no closures and allocates nothing.
 package mapping
 
 import (
@@ -188,7 +201,9 @@ type Evaluator struct {
 	// position of task id. peq[q] is the core of the task at q, fq[q]
 	// its finish time in the last schedule built, and prevq[q] the
 	// finish the last suffix overwrote, so a rejected anneal move can
-	// restore it (lowerBound borrows it in between).
+	// restore it (lowerBound borrows it in between). tail[q] is the
+	// longest path after position q at fastest capable times with free
+	// communication (tails), the bound a limited suffix stops on.
 	// preds[predStart[q]:predStart[q+1]] are the task's aggregated
 	// predecessors in Preds order, each as the predecessor's position
 	// and the edge's payload latency. Index tables are int32 to keep
@@ -198,6 +213,7 @@ type Evaluator struct {
 	peq       []int32
 	fq        []sim.Time
 	prevq     []sim.Time
+	tail      []sim.Time
 	predStart []int32
 	preds     []predRec
 
@@ -272,6 +288,7 @@ func (e *Evaluator) Bind(g *taskgraph.Graph, plat *platform.Platform) {
 	e.peq = grow(e.peq, n)
 	e.fq = grow(e.fq, n)
 	e.prevq = grow(e.prevq, n)
+	e.tail = grow(e.tail, n)
 	e.load = grow(e.load, nPE)
 	e.clocks = grow(e.clocks, nPE)
 
@@ -401,7 +418,7 @@ func (e *Evaluator) schedule(taskPE []int, wantSlots bool) (sim.Time, []Slot, er
 		}
 		e.peq[q] = int32(pe)
 	}
-	makespan := e.suffix(0)
+	makespan, _ := e.suffix(0, sim.Forever)
 	if !wantSlots {
 		return makespan, nil, nil
 	}
@@ -418,24 +435,29 @@ func (e *Evaluator) schedule(taskPE []int, wantSlots bool) (sim.Time, []Slot, er
 }
 
 // suffix is the schedule kernel: it reschedules topological positions
-// from on under the assignment in peq and returns the makespan. A
-// task's schedule depends only on the tasks before it in topological
-// order, so when fq holds a schedule whose assignment agrees with peq
-// on every position before from — the annealer's committed state
-// after moving the task at from — those finish times are still exact:
-// one scan of them rebuilds each PE's availability (the finish of its
-// last task so far) and the running makespan. Each finish time it
-// overwrites is saved in prevq for restore. Every core in peq must be
-// capable of its task (schedule checks; annealer moves pick capable
-// cores), so the loop holds only arithmetic.
-func (e *Evaluator) suffix(from int) sim.Time {
+// from on under the assignment in peq and returns the makespan and the
+// position it stopped before. A task's schedule depends only on the
+// tasks before it in topological order, so when fq holds a schedule
+// whose assignment agrees with peq on every position before from — the
+// annealer's committed state after moving the task at from — those
+// finish times are still exact: one scan of them rebuilds each PE's
+// availability (the finish of its last task so far) and the running
+// makespan. Each finish time it overwrites is saved in prevq for
+// restore. Every core in peq must be capable of its task (schedule
+// checks; annealer moves pick capable cores), so the loop holds only
+// arithmetic.
+//
+// The makespan is at least each task's finish plus tail at its
+// position, so once that bound passes limit the suffix stops: it
+// returns stop < len(order), having rescheduled [from, stop) only, and
+// a makespan that is no cost at all. With limit sim.Forever it never
+// stops, whatever tail holds.
+func (e *Evaluator) suffix(from int, limit sim.Time) (makespan sim.Time, stop int) {
 	n := len(e.order)
-	order, peq, fq, prevq := e.order, e.peq[:n], e.fq[:n], e.prevq[:n]
+	order, peq, fq, prevq, tail := e.order, e.peq[:n], e.fq[:n], e.prevq[:n], e.tail[:n]
 	e.Obs.Schedules.Inc()
-	e.Obs.TasksScheduled.Add(int64(n - from))
 	peAvail := e.peAvail
 	clear(peAvail)
-	var makespan sim.Time
 	for q, end := range fq[:from] {
 		peAvail[peq[q]] = end
 		makespan = max(makespan, end)
@@ -458,15 +480,21 @@ func (e *Evaluator) suffix(from int) sim.Time {
 		prevq[q] = fq[q]
 		fq[q] = end
 		makespan = max(makespan, end)
+		if end+tail[q] > limit {
+			n = q + 1
+			break
+		}
 	}
-	return makespan
+	e.Obs.TasksScheduled.Add(int64(n - from))
+	return makespan, n
 }
 
-// restore puts back the finish times the last suffix(from) overwrote,
-// returning fq to the schedule it resumed from. The caller puts back
-// the core it changed in peq.
-func (e *Evaluator) restore(from int) {
-	copy(e.fq[from:], e.prevq[from:])
+// restore puts back the finish times the last suffix, which ran from
+// from and stopped before stop, overwrote, returning fq to the
+// schedule it resumed from. The caller puts back the core it changed
+// in peq.
+func (e *Evaluator) restore(from, stop int) {
+	copy(e.fq[from:stop], e.prevq[from:stop])
 }
 
 // objectiveCost scores an assignment under the selected objective:
@@ -769,22 +797,50 @@ func (e *Evaluator) fastest(id int) sim.Time {
 	return d
 }
 
+// tails fills tail: tail[q] is the longest path from the task at
+// position q to an exit, its own time excluded, at fastest capable
+// times with free communication. Whatever cores the later tasks take,
+// none starts before its predecessors finish or runs faster, so a
+// schedule's makespan is at least any task's finish plus its tail.
+func (e *Evaluator) tails() {
+	tail := e.tail
+	clear(tail)
+	for q := len(e.order) - 1; q >= 0; q-- {
+		// Every successor has a later position, so tail[q] is final.
+		d := e.fastest(e.order[q]) + tail[q]
+		for _, r := range e.preds[e.predStart[q]:e.predStart[q+1]] {
+			tail[r.q] = max(tail[r.q], d)
+		}
+	}
+}
+
 // annealMap refines the list (or, for throughput, LPT) mapping with
 // simulated annealing over single-task moves, optimizing the selected
-// objective; deterministic under Options.Seed. A start whose cost
-// meets lowerBound is returned unannealed, and the search ends at the
-// move whose best meets it. Moves mutate the
-// current assignment in place and revert on reject. Every move cost is
-// computed incrementally: a move that picks the task's current core
-// keeps the current cost (and, at dE = 0, is accepted without drawing
-// from the RNG); the throughput objective updates two per-core loads;
-// the makespan objective reschedules only from the moved task's
-// topological position on (suffix), restoring the committed finish
-// times and the moved task's core on reject. All produce the exact cost values of a full
+// objective; deterministic under Options.Seed.
+func (e *Evaluator) annealMap(opt Options) ([]int, error) {
+	return e.anneal(opt, xrand.New(opt.Seed+1))
+}
+
+// anneal is annealMap drawing from rng. A start whose cost meets
+// lowerBound is returned unannealed, and the search ends at the move
+// whose best meets it. Moves mutate the current assignment in place
+// and revert on reject. Every move cost is computed incrementally: a
+// move that picks the task's current core keeps the current cost (and,
+// at dE = 0, is accepted without drawing from the RNG); the throughput
+// objective updates two per-core loads; the makespan objective
+// reschedules only from the moved task's topological position on
+// (suffix), restoring the committed finish times and the moved task's
+// core on reject. All produce the exact cost values of a full
 // recomputation, so the accept/reject trajectory — and therefore the
 // returned assignment — is byte-identical to the copying
 // implementation.
-func (e *Evaluator) annealMap(opt Options) ([]int, error) {
+//
+// A makespan move reads its acceptance draw u before it reschedules,
+// from a copy of rng: u fixes the largest cost the move can have and
+// still be accepted (costLimit), so the suffix stops once its bound
+// passes that limit, and the move is rejected having drawn u, as a
+// complete reschedule would have been.
+func (e *Evaluator) anneal(opt Options, rng *xrand.Rand) ([]int, error) {
 	g := e.g
 	nPE := len(e.plat.Cores)
 	var cur []int
@@ -811,7 +867,6 @@ func (e *Evaluator) annealMap(opt Options) ([]int, error) {
 		e.Obs.Certified.Inc()
 		return best, nil
 	}
-	rng := xrand.New(opt.Seed + 1)
 	bestCost := curCost
 	temp := float64(curCost)
 	// Throughput: e.load now holds cur's per-core loads (filled by
@@ -827,13 +882,18 @@ func (e *Evaluator) annealMap(opt Options) ([]int, error) {
 	// above), and peq follows cur; moves reschedule from the moved
 	// task's position.
 	pos, peq := e.pos, e.peq
+	n := len(e.order)
+	if opt.Objective == Makespan {
+		e.tails()
+	}
 	for i := 0; i < iters; i++ {
 		tIdx := rng.Intn(len(g.Tasks))
 		cands := e.Capable(tIdx)
 		oldPE := cur[tIdx]
 		newPE := cands[rng.Intn(len(cands))]
+		t := max(temp, 1) // equals math.Max(temp, 1): temp is positive and finite
 		// A move onto the task's current core keeps curCost.
-		nc := curCost
+		nc, stop := curCost, n
 		if newPE != oldPE {
 			cur[tIdx] = newPE
 			if opt.Objective == Throughput {
@@ -846,13 +906,21 @@ func (e *Evaluator) annealMap(opt Options) ([]int, error) {
 					}
 				}
 			} else {
+				peek := *rng
+				_, hi := expBand(peek.Float64())
 				peq[pos[tIdx]] = int32(newPE)
-				nc = e.suffix(int(pos[tIdx]))
+				nc, stop = e.suffix(int(pos[tIdx]), costLimit(curCost, hi, t))
 			}
 		}
 		e.Obs.AnnealMoves.Inc()
-		dE := float64(nc - curCost)
-		if dE <= 0 || rng.Float64() < math.Exp(-dE/math.Max(temp, 1)) {
+		// dE <= 0 is accepted without a draw; a stopped suffix's cost
+		// is past the limit, so its draw rejects it.
+		accept := stop == n && nc <= curCost
+		if !accept {
+			u := rng.Float64()
+			accept = stop == n && below(u, float64(nc-curCost)/t)
+		}
+		if accept {
 			e.Obs.AnnealAccepts.Inc()
 			curCost = nc
 			if curCost < bestCost {
@@ -872,12 +940,52 @@ func (e *Evaluator) annealMap(opt Options) ([]int, error) {
 				load[oldPE] += dur(tIdx, oldPE)
 			} else {
 				peq[pos[tIdx]] = int32(oldPE)
-				e.restore(int(pos[tIdx]))
+				e.restore(int(pos[tIdx]), stop)
 			}
 		}
 		temp *= 0.995
 	}
 	return best, nil
+}
+
+// bandMargin widens expBand's bracket far beyond math.Exp's error of
+// at most one ulp and the bracket's own rounding.
+const bandMargin = 1e-6
+
+// expBand returns a bracket [lo, hi] of -ln u, the largest x for which
+// u < exp(-x), widened by bandMargin, from u's exponent and mantissa
+// alone: with u = m·2^e and m in [½, 1), -ln u = -e·ln 2 - ln m and
+// -ln m lies in [1-m, (1-m)/m]. Below 2^-1000 (u = 0 is the only such
+// draw) it returns (-Inf, +Inf), so below always calls Exp there.
+func expBand(u float64) (lo, hi float64) {
+	if u < 0x1p-1000 {
+		return math.Inf(-1), math.Inf(1)
+	}
+	// u is normal: math.Frexp's m and e straight from the bits.
+	b := math.Float64bits(u)
+	m := math.Float64frombits(b&(1<<52-1) | 1022<<52)
+	base := float64(1022-int(b>>52)) * math.Ln2
+	return base + (1 - m) - bandMargin, base + (1-m)/m + bandMargin
+}
+
+// below reports u < math.Exp(-x), exactly, for u in [0, 1): x below
+// u's band is accepted and x above it rejected without calling Exp.
+func below(u, x float64) bool {
+	lo, hi := expBand(u)
+	return x < lo || x <= hi && u < math.Exp(-x)
+}
+
+// costLimit returns the largest cost a move from cost cur can have
+// without being certainly rejected at temperature t by a draw whose
+// band tops out at hi. A cost above it is a dE > hi·t, whose x = dE/t,
+// as the move computes it, is at least hi less a few ulps: still past
+// -ln u by nearly bandMargin, so below rejects it.
+func costLimit(cur sim.Time, hi, t float64) sim.Time {
+	d := hi * t
+	if !(d < float64(sim.Forever-cur)) {
+		return sim.Forever
+	}
+	return cur + sim.Time(d)
 }
 
 // exhaustiveMap enumerates all feasible assignments under the

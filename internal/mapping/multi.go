@@ -29,7 +29,8 @@ func ExecuteMulti(a *Assignment, spans []taskgraph.Span) (ExecStats, []sim.Time,
 }
 
 // ExecuteMulti is ExecuteMulti on the executor's reused scratch. The
-// returned stats and makespans are the caller's own.
+// returned PEBusy and makespans are that scratch, valid until the
+// executor's next run.
 func (ex *Executor) ExecuteMulti(a *Assignment, spans []taskgraph.Span) (ExecStats, []sim.Time, error) {
 	if err := ex.bind(a, spans, 0); err != nil {
 		return ExecStats{}, nil, err
@@ -38,7 +39,7 @@ func (ex *Executor) ExecuteMulti(a *Assignment, spans []taskgraph.Span) (ExecSta
 	if err != nil {
 		return ExecStats{}, nil, err
 	}
-	return stats, append(make([]sim.Time, 0, len(spans)), ex.appMakespan...), nil
+	return stats, ex.appMakespan, nil
 }
 
 // claim assigns every task of spans to its application, rejecting
