@@ -93,8 +93,8 @@ func interpretMain(t *testing.T, src string) int64 {
 }
 
 // TestCICXMLWorkflow exercises the file-based CIC path: write the
-// architecture (which cicc reads) and the mapping to XML, read them
-// back, translate, run.
+// architecture (which cicc reads) to XML, read it back, translate
+// with AutoMap's mapping, run.
 func TestCICXMLWorkflow(t *testing.T) {
 	arch := targets.CellLike(3)
 	spec := workload.H264Spec(32, 32, 2, 2, 3, 9)
@@ -102,22 +102,15 @@ func TestCICXMLWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var archBuf, mapBuf strings.Builder
+	var archBuf strings.Builder
 	if err := cic.WriteArch(&archBuf, arch); err != nil {
-		t.Fatal(err)
-	}
-	if err := cic.WriteMapping(&mapBuf, m); err != nil {
 		t.Fatal(err)
 	}
 	arch2, err := cic.ParseArch(strings.NewReader(archBuf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := cic.ParseMapping(strings.NewReader(mapBuf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp, err := cic.Translate(spec, arch2, m2)
+	tp, err := cic.Translate(spec, arch2, m)
 	if err != nil {
 		t.Fatal(err)
 	}

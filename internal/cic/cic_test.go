@@ -123,21 +123,6 @@ func TestArchXMLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMappingXMLRoundTrip(t *testing.T) {
-	m := &Mapping{Entries: []MapEntry{{Task: "gen", Processor: "ppe"}, {Task: "sink", Processor: "spe0"}}}
-	var buf bytes.Buffer
-	if err := WriteMapping(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := ParseMapping(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed.Of("gen") != "ppe" || parsed.Of("sink") != "spe0" {
-		t.Fatalf("mapping lost: %+v", parsed)
-	}
-}
-
 func TestAutoMapBalances(t *testing.T) {
 	m, err := AutoMap(testSpec(16), dmaArch())
 	if err != nil {

@@ -292,20 +292,19 @@ func WriteArch(w io.Writer, a *ArchInfo) error {
 	return err
 }
 
-// --- Mapping file (XML) ---
+// --- Mapping ---
 
 // MapEntry binds one task to one processor.
 type MapEntry struct {
-	Task      string `xml:"task,attr"`
-	Processor string `xml:"processor,attr"`
+	Task      string
+	Processor string
 }
 
 // Mapping is the task-to-processor binding, either hand-written (the
 // paper: "the programmer maps tasks to processing components, either
 // manually or automatically") or produced by AutoMap.
 type Mapping struct {
-	XMLName xml.Name   `xml:"mapping"`
-	Entries []MapEntry `xml:"map"`
+	Entries []MapEntry
 }
 
 // Of returns the processor assigned to task, or "".
@@ -316,26 +315,6 @@ func (m *Mapping) Of(task string) string {
 		}
 	}
 	return ""
-}
-
-// ParseMapping reads a mapping XML file.
-func ParseMapping(r io.Reader) (*Mapping, error) {
-	var m Mapping
-	if err := xml.NewDecoder(r).Decode(&m); err != nil {
-		return nil, fmt.Errorf("cic: bad mapping file: %w", err)
-	}
-	return &m, nil
-}
-
-// WriteMapping serders a mapping to XML.
-func WriteMapping(w io.Writer, m *Mapping) error {
-	enc := xml.NewEncoder(w)
-	enc.Indent("", "  ")
-	if err := enc.Encode(m); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, "\n")
-	return err
 }
 
 // AutoMap produces a deterministic load-balancing mapping: tasks in

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"mpsockit/internal/isa"
+	"mpsockit/internal/platform"
 )
 
 func TestLexBasics(t *testing.T) {
@@ -412,6 +415,43 @@ func TestCostModelShape(t *testing.T) {
 	cms := NewCostModel(small)
 	if cms.FuncCycles(small.Func("mulheavy"), 0)*5 > risc {
 		t.Fatal("cost not scaling with trip count")
+	}
+}
+
+// TestCostWeightsFromISA: on every PE class, a single-statement
+// function built around one op kind costs exactly that class's MR32
+// timing entry for the op plus the fixed terms around it (operand
+// reads, the store), themselves priced from the same table.
+func TestCostWeightsFromISA(t *testing.T) {
+	prog := MustParse(`
+		int g[4];
+		void mul(int a, int b) { a = a * b; }
+		void div(int a, int b) { a = a / b; }
+		void load(int a, int b) { a = g[b]; }
+		void branch(int a, int b) { if (a) {} }
+	`)
+	tables := map[platform.PEClass]*isa.Timing{
+		platform.RISC: isa.TimingRISC(),
+		platform.DSP:  isa.TimingDSP(),
+		platform.VLIW: isa.TimingVLIW(),
+		platform.ACC:  isa.TimingACC(),
+		platform.CTRL: isa.TimingCTRL(),
+	}
+	for class, tm := range tables {
+		c := tm.Cycles
+		alu, mem := c[isa.CostALU], c[isa.CostMem]
+		want := map[string]int64{
+			"mul":    2*alu + c[isa.CostMul] + mem, // read a, b; multiply; store a
+			"div":    2*alu + c[isa.CostDiv] + mem, // read a, b; divide; store a
+			"load":   2*alu + mem + mem,            // read g, b; load g[b]; store a
+			"branch": alu + c[isa.CostBranch],      // read a; branch over empty arms
+		}
+		cm := NewCostModel(prog)
+		for name, w := range want {
+			if got := cm.FuncCycles(prog.Func(name), class); got != w {
+				t.Errorf("%s on %s costs %d, want %d", name, class, got, w)
+			}
+		}
 	}
 }
 

@@ -1,23 +1,38 @@
 package cir
 
 import (
+	"mpsockit/internal/isa"
 	"mpsockit/internal/platform"
 )
 
-// Op-mix cost weights per PE class, in cycles. These mirror the MR32
-// timing tables (internal/isa) at the statement level so the MAPS
+// Op-mix cost weights per PE class, in cycles, so the MAPS
 // partitioner and mapper (section IV) can estimate WCET per candidate
-// PE class without compiling.
+// PE class without compiling. alu, mul, div, mem and branch are read
+// from the class's MR32 timing table (isa.Timing); call, the overhead
+// of a call and its return, has no single MR32 instruction and is the
+// cost model's own.
 type classWeights struct {
 	alu, mul, div, mem, branch, call int64
 }
 
-var costTable = map[platform.PEClass]classWeights{
-	platform.RISC: {alu: 1, mul: 3, div: 18, mem: 2, branch: 2, call: 6},
-	platform.DSP:  {alu: 1, mul: 1, div: 8, mem: 1, branch: 3, call: 8},
-	platform.VLIW: {alu: 1, mul: 2, div: 12, mem: 1, branch: 4, call: 10},
-	platform.ACC:  {alu: 1, mul: 1, div: 4, mem: 1, branch: 2, call: 4},
-	platform.CTRL: {alu: 1, mul: 4, div: 20, mem: 2, branch: 1, call: 4},
+// weightsFrom takes a class's statement weights from its MR32 timing
+// table and adds its call overhead.
+func weightsFrom(t *isa.Timing, call int64) classWeights {
+	c := &t.Cycles
+	return classWeights{
+		alu: c[isa.CostALU], mul: c[isa.CostMul], div: c[isa.CostDiv],
+		mem: c[isa.CostMem], branch: c[isa.CostBranch], call: call,
+	}
+}
+
+// costTable holds each PE class's weights, indexed by class and built
+// once.
+var costTable = [...]classWeights{
+	platform.RISC: weightsFrom(isa.TimingRISC(), 6),
+	platform.DSP:  weightsFrom(isa.TimingDSP(), 8),
+	platform.VLIW: weightsFrom(isa.TimingVLIW(), 10),
+	platform.ACC:  weightsFrom(isa.TimingACC(), 4),
+	platform.CTRL: weightsFrom(isa.TimingCTRL(), 4),
 }
 
 // DefaultTrip is the iteration count assumed for loops whose bounds

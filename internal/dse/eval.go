@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"mpsockit/internal/isa"
 	"mpsockit/internal/mapping"
 	"mpsockit/internal/mem"
 	"mpsockit/internal/noc"
@@ -341,17 +342,24 @@ func metricsFrom(plat *platform.Platform, stats mapping.ExecStats, area float64,
 // the platform measures when it runs to exhaustion is closed-form in
 // (N, quantum): runLoops computes it, and the ISS run survives only
 // as the test oracle (TestVPRefineOracle).
-const (
-	loopIterCycles = 6 // addi(1) + mul(3) + bne(2)
-	loopHaltCycles = 4 // halt is CostSys
-	// maxVPCores is the refinement platform's width: the busiest PEs
-	// run on up to 16 ISS cores, the tail PEs are below the
-	// bottleneck anyway.
-	maxVPCores = 16
-)
+//
+// maxVPCores is the refinement platform's width: the busiest PEs run
+// on up to 16 ISS cores, the tail PEs are below the bottleneck anyway.
+const maxVPCores = 16
 
-// vpCyclePeriod is the refinement cores' clock period.
-var vpCyclePeriod = sim.Time(int64(sim.Second) / vp.DefaultConfig(1).HzPer)
+// The refinement cores' clock period and the loop's cycle counts,
+// read once from the cores' configuration and timing table.
+var (
+	vpConfig      = vp.DefaultConfig(1)
+	vpCyclePeriod = sim.Time(int64(sim.Second) / vpConfig.HzPer)
+	vpCycles      = vpConfig.Timing.Cycles
+	// loopLeadCycles is one li instruction (addi, lui or ori).
+	loopLeadCycles = vpCycles[isa.CostALU]
+	// loopIterCycles is addi + mul + bne.
+	loopIterCycles = vpCycles[isa.CostALU] + vpCycles[isa.CostMul] + vpCycles[isa.CostBranch]
+	// loopHaltCycles is the halt.
+	loopHaltCycles = vpCycles[isa.CostSys]
+)
 
 // vpRun is what a virtual platform leaves behind after running the
 // refinement loops to exhaustion: the kernel time of the last halt,
@@ -366,8 +374,9 @@ type vpRun struct {
 // spins iters[i] iterations, for i < cores — at the given quantum. A
 // core executes its n instructions in ceil(n/quantum) bursts, each
 // ending in one wake-up event, after a start event at time 0; it
-// halts after lead + 6·iters + 4 cycles, and the run ends at the last
-// halt. A variable so the oracle tests can run the ISS instead.
+// halts after its lead, its iterations and its halt, and the run ends
+// at the last halt. A variable so the oracle tests can run the ISS
+// instead.
 var runLoops = func(iters [maxVPCores]int64, cores, quantum int) vpRun {
 	var r vpRun
 	q := int64(quantum)
@@ -379,7 +388,7 @@ var runLoops = func(iters [maxVPCores]int64, cores, quantum int) vpRun {
 		n := lead + 3*it + 1
 		r.instr += uint64(n)
 		r.events += uint64((n+q-1)/q) + 1
-		if end := sim.Time(lead+loopIterCycles*it+loopHaltCycles) * vpCyclePeriod; end > r.now {
+		if end := sim.Time(lead*loopLeadCycles+loopIterCycles*it+loopHaltCycles) * vpCyclePeriod; end > r.now {
 			r.now = end
 		}
 	}

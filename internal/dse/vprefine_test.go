@@ -156,8 +156,8 @@ func TestVPRefineOracle(t *testing.T) {
 }
 
 // TestLoopCyclesMatchesISS: on both li expansions the loop program
-// halts after L + 6N + 4 cycles of the ISS, the halt time runLoops
-// reports.
+// halts after L + 6N + 4 cycles of the ISS (L li instructions), the
+// halt time runLoops reports.
 func TestLoopCyclesMatchesISS(t *testing.T) {
 	for _, iters := range []int64{1, 7, 32767, 32768} {
 		lead := int64(1)
@@ -175,7 +175,7 @@ func TestLoopCyclesMatchesISS(t *testing.T) {
 		for !cpu.Halted {
 			cycles += cpu.Step()
 		}
-		if want := lead + loopIterCycles*iters + loopHaltCycles; cycles != want {
+		if want := lead*loopLeadCycles + loopIterCycles*iters + loopHaltCycles; cycles != want {
 			t.Fatalf("N=%d: program takes %d cycles, want %d", iters, cycles, want)
 		}
 	}

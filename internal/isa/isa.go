@@ -230,8 +230,11 @@ func (ins Instr) Class() CostClass {
 	}
 }
 
-// Timing is a per-cost-class cycle table. The virtual platform holds
-// one per PE class.
+// Timing is a per-cost-class cycle table, one per PE class. These
+// tables are the only place a class's instruction costs are written:
+// the ISS charges them per instruction, the MAPS cost model
+// (internal/cir) prices C statements with them, and the dse vp tier
+// derives its refinement loop's cycle counts from TimingRISC.
 type Timing struct {
 	Name   string
 	Cycles [numCostClasses]int64
@@ -269,5 +272,15 @@ func TimingVLIW() *Timing {
 func TimingACC() *Timing {
 	return &Timing{Name: "ACC", Cycles: [numCostClasses]int64{
 		CostALU: 1, CostMul: 1, CostDiv: 4, CostMem: 1, CostBranch: 2, CostJump: 2, CostSys: 2,
+	}}
+}
+
+// TimingCTRL models the host/control processor (the PPE of a
+// Cell-like SoC): slow multiply and divide, cheap branches. Its jump
+// and sys entries copy TimingRISC's; nothing reads them yet, because
+// no virtual-platform core runs as a CTRL class.
+func TimingCTRL() *Timing {
+	return &Timing{Name: "CTRL", Cycles: [numCostClasses]int64{
+		CostALU: 1, CostMul: 4, CostDiv: 20, CostMem: 2, CostBranch: 1, CostJump: 2, CostSys: 4,
 	}}
 }

@@ -110,7 +110,14 @@ func TestTimingTables(t *testing.T) {
 	if TimingVLIW().Cost(branch) <= TimingDSP().Cost(branch) {
 		t.Fatal("VLIW branches should cost more than DSP branches")
 	}
-	for _, tm := range []*Timing{TimingRISC(), TimingDSP(), TimingVLIW(), TimingACC()} {
+	if TimingCTRL().Cost(branch) >= TimingRISC().Cost(branch) {
+		t.Fatal("CTRL branches should be cheaper than RISC branches")
+	}
+	div := Instr{Op: OpR, Fn: FnDIV, Valid: true}
+	if TimingCTRL().Cost(div) <= TimingRISC().Cost(div) {
+		t.Fatal("CTRL divide should cost more than RISC divide")
+	}
+	for _, tm := range []*Timing{TimingRISC(), TimingDSP(), TimingVLIW(), TimingACC(), TimingCTRL()} {
 		for cc := CostClass(0); cc < numCostClasses; cc++ {
 			if tm.Cycles[cc] <= 0 {
 				t.Fatalf("%s has non-positive cost for class %d", tm.Name, cc)

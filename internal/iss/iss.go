@@ -82,8 +82,8 @@ type CPU struct {
 	Regs [32]uint32
 	PC   uint32
 	Bus  Bus
-	// Timing selects the per-PE-class cycle table. Nil means every
-	// instruction costs one cycle (pure functional mode).
+	// Timing is the per-PE-class cycle table every instruction is
+	// charged from; it must not be nil.
 	Timing *isa.Timing
 
 	Halted bool
@@ -186,10 +186,7 @@ func (c *CPU) Step() int64 {
 	if c.Trace != nil {
 		c.Trace(c, c.PC, ins)
 	}
-	cycles := int64(1)
-	if c.Timing != nil {
-		cycles = c.Timing.Cost(ins)
-	}
+	cycles := c.Timing.Cost(ins)
 	nextPC := c.PC + 4
 
 	reg := func(i int) uint32 { return c.Regs[i] }

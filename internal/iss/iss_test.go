@@ -223,7 +223,7 @@ func TestEcallWithoutHandlerFaults(t *testing.T) {
 	p, _ := isa.Assemble("ecall\nhalt")
 	ram := NewRAM(1 << 12)
 	ram.LoadProgram(p)
-	c := New(0, ram, nil)
+	c := New(0, ram, isa.TimingRISC())
 	c.Run(10)
 	if c.Err == nil {
 		t.Fatal("ecall without handler should fault")
@@ -233,7 +233,7 @@ func TestEcallWithoutHandlerFaults(t *testing.T) {
 func TestIllegalInstructionFaults(t *testing.T) {
 	ram := NewRAM(64)
 	ram.Data[3] = 0xff // garbage opcode
-	c := New(0, ram, nil)
+	c := New(0, ram, isa.TimingRISC())
 	c.Run(10)
 	if c.Err == nil || !c.Halted {
 		t.Fatal("illegal instruction should halt with error")
@@ -323,7 +323,7 @@ func TestTraceHook(t *testing.T) {
 	p, _ := isa.Assemble("addi r1, r0, 1\nhalt")
 	ram := NewRAM(256)
 	ram.LoadProgram(p)
-	c := New(0, ram, nil)
+	c := New(0, ram, isa.TimingRISC())
 	var pcs []uint32
 	c.Trace = func(c *CPU, pc uint32, ins isa.Instr) { pcs = append(pcs, pc) }
 	c.Run(10)

@@ -40,8 +40,12 @@ func capableRef(g *taskgraph.Graph, plat *platform.Platform, t *taskgraph.Task) 
 	return all
 }
 
+// evaluateRef is the schedule kernel's oracle: it takes the
+// topological order from the View but reads each task's predecessors
+// and in-bytes straight from g.Edges, independent of the View's
+// adjacency.
 func evaluateRef(g *taskgraph.Graph, plat *platform.Platform, taskPE []int) (sim.Time, []Slot, error) {
-	order, err := g.TopoOrder()
+	order, err := g.View().TopoOrder()
 	if err != nil {
 		return 0, nil, err
 	}
@@ -57,10 +61,19 @@ func evaluateRef(g *taskgraph.Graph, plat *platform.Platform, taskPE []int) (sim
 			return 0, nil, nil // callers below only compare the error case by presence
 		}
 		ready := sim.Time(0)
-		for _, p := range g.Preds(id) {
+		for _, e := range g.Edges {
+			if e.To != id {
+				continue
+			}
+			p := e.From
 			arr := finish[p]
 			if taskPE[p] != pe {
-				b := g.InBytes(p, id)
+				b := 0
+				for _, f := range g.Edges {
+					if f.From == p && f.To == id {
+						b += f.Bytes
+					}
+				}
 				arr += plat.Fabric.EstPairLatency(taskPE[p], pe) + plat.Fabric.EstPayloadLatency(b)
 				if plat.Mem != nil {
 					arr += plat.Mem.EstPairLatency(taskPE[p], pe) + plat.Mem.EstPayloadLatency(b)

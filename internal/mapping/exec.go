@@ -255,7 +255,7 @@ func (ex *Executor) step(id int) {
 			}
 			ex.held[pe] = true
 			core := ex.a.Platform.Core(pe)
-			t.dur = core.Cycles(ex.a.Graph.Tasks[id].CyclesOn(core.Class))
+			t.dur = core.Cycles(v.CyclesOn(id, core.Class))
 			t.pc = pcCompute
 			k.ScheduleH(t.dur, ex, id<<fireBits|fireStep)
 			return

@@ -106,28 +106,6 @@ func (g *Graph) Connect(from, to *Task, bytes int, label string) {
 	g.version++
 }
 
-// Preds returns the predecessor task IDs of id, in edge order.
-func (g *Graph) Preds(id int) []int {
-	var out []int
-	for _, e := range g.Edges {
-		if e.To == id {
-			out = append(out, e.From)
-		}
-	}
-	return out
-}
-
-// InBytes sums payload arriving at task id from pred p.
-func (g *Graph) InBytes(p, id int) int {
-	total := 0
-	for _, e := range g.Edges {
-		if e.From == p && e.To == id {
-			total += e.Bytes
-		}
-	}
-	return total
-}
-
 // Validate checks IDs, edge endpoints, and acyclicity.
 func (g *Graph) Validate() error {
 	for i, t := range g.Tasks {
@@ -148,18 +126,6 @@ func (g *Graph) Validate() error {
 	}
 	_, err := g.View().TopoOrder()
 	return err
-}
-
-// TopoOrder returns a deterministic topological order (Kahn with
-// smallest-ID tie-break) or an error when the graph has a cycle. The
-// order is memoized on the cached View; the returned slice is a copy
-// the caller may keep.
-func (g *Graph) TopoOrder() ([]int, error) {
-	order, err := g.View().TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	return append([]int(nil), order...), nil
 }
 
 // TotalCycles sums the WCETs of all tasks on the given class.

@@ -25,7 +25,7 @@ func diamond() *Graph {
 
 func TestTopoOrder(t *testing.T) {
 	g := diamond()
-	order, err := g.TopoOrder()
+	order, err := g.View().TopoOrder()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +135,8 @@ func TestInBytesAggregates(t *testing.T) {
 	b := g.AddTask(&Task{Name: "b", WCET: map[platform.PEClass]int64{platform.RISC: 1}})
 	g.Connect(a, b, 100, "x")
 	g.Connect(a, b, 50, "y")
-	if got := g.InBytes(a.ID, b.ID); got != 150 {
-		t.Fatalf("InBytes = %d", got)
+	if got := g.View().Preds(b.ID); len(got) != 1 || got[0].Task != a.ID || got[0].Bytes != 150 {
+		t.Fatalf("Preds(b) = %+v, want one record from a with 150 bytes", got)
 	}
 }
 

@@ -23,8 +23,7 @@ type Adj struct {
 // per-edge payload bytes, the memoized topological order, and a dense
 // per-class WCET table. It exists so the mapping-search hot path
 // (thousands of candidate evaluations per design point) never rescans
-// Graph.Edges or allocates adjacency slices the way Graph.Preds/Succs/
-// InBytes do.
+// Graph.Edges or allocates adjacency slices.
 //
 // A View is valid for the graph state it was built from; AddTask and
 // Connect invalidate it, and the next Graph.View call rebuilds. All
