@@ -103,6 +103,11 @@ type Worker struct {
 	// with them kernels, platforms and graph prototypes, live as long
 	// as the worker, across leases and sweeps.
 	eng dse.Engine
+	// pending holds the current lease's encoded, undelivered result
+	// lines. One buffer serves every lease: workLease resets it at its
+	// start, after the previous lease has delivered or checkpointed
+	// its lines.
+	pending bytes.Buffer
 	// done is set when a result ack reports farm completion, so the
 	// worker exits without needing one more /lease round trip (the
 	// coordinator may already be shutting down by then).
@@ -269,7 +274,8 @@ func (w *Worker) workLease(ctx context.Context, sw *workerSweep, l Lease) error 
 	if flushEvery <= 0 {
 		flushEvery = max(8, (l.Hi-l.Lo+3)/4)
 	}
-	var pending bytes.Buffer
+	pending := &w.pending
+	pending.Reset()
 	pendingPoints := 0
 	flush := func() error {
 		if pendingPoints == 0 {
@@ -296,7 +302,7 @@ func (w *Worker) workLease(ctx context.Context, sw *workerSweep, l Lease) error 
 		if w.cfg.OnResult != nil {
 			w.cfg.OnResult(r)
 		}
-		if err := dse.WriteResult(&pending, r); err != nil && evalErr == nil {
+		if err := dse.WriteResult(pending, r); err != nil && evalErr == nil {
 			evalErr = err
 			return
 		}

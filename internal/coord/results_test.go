@@ -253,6 +253,48 @@ func TestResultsBodyLength(t *testing.T) {
 	}
 }
 
+// TestResultsPooledBatchesKeepAcceptedLines: /results posts decode
+// through pooled batches, one after another, and the Accumulator keeps
+// each accepted line as a slice of its post's body. After every post,
+// every line accepted by an earlier post is still the submitted bytes,
+// and the final file equals the in-process run. The posts carry blank
+// lines, a trailing newline and repeats of accepted lines, so the
+// in-place scan skips, splits and dedupes as the split did.
+func TestResultsPooledBatchesKeepAcceptedLines(t *testing.T) {
+	const seed, batch = uint64(5), 8
+	_, lines := sweepLines(t, resultsSpec, seed)
+	srv, err := New(Config{Spec: resultsSpec, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h, acc := srv.Handler(), srv.boot.acc
+	for lo := 0; lo < len(lines); lo += batch {
+		hi := min(lo+batch, len(lines))
+		post := append([][]byte{{}}, lines[lo:hi]...)
+		if lo > 0 {
+			post = append(post, lines[lo-1], []byte("  "))
+		}
+		post = append(post, []byte{})
+		code, ack, body := postLinesSweep(t, h, "w", srv.boot.id, 1, post)
+		if code != http.StatusOK || ack.Accepted != hi-lo {
+			t.Fatalf("post [%d,%d): HTTP %d (%s), %d accepted", lo, hi, code, body, ack.Accepted)
+		}
+		for id := 0; id < hi; id++ {
+			if !bytes.Equal(acc.Raw(id), lines[id]) {
+				t.Fatalf("after post [%d,%d): point %d holds %q, want the submitted line", lo, hi, id, acc.Raw(id))
+			}
+		}
+	}
+	var got bytes.Buffer
+	if err := srv.WriteFinal(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), referenceBytes(t, resultsSpec, seed)) {
+		t.Fatal("final file differs from the in-process run")
+	}
+}
+
 // BenchmarkHandleResults measures one 8-line /results post through
 // the coordinator's HTTP handler. "accepted" posts lines the sweep has
 // not seen yet, so each is decoded, validated, merged and appended to

@@ -947,7 +947,9 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	decodeStart := time.Now()
 	batch := decodeResults(body)
 	s.obs.decodeUS.Observe(time.Since(decodeStart).Microseconds())
-	s.logProgress(s.ingestResults(w, q.Get("worker"), sweepID, q.Get("lease"), batch))
+	progress := s.ingestResults(w, q.Get("worker"), sweepID, q.Get("lease"), batch)
+	batch.release()
+	s.logProgress(progress)
 }
 
 // maxResultsBody caps a /results body; a larger one is a 400.
@@ -957,7 +959,9 @@ const maxResultsBody = 64 << 20
 // unknown, as for a chunked body) through the capped reader body. A
 // known length sizes the buffer once instead of io.ReadAll's
 // doubling; one past the cap fails unread, with the error the capped
-// reader would return.
+// reader would return. Every call returns a new buffer that nothing
+// writes again, so the Accumulator keeps accepted lines as slices of
+// it (AddResult's contract).
 func readBody(body io.Reader, length int64) ([]byte, error) {
 	switch {
 	case length > maxResultsBody:
@@ -975,21 +979,24 @@ func readBody(body io.Reader, length int64) ([]byte, error) {
 // resultBatch is a /results body decoded outside the coordinator
 // lock: the non-blank lines up to the first malformed one, each with
 // its decoded result, and that line's decode error (nil when every
-// line decoded).
+// line decoded). The lines are slices of the body. Batches come from
+// batchPool, so a post reuses the arrays of an earlier one.
 type resultBatch struct {
 	lines   [][]byte
 	results []dse.Result
 	err     error
 }
 
-// decodeResults splits a /results body into lines and decodes each
-// once, stopping at the first malformed line.
-func decodeResults(body []byte) resultBatch {
-	lines := bytes.Split(body, []byte("\n"))
-	// Kept lines are compacted into Split's own array: the write index
-	// never passes the read index.
-	b := resultBatch{lines: lines[:0], results: make([]dse.Result, 0, len(lines))}
-	for _, line := range lines {
+var batchPool = sync.Pool{New: func() any { return new(resultBatch) }}
+
+// decodeResults scans a /results body line by line in place and
+// decodes each line once, stopping at the first malformed line. The
+// caller hands the batch back with release.
+func decodeResults(body []byte) *resultBatch {
+	b := batchPool.Get().(*resultBatch)
+	for len(body) > 0 {
+		var line []byte
+		line, body, _ = bytes.Cut(body, []byte("\n"))
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
@@ -1004,12 +1011,21 @@ func decodeResults(body []byte) resultBatch {
 	return b
 }
 
+// release empties the batch, dropping its references into the body
+// and the decoded results, and returns it to batchPool.
+func (b *resultBatch) release() {
+	clear(b.lines)
+	clear(b.results)
+	b.lines, b.results, b.err = b.lines[:0], b.results[:0], nil
+	batchPool.Put(b)
+}
+
 // ingestResults applies a decoded batch under s.mu and answers the
 // post. A batch that stops at a malformed or conflicting line still
 // lands its prefix, flushed to the checkpoint and counted, before the
 // 409. It returns the live-front snapshot, if one is due, for the
 // caller to log once the lock is released.
-func (s *Server) ingestResults(w http.ResponseWriter, worker, sweepID, lease string, b resultBatch) *progressSnapshot {
+func (s *Server) ingestResults(w http.ResponseWriter, worker, sweepID, lease string, b *resultBatch) *progressSnapshot {
 	s.mu.Lock()
 	lockedAt := time.Now()
 	defer func() {

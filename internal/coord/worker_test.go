@@ -179,6 +179,68 @@ func TestWorkerVanishCheckpointAndRejoin(t *testing.T) {
 	}
 }
 
+// TestWorkerCheckpointsBeforeReusingPending: a Worker keeps one
+// pending-lines buffer across leases. When a lease's flushes fail, the
+// worker checkpoints that lease's lines, exactly, before Run returns.
+// Run again on the same Worker, it resubmits them and works the other
+// leases through the same buffer, which carries no line of the failed
+// lease: the sweep completes without a duplicate, in the standalone
+// bytes.
+func TestWorkerCheckpointsBeforeReusingPending(t *testing.T) {
+	const spec, seed = "smoke", uint64(1)
+	_, lines := sweepLines(t, spec, seed)
+	srv, err := New(Config{Spec: spec, Seed: seed, Chunks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	dir := t.TempDir()
+	tr := &failPath{base: http.DefaultTransport, path: "/results"}
+	tr.set(true)
+	cfg := quickWorker(hs.URL, "w0")
+	cfg.Client = &http.Client{Transport: tr}
+	cfg.CheckpointDir = dir
+	cfg.MaxAttempts = 2
+	w := NewWorker(cfg)
+	if err := w.Run(context.Background()); err == nil {
+		t.Fatal("worker reported success with an unreachable coordinator")
+	}
+	ckpts, err := filepath.Glob(filepath.Join(dir, "w0-sw-*-lease*.jsonl"))
+	if err != nil || len(ckpts) != 1 {
+		t.Fatalf("want one lease checkpoint, have %v (%v)", ckpts, err)
+	}
+	lg, err := dse.ReadLog(ckpts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := lg.Header.Shard
+	if sh == nil || len(lg.Raw) != sh.Hi-sh.Lo || sh.Hi-sh.Lo <= cfg.FlushPoints {
+		t.Fatalf("checkpoint of range %+v holds %d lines; want the whole lease, longer than one flush", sh, len(lg.Raw))
+	}
+	for i, raw := range lg.Raw {
+		if !bytes.Equal(raw, lines[sh.Lo+i]) {
+			t.Fatalf("checkpoint line %d is not point %d's line", i, sh.Lo+i)
+		}
+	}
+
+	tr.set(false)
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	st := srv.Status()
+	if !st.Complete || st.Duplicates != 0 {
+		t.Fatalf("after the rerun: complete %v, %d duplicates; want complete with none", st.Complete, st.Duplicates)
+	}
+	var got bytes.Buffer
+	if err := srv.WriteFinal(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), referenceBytes(t, spec, seed)) {
+		t.Fatal("output differs after a failed lease and a rerun on the same worker")
+	}
+}
+
 // TestMergeCoordinatorLogAndLeaseCheckpoints is the offline fallback
 // `dse -merge` serves for a farm: a coordinator's checkpoint log holds
 // the leases it received, the lease a worker could not deliver sits in

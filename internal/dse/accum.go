@@ -20,24 +20,34 @@ import (
 // and the late or repeated lines land as duplicates instead of
 // corruption.
 //
+// An accepted result is kept as its line and its outcome (Metrics and
+// Err) by point ID; its Point is the expansion's own, which AddResult
+// checked it equals, so Results and Completed rebuild it from there.
+//
 // The zero Accumulator is not usable; construct with NewAccumulator.
 // Methods are not safe for concurrent use — callers serialize (the
 // coordinator holds its own lock).
 type Accumulator struct {
-	points  []Point
-	raw     [][]byte
-	results []Result
-	done    int
-	dups    int
+	points   []Point
+	raw      [][]byte
+	outcomes []outcome
+	done     int
+	dups     int
+}
+
+// outcome is what an accepted result adds to its expanded point.
+type outcome struct {
+	metrics Metrics
+	err     string
 }
 
 // NewAccumulator builds an empty accumulator over the expanded point
 // list the incoming results must match.
 func NewAccumulator(points []Point) *Accumulator {
 	return &Accumulator{
-		points:  points,
-		raw:     make([][]byte, len(points)),
-		results: make([]Result, len(points)),
+		points:   points,
+		raw:      make([][]byte, len(points)),
+		outcomes: make([]outcome, len(points)),
 	}
 }
 
@@ -62,6 +72,11 @@ func DecodeResult(line []byte) (Result, error) {
 // original line bytes (which are what merged output re-emits, so the
 // final file is byte-identical to the producing run). Semantics match
 // Add.
+//
+// An accepted line is kept, not copied: the caller hands line over and
+// must never modify or reuse its bytes afterwards. The coordinator's
+// per-request /results bodies, ReadLog's lines and a resumed log's Raw
+// are all buffers nobody writes again.
 func (a *Accumulator) AddResult(r Result, line []byte) (added bool, err error) {
 	id := r.Point.ID
 	if id < 0 || id >= len(a.points) {
@@ -78,8 +93,10 @@ func (a *Accumulator) AddResult(r Result, line []byte) (added bool, err error) {
 		a.dups++
 		return false, nil
 	}
-	a.raw[id] = append([]byte(nil), line...)
-	a.results[id] = r
+	// The cap stops an append to Raw(id) from running into the bytes
+	// after the line.
+	a.raw[id] = line[:len(line):len(line)]
+	a.outcomes[id] = outcome{metrics: r.Metrics, err: r.Err}
 	a.done++
 	return true, nil
 }
@@ -126,10 +143,24 @@ func (a *Accumulator) Missing() (count, firstID int) {
 	return count, firstID
 }
 
-// Results returns the full result slice indexed by point ID. Entries
+// Results returns a new full result slice indexed by point ID. Entries
 // for points without an accepted result are zero; call Complete (or
 // Missing) first when totality matters.
-func (a *Accumulator) Results() []Result { return a.results }
+func (a *Accumulator) Results() []Result {
+	out := make([]Result, len(a.points))
+	for id, raw := range a.raw {
+		if raw != nil {
+			out[id] = a.result(id)
+		}
+	}
+	return out
+}
+
+// result rebuilds the accepted result for point ID.
+func (a *Accumulator) result(id int) Result {
+	o := &a.outcomes[id]
+	return Result{Point: a.points[id], Metrics: o.metrics, Err: o.err}
+}
 
 // Completed returns the accepted results in point-ID order, skipping
 // missing points — the input for live Pareto-front and hypervolume
@@ -140,7 +171,7 @@ func (a *Accumulator) Completed() []Result {
 	out := make([]Result, 0, a.done)
 	for id, raw := range a.raw {
 		if raw != nil {
-			out = append(out, a.results[id])
+			out = append(out, a.result(id))
 		}
 	}
 	return out

@@ -353,6 +353,9 @@ type Engine struct {
 	// ctxs holds one EvalContext per pool worker, grown on demand and
 	// kept for the Engine's life.
 	ctxs []*EvalContext
+	// results is RunContext's result array, grown on demand and reused
+	// by the next run.
+	results []Result
 }
 
 // twins reports whether p and o are fidelity twins: the same mapping
@@ -366,6 +369,7 @@ func twins(p, o Point) bool {
 }
 
 // Run evaluates every point and returns the results in input order.
+// The slice is the Engine's scratch, as for RunContext.
 func (e *Engine) Run(points []Point) []Result {
 	return e.RunContext(context.Background(), points)
 }
@@ -380,6 +384,11 @@ func (e *Engine) Run(points []Point) []Result {
 // released to OnResult — so a caller writing JSONL has a clean cut
 // point: flushing what OnResult saw yields a valid resumable
 // checkpoint with no torn trailing line.
+//
+// The returned slice is the Engine's scratch, like Evaluator.Map's
+// assignment: it stays valid until the next Run or RunContext on this
+// Engine, which overwrites it. A caller that keeps results past that
+// copies them (append(dst, res...)).
 func (e *Engine) RunContext(ctx context.Context, points []Point) []Result {
 	workers := e.Workers
 	if workers <= 0 {
@@ -388,7 +397,10 @@ func (e *Engine) RunContext(ctx context.Context, points []Point) []Result {
 	if workers > len(points) {
 		workers = len(points)
 	}
-	results := make([]Result, len(points))
+	if cap(e.results) < len(points) {
+		e.results = make([]Result, len(points))
+	}
+	results := e.results[:len(points)]
 	if len(points) == 0 {
 		return results
 	}
@@ -463,5 +475,5 @@ dispatch:
 	wg.Wait()
 	close(completed)
 	collWG.Wait()
-	return results[:next]
+	return results[:next:next]
 }

@@ -2,6 +2,7 @@ package dse
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -255,5 +256,34 @@ func TestEngineReuseMatchesFresh(t *testing.T) {
 				t.Fatal("repeating a sweep on one worker rebuilt its graphs: the context was not kept")
 			}
 		}
+	}
+}
+
+// TestEngineReusesResultArray: RunContext's result slice is the
+// Engine's scratch. A second, shorter run on one Engine reuses the
+// first run's array and writes the same bytes as a fresh Engine, a
+// longer third run grows it and writes the fresh bytes too, and a copy
+// of the first run taken before the second keeps its values.
+func TestEngineReusesResultArray(t *testing.T) {
+	long := expandSweep(t, "plat=homog2,homog4;wl=carradio,jpeg,synth8;heur=list,anneal", 3)
+	short := expandSweep(t, "plat=wireless;wl=jpeg,synth12;heur=list", 4)
+	longer := expandSweep(t, "smoke", 1)
+	if len(short) >= len(long) || len(longer) <= len(long) {
+		t.Fatalf("vacuous: runs of %d, %d and %d points", len(long), len(short), len(longer))
+	}
+	e := &Engine{Workers: 2}
+	first := e.RunContext(context.Background(), long)
+	kept := append([]Result(nil), first...)
+	for i, run := range [][]Point{short, longer} {
+		got := e.RunContext(context.Background(), run)
+		if i == 0 && &got[0] != &first[0] {
+			t.Fatal("the second run did not reuse the first run's result array")
+		}
+		if want := sweepBytes(t, (&Engine{Workers: 2}).Run(run)); !bytes.Equal(sweepBytes(t, got), want) {
+			t.Fatalf("run %d on a reused Engine wrote different bytes than a fresh Engine", i+2)
+		}
+	}
+	if !bytes.Equal(sweepBytes(t, kept), sweepBytes(t, (&Engine{Workers: 2}).Run(long))) {
+		t.Fatal("the copy of the first run changed")
 	}
 }
